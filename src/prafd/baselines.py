@@ -9,6 +9,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from .geometry import FeasibleRegionSpec, layout_side_feasible, nearest_feasible
 from .placement import SurrogateContext, antenna_bundle, placement_objective
 from .solver import AntennaLayout, SolveOptions, TrialResult, alternating_optimize
 
-ALGORITHMS = ("fp-bsum", "fp-bsum-simplified", "fp-gd", "fpas", "hd")
+ALGORITHMS = ("fp-bsum", "fp-gd", "fpas", "hd")
 
 ARMIJO_C = 1e-4
 GD_MAX_HALVINGS = 40
@@ -38,16 +39,15 @@ def upa_layout(n: int, spacing: float, half_width: float) -> np.ndarray:
     return np.array(pts).reshape(n, 2)
 
 
-def _project_side(cand: np.ndarray, half_width: float, d_min: float,
-                  simplified: bool) -> np.ndarray | None:
+def _project_side(cand: np.ndarray, half_width: float,
+                  d_min: float) -> np.ndarray | None:
     """Sequentially restore pairwise feasibility after a joint move."""
     proj = cand.copy()
     for _ in range(5):
         for n in range(len(proj)):
             region = FeasibleRegionSpec(half_width,
                                         np.delete(proj, n, axis=0), d_min)
-            proj[n] = nearest_feasible_point(cand[n], region,
-                                             simplified=simplified)
+            proj[n] = nearest_feasible_point(cand[n], region)
         if layout_side_feasible(proj, half_width, d_min):
             return proj
     return None
@@ -55,8 +55,7 @@ def _project_side(cand: np.ndarray, half_width: float, d_min: float,
 
 def gradient_descent_positions(ctx: SurrogateContext, positions: np.ndarray,
                                rng: np.random.Generator, eps: float,
-                               max_sweeps: int = 200,
-                               simplified: bool = False):
+                               max_sweeps: int = 200):
     """Projected gradient descent on one side's placement objective.
 
     Same interface and monotonicity contract as the per-antenna majorizer
@@ -85,8 +84,7 @@ def gradient_descent_positions(ctx: SurrogateContext, positions: np.ndarray,
         alpha = alpha0
         accepted = False
         for _ in range(GD_MAX_HALVINGS):
-            proj = _project_side(pos - alpha * grad, ctx.half_width,
-                                 ctx.d_min, simplified)
+            proj = _project_side(pos - alpha * grad, ctx.half_width, ctx.d_min)
             if proj is not None:
                 f_new = placement_objective(ctx, proj)
                 if f_new <= f - ARMIJO_C * alpha * gnorm2:
@@ -109,8 +107,7 @@ def solve_fpas(cfg: ScenarioConfig, rlz: ChannelRealization,
                rng: np.random.Generator,
                options: SolveOptions | None = None) -> TrialResult:
     """Fixed half-wavelength planar arrays; only beamformers/powers adapt."""
-    opts = options or SolveOptions()
-    opts.position_method = "none"
+    opts = replace(options or SolveOptions(), position_method="none")
     spacing = 0.5 * cfg.wavelength
     layout = AntennaLayout(
         t=upa_layout(cfg.N_t, spacing, cfg.region_half_width),
@@ -135,7 +132,7 @@ def solve_half_duplex(cfg: ScenarioConfig, rlz: ChannelRealization,
             f"duplex factor must be in (0, 1], got {duplex_factor:g}")
     opts = options or SolveOptions()
     if opts.eval_rlz is not None:
-        opts.eval_rlz = opts.eval_rlz.downlink_only()
+        opts = replace(opts, eval_rlz=opts.eval_rlz.downlink_only())
     res = alternating_optimize(cfg.downlink_only(), rlz.downlink_only(), rng,
                                options=opts)
     res.rate *= duplex_factor
@@ -150,14 +147,10 @@ def run_algorithm(name: str, cfg: ScenarioConfig, rlz: ChannelRealization,
                   rng: np.random.Generator,
                   initial_layout: AntennaLayout | None = None,
                   eval_rlz: ChannelRealization | None = None,
-                  duplex_factor: float = 0.5,
-                  validate: bool = True) -> TrialResult:
+                  duplex_factor: float = 0.5) -> TrialResult:
     """Dispatch one named algorithm on one realization."""
-    opts = SolveOptions(eval_rlz=eval_rlz, validate=validate)
+    opts = SolveOptions(eval_rlz=eval_rlz)
     if name == "fp-bsum":
-        return alternating_optimize(cfg, rlz, rng, initial_layout, opts)
-    if name == "fp-bsum-simplified":
-        opts.simplified_geometry = True
         return alternating_optimize(cfg, rlz, rng, initial_layout, opts)
     if name == "fp-gd":
         opts.position_method = "gd"

@@ -80,7 +80,6 @@ def _cmd_experiment(args) -> int:
         sweep_field=sweep_field,
         sweep_values=sweep_values,
         duplex_factor=args.duplex_factor,
-        simplified_geometry=args.simplified_geometry,
         threads=args.threads,
     )
     t0 = time.perf_counter()
@@ -228,8 +227,6 @@ def main(argv=None) -> int:
                     help="sweep one config field or perturbation level")
     pe.add_argument("--out", default="results", help="output path prefix")
     pe.add_argument("--duplex-factor", type=float, default=0.5)
-    pe.add_argument("--simplified-geometry", action="store_true",
-                    help="use the cheap feasibility repair in position updates")
     pe.add_argument("--threads", type=int, default=1,
                     help="worker processes for sweep points")
     pe.set_defaults(func=_cmd_experiment)

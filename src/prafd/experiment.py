@@ -47,9 +47,7 @@ class ExperimentSpec:
     sweep_field: str | None = None
     sweep_values: tuple = ()
     duplex_factor: float = 0.5
-    simplified_geometry: bool = False
     threads: int = 1
-    validate: bool = True
 
     def __post_init__(self):
         self.algorithms = tuple(self.algorithms)
@@ -57,10 +55,6 @@ class ExperimentSpec:
         for a in self.algorithms:
             if a not in ALGORITHMS:
                 raise ConfigError(f"unknown algorithm {a!r}")
-        if self.simplified_geometry:
-            self.algorithms = tuple(
-                "fp-bsum-simplified" if a == "fp-bsum" else a
-                for a in self.algorithms)
 
     def points(self) -> list:
         return list(self.sweep_values) if self.sweep_field else [float("nan")]
@@ -133,7 +127,7 @@ def run_trial(spec: ExperimentSpec, sweep_value, trial: int) -> list[TrialResult
                 algo, cfg, solver_rlz,
                 trial_rng(spec.seed, trial, _STREAM_SOLVER),
                 initial_layout=layout, eval_rlz=eval_rlz,
-                duplex_factor=spec.duplex_factor, validate=spec.validate)
+                duplex_factor=spec.duplex_factor)
         except Exception as exc:  # recorded, excluded from aggregates
             res = TrialResult(
                 rate=float("nan"), dl_rates=np.full(cfg.K_D, np.nan),

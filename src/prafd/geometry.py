@@ -144,17 +144,15 @@ def _fallback_ring_search(sp: np.ndarray, spec: FeasibleRegionSpec) -> np.ndarra
     return fine if fine is not None else hit
 
 
-def nearest_feasible_point(sp: np.ndarray, spec: FeasibleRegionSpec,
-                           simplified: bool = False) -> np.ndarray:
+def nearest_feasible_point(sp: np.ndarray, spec: FeasibleRegionSpec) -> np.ndarray:
     """Project a surrogate minimizer onto the feasible region.
 
     Walks the candidate family described in the module docstring: each round
     collects the discs the current center violates or touches, generates
     their exit/intersection candidates, keeps the one nearest the original
-    target that clears the generating discs, and repeats from there.  In
-    simplified mode discs already examined once are dropped from later
-    rescans, trading a little distance for fewer checks.  The best candidate
-    feasible against *all* discs seen at any round is remembered and wins.
+    target that clears the generating discs, and repeats from there.  The
+    best candidate feasible against every disc wins; if the walk stalls
+    without one, a ring search around the target takes over.
     """
     sp = np.asarray(sp, dtype=float)
     hw, radius, slack = spec.half_width, spec.radius, spec.slack
@@ -164,7 +162,6 @@ def nearest_feasible_point(sp: np.ndarray, spec: FeasibleRegionSpec,
         return center
 
     n_obs = len(obstacles)
-    examined = np.zeros(n_obs, dtype=bool)
     best = None
     best_d = np.inf
     for _ in range(4 * n_obs + 4):
@@ -173,11 +170,7 @@ def nearest_feasible_point(sp: np.ndarray, spec: FeasibleRegionSpec,
                 best = center
             return best
         dists = np.linalg.norm(obstacles - center, axis=1)
-        gen = dists <= radius + slack
-        if simplified:
-            gen &= ~examined
-            examined |= gen
-        idx = np.flatnonzero(gen)
+        idx = np.flatnonzero(dists <= radius + slack)
         if idx.size == 0:
             break
         cands = []

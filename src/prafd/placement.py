@@ -228,15 +228,9 @@ def curvature_bound(ctx: SurrogateContext, positions: np.ndarray, n: int,
     return max(_lam_max_2x2(bundle.hessian(positions[n])), tau_min)
 
 
-def surrogate_stationary_point(position: np.ndarray, gradient: np.ndarray,
-                               tau: float) -> np.ndarray:
-    return position - gradient / tau
-
-
 def bsum_optimize_side(ctx: SurrogateContext, positions: np.ndarray,
                        rng: np.random.Generator, eps: float,
-                       max_sweeps: int = 50,
-                       simplified: bool = False):
+                       max_sweeps: int = 50):
     """Sweep antennas in random order, each to its projected majorizer step.
 
     Returns (positions, objective trace per sweep, sweeps used).  The trace
@@ -261,9 +255,7 @@ def bsum_optimize_side(ctx: SurrogateContext, positions: np.ndarray,
                                         np.delete(pos, n, axis=0), ctx.d_min)
             f_here = bundle.value(pos[n])
             for _ in range(MAX_TAU_DOUBLINGS + 1):
-                cand = nearest_feasible_point(
-                    surrogate_stationary_point(pos[n], g, tau), region,
-                    simplified=simplified)
+                cand = nearest_feasible_point(pos[n] - g / tau, region)
                 if bundle.value(cand) <= f_here + 1e-12 * (1.0 + abs(f_here)):
                     pos[n] = cand
                     break

@@ -24,8 +24,7 @@ import numpy as np
 
 from . import beamforming, fp, placement
 from .channel import (AntennaLayout, ChannelRealization, Channels,
-                      build_channels, build_downlink_channel,
-                      build_si_channel, build_uplink_channel)
+                      build_channels)
 from .config import ConfigError, ScenarioConfig
 from .geometry import layout_side_feasible
 
@@ -36,9 +35,7 @@ INIT_REJECTION_CAP = 100_000
 class SolveOptions:
     max_outer: int = 100
     position_method: str = "bsum"   # "bsum", "gd", or "none"
-    simplified_geometry: bool = False
     max_bsum_sweeps: int = 50
-    validate: bool = True           # assert per-block surrogate monotonicity
     eval_rlz: ChannelRealization | None = None  # true channels, if the solver
     # is fed an imperfect estimate; rates are then reported against these.
 
@@ -126,21 +123,22 @@ def _position_optimizer(method: str):
 
 
 class _Monitor:
-    """Tracks surrogate monotonicity and the post-aux-pass sandwich gap."""
+    """Checks surrogate monotonicity and the post-aux-pass sandwich gap."""
 
-    def __init__(self, enabled: bool):
-        self.enabled = enabled
+    def __init__(self):
         self.sandwich_gap = 0.0
 
-    def check_block(self, before: float, after: float, tag: str) -> None:
-        if self.enabled and after < before - 1e-9 * max(1.0, abs(before)):
+    def check_block(self, before: float, after: float, tag: str) -> float:
+        """Raise if the surrogate fell in block `tag`; return `after`."""
+        if after < before - 1e-9 * max(1.0, abs(before)):
             raise AssertionError(
                 f"surrogate decreased in {tag} block: {before!r} -> {after!r}")
+        return after
 
     def check_sandwich(self, surrogate: float, rate: float) -> None:
         gap = abs(surrogate - rate) / max(1.0, abs(rate))
         self.sandwich_gap = max(self.sandwich_gap, gap)
-        if self.enabled and gap > 1e-9:
+        if gap > 1e-9:
             raise AssertionError(
                 f"surrogate {surrogate!r} does not match rate {rate!r}")
 
@@ -162,7 +160,7 @@ def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
 
     ch = build_channels(layout, rlz, cfg)
     state = initial_state(ch, cfg)
-    monitor = _Monitor(opts.validate)
+    monitor = _Monitor()
 
     eval_ch = None
 
@@ -184,6 +182,18 @@ def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
     optimizer = _position_optimizer(opts.position_method) if move else None
     grid = placement.RateGrid(rlz, cfg) \
         if opts.position_method == "bsum" else None
+    # Built per call, not at import: the functions are looked up on their
+    # modules, so wrappers installed there at run time are honoured.
+    closed_form = (
+        ("transmit beamformer", "W_t", beamforming.update_transmit_beamformer),
+        ("receive beamformer", "W_r", beamforming.update_receive_beamformer),
+        ("uplink power", "p", beamforming.update_uplink_power),
+    )
+    sides = []      # placement blocks, only for sides that serve users
+    if move and cfg.K_D > 0:
+        sides.append(("transmit placement", "t", "r", placement.transmit_context))
+    if move and cfg.K_U > 0:
+        sides.append(("receive placement", "r", "t", placement.receive_context))
 
     for it in range(1, opts.max_outer + 1):
         iterations = it
@@ -191,20 +201,10 @@ def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
         p3 = fp.surrogate_objective(state, ch, cfg)
         monitor.check_sandwich(p3, fp.weighted_sum_rate(state, ch, cfg))
 
-        state.W_t = beamforming.update_transmit_beamformer(state, ch, cfg)
-        p3_new = fp.surrogate_objective(state, ch, cfg)
-        monitor.check_block(p3, p3_new, "transmit beamformer")
-        p3 = p3_new
-
-        state.W_r = beamforming.update_receive_beamformer(state, ch, cfg)
-        p3_new = fp.surrogate_objective(state, ch, cfg)
-        monitor.check_block(p3, p3_new, "receive beamformer")
-        p3 = p3_new
-
-        state.p = beamforming.update_uplink_power(state, ch, cfg)
-        p3_new = fp.surrogate_objective(state, ch, cfg)
-        monitor.check_block(p3, p3_new, "uplink power")
-        p3 = p3_new
+        for tag, attr, update in closed_form:
+            setattr(state, attr, update(state, ch, cfg))
+            p3 = monitor.check_block(
+                p3, fp.surrogate_objective(state, ch, cfg), tag)
 
         if grid is not None:
             layout, ch, grid_rate, moves = grid.place(
@@ -213,32 +213,20 @@ def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
                 state.gamma, state.y = fp.auxiliary_pass(state, ch, cfg)
                 p3_new = fp.surrogate_objective(state, ch, cfg)
                 monitor.check_sandwich(p3_new, grid_rate)
-                monitor.check_block(p3, p3_new, "grid placement")
-                p3 = p3_new
+                p3 = monitor.check_block(p3, p3_new, "grid placement")
             else:
                 grid = None
 
-        if move and cfg.K_D > 0:
-            ctx = placement.transmit_context(state, rlz, layout.r, cfg)
-            layout.t, _, sw = optimizer(
-                ctx, layout.t, rng, cfg.epsilon_bsum,
-                max_sweeps=opts.max_bsum_sweeps,
-                simplified=opts.simplified_geometry)
+        for tag, side, other, context in sides:
+            ctx = context(state, rlz, getattr(layout, other), cfg)
+            pos, _, sw = optimizer(ctx, getattr(layout, side), rng,
+                                   cfg.epsilon_bsum,
+                                   max_sweeps=opts.max_bsum_sweeps)
+            setattr(layout, side, pos)
             bsum_sweeps += sw
             ch = build_channels(layout, rlz, cfg)
-            p3_new = fp.surrogate_objective(state, ch, cfg)
-            monitor.check_block(p3, p3_new, "transmit placement")
-            p3 = p3_new
-        if move and cfg.K_U > 0:
-            ctx = placement.receive_context(state, rlz, layout.t, cfg)
-            layout.r, _, sw = optimizer(
-                ctx, layout.r, rng, cfg.epsilon_bsum,
-                max_sweeps=opts.max_bsum_sweeps,
-                simplified=opts.simplified_geometry)
-            bsum_sweeps += sw
-            ch = build_channels(layout, rlz, cfg)
-            p3_new = fp.surrogate_objective(state, ch, cfg)
-            monitor.check_block(p3, p3_new, "receive placement")
+            p3 = monitor.check_block(
+                p3, fp.surrogate_objective(state, ch, cfg), tag)
 
         new_rate = fp.weighted_sum_rate(state, ch, cfg)
         trace.append(new_rate)

@@ -62,8 +62,8 @@ class TestMonotoneConvergence:
         assert elapsed < 300.0, f"suite took {elapsed:.0f}s"
 
     def test_surrogate_touches_rate_every_iteration(self, desk_suite):
-        # Runs use validate=True, which raises on any in-flight gap; the
-        # recorded per-run maximum must also sit within tolerance.
+        # The solver's monitor raises on any in-flight gap; the recorded
+        # per-run maximum must also sit within tolerance.
         results, _ = desk_suite
         gaps = [r.sandwich_gap for r in results
                 if r.algorithm in ("fp-bsum", "fp-gd")]
@@ -187,7 +187,6 @@ class TestGeometryOracle:
         radius = cfg.D_min
         step = cfg.wavelength / 200
         rng = np.random.default_rng(7)
-        extra = []
         for _ in range(1000):
             n_obs = int(rng.integers(0, 7))
             spec = FeasibleRegionSpec(hw, rng.uniform(-hw, hw, (n_obs, 2)),
@@ -195,20 +194,11 @@ class TestGeometryOracle:
             sp = rng.uniform(-1.2 * hw, 1.2 * hw, 2)
             exact = nearest_feasible_point(sp, spec)
             assert is_feasible(exact, spec)
-            simplified = nearest_feasible_point(sp, spec, simplified=True)
-            assert is_feasible(simplified, spec)
-            extra.append(np.linalg.norm(simplified - sp)
-                         - np.linalg.norm(exact - sp))
             grid = grid_nearest_feasible(sp, spec, step)
             if grid is not None:
                 d_exact = np.linalg.norm(exact - sp)
                 d_grid = np.linalg.norm(grid - sp)
                 assert d_exact <= d_grid + np.sqrt(2.0) * step
-        mean_extra = float(np.mean(extra))
-        warnings.warn(f"simplified projection mean extra distance: "
-                      f"{mean_extra:.3e} m "
-                      f"({100 * mean_extra / radius:.3f}% of min spacing)")
-        assert mean_extra <= 0.05 * radius
 
 
 class TestReceiveScaleInvariance:

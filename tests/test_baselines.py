@@ -87,6 +87,13 @@ class TestFixedArrayBaseline:
         assert a.rate == b.rate
         assert_allclose(a.layout.t, b.layout.t)
 
+    def test_caller_options_unchanged(self):
+        cfg = ScenarioConfig(K_D=1, K_U=1, N_t=2, N_r=2)
+        rlz = sample_realization(cfg, trial_rng(0, 0, 0))
+        opts = SolveOptions(max_outer=3)
+        solve_fpas(cfg, rlz, trial_rng(0, 0, 3), opts)
+        assert opts == SolveOptions(max_outer=3)
+
 
 class TestHalfDuplex:
     def test_no_uplink_service(self):
@@ -107,6 +114,13 @@ class TestHalfDuplex:
         assert_allclose(half.rate, 0.5 * full.rate, rtol=1e-12)
         assert_allclose(np.asarray(half.trace),
                         0.5 * np.asarray(full.trace), rtol=1e-12)
+
+    def test_caller_options_unchanged(self):
+        cfg = ScenarioConfig(K_D=1, K_U=1, N_t=2, N_r=2)
+        rlz = sample_realization(cfg, trial_rng(0, 0, 0))
+        opts = SolveOptions(max_outer=3, eval_rlz=rlz)
+        solve_half_duplex(cfg, rlz, trial_rng(0, 0, 3), 0.5, opts)
+        assert opts.eval_rlz is rlz
 
     @pytest.mark.parametrize("factor", [0.0, -0.5, 1.5])
     def test_out_of_range_duplex_factor_rejected(self, factor):

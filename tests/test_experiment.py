@@ -32,10 +32,6 @@ class TestSpec:
         with pytest.raises(ConfigError):
             small_spec(algorithms=("fp-bsum", "genie"))
 
-    def test_simplified_geometry_renames_algorithm(self):
-        spec = small_spec(simplified_geometry=True)
-        assert spec.algorithms == ("fp-bsum-simplified", "fpas")
-
 
 class TestApplySweep:
     def test_antenna_count_sets_both_sides(self):

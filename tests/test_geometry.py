@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from prafd import geometry
 from prafd.geometry import (FeasibleRegionSpec, circle_circle_intersections,
                             circle_square_intersections, clamp_to_square,
                             is_feasible, layout_side_feasible,
@@ -121,16 +122,6 @@ class TestNearestFeasible:
             d_grid = np.linalg.norm(g - sp)
             assert d_out <= d_grid + np.sqrt(2) * step
 
-    def test_simplified_mode_stays_feasible(self):
-        rng = np.random.default_rng(1)
-        hw = 1.0
-        for _ in range(200):
-            n_obs = int(rng.integers(0, 7))
-            spec = region(hw, rng.uniform(-hw, hw, (n_obs, 2)), radius=0.3)
-            sp = rng.uniform(-1.3 * hw, 1.3 * hw, 2)
-            out = nearest_feasible_point(sp, spec, simplified=True)
-            assert is_feasible(out, spec)
-
     def test_deterministic(self):
         spec = region(obstacles=[[0.0, 0.1], [0.3, -0.2]])
         sp = np.array([0.12, 0.03])
@@ -138,14 +129,36 @@ class TestNearestFeasible:
         b = nearest_feasible_point(sp, spec)
         assert_allclose(a, b)
 
-    def test_crowded_region_still_resolves(self):
-        # Ring of obstacles around the start point; the walk or the ring
-        # fallback must still return something feasible.
+    def test_crowded_region_still_resolves(self, monkeypatch):
+        # One target the candidate walk resolves (it starts inside a disc
+        # of a ring of obstacles) and one where the walk stalls among large
+        # overlapping discs, so the ring search takes over exactly once.
+        fallbacks = []
+
+        def counting(sp, spec):
+            fallbacks.append(sp)
+            return ring_search(sp, spec)
+
+        ring_search = geometry._fallback_ring_search
+        monkeypatch.setattr(geometry, "_fallback_ring_search", counting)
         ang = np.linspace(0, 2 * np.pi, 12, endpoint=False)
-        obstacles = 0.4 * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        spec = region(1.0, obstacles, radius=0.22)
-        out = nearest_feasible_point(np.zeros(2), spec)
-        assert is_feasible(out, spec)
+        ring = 0.4 * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        crowded = [[-0.2119, 0.5834], [-0.2428, -0.0302], [-0.6992, 0.4884],
+                   [0.8227, -0.0466], [-0.7778, 0.2656], [0.5483, 0.6570],
+                   [0.9299, -0.8281], [-0.2190, -0.8964]]
+        step = 0.01
+        for spec, sp, n_fallback in (
+                (region(1.0, ring, radius=0.22), np.array([0.45, 0.1]), 0),
+                (region(1.0, crowded, radius=0.5733),
+                 np.array([1.1214, 1.1606]), 1)):
+            fallbacks.clear()
+            out = nearest_feasible_point(sp, spec)
+            assert len(fallbacks) == n_fallback
+            assert not np.array_equal(out, clamp_to_square(sp, 1.0))
+            assert is_feasible(out, spec)
+            g = grid_nearest_feasible(sp, spec, step)
+            assert np.linalg.norm(out - sp) \
+                <= np.linalg.norm(g - sp) + np.sqrt(2) * step
 
 
 class TestLayoutHelpers:

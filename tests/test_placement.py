@@ -12,8 +12,7 @@ from prafd.oracles import (central_difference_gradient,
 from prafd.placement import (ExpSum, RateGrid, antenna_bundle,
                              bsum_optimize_side, curvature_bound, grid_axis,
                              placement_gradient, placement_objective,
-                             receive_context, surrogate_stationary_point,
-                             transmit_context)
+                             receive_context, transmit_context)
 from prafd.solver import initial_state, initialize_layout
 
 LN2 = np.log(2.0)
@@ -153,11 +152,6 @@ class TestCurvature:
         assert curvature_bound(ctx_t, layout.t, 0, bundle) \
             >= 1e-6 * bundle.curvature_cap() - 1e-30
 
-    def test_stationary_point_formula(self):
-        p = np.array([1.0, -2.0])
-        g = np.array([0.5, 1.0])
-        assert_allclose(surrogate_stationary_point(p, g, 2.0), [0.75, -2.5])
-
 
 class TestBsumSweep:
     def test_trace_monotone_and_feasible(self):
@@ -176,17 +170,6 @@ class TestBsumSweep:
                                             slack=1e-6 * ctx.d_min)
                 assert_allclose(placement_objective(ctx, out), trace[-1],
                                 rtol=1e-12)
-
-    def test_simplified_mode_feasible(self):
-        cfg = ScenarioConfig(K_D=2, K_U=2, N_t=4, N_r=4, L=3, L_SI=3)
-        for trial in range(10):
-            _, layout, _, _, ctx_t, _ = make_contexts(cfg, trial)
-            rng = np.random.default_rng(trial)
-            out, trace, _ = bsum_optimize_side(ctx_t, layout.t, rng, eps=1e-3,
-                                               simplified=True)
-            assert layout_side_feasible(out, ctx_t.half_width, ctx_t.d_min,
-                                        slack=1e-6 * ctx_t.d_min)
-            assert trace[-1] <= trace[0] + 1e-9 * max(1.0, abs(trace[0]))
 
     def test_respects_sweep_cap(self):
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=3, N_r=3)

@@ -7,8 +7,9 @@ from prafd.channel import AntennaLayout, build_channels, sample_realization, \
 from prafd.config import ConfigError, ScenarioConfig
 from prafd.fp import weighted_sum_rate
 from prafd.geometry import layout_side_feasible
-from prafd.solver import (SolveOptions, TrialResult, alternating_optimize,
-                          initial_state, initialize_layout)
+from prafd.solver import (SolveOptions, TrialResult, _Monitor,
+                          alternating_optimize, initial_state,
+                          initialize_layout)
 
 
 def solve(cfg, trial=0, seed=0, **opt_kw):
@@ -164,3 +165,31 @@ class TestMismatchedEvaluation:
         opts = SolveOptions(eval_rlz=rlz)
         res = alternating_optimize(cfg, rlz, trial_rng(0, 0, 3), options=opts)
         assert_allclose(res.rate, res.solver_rate, rtol=1e-12)
+
+
+class TestMonitor:
+    def test_check_block_returns_after_within_tolerance(self):
+        m = _Monitor()
+        assert m.check_block(2.0, 3.0, "grow") == 3.0
+        # A drop of 0.5e-9 relative to max(1, |before|) is tolerated.
+        assert m.check_block(2.0, 2.0 - 1e-9, "flat") == 2.0 - 1e-9
+
+    def test_check_block_raises_naming_the_block(self):
+        m = _Monitor()
+        with pytest.raises(AssertionError, match="receive beamformer"):
+            m.check_block(2.0, 2.0 - 3e-9, "receive beamformer")
+        with pytest.raises(AssertionError, match="uplink power"):
+            m.check_block(0.1, 0.1 - 2e-9, "uplink power")
+
+    def test_check_sandwich_keeps_largest_gap(self):
+        m = _Monitor()
+        m.check_sandwich(5.0 + 2e-9, 5.0)       # relative gap 4e-10
+        m.check_sandwich(0.5, 0.5 + 5e-10)      # gap 5e-10 against 1.0
+        m.check_sandwich(5.0, 5.0)
+        assert_allclose(m.sandwich_gap, 5e-10, rtol=1e-6)
+
+    def test_check_sandwich_raises_on_gap(self):
+        m = _Monitor()
+        with pytest.raises(AssertionError, match="does not match"):
+            m.check_sandwich(5.0 + 1e-7, 5.0)
+        assert m.sandwich_gap > 1e-9
