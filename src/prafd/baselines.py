@@ -106,9 +106,13 @@ def gradient_descent_positions(ctx: SurrogateContext, positions: np.ndarray,
 def solve_fpas(cfg: ScenarioConfig, rlz: ChannelRealization,
                rng: np.random.Generator,
                options: SolveOptions | None = None) -> TrialResult:
-    """Fixed half-wavelength planar arrays; only beamformers/powers adapt."""
+    """Fixed planar arrays; only beamformers/powers adapt.
+
+    Neighbours sit half a wavelength apart, or D_min apart when that is
+    larger, so the arrays always meet the spacing constraint.
+    """
     opts = replace(options or SolveOptions(), position_method="none")
-    spacing = 0.5 * cfg.wavelength
+    spacing = max(0.5 * cfg.wavelength, cfg.D_min)
     layout = AntennaLayout(
         t=upa_layout(cfg.N_t, spacing, cfg.region_half_width),
         r=upa_layout(cfg.N_r, spacing, cfg.region_half_width),
@@ -154,7 +158,6 @@ def run_algorithm(name: str, cfg: ScenarioConfig, rlz: ChannelRealization,
         return alternating_optimize(cfg, rlz, rng, initial_layout, opts)
     if name == "fp-gd":
         opts.position_method = "gd"
-        opts.max_bsum_sweeps = 200
         return alternating_optimize(cfg, rlz, rng, initial_layout, opts)
     if name == "fpas":
         return solve_fpas(cfg, rlz, rng, opts)

@@ -12,26 +12,20 @@ import numpy as np
 
 from .channel import Channels
 from .config import ScenarioConfig
-from .fp import SolverState, _inner_products
+from .fp import SolverState, amplitude, receive_gram
 
 BISECT_TOL = 1e-13
 BISECT_MAX_ITER = 200
 
 
-def _split_aux(state: SolverState, cfg: ScenarioConfig):
-    kd = cfg.K_D
-    amp = np.sqrt(cfg.weights * (1.0 + state.gamma))
-    return state.y[:kd], state.y[kd:], amp[:kd], amp[kd:]
-
-
 def transmit_subproblem_matrices(state: SolverState, ch: Channels,
                                  cfg: ScenarioConfig):
     """Quadratic form H_t and linear term Hbar_D of the transmit block."""
-    y_dl, y_ul, amp_dl, _ = _split_aux(state, cfg)
-    B = (state.W_r * np.abs(y_ul) ** 2) @ state.W_r.conj().T
+    kd = cfg.K_D
+    y_dl = state.y[:kd]
     H_t = (ch.H_D * np.abs(y_dl) ** 2) @ ch.H_D.conj().T \
-        + ch.H_SI.conj().T @ B @ ch.H_SI
-    Hbar = ch.H_D * (y_dl * amp_dl)
+        + ch.H_SI.conj().T @ receive_gram(state, cfg) @ ch.H_SI
+    Hbar = ch.H_D * (y_dl * amplitude(state.gamma, cfg)[:kd])
     return H_t, Hbar
 
 
@@ -89,7 +83,7 @@ def update_transmit_beamformer(state: SolverState, ch: Channels,
 def receive_subproblem_matrices(state: SolverState, ch: Channels,
                                 cfg: ScenarioConfig):
     """Quadratic form H_r and linear term Hbar_U of the receive block."""
-    _, _, _, amp_ul = _split_aux(state, cfg)
+    amp_ul = amplitude(state.gamma, cfg)[cfg.K_D:]
     H_r = (ch.H_U * state.p) @ ch.H_U.conj().T \
         + ch.H_SI @ state.W_t @ state.W_t.conj().T @ ch.H_SI.conj().T \
         + cfg.sigma2 * np.eye(ch.H_U.shape[0])
@@ -136,8 +130,10 @@ def uplink_power_coefficients(state: SolverState, ch: Channels,
     c1 collects the user's own matched-filter reward; c2 collects the damage
     its power does through every receive beamformer and every downlink user.
     """
-    y_dl, y_ul, _, amp_ul = _split_aux(state, cfg)
-    _, G, _ = _inner_products(state.W_t, state.W_r, ch)
+    kd = cfg.K_D
+    y_dl, y_ul = state.y[:kd], state.y[kd:]
+    amp_ul = amplitude(state.gamma, cfg)[kd:]
+    G = state.W_r.conj().T @ ch.H_U
     c1 = 2.0 * amp_ul * np.real(y_ul * np.diag(G))
     c2 = (np.abs(y_dl) ** 2) @ (np.abs(ch.H_IUI) ** 2) \
         + (np.abs(y_ul) ** 2) @ (np.abs(G) ** 2)

@@ -74,9 +74,6 @@ class ChannelRealization:
         self.si_t_dirs = wave_vector(self.si_t_angles[..., 0], self.si_t_angles[..., 1])
         self.si_r_dirs = wave_vector(self.si_r_angles[..., 0], self.si_r_angles[..., 1])
 
-    def replace_angles(self, **kw) -> "ChannelRealization":
-        return replace(self, **kw)
-
     def downlink_only(self) -> "ChannelRealization":
         """View with no uplink users (used by half-duplex runs)."""
         l = self.dl_angles.shape[1]

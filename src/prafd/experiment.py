@@ -95,11 +95,14 @@ def apply_sweep(cfg: ScenarioConfig, field_name: str | None,
     """Config for one sweep point; perturbation fields leave it unchanged."""
     if field_name is None or field_name in PERTURBATION_FIELDS:
         return cfg
+    if field_name == "seed":
+        # Trials draw from the spec's seed, never the config's.
+        raise ConfigError("seed is not a sweep field; run once per --seed")
     if field_name != "N" and field_name not in {f.name for f in fields(cfg)}:
         raise ConfigError(f"unknown sweep field {field_name!r}")
     if field_name == "N":
         out = cfg.replace(N_t=int(value), N_r=int(value))
-    elif field_name in ("K_D", "K_U", "N_t", "N_r", "L", "L_SI", "seed"):
+    elif field_name in ("K_D", "K_U", "N_t", "N_r", "L", "L_SI"):
         out = cfg.replace(**{field_name: int(value)})
     else:
         out = cfg.replace(**{field_name: float(value)})

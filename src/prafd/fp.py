@@ -37,47 +37,37 @@ class SolverState:
     y: np.ndarray      # (K,) quadratic-transform auxiliaries
 
 
-def _inner_products(W_t, W_r, ch: Channels):
-    """C[k,i] = h_D,k^H w_t,i; G[u,i] = w_r,u^H h_U,i; S = W_r^H H_SI W_t."""
-    C = ch.H_D.conj().T @ W_t
-    G = W_r.conj().T @ ch.H_U
-    S = W_r.conj().T @ ch.H_SI @ W_t
-    return C, G, S
-
-
 def received_powers(W_t, W_r, p, ch: Channels, cfg: ScenarioConfig):
     """Total received powers s1 (at DL users) and s2 (per RX beamformer).
 
     s1[k] includes every transmit beam (own signal counted), uplink leakage
     and noise; s2[u] includes every uplink user, residual self-interference
-    after W_t/W_r, and filtered noise.
+    after W_t/W_r, and filtered noise.  Also returns C[k,i] = h_D,k^H w_t,i
+    and G[u,i] = w_r,u^H h_U,i.
     """
-    C, G, S = _inner_products(W_t, W_r, ch)
+    C = ch.H_D.conj().T @ W_t
+    G = W_r.conj().T @ ch.H_U
+    S = W_r.conj().T @ ch.H_SI @ W_t
     s1 = (np.abs(C) ** 2).sum(axis=1) + np.abs(ch.H_IUI) ** 2 @ p + cfg.sigma2
     wr_norm2 = (np.abs(W_r) ** 2).sum(axis=0)
     s2 = np.abs(G) ** 2 @ p + (np.abs(S) ** 2).sum(axis=1) + wr_norm2 * cfg.sigma2
     return s1, s2, C, G
 
 
-def sinr_downlink(W_t, W_r, p, ch: Channels, cfg: ScenarioConfig) -> np.ndarray:
-    s1, _, C, _ = received_powers(W_t, W_r, p, ch, cfg)
-    sig = np.abs(np.diag(C)) ** 2
-    return sig / (s1 - sig)
-
-
-def sinr_uplink(W_t, W_r, p, ch: Channels, cfg: ScenarioConfig) -> np.ndarray:
+def _sinrs(state: SolverState, ch: Channels, cfg: ScenarioConfig):
+    """SINRs (DL then UL) and the received-power pass they came from."""
+    W_r, p = state.W_r, state.p
     if W_r.shape[1] and np.any((np.abs(W_r) ** 2).sum(axis=0) == 0.0):
         raise ValueError("zero receive beamformer column")
-    _, s2, _, G = received_powers(W_t, W_r, p, ch, cfg)
-    sig = p * np.abs(np.diag(G)) ** 2
-    return sig / (s2 - sig)
+    s1, s2, C, G = received_powers(state.W_t, W_r, p, ch, cfg)
+    sig_dl = np.abs(np.diag(C)) ** 2
+    sig_ul = p * np.abs(np.diag(G)) ** 2
+    sinr = np.concatenate([sig_dl / (s1 - sig_dl), sig_ul / (s2 - sig_ul)])
+    return sinr, (s1, s2, C, G)
 
 
 def all_sinrs(state: SolverState, ch: Channels, cfg: ScenarioConfig) -> np.ndarray:
-    return np.concatenate([
-        sinr_downlink(state.W_t, state.W_r, state.p, ch, cfg),
-        sinr_uplink(state.W_t, state.W_r, state.p, ch, cfg),
-    ])
+    return _sinrs(state, ch, cfg)[0]
 
 
 def weighted_sum_rate(state: SolverState, ch: Channels, cfg: ScenarioConfig) -> float:
@@ -91,39 +81,36 @@ def per_user_rates(state: SolverState, ch: Channels, cfg: ScenarioConfig):
     return rates[: cfg.K_D], rates[cfg.K_D:]
 
 
-def update_gamma(state: SolverState, ch: Channels, cfg: ScenarioConfig) -> np.ndarray:
-    """Dual-transform auxiliaries: the optimizer is the current SINR vector."""
-    return all_sinrs(state, ch, cfg)
+def amplitude(gamma: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
+    """FP amplitudes sqrt(a_i (1 + gamma_i)) that scale each user's signal.
 
-
-def update_y(state: SolverState, ch: Channels, cfg: ScenarioConfig,
-             gamma: np.ndarray | None = None) -> np.ndarray:
-    """Quadratic-transform auxiliaries for the given (current) gamma.
-
-    gamma must equal the SINRs of the present transceiver state for the
-    surrogate to touch the true rate.  Uplink users with zero power get
-    y = 0 (their surrogate terms vanish identically).
+    Uplink users additionally carry sqrt(p_u) wherever their signal enters.
     """
-    if gamma is None:
-        gamma = state.gamma
-    kd = cfg.K_D
-    s1, s2, C, G = received_powers(state.W_t, state.W_r, state.p, ch, cfg)
-    a = cfg.weights
-    y_dl = np.sqrt(a[:kd] * (1.0 + gamma[:kd])) * np.diag(C) / s1
-    y_ul = np.sqrt(a[kd:] * state.p * (1.0 + gamma[kd:])) * np.diag(G).conj() / s2
-    return np.concatenate([y_dl, y_ul])
+    return np.sqrt(cfg.weights * (1.0 + gamma))
+
+
+def receive_gram(state: SolverState, cfg: ScenarioConfig) -> np.ndarray:
+    """Weighted receive gram W_r |Y_U|^2 W_r^H, shape (N_r, N_r)."""
+    return (state.W_r * np.abs(state.y[cfg.K_D:]) ** 2) @ state.W_r.conj().T
 
 
 def auxiliary_pass(state: SolverState, ch: Channels, cfg: ScenarioConfig):
     """One (gamma, y) refresh; returns the new pair without mutating state.
 
-    Jointly this never decreases the surrogate and lands it exactly on the
-    weighted sum-rate.  (The gamma half alone, evaluated against a stale y,
-    can transiently decrease it; only the pair is monotone.)
+    gamma is the current SINR vector (the dual-transform optimizer) and y
+    the quadratic-transform optimizer for that gamma, both from one
+    received-power pass.  Jointly this never decreases the surrogate and
+    lands it exactly on the weighted sum-rate.  (The gamma half alone,
+    evaluated against a stale y, can transiently decrease it; only the pair
+    is monotone.)  Uplink users with zero power get y = 0: their surrogate
+    terms vanish identically.
     """
-    gamma = update_gamma(state, ch, cfg)
-    y = update_y(state, ch, cfg, gamma)
-    return gamma, y
+    kd = cfg.K_D
+    gamma, (s1, s2, C, G) = _sinrs(state, ch, cfg)
+    a = cfg.weights
+    y_dl = amplitude(gamma, cfg)[:kd] * np.diag(C) / s1
+    y_ul = np.sqrt(a[kd:] * state.p * (1.0 + gamma[kd:])) * np.diag(G).conj() / s2
+    return gamma, np.concatenate([y_dl, y_ul])
 
 
 def dual_transform_objective(gamma, W_t, W_r, p, ch: Channels,
@@ -153,8 +140,8 @@ def surrogate_objective(state: SolverState, ch: Channels,
     s1, s2, C, G = received_powers(state.W_t, state.W_r, state.p, ch, cfg)
     base = a @ (np.log(1.0 + gamma) - gamma)
     y_dl, y_ul = y[:kd], y[kd:]
-    t1 = 2.0 * np.sqrt(a[:kd] * (1.0 + gamma[:kd])) \
-        @ np.real(y_dl.conj() * np.diag(C)) - (np.abs(y_dl) ** 2) @ s1
+    t1 = 2.0 * amplitude(gamma, cfg)[:kd] @ np.real(y_dl.conj() * np.diag(C)) \
+        - (np.abs(y_dl) ** 2) @ s1
     # Uplink terms pair the *unconjugated* auxiliary with w_r^H h_U; this is
     # the pairing under which the closed-form y and W_r updates both hold.
     t2 = 2.0 * np.sqrt(a[kd:] * state.p * (1.0 + gamma[kd:])) \

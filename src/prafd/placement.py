@@ -77,10 +77,12 @@ class SurrogateContext:
     """Everything the per-side placement objective needs besides positions.
 
     Valid while beamformers, powers, auxiliaries and the *other* side's
-    positions stay fixed, i.e. for one side's whole BSUM run.
+    positions stay fixed, i.e. for one side's whole BSUM run.  Each side
+    sees the self-interference matrix with its own antennas as columns:
+    X = H_SI on the transmit side and X = H_SI^H on the receive side, so
+    the SI term is tr(own X^H other X) on both.
     """
 
-    side: str              # "t" or "r"
     kappa: float
     half_width: float
     d_min: float
@@ -90,57 +92,52 @@ class SurrogateContext:
     chan_w: np.ndarray     # (K,) weight of ||.||^2 per user channel
     beam_w: np.ndarray     # (K,) weight per beamformer column
     W: np.ndarray          # (N, K) this side's beamformer
-    Q: np.ndarray          # (N_t, N_t) transmit gram W_t W_t^H
-    B: np.ndarray          # (N_r, N_r) weighted receive gram W_r |Y_U|^2 W_r^H
+    own: np.ndarray        # (N, N) this side's gram, sum_b beam_w_b w_b w_b^H
+    other: np.ndarray      # the other side's gram
     si_dirs: np.ndarray    # (L_SI, 2) this side's SI path directions
-    si_mix: np.ndarray     # mixing matrix folding in the other side's positions
+    si_mix: np.ndarray     # (N_other, L_SI) X = si_mix @ phasors^T
 
 
-def _aux_amp(state: SolverState, cfg: ScenarioConfig) -> np.ndarray:
-    return np.sqrt(cfg.weights * (1.0 + state.gamma))
+def _context(state: SolverState, rlz: ChannelRealization,
+             other_positions: np.ndarray, cfg: ScenarioConfig,
+             transmit: bool) -> SurrogateContext:
+    kd = cfg.K_D
+    kappa = 2.0 * np.pi / cfg.wavelength
+    amp = fp.amplitude(state.gamma, cfg)
+    y_dl, y_ul = state.y[:kd], state.y[kd:]
+    Q = state.W_t @ state.W_t.conj().T
+    B = fp.receive_gram(state, cfg)
+    if transmit:
+        side = dict(user_dirs=rlz.dl_dirs, user_prm=rlz.prm_dl,
+                    lin=amp[:kd] * y_dl, chan_w=np.abs(y_dl) ** 2,
+                    beam_w=np.ones(kd), W=state.W_t, own=Q, other=B,
+                    si_dirs=rlz.si_t_dirs)
+        other_dirs, sigma = rlz.si_r_dirs, rlz.sigma_si
+    else:
+        side = dict(user_dirs=rlz.ul_dirs, user_prm=rlz.prm_ul,
+                    lin=amp[kd:] * np.sqrt(state.p) * y_ul,
+                    chan_w=state.p.astype(float), beam_w=np.abs(y_ul) ** 2,
+                    W=state.W_r, own=B, other=Q, si_dirs=rlz.si_r_dirs)
+        other_dirs, sigma = rlz.si_t_dirs, rlz.sigma_si.conj().T
+    e = field_response(other_positions, other_dirs, kappa)
+    return SurrogateContext(kappa=kappa, half_width=cfg.region_half_width,
+                            d_min=cfg.D_min, si_mix=e.conj() @ sigma, **side)
 
 
 def transmit_context(state: SolverState, rlz: ChannelRealization,
                      r_positions: np.ndarray, cfg: ScenarioConfig) -> SurrogateContext:
-    kd = cfg.K_D
-    kappa = 2.0 * np.pi / cfg.wavelength
-    y_dl, y_ul = state.y[:kd], state.y[kd:]
-    amp = _aux_amp(state, cfg)
-    B = (state.W_r * np.abs(y_ul) ** 2) @ state.W_r.conj().T
-    er = field_response(r_positions, rlz.si_r_dirs, kappa)
-    return SurrogateContext(
-        side="t", kappa=kappa, half_width=cfg.region_half_width, d_min=cfg.D_min,
-        user_dirs=rlz.dl_dirs, user_prm=rlz.prm_dl,
-        lin=amp[:kd] * y_dl, chan_w=np.abs(y_dl) ** 2, beam_w=np.ones(kd),
-        W=state.W_t, Q=state.W_t @ state.W_t.conj().T, B=B,
-        si_dirs=rlz.si_t_dirs, si_mix=er.conj() @ rlz.sigma_si,
-    )
+    return _context(state, rlz, r_positions, cfg, transmit=True)
 
 
 def receive_context(state: SolverState, rlz: ChannelRealization,
                     t_positions: np.ndarray, cfg: ScenarioConfig) -> SurrogateContext:
-    kd = cfg.K_D
-    kappa = 2.0 * np.pi / cfg.wavelength
-    y_ul = state.y[kd:]
-    amp = _aux_amp(state, cfg)
-    B = (state.W_r * np.abs(y_ul) ** 2) @ state.W_r.conj().T
-    et = field_response(t_positions, rlz.si_t_dirs, kappa)
-    return SurrogateContext(
-        side="r", kappa=kappa, half_width=cfg.region_half_width, d_min=cfg.D_min,
-        user_dirs=rlz.ul_dirs, user_prm=rlz.prm_ul,
-        lin=amp[kd:] * np.sqrt(state.p) * y_ul,
-        chan_w=state.p.astype(float), beam_w=np.abs(y_ul) ** 2,
-        W=state.W_r, Q=state.W_t @ state.W_t.conj().T, B=B,
-        si_dirs=rlz.si_r_dirs, si_mix=et.conj() @ rlz.sigma_si.conj().T,
-    )
+    return _context(state, rlz, t_positions, cfg, transmit=False)
 
 
 def _si_matrix(ctx: SurrogateContext, positions: np.ndarray) -> np.ndarray:
-    """Rebuild H_SI as a function of this side's positions only."""
+    """This side's SI matrix X as a function of its positions only."""
     e = np.exp(1j * ctx.kappa * (positions @ ctx.si_dirs.T))
-    if ctx.side == "t":
-        return ctx.si_mix @ e.T
-    return (ctx.si_mix @ e.T).conj().T
+    return ctx.si_mix @ e.T
 
 
 def placement_objective(ctx: SurrogateContext, positions: np.ndarray) -> float:
@@ -149,8 +146,8 @@ def placement_objective(ctx: SurrogateContext, positions: np.ndarray) -> float:
     D = ctx.W.conj().T @ H          # D[b, c] = w_b^H h_c
     t1 = -2.0 * float(np.real(ctx.lin @ np.diag(D)))
     t2 = float(ctx.beam_w @ (np.abs(D) ** 2) @ ctx.chan_w)
-    hsi = _si_matrix(ctx, positions)
-    t3 = float(np.real(np.trace(ctx.Q @ hsi.conj().T @ ctx.B @ hsi)))
+    X = _si_matrix(ctx, positions)
+    t3 = float(np.real(np.trace(ctx.own @ X.conj().T @ ctx.other @ X)))
     return t1 + t2 + t3
 
 
@@ -162,12 +159,11 @@ def antenna_bundle(ctx: SurrogateContext, positions: np.ndarray,
     (everything not involving antenna n), so values are only meaningful as
     differences; gradients and Hessians are exact.
     """
-    K, L = ctx.user_prm.shape
     H = _user_channel(positions, ctx.user_dirs, ctx.user_prm, ctx.kappa)
     wn = ctx.W[n, :]
     # Inner products with antenna n's own contribution removed.
     D0 = ctx.W.conj().T @ H - np.outer(wn.conj(), H[n, :])
-    gram_nn = float(np.real((ctx.Q if ctx.side == "t" else ctx.B)[n, n]))
+    gram_nn = float(np.real(ctx.own[n, n]))
 
     coefs = []
     dirs = []
@@ -184,19 +180,11 @@ def antenna_bundle(ctx: SurrogateContext, positions: np.ndarray,
     ddiff = ctx.kappa * (ctx.user_dirs[:, None, :, :] - ctx.user_dirs[:, :, None, :])
     dirs.append(ddiff.reshape(-1, 2))
 
-    # Self-interference terms; antenna n is a column (transmit side) or a
-    # row (receive side) of H_SI.
-    hsi = _si_matrix(ctx, positions)
-    if ctx.side == "t":
-        h0 = hsi.copy()
-        h0[:, n] = 0.0
-        u_lin = ctx.B @ h0 @ ctx.Q[:, n]
-        M = ctx.si_mix.conj().T @ ctx.B @ ctx.si_mix
-    else:
-        h0 = hsi.copy()
-        h0[n, :] = 0.0
-        u_lin = ctx.Q @ h0.conj().T @ ctx.B[:, n]
-        M = ctx.si_mix.conj().T @ ctx.Q @ ctx.si_mix
+    # Self-interference terms; antenna n is column n of X.
+    X0 = _si_matrix(ctx, positions)
+    X0[:, n] = 0.0
+    u_lin = ctx.other @ X0 @ ctx.own[:, n]
+    M = ctx.si_mix.conj().T @ ctx.other @ ctx.si_mix
     coefs.append(2.0 * (u_lin.conj() @ ctx.si_mix))
     dirs.append(ctx.kappa * ctx.si_dirs)
     coefs.append((gram_nn * M).ravel())

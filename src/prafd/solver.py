@@ -35,7 +35,6 @@ INIT_REJECTION_CAP = 100_000
 class SolveOptions:
     max_outer: int = 100
     position_method: str = "bsum"   # "bsum", "gd", or "none"
-    max_bsum_sweeps: int = 50
     eval_rlz: ChannelRealization | None = None  # true channels, if the solver
     # is fed an imperfect estimate; rates are then reported against these.
 
@@ -143,6 +142,16 @@ class _Monitor:
                 f"surrogate {surrogate!r} does not match rate {rate!r}")
 
 
+def _reported(state: fp.SolverState, layout: AntennaLayout, ch: Channels,
+              rate: float, cfg: ScenarioConfig,
+              eval_rlz: ChannelRealization | None):
+    """Channels and rate to report: `ch` and `rate` unless `eval_rlz` is set."""
+    if eval_rlz is None:
+        return ch, rate
+    eval_ch = build_channels(layout, eval_rlz, cfg)
+    return eval_ch, fp.weighted_sum_rate(state, eval_ch, cfg)
+
+
 def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
                          rng: np.random.Generator,
                          initial_layout: AntennaLayout | None = None,
@@ -162,18 +171,9 @@ def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
     state = initial_state(ch, cfg)
     monitor = _Monitor()
 
-    eval_ch = None
-
-    def true_rate() -> float:
-        nonlocal eval_ch
-        if opts.eval_rlz is None:
-            return fp.weighted_sum_rate(state, ch, cfg)
-        eval_ch = build_channels(layout, opts.eval_rlz, cfg)
-        return fp.weighted_sum_rate(state, eval_ch, cfg)
-
     rate = fp.weighted_sum_rate(state, ch, cfg)
-    trace = [rate]
-    eval_trace = [true_rate()]
+    eval_ch, eval_rate = _reported(state, layout, ch, rate, cfg, opts.eval_rlz)
+    trace, eval_trace = [rate], [eval_rate]
     bsum_sweeps = 0
     converged = False
     iterations = 0
@@ -199,7 +199,8 @@ def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
         iterations = it
         state.gamma, state.y = fp.auxiliary_pass(state, ch, cfg)
         p3 = fp.surrogate_objective(state, ch, cfg)
-        monitor.check_sandwich(p3, fp.weighted_sum_rate(state, ch, cfg))
+        # The pass changes no W, p or channel, so `rate` is still current.
+        monitor.check_sandwich(p3, rate)
 
         for tag, attr, update in closed_form:
             setattr(state, attr, update(state, ch, cfg))
@@ -220,8 +221,7 @@ def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
         for tag, side, other, context in sides:
             ctx = context(state, rlz, getattr(layout, other), cfg)
             pos, _, sw = optimizer(ctx, getattr(layout, side), rng,
-                                   cfg.epsilon_bsum,
-                                   max_sweeps=opts.max_bsum_sweeps)
+                                   cfg.epsilon_bsum)
             setattr(layout, side, pos)
             bsum_sweeps += sw
             ch = build_channels(layout, rlz, cfg)
@@ -229,22 +229,22 @@ def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
                 p3, fp.surrogate_objective(state, ch, cfg), tag)
 
         new_rate = fp.weighted_sum_rate(state, ch, cfg)
+        eval_ch, eval_rate = _reported(state, layout, ch, new_rate, cfg,
+                                       opts.eval_rlz)
         trace.append(new_rate)
-        eval_trace.append(true_rate())
-        if abs(new_rate - rate) <= cfg.epsilon * max(abs(rate), 1e-12):
-            rate = new_rate
-            converged = True
-            break
+        eval_trace.append(eval_rate)
+        converged = abs(new_rate - rate) <= cfg.epsilon * max(abs(rate), 1e-12)
         rate = new_rate
+        if converged:
+            break
 
     # Receive beamformer scale does not affect rates; report unit columns.
     if cfg.K_U > 0:
         state.W_r = beamforming.normalize_receive_columns(state.W_r)
 
-    final_ch = eval_ch if opts.eval_rlz is not None else ch
-    dl_rates, ul_rates = fp.per_user_rates(state, final_ch, cfg)
+    dl_rates, ul_rates = fp.per_user_rates(state, eval_ch, cfg)
     return TrialResult(
-        rate=eval_trace[-1] if opts.eval_rlz is not None else rate,
+        rate=eval_trace[-1],
         dl_rates=dl_rates, ul_rates=ul_rates,
         outer_iterations=iterations, bsum_sweeps=bsum_sweeps,
         wall_time=time.perf_counter() - t_start,

@@ -77,6 +77,24 @@ class TestFixedArrayBaseline:
         assert res.bsum_sweeps == 0
         assert res.converged
 
+    def test_wide_spacing_keeps_arrays_feasible(self):
+        # Half-wavelength arrays would break a 0.6-wavelength D_min.
+        cfg = ScenarioConfig(K_D=2, K_U=2, N_t=4, N_r=4)
+        cfg = cfg.replace(D_min=0.6 * cfg.wavelength)
+        rlz = sample_realization(cfg, trial_rng(0, 0, 0))
+        res = solve_fpas(cfg, rlz, trial_rng(0, 0, 3))
+        upa = upa_layout(4, cfg.D_min, cfg.region_half_width)
+        assert_allclose(res.layout.t, upa)
+        assert_allclose(res.layout.r, upa)
+        assert res.converged
+
+    def test_spacing_that_does_not_fit_rejected(self):
+        cfg = ScenarioConfig(K_D=1, K_U=1, N_t=4, N_r=4, A=1.0)
+        cfg = cfg.replace(D_min=1.01 * cfg.wavelength)
+        rlz = sample_realization(cfg, trial_rng(0, 0, 0))
+        with pytest.raises(ConfigError, match="does not fit"):
+            solve_fpas(cfg, rlz, trial_rng(0, 0, 3))
+
     def test_ignores_initial_layout(self):
         cfg = ScenarioConfig(K_D=1, K_U=1, N_t=2, N_r=2)
         rlz = sample_realization(cfg, trial_rng(0, 0, 0))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -200,6 +202,6 @@ class TestChannelBuilders:
     def test_perturbed_angles_recompute_directions(self):
         cfg = small_cfg()
         rlz = sample_realization(cfg, np.random.default_rng(15))
-        shifted = rlz.replace_angles(dl_angles=rlz.dl_angles + 0.1)
+        shifted = replace(rlz, dl_angles=rlz.dl_angles + 0.1)
         assert not np.allclose(shifted.dl_dirs, rlz.dl_dirs)
         assert_allclose(shifted.ul_dirs, rlz.ul_dirs)

@@ -63,6 +63,12 @@ class TestApplySweep:
         with pytest.raises(ConfigError, match="sweep field"):
             apply_sweep(ScenarioConfig(), "bandwidth", 1.0)
 
+    def test_seed_rejected(self):
+        # Trials draw from the spec's seed, so a seed sweep would repeat
+        # identical trials at every point.
+        with pytest.raises(ConfigError, match="--seed"):
+            apply_sweep(ScenarioConfig(), "seed", 1)
+
 
 class TestPerturbations:
     def test_zero_angle_noise_is_identity(self):
@@ -201,3 +207,23 @@ class TestCsv:
             b = (tmp_path / f"{kind}_b.csv").read_text().splitlines()
             assert [l.rsplit(",", 1)[0] for l in a] \
                 == [l.rsplit(",", 1)[0] for l in b]
+
+
+class TestPinnedRates:
+    # Rates of a seeded desk-scale experiment, recorded before the signal
+    # model was consolidated; refactors must reproduce them.
+    PINNED = {
+        "fp-bsum": (6.039274741068192, 6.7734295950310415, 8.613603352236684),
+        "fp-gd": (6.0910421034302065, 6.681577262829426, 7.900577394861842),
+        "fpas": (4.379906153573741, 6.505871254364, 4.315288701195113),
+        "hd": (3.43590401688241, 3.062376706013957, 3.957096691961226),
+    }
+
+    def test_desk_scale_rates_unchanged(self):
+        spec = ExperimentSpec(base=ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2),
+                              algorithms=tuple(self.PINNED), trials=3, seed=7)
+        results = run_experiment(spec)
+        assert not any(r.failure for r in results)
+        for algo, rates in self.PINNED.items():
+            got = [r.rate for r in results if r.algorithm == algo]
+            assert_allclose(got, rates, rtol=1e-9, err_msg=algo)

@@ -4,10 +4,9 @@ from numpy.testing import assert_allclose
 
 from prafd.channel import build_channels, sample_realization, trial_rng
 from prafd.config import ScenarioConfig
-from prafd.fp import (SolverState, all_sinrs, auxiliary_pass,
-                      dual_transform_objective, per_user_rates, received_powers,
-                      sinr_uplink, surrogate_objective, update_gamma, update_y,
-                      weighted_sum_rate)
+from prafd.fp import (all_sinrs, amplitude, auxiliary_pass,
+                      dual_transform_objective, per_user_rates, receive_gram,
+                      received_powers, surrogate_objective, weighted_sum_rate)
 from prafd.oracles import random_complex
 from prafd.solver import initial_state, initialize_layout
 
@@ -78,8 +77,10 @@ class TestRate:
         cfg = ScenarioConfig(K_D=1, K_U=1, N_t=2, N_r=2)
         _, _, ch, state = make_instance(cfg, 3)
         state.W_r[:, 0] = 0.0
-        with pytest.raises(ValueError):
-            sinr_uplink(state.W_t, state.W_r, state.p, ch, cfg)
+        with pytest.raises(ValueError, match="zero receive beamformer"):
+            all_sinrs(state, ch, cfg)
+        with pytest.raises(ValueError, match="zero receive beamformer"):
+            auxiliary_pass(state, ch, cfg)
 
     def test_received_powers_match_loops(self):
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=3, L=2, L_SI=2)
@@ -108,8 +109,8 @@ class TestAuxiliaries:
     def test_gamma_update_returns_sinrs(self):
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2)
         _, _, ch, state = make_instance(cfg, 5, randomize=True)
-        assert_allclose(update_gamma(state, ch, cfg),
-                        all_sinrs(state, ch, cfg), rtol=1e-14)
+        gamma, _ = auxiliary_pass(state, ch, cfg)
+        assert_allclose(gamma, all_sinrs(state, ch, cfg), rtol=1e-14)
 
     def test_surrogate_touches_rate_after_pass(self):
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=3, N_r=3, L=3, L_SI=3)
@@ -158,8 +159,7 @@ class TestAuxiliaries:
     def test_optimal_y_closes_quadratic_gap(self):
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2)
         _, _, ch, state = make_instance(cfg, 7, randomize=True)
-        state.gamma = all_sinrs(state, ch, cfg)
-        state.y = update_y(state, ch, cfg)
+        state.gamma, state.y = auxiliary_pass(state, ch, cfg)
         dual = dual_transform_objective(state.gamma, state.W_t, state.W_r,
                                         state.p, ch, cfg)
         assert_allclose(surrogate_objective(state, ch, cfg), dual, rtol=1e-12)
@@ -168,8 +168,7 @@ class TestAuxiliaries:
         cfg = ScenarioConfig(K_D=1, K_U=2, N_t=2, N_r=2)
         _, _, ch, state = make_instance(cfg, 8)
         state.p = np.array([cfg.p_U_max, 0.0])
-        gamma = update_gamma(state, ch, cfg)
-        y = update_y(state, ch, cfg, gamma)
+        _, y = auxiliary_pass(state, ch, cfg)
         assert y[cfg.K_D + 1] == 0.0
         assert y[cfg.K_D] != 0.0
 
@@ -180,3 +179,17 @@ class TestAuxiliaries:
         auxiliary_pass(state, ch, cfg)
         assert_allclose(state.gamma, g0)
         assert_allclose(state.y, y0)
+
+    def test_amplitude_and_receive_gram_match_loops(self):
+        cfg = ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=3)
+        _, _, ch, state = make_instance(cfg, 10, randomize=True)
+        state.gamma, state.y = auxiliary_pass(state, ch, cfg)
+        amp = amplitude(state.gamma, cfg)
+        B = receive_gram(state, cfg)
+        for i in range(cfg.K):
+            assert_allclose(amp[i] ** 2,
+                            cfg.weights[i] * (1.0 + state.gamma[i]), rtol=1e-12)
+        ref = sum(abs(state.y[cfg.K_D + u]) ** 2
+                  * np.outer(state.W_r[:, u], state.W_r[:, u].conj())
+                  for u in range(cfg.K_U))
+        assert_allclose(B, ref, rtol=1e-12)

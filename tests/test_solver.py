@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from prafd.channel import AntennaLayout, build_channels, sample_realization, \
     trial_rng
+from prafd import fp
 from prafd.config import ConfigError, ScenarioConfig
 from prafd.fp import weighted_sum_rate
 from prafd.geometry import layout_side_feasible
@@ -146,11 +149,24 @@ class TestAlternatingOptimize:
             alternating_optimize(cfg, rlz, trial_rng(0, 0, 3), bad)
 
 
+    def test_one_received_power_pass_per_block(self, monkeypatch):
+        # Per outer iteration: auxiliary pass, its surrogate, one surrogate
+        # per closed-form block and the new rate.  Nothing is re-scored.
+        calls = []
+        real = fp.received_powers
+        monkeypatch.setattr(fp, "received_powers",
+                            lambda *a: calls.append(1) or real(*a))
+        cfg = ScenarioConfig()
+        res = solve(cfg, 0, position_method="none")
+        assert res.outer_iterations >= 5
+        assert len(calls) <= 7 * res.outer_iterations
+
+
 class TestMismatchedEvaluation:
     def test_eval_channels_score_the_result(self):
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2)
         true_rlz = sample_realization(cfg, trial_rng(0, 0, 0))
-        shifted = true_rlz.replace_angles(dl_angles=true_rlz.dl_angles + 0.3)
+        shifted = replace(true_rlz, dl_angles=true_rlz.dl_angles + 0.3)
         opts = SolveOptions(eval_rlz=true_rlz)
         res = alternating_optimize(cfg, shifted, trial_rng(0, 0, 3),
                                    options=opts)
