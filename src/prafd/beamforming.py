@@ -110,11 +110,6 @@ def update_receive_beamformer(state: SolverState, ch: Channels,
     return W
 
 
-def receive_objective_value(H_r: np.ndarray, Hbar: np.ndarray) -> float:
-    """Optimal value tr(Hbar^H H_r^{-1} Hbar) of the receive block."""
-    return float(np.real(np.trace(Hbar.conj().T @ np.linalg.solve(H_r, Hbar))))
-
-
 def normalize_receive_columns(W_r: np.ndarray) -> np.ndarray:
     """Scale each receive beamformer to unit norm (rates are unaffected)."""
     norms = np.linalg.norm(W_r, axis=0)

@@ -137,15 +137,15 @@ def _user_channel(positions, dirs, prm, kappa) -> np.ndarray:
 def build_downlink_channel(t_pos: np.ndarray, rlz: ChannelRealization,
                            cfg: ScenarioConfig) -> np.ndarray:
     """Downlink channel matrix H_D, shape (N_t, K_D); column k is user k."""
-    kappa = 2.0 * np.pi / cfg.wavelength
-    return _user_channel(np.atleast_2d(t_pos), rlz.dl_dirs, rlz.prm_dl, kappa)
+    return _user_channel(np.atleast_2d(t_pos), rlz.dl_dirs, rlz.prm_dl,
+                         cfg.kappa)
 
 
 def build_uplink_channel(r_pos: np.ndarray, rlz: ChannelRealization,
                          cfg: ScenarioConfig) -> np.ndarray:
     """Uplink channel matrix H_U, shape (N_r, K_U)."""
-    kappa = 2.0 * np.pi / cfg.wavelength
-    return _user_channel(np.atleast_2d(r_pos), rlz.ul_dirs, rlz.prm_ul, kappa)
+    return _user_channel(np.atleast_2d(r_pos), rlz.ul_dirs, rlz.prm_ul,
+                         cfg.kappa)
 
 
 def build_si_channel(t_pos: np.ndarray, r_pos: np.ndarray,
@@ -155,9 +155,8 @@ def build_si_channel(t_pos: np.ndarray, r_pos: np.ndarray,
     H_SI[i, j] = sum_{p,q} exp(-j*kappa*mu_p.r_i) Sigma[p,q] exp(j*kappa*nu_q.t_j)
     with receive arrivals mu and transmit departures nu.
     """
-    kappa = 2.0 * np.pi / cfg.wavelength
-    er = field_response(np.atleast_2d(r_pos), rlz.si_r_dirs, kappa)
-    et = field_response(np.atleast_2d(t_pos), rlz.si_t_dirs, kappa)
+    er = field_response(np.atleast_2d(r_pos), rlz.si_r_dirs, cfg.kappa)
+    et = field_response(np.atleast_2d(t_pos), rlz.si_t_dirs, cfg.kappa)
     return er.conj() @ rlz.sigma_si @ et.T
 
 

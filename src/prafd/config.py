@@ -76,6 +76,11 @@ class ScenarioConfig:
         return SPEED_OF_LIGHT / self.f_c
 
     @property
+    def kappa(self) -> float:
+        """Wavenumber 2 pi / lambda, in rad/m."""
+        return 2.0 * np.pi / self.wavelength
+
+    @property
     def region_half_width(self) -> float:
         """Half the side of the antenna region, in meters."""
         return 0.5 * self.A * self.wavelength

@@ -42,8 +42,8 @@ def received_powers(W_t, W_r, p, ch: Channels, cfg: ScenarioConfig):
 
     s1[k] includes every transmit beam (own signal counted), uplink leakage
     and noise; s2[u] includes every uplink user, residual self-interference
-    after W_t/W_r, and filtered noise.  Also returns C[k,i] = h_D,k^H w_t,i
-    and G[u,i] = w_r,u^H h_U,i.
+    after W_t/W_r, and filtered noise.  Also returns C[k,i] = h_D,k^H w_t,i,
+    G[u,i] = w_r,u^H h_U,i and S = W_r^H H_SI W_t.
     """
     C = ch.H_D.conj().T @ W_t
     G = W_r.conj().T @ ch.H_U
@@ -51,7 +51,7 @@ def received_powers(W_t, W_r, p, ch: Channels, cfg: ScenarioConfig):
     s1 = (np.abs(C) ** 2).sum(axis=1) + np.abs(ch.H_IUI) ** 2 @ p + cfg.sigma2
     wr_norm2 = (np.abs(W_r) ** 2).sum(axis=0)
     s2 = np.abs(G) ** 2 @ p + (np.abs(S) ** 2).sum(axis=1) + wr_norm2 * cfg.sigma2
-    return s1, s2, C, G
+    return s1, s2, C, G, S
 
 
 def _sinrs(state: SolverState, ch: Channels, cfg: ScenarioConfig):
@@ -59,11 +59,12 @@ def _sinrs(state: SolverState, ch: Channels, cfg: ScenarioConfig):
     W_r, p = state.W_r, state.p
     if W_r.shape[1] and np.any((np.abs(W_r) ** 2).sum(axis=0) == 0.0):
         raise ValueError("zero receive beamformer column")
-    s1, s2, C, G = received_powers(state.W_t, W_r, p, ch, cfg)
+    powers = received_powers(state.W_t, W_r, p, ch, cfg)
+    s1, s2, C, G, _ = powers
     sig_dl = np.abs(np.diag(C)) ** 2
     sig_ul = p * np.abs(np.diag(G)) ** 2
     sinr = np.concatenate([sig_dl / (s1 - sig_dl), sig_ul / (s2 - sig_ul)])
-    return sinr, (s1, s2, C, G)
+    return sinr, powers
 
 
 def all_sinrs(state: SolverState, ch: Channels, cfg: ScenarioConfig) -> np.ndarray:
@@ -106,29 +107,11 @@ def auxiliary_pass(state: SolverState, ch: Channels, cfg: ScenarioConfig):
     terms vanish identically.
     """
     kd = cfg.K_D
-    gamma, (s1, s2, C, G) = _sinrs(state, ch, cfg)
+    gamma, (s1, s2, C, G, _) = _sinrs(state, ch, cfg)
     a = cfg.weights
     y_dl = amplitude(gamma, cfg)[:kd] * np.diag(C) / s1
     y_ul = np.sqrt(a[kd:] * state.p * (1.0 + gamma[kd:])) * np.diag(G).conj() / s2
     return gamma, np.concatenate([y_dl, y_ul])
-
-
-def dual_transform_objective(gamma, W_t, W_r, p, ch: Channels,
-                             cfg: ScenarioConfig) -> float:
-    """Rate surrogate after the dual transform only, in bits.
-
-    Concave in gamma with maximizer gamma = SINR, where it equals the
-    weighted sum-rate.
-    """
-    kd = cfg.K_D
-    a = cfg.weights
-    s1, s2, C, G = received_powers(W_t, W_r, p, ch, cfg)
-    base = a @ (np.log(1.0 + gamma) - gamma)
-    ratio_dl = np.abs(np.diag(C)) ** 2 / s1
-    ratio_ul = p * np.abs(np.diag(G)) ** 2 / s2
-    lift = (a[:kd] * (1.0 + gamma[:kd])) @ ratio_dl \
-        + (a[kd:] * (1.0 + gamma[kd:])) @ ratio_ul
-    return float(base + lift) / LN2
 
 
 def surrogate_objective(state: SolverState, ch: Channels,
@@ -137,7 +120,7 @@ def surrogate_objective(state: SolverState, ch: Channels,
     kd = cfg.K_D
     a = cfg.weights
     gamma, y = state.gamma, state.y
-    s1, s2, C, G = received_powers(state.W_t, state.W_r, state.p, ch, cfg)
+    s1, s2, C, G, _ = received_powers(state.W_t, state.W_r, state.p, ch, cfg)
     base = a @ (np.log(1.0 + gamma) - gamma)
     y_dl, y_ul = y[:kd], y[kd:]
     t1 = 2.0 * amplitude(gamma, cfg)[:kd] @ np.real(y_dl.conj() * np.diag(C)) \

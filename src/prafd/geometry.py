@@ -2,12 +2,21 @@
 
 The region for one antenna is a square (the array area) minus a union of
 discs of radius D_min around the other antennas on the same side.  The
-nearest feasible point to an unconstrained target is found from a small
+nearest feasible point to an unconstrained target lies in a finite
 candidate family: the square clamp, the point where the ray from a disc
-center toward the target leaves that disc, pairwise disc intersections,
-and disc/square-edge intersections.  First-order conditions put the true
-projection inside this family, so the search walks candidate to candidate
-until one is feasible against everything.
+center toward the target leaves that disc, disc/square-edge crossings and
+pairwise disc crossings.  First-order conditions at the nearest point x
+show why, by the constraints active there:
+
+1. none: x is the target itself, which is its own clamp;
+2. one circle: x is the nearest point of that circle, the ray exit;
+3. one square edge: x drops one coordinate onto the edge, the clamp;
+4. two square edges: x is a corner, again the clamp;
+5. two constraints of which one is a circle: x lies on that circle and on
+   the other constraint's boundary, a disc/edge or disc/disc crossing.
+
+So the projection enumerates the family once and keeps the nearest
+feasible candidate; when none is feasible the region is empty.
 """
 
 from __future__ import annotations
@@ -42,10 +51,8 @@ def clamp_to_square(point: np.ndarray, half_width: float) -> np.ndarray:
     return np.clip(point, -half_width, half_width)
 
 
-def is_feasible(point: np.ndarray, spec: FeasibleRegionSpec,
-                slack: float | None = None) -> bool:
-    if slack is None:
-        slack = spec.slack
+def is_feasible(point: np.ndarray, spec: FeasibleRegionSpec) -> bool:
+    slack = spec.slack
     if np.any(np.abs(point) > spec.half_width + slack):
         return False
     if spec.obstacles.size == 0:
@@ -110,96 +117,29 @@ def circle_square_intersections(center: np.ndarray, radius: float,
     return out
 
 
-def _fallback_ring_search(sp: np.ndarray, spec: FeasibleRegionSpec) -> np.ndarray:
-    """Dense radial sweep used only when the candidate walk stalls.
-
-    Scans rings of growing radius around the target, then refines around the
-    first feasible ring.  Raises if the region is genuinely empty at the
-    sampled granularity.
-    """
-    corners = np.array([[sx * spec.half_width, sy * spec.half_width]
-                        for sx in (-1, 1) for sy in (-1, 1)])
-    max_d = float(np.max(np.linalg.norm(corners - sp, axis=1))) + spec.radius
-
-    def scan(radii, n_ang):
-        ang = np.linspace(0.0, 2.0 * np.pi, n_ang, endpoint=False)
-        ring = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        for rad in radii:
-            pts = clamp_to_square(sp + rad * ring, spec.half_width)
-            ok = np.ones(len(pts), dtype=bool)
-            if spec.obstacles.size:
-                d = np.linalg.norm(pts[:, None, :] - spec.obstacles[None, :, :],
-                                   axis=2)
-                ok = np.all(d >= spec.radius - spec.slack, axis=1)
-            if np.any(ok):
-                cand = pts[ok]
-                return cand[np.argmin(np.linalg.norm(cand - sp, axis=1))], rad
-        return None, None
-
-    coarse_step = max_d / 512.0
-    hit, rad = scan(np.arange(0.0, max_d + coarse_step, coarse_step), 512)
-    if hit is None:
-        raise RuntimeError("feasible region appears empty around target point")
-    fine, _ = scan(np.linspace(max(0.0, rad - coarse_step), rad, 64), 2048)
-    return fine if fine is not None else hit
-
-
 def nearest_feasible_point(sp: np.ndarray, spec: FeasibleRegionSpec) -> np.ndarray:
     """Project a surrogate minimizer onto the feasible region.
 
-    Walks the candidate family described in the module docstring: each round
-    collects the discs the current center violates or touches, generates
-    their exit/intersection candidates, keeps the one nearest the original
-    target that clears the generating discs, and repeats from there.  The
-    best candidate feasible against every disc wins; if the walk stalls
-    without one, a ring search around the target takes over.
+    Returns the square clamp when it is feasible, else the candidate of the
+    module docstring's family nearest to `sp` that `is_feasible` accepts.
+    Raises RuntimeError when no candidate is feasible: the region is empty.
     """
     sp = np.asarray(sp, dtype=float)
-    hw, radius, slack = spec.half_width, spec.radius, spec.slack
-    obstacles = spec.obstacles
-    center = clamp_to_square(sp, hw)
-    if is_feasible(center, spec):
-        return center
-
-    n_obs = len(obstacles)
-    best = None
-    best_d = np.inf
-    for _ in range(4 * n_obs + 4):
-        if is_feasible(center, spec):
-            if np.linalg.norm(center - sp) < best_d:
-                best = center
-            return best
-        dists = np.linalg.norm(obstacles - center, axis=1)
-        idx = np.flatnonzero(dists <= radius + slack)
-        if idx.size == 0:
-            break
-        cands = []
-        for i in idx:
-            cands.append(ray_circle_exit(obstacles[i], radius, sp))
-            cands.extend(circle_square_intersections(obstacles[i], radius, hw))
-        for a in range(len(idx)):
-            for b in range(a + 1, len(idx)):
-                cands.extend(circle_circle_intersections(
-                    obstacles[idx[a]], obstacles[idx[b]], radius))
-        pick = None
-        pick_d = np.inf
-        for c in cands:
-            if np.any(np.abs(c) > hw + slack):
-                continue
-            dc = np.linalg.norm(obstacles - c, axis=1)
-            if np.any(dc[idx] < radius - slack):
-                continue
-            d_sp = float(np.linalg.norm(c - sp))
-            if np.all(dc >= radius - slack) and d_sp < best_d:
-                best, best_d = c, d_sp
-            if d_sp < pick_d:
-                pick, pick_d = c, d_sp
-        if pick is None or np.linalg.norm(pick - center) <= slack:
-            break
-        center = pick
-    if best is not None:
-        return best
-    return _fallback_ring_search(sp, spec)
+    hw, radius, obstacles = spec.half_width, spec.radius, spec.obstacles
+    clamp = clamp_to_square(sp, hw)
+    if is_feasible(clamp, spec):
+        return clamp
+    cands = []
+    for i, c in enumerate(obstacles):
+        cands.append(ray_circle_exit(c, radius, sp))
+        cands.extend(circle_square_intersections(c, radius, hw))
+        for c_b in obstacles[i + 1:]:
+            cands.extend(circle_circle_intersections(c, c_b, radius))
+    cands.sort(key=lambda c: np.linalg.norm(c - sp))
+    for c in cands:
+        if is_feasible(c, spec):
+            return c
+    raise RuntimeError("feasible region is empty")
 
 
 def min_pairwise_distance(points: np.ndarray) -> float:

@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .channel import Channels
+from .config import ScenarioConfig
+from .fp import LN2, received_powers
 from .geometry import FeasibleRegionSpec
 
 
@@ -68,6 +71,33 @@ def transmit_qp_pgd(H_t: np.ndarray, Hbar: np.ndarray, p_max,
         shrink = np.where(nrm > rad, rad / np.maximum(nrm, 1e-300), 1.0)
         W = W * shrink[:, None, None]
     return W[0] if single else W
+
+
+# ---------------------------------------------------------------------------
+# rate surrogates and the receive block's optimal value
+
+
+def dual_transform_objective(gamma, W_t, W_r, p, ch: Channels,
+                             cfg: ScenarioConfig) -> float:
+    """Rate surrogate after the dual transform only, in bits.
+
+    Concave in gamma with maximizer gamma = SINR, where it equals the
+    weighted sum-rate.
+    """
+    kd = cfg.K_D
+    a = cfg.weights
+    s1, s2, C, G, _ = received_powers(W_t, W_r, p, ch, cfg)
+    base = a @ (np.log(1.0 + gamma) - gamma)
+    ratio_dl = np.abs(np.diag(C)) ** 2 / s1
+    ratio_ul = p * np.abs(np.diag(G)) ** 2 / s2
+    lift = (a[:kd] * (1.0 + gamma[:kd])) @ ratio_dl \
+        + (a[kd:] * (1.0 + gamma[kd:])) @ ratio_ul
+    return float(base + lift) / LN2
+
+
+def receive_objective_value(H_r: np.ndarray, Hbar: np.ndarray) -> float:
+    """Optimal value tr(Hbar^H H_r^{-1} Hbar) of the receive block."""
+    return float(np.real(np.trace(Hbar.conj().T @ np.linalg.solve(H_r, Hbar))))
 
 
 # ---------------------------------------------------------------------------

@@ -102,7 +102,6 @@ def _context(state: SolverState, rlz: ChannelRealization,
              other_positions: np.ndarray, cfg: ScenarioConfig,
              transmit: bool) -> SurrogateContext:
     kd = cfg.K_D
-    kappa = 2.0 * np.pi / cfg.wavelength
     amp = fp.amplitude(state.gamma, cfg)
     y_dl, y_ul = state.y[:kd], state.y[kd:]
     Q = state.W_t @ state.W_t.conj().T
@@ -119,8 +118,8 @@ def _context(state: SolverState, rlz: ChannelRealization,
                     chan_w=state.p.astype(float), beam_w=np.abs(y_ul) ** 2,
                     W=state.W_r, own=B, other=Q, si_dirs=rlz.si_r_dirs)
         other_dirs, sigma = rlz.si_t_dirs, rlz.sigma_si.conj().T
-    e = field_response(other_positions, other_dirs, kappa)
-    return SurrogateContext(kappa=kappa, half_width=cfg.region_half_width,
+    e = field_response(other_positions, other_dirs, cfg.kappa)
+    return SurrogateContext(kappa=cfg.kappa, half_width=cfg.region_half_width,
                             d_min=cfg.D_min, si_mix=e.conj() @ sigma, **side)
 
 
@@ -295,12 +294,11 @@ class RateGrid:
 
     def __init__(self, rlz: ChannelRealization, cfg: ScenarioConfig):
         self.rlz, self.cfg = rlz, cfg
-        self.kappa = 2.0 * np.pi / cfg.wavelength
         axis = grid_axis(cfg.region_half_width,
                          GRID_STEP_WAVELENGTHS * cfg.wavelength)
         self.points = np.stack(np.meshgrid(axis, axis, indexing="ij"),
                                axis=-1).reshape(-1, 2)
-        k = self.kappa
+        k = cfg.kappa
         # Rows of H_D / H_U and the SI phasors with the antenna at each point.
         self.h_dl = np.einsum("kl,klp->pk", rlz.prm_dl,
                               _grid_phasors(axis, rlz.dl_dirs, -k))
@@ -310,18 +308,18 @@ class RateGrid:
         self.e_si_r = _grid_phasors(axis, rlz.si_r_dirs, -k).T
 
     def rates(self, state: SolverState, layout: AntennaLayout, ch: Channels,
-              side: str, n: int) -> np.ndarray:
+              powers: tuple, side: str, n: int) -> np.ndarray:
         """Rate with antenna n of `side` ("t" or "r") at each grid point.
 
-        `ch` must be the channels of `layout`; the spacing constraint is
-        not applied here.  The received powers of `fp.received_powers` are
-        expanded around the current layout, so no (points x users x users)
-        array is formed.
+        `ch` must be the channels of `layout` and `powers` the
+        `fp.received_powers` pass of `state` on `ch`; the spacing
+        constraint is not applied here.  Those received powers are expanded
+        around the current layout, so no (points x users x users) array is
+        formed.
         """
         cfg, rlz = self.cfg, self.rlz
         W_t, W_r, p = state.W_t, state.W_r, state.p
-        s1, s2, C, G = fp.received_powers(W_t, W_r, p, ch, cfg)
-        S = W_r.conj().T @ ch.H_SI @ W_t
+        s1, s2, C, G, S = powers
         sig1 = _abs2(np.diag(C))
         if side == "t":
             # Row n of H_D and column n of H_SI move: C += a w^T, S += d w^T.
@@ -330,7 +328,7 @@ class RateGrid:
             a = (self.h_dl - ch.H_D[n]).conj()
             s1 = s1 + 2.0 * np.real(a * (C.conj() @ w)) + _abs2(a) * ww
             sig1 = _abs2(np.diag(C) + a * w)
-            er = field_response(layout.r, rlz.si_r_dirs, self.kappa)
+            er = field_response(layout.r, rlz.si_r_dirs, cfg.kappa)
             d = self.e_si_t @ (W_r.conj().T @ er.conj() @ rlz.sigma_si).T \
                 - W_r.conj().T @ ch.H_SI[:, n]
             s2 = s2 + 2.0 * np.real(d * (S.conj() @ w)) + _abs2(d) * ww
@@ -340,7 +338,7 @@ class RateGrid:
             v = W_r[n].conj()
             vv = _abs2(v)
             b = self.h_ul - ch.H_U[n]
-            et = field_response(layout.t, rlz.si_t_dirs, self.kappa)
+            et = field_response(layout.t, rlz.si_t_dirs, cfg.kappa)
             e = self.e_si_r @ (rlz.sigma_si @ et.T @ W_t) - ch.H_SI[n] @ W_t
             s2 = s2 + 2.0 * np.real(v * (b @ (p * G.conj()).T
                                          + e @ S.conj().T)) \
@@ -375,13 +373,14 @@ class RateGrid:
                   if users > 0 for n in range(count)]
         moves = 0
         settled = 0     # visits since the last move, that move's included
+        powers = fp.received_powers(state.W_t, state.W_r, state.p, ch, cfg)
         for side, n in itertools.islice(itertools.cycle(visits),
                                         MAX_GRID_ROUNDS * len(visits)):
             if settled == len(visits):
                 break
             settled += 1
             others = np.delete(getattr(layout, side), n, axis=0)
-            vals = self.rates(state, layout, ch, side, n)
+            vals = self.rates(state, layout, ch, powers, side, n)
             vals[~self._free_points(others)] = -np.inf
             best = int(np.argmax(vals))
             bar = rate + GRID_MIN_GAIN * max(1.0, abs(rate))
@@ -393,6 +392,8 @@ class RateGrid:
             cand_rate = fp.weighted_sum_rate(state, cand_ch, cfg)
             if cand_rate > bar:
                 layout, ch, rate = cand, cand_ch, cand_rate
+                powers = fp.received_powers(state.W_t, state.W_r, state.p,
+                                            ch, cfg)
                 moves += 1
                 settled = 1
         return layout, ch, rate, moves

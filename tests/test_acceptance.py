@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from prafd.beamforming import (optimal_scalar_power, receive_objective_value,
-                               solve_transmit_qp)
+from prafd.beamforming import optimal_scalar_power, solve_transmit_qp
 from prafd.channel import build_channels, sample_realization, trial_rng
 from prafd.config import ScenarioConfig
 from prafd.experiment import ExperimentSpec, emit_csv, run_experiment
@@ -25,7 +24,8 @@ from prafd.geometry import (FeasibleRegionSpec, is_feasible,
 from prafd.oracles import (central_difference_gradient,
                            central_difference_hessian, grid_nearest_feasible,
                            power_grid_search, random_complex, random_psd,
-                           transmit_qp_pgd, transmit_qp_value)
+                           receive_objective_value, transmit_qp_pgd,
+                           transmit_qp_value)
 from prafd.placement import antenna_bundle, curvature_bound, receive_context, \
     transmit_context
 from prafd.solver import initial_state, initialize_layout

@@ -3,7 +3,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from prafd.beamforming import (normalize_receive_columns, optimal_scalar_power,
-                               receive_objective_value,
                                receive_subproblem_matrices, solve_transmit_qp,
                                transmit_subproblem_matrices,
                                update_receive_beamformer,
@@ -14,7 +13,8 @@ from prafd.config import ScenarioConfig
 from prafd.fp import SolverState, auxiliary_pass, surrogate_objective, \
     weighted_sum_rate
 from prafd.oracles import (power_grid_search, random_complex, random_psd,
-                           transmit_qp_pgd, transmit_qp_value)
+                           receive_objective_value, transmit_qp_pgd,
+                           transmit_qp_value)
 from prafd.solver import initial_state, initialize_layout
 
 

@@ -4,10 +4,10 @@ from numpy.testing import assert_allclose
 
 from prafd.channel import build_channels, sample_realization, trial_rng
 from prafd.config import ScenarioConfig
-from prafd.fp import (all_sinrs, amplitude, auxiliary_pass,
-                      dual_transform_objective, per_user_rates, receive_gram,
-                      received_powers, surrogate_objective, weighted_sum_rate)
-from prafd.oracles import random_complex
+from prafd.fp import (all_sinrs, amplitude, auxiliary_pass, per_user_rates,
+                      receive_gram, received_powers, surrogate_objective,
+                      weighted_sum_rate)
+from prafd.oracles import dual_transform_objective, random_complex
 from prafd.solver import initial_state, initialize_layout
 
 
@@ -85,7 +85,8 @@ class TestRate:
     def test_received_powers_match_loops(self):
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=3, L=2, L_SI=2)
         _, _, ch, state = make_instance(cfg, 4, randomize=True)
-        s1, s2, C, G = received_powers(state.W_t, state.W_r, state.p, ch, cfg)
+        s1, s2, C, G, S = received_powers(state.W_t, state.W_r, state.p, ch,
+                                          cfg)
         for k in range(cfg.K_D):
             ref = sum(abs(np.vdot(ch.H_D[:, k], state.W_t[:, j])) ** 2
                       for j in range(cfg.K_D))
@@ -103,6 +104,9 @@ class TestRate:
                        for k in range(cfg.K_D))
             ref += cfg.sigma2 * np.linalg.norm(w) ** 2
             assert_allclose(s2[u], ref, rtol=1e-12)
+            for k in range(cfg.K_D):
+                assert_allclose(S[u, k], np.vdot(w, ch.H_SI @ state.W_t[:, k]),
+                                rtol=1e-12)
 
 
 class TestAuxiliaries:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from prafd import geometry
 from prafd.geometry import (FeasibleRegionSpec, circle_circle_intersections,
                             circle_square_intersections, clamp_to_square,
                             is_feasible, layout_side_feasible,
@@ -129,36 +128,36 @@ class TestNearestFeasible:
         b = nearest_feasible_point(sp, spec)
         assert_allclose(a, b)
 
-    def test_crowded_region_still_resolves(self, monkeypatch):
-        # One target the candidate walk resolves (it starts inside a disc
-        # of a ring of obstacles) and one where the walk stalls among large
-        # overlapping discs, so the ring search takes over exactly once.
-        fallbacks = []
-
-        def counting(sp, spec):
-            fallbacks.append(sp)
-            return ring_search(sp, spec)
-
-        ring_search = geometry._fallback_ring_search
-        monkeypatch.setattr(geometry, "_fallback_ring_search", counting)
+    def test_crowded_region_still_resolves(self):
+        # Targets whose clamp sits inside a disc: one inside a ring of
+        # obstacles, one among large overlapping discs and one where the
+        # nearest point is a disc crossing far from the discs the clamp
+        # violates.  The projection is exact, so no feasible grid point is
+        # nearer.
         ang = np.linspace(0, 2 * np.pi, 12, endpoint=False)
         ring = 0.4 * np.stack([np.cos(ang), np.sin(ang)], axis=1)
         crowded = [[-0.2119, 0.5834], [-0.2428, -0.0302], [-0.6992, 0.4884],
                    [0.8227, -0.0466], [-0.7778, 0.2656], [0.5483, 0.6570],
                    [0.9299, -0.8281], [-0.2190, -0.8964]]
+        far = [[-0.2175, 0.6909], [0.7634, 0.7635], [-0.0874, -0.5842],
+               [-0.8617, 0.4854], [0.2641, 0.9793], [0.7423, 0.944]]
         step = 0.01
-        for spec, sp, n_fallback in (
-                (region(1.0, ring, radius=0.22), np.array([0.45, 0.1]), 0),
+        for spec, sp in (
+                (region(1.0, ring, radius=0.22), np.array([0.45, 0.1])),
                 (region(1.0, crowded, radius=0.5733),
-                 np.array([1.1214, 1.1606]), 1)):
-            fallbacks.clear()
+                 np.array([1.1214, 1.1606])),
+                (region(1.0, far, radius=0.3204), np.array([0.7799, 1.1556]))):
             out = nearest_feasible_point(sp, spec)
-            assert len(fallbacks) == n_fallback
             assert not np.array_equal(out, clamp_to_square(sp, 1.0))
             assert is_feasible(out, spec)
             g = grid_nearest_feasible(sp, spec, step)
-            assert np.linalg.norm(out - sp) \
-                <= np.linalg.norm(g - sp) + np.sqrt(2) * step
+            assert np.linalg.norm(out - sp) <= np.linalg.norm(g - sp) + 1e-12
+
+    def test_empty_region_raises(self):
+        # One disc covers the whole square, so no point is feasible.
+        spec = region(1.0, [[0.0, 0.0]], radius=1.5)
+        with pytest.raises(RuntimeError, match="empty"):
+            nearest_feasible_point(np.array([0.3, -0.2]), spec)
 
 
 class TestLayoutHelpers:

@@ -5,7 +5,9 @@ from numpy.testing import assert_allclose
 from prafd.channel import build_channels, sample_realization, trial_rng, \
     AntennaLayout
 from prafd.config import ScenarioConfig
-from prafd.fp import auxiliary_pass, surrogate_objective, weighted_sum_rate
+from prafd import fp
+from prafd.fp import (auxiliary_pass, received_powers, surrogate_objective,
+                      weighted_sum_rate)
 from prafd.geometry import layout_side_feasible
 from prafd.oracles import (central_difference_gradient,
                            central_difference_hessian, random_complex)
@@ -227,9 +229,10 @@ class TestRateGrid:
         for trial, cfg in enumerate(cases):
             rlz, layout, ch, state = random_grid_case(cfg, trial)
             grid = RateGrid(rlz, cfg)
+            powers = received_powers(state.W_t, state.W_r, state.p, ch, cfg)
             for side in ("t", "r"):
                 for n in range(len(getattr(layout, side))):
-                    vals = grid.rates(state, layout, ch, side, n)
+                    vals = grid.rates(state, layout, ch, powers, side, n)
                     ref = []
                     for q in grid.points:
                         moved = layout.copy()
@@ -256,6 +259,34 @@ class TestRateGrid:
             for side in (out.t, out.r):
                 assert layout_side_feasible(side, hw, cfg.D_min)
         assert moved_trials >= 4
+
+    def test_one_received_power_pass_per_channel_state(self, monkeypatch):
+        # The grid scores every visit from the pass of the current channels;
+        # only an accepted move makes a new one.  Passes made inside
+        # weighted_sum_rate, which confirms candidate moves, are not counted.
+        counts = {"powers": 0, "rate": 0}
+        real_powers, real_rate = fp.received_powers, fp.weighted_sum_rate
+
+        def powers(*a):
+            counts["powers"] += 1
+            return real_powers(*a)
+
+        def rate(*a):
+            counts["rate"] += 1
+            return real_rate(*a)
+
+        monkeypatch.setattr(fp, "received_powers", powers)
+        monkeypatch.setattr(fp, "weighted_sum_rate", rate)
+        cfg = ScenarioConfig(K_D=2, K_U=2, N_t=3, N_r=3, L=3, L_SI=3, A=2.0)
+        total_moves = 0
+        for trial in range(4):
+            rlz, layout, ch, state = random_grid_case(cfg, trial)
+            start = real_rate(state, ch, cfg)
+            counts.update(powers=0, rate=0)
+            _, _, _, moves = RateGrid(rlz, cfg).place(state, layout, ch, start)
+            assert counts["powers"] - counts["rate"] == 1 + moves
+            total_moves += moves
+        assert total_moves > 0
 
     def test_positions_kept_without_gain(self):
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2, L=3, L_SI=3, A=2.0)

@@ -6,8 +6,8 @@ from numpy.testing import assert_allclose
 
 from prafd.channel import AntennaLayout, build_channels, sample_realization, \
     trial_rng
-from prafd import fp
-from prafd.config import ConfigError, ScenarioConfig
+from prafd import fp, solver
+from prafd.config import ConfigError, ScenarioConfig, validate_config
 from prafd.fp import weighted_sum_rate
 from prafd.geometry import layout_side_feasible
 from prafd.solver import (SolveOptions, TrialResult, _Monitor,
@@ -42,6 +42,16 @@ class TestInitialization:
         cfg = ScenarioConfig(N_t=3, N_r=1)
         cfg = cfg.replace(D_min=1.9 * 2 * cfg.region_half_width)
         with pytest.raises(ConfigError):
+            initialize_layout(cfg, trial_rng(0, 0, 1))
+
+    def test_rejection_cap_raises_on_valid_config(self, monkeypatch):
+        # Four antennas D_min = side apart fit only on the exact corners:
+        # the packing bound accepts the config, but sampling never does.
+        monkeypatch.setattr(solver, "INIT_REJECTION_CAP", 50)
+        cfg = ScenarioConfig(N_t=4, N_r=1)
+        cfg = cfg.replace(D_min=2 * cfg.region_half_width)
+        validate_config(cfg)
+        with pytest.raises(ConfigError, match="after 50 rejections"):
             initialize_layout(cfg, trial_rng(0, 0, 1))
 
     def test_initial_state_uses_full_budgets(self):
