@@ -26,17 +26,21 @@ GD_MAX_HALVINGS = 40
 
 
 def upa_layout(n: int, spacing: float, half_width: float) -> np.ndarray:
-    """Centered ceil(sqrt(n)) x ceil(sqrt(n)) grid, filled row-major."""
+    """Centered ceil(sqrt(n)) x ceil(sqrt(n)) grid, filled row-major.
+
+    Raises ConfigError when `layout_side_feasible` rejects the grid.
+    """
     m = math.ceil(math.sqrt(n))
-    if m > 1 and (m - 1) * spacing > 2.0 * half_width:
-        raise ConfigError(
-            f"a {m}x{m} grid at spacing {spacing:g} m does not fit the region")
     pts = []
     for idx in range(n):
         i, j = divmod(idx, m)
         pts.append([(j - (m - 1) / 2.0) * spacing,
                     (i - (m - 1) / 2.0) * spacing])
-    return np.array(pts).reshape(n, 2)
+    pts = np.array(pts).reshape(n, 2)
+    if not layout_side_feasible(pts, half_width, spacing):
+        raise ConfigError(
+            f"a {m}x{m} grid at spacing {spacing:g} m does not fit the region")
+    return pts
 
 
 def _project_side(cand: np.ndarray, half_width: float,
@@ -123,7 +127,8 @@ def solve_fpas(cfg: ScenarioConfig, rlz: ChannelRealization,
 
 def solve_half_duplex(cfg: ScenarioConfig, rlz: ChannelRealization,
                       rng: np.random.Generator, duplex_factor: float = 0.5,
-                      options: SolveOptions | None = None) -> TrialResult:
+                      options: SolveOptions | None = None,
+                      initial_layout: AntennaLayout | None = None) -> TrialResult:
     """Downlink-only operation with the same placement-aware optimizer.
 
     No uplink means no self-interference and no uplink-to-downlink coupling
@@ -138,7 +143,7 @@ def solve_half_duplex(cfg: ScenarioConfig, rlz: ChannelRealization,
     if opts.eval_rlz is not None:
         opts = replace(opts, eval_rlz=opts.eval_rlz.downlink_only())
     res = alternating_optimize(cfg.downlink_only(), rlz.downlink_only(), rng,
-                               options=opts)
+                               initial_layout, opts)
     res.rate *= duplex_factor
     res.dl_rates = res.dl_rates * duplex_factor
     res.trace = [duplex_factor * v for v in res.trace]
@@ -162,5 +167,6 @@ def run_algorithm(name: str, cfg: ScenarioConfig, rlz: ChannelRealization,
     if name == "fpas":
         return solve_fpas(cfg, rlz, rng, opts)
     if name == "hd":
-        return solve_half_duplex(cfg, rlz, rng, duplex_factor, opts)
+        return solve_half_duplex(cfg, rlz, rng, duplex_factor, opts,
+                                 initial_layout)
     raise ValueError(f"unknown algorithm {name!r}; choose from {ALGORITHMS}")

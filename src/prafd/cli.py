@@ -9,12 +9,12 @@ import time
 import numpy as np
 
 from . import fp, oracles
-from .baselines import ALGORITHMS, run_algorithm
+from .baselines import ALGORITHMS
 from .beamforming import optimal_scalar_power, solve_transmit_qp
-from .channel import build_channels, sample_realization, trial_rng
+from .channel import build_channels, sample_realization
 from .config import (ConfigError, ScenarioConfig, load_config, parse_setting,
                      validate_config)
-from .experiment import ExperimentSpec, emit_csv, run_experiment
+from .experiment import ExperimentSpec, emit_csv, run_experiment, run_trial
 from .geometry import FeasibleRegionSpec, is_feasible, nearest_feasible_point
 from .placement import (placement_gradient, placement_objective,
                         receive_context, transmit_context)
@@ -38,13 +38,14 @@ def _config_from_args(args) -> ScenarioConfig:
 
 def _cmd_solve(args) -> int:
     cfg = _config_from_args(args)
-    seed = cfg.seed if args.seed is None else args.seed
-    rlz = sample_realization(cfg, trial_rng(seed, args.trial, 0))
-    layout = initialize_layout(cfg, trial_rng(seed, args.trial, 1))
-    res = run_algorithm(args.algo, cfg, rlz, trial_rng(seed, args.trial, 3),
-                        initial_layout=layout,
-                        duplex_factor=args.duplex_factor)
+    spec = ExperimentSpec(base=cfg, algorithms=(args.algo,),
+                          seed=cfg.seed if args.seed is None else args.seed,
+                          duplex_factor=args.duplex_factor)
+    (res,) = run_trial(spec, float("nan"), args.trial)
     print(f"algorithm        {args.algo}")
+    if res.failure:
+        print(f"failed           {res.failure}")
+        return 1
     print(f"weighted rate    {res.rate:.6f} bit/s/Hz")
     if res.dl_rates.size:
         print("downlink rates   " + " ".join(f"{v:.4f}" for v in res.dl_rates))

@@ -28,6 +28,8 @@ _STREAM_SOLVER = 3
 
 # Perturbation sweep fields (imperfect CSI levels, not config fields).
 PERTURBATION_FIELDS = ("theta_m", "sigma_e2")
+# Sweep fields that count something; "N" sets both antenna counts.
+INTEGER_SWEEP_FIELDS = ("N", "K_D", "K_U", "N_t", "N_r", "L", "L_SI")
 
 RAW_COLUMNS = ("algorithm", "sweep_field", "sweep_value", "trial", "rate",
                "dl_rates", "ul_rates", "outer_iterations", "bsum_sweeps",
@@ -100,10 +102,23 @@ def apply_sweep(cfg: ScenarioConfig, field_name: str | None,
         raise ConfigError("seed is not a sweep field; run once per --seed")
     if field_name != "N" and field_name not in {f.name for f in fields(cfg)}:
         raise ConfigError(f"unknown sweep field {field_name!r}")
+    if field_name in INTEGER_SWEEP_FIELDS:
+        if not float(value).is_integer():
+            raise ConfigError(
+                f"{field_name} takes integral values only, got {value!r}")
+        value = int(value)
     if field_name == "N":
-        out = cfg.replace(N_t=int(value), N_r=int(value))
-    elif field_name in ("K_D", "K_U", "N_t", "N_r", "L", "L_SI"):
-        out = cfg.replace(**{field_name: int(value)})
+        out = cfg.replace(N_t=value, N_r=value)
+    elif field_name in ("K_D", "K_U"):
+        # Each point gets equal weights over its own user count, which
+        # weights set by hand for the base count cannot follow.
+        if not np.array_equal(cfg.weights, np.full(cfg.K, 1.0 / cfg.K)):
+            raise ConfigError(
+                f"a {field_name} sweep needs equal weights; weights were "
+                f"set to {cfg.weights.tolist()}")
+        out = cfg.replace(**{field_name: value}, weights=None)
+    elif field_name in INTEGER_SWEEP_FIELDS:
+        out = cfg.replace(**{field_name: value})
     else:
         out = cfg.replace(**{field_name: float(value)})
     validate_config(out)

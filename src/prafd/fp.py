@@ -71,9 +71,15 @@ def all_sinrs(state: SolverState, ch: Channels, cfg: ScenarioConfig) -> np.ndarr
     return _sinrs(state, ch, cfg)[0]
 
 
+def rate_and_powers(state: SolverState, ch: Channels, cfg: ScenarioConfig):
+    """Weighted sum-rate and the received-power pass it came from."""
+    sinr, powers = _sinrs(state, ch, cfg)
+    return float(cfg.weights @ np.log2(1.0 + sinr)), powers
+
+
 def weighted_sum_rate(state: SolverState, ch: Channels, cfg: ScenarioConfig) -> float:
     """Objective: sum_i a_i log2(1 + SINR_i) over DL then UL users."""
-    return float(cfg.weights @ np.log2(1.0 + all_sinrs(state, ch, cfg)))
+    return rate_and_powers(state, ch, cfg)[0]
 
 
 def per_user_rates(state: SolverState, ch: Channels, cfg: ScenarioConfig):

@@ -17,6 +17,12 @@ show why, by the constraints active there:
 
 So the projection enumerates the family once and keeps the nearest
 feasible candidate; when none is feasible the region is empty.
+
+One spacing rule holds everywhere a position is judged, here and in the
+grid placement, layout sampling and fixed arrays: `is_feasible` accepts
+a point within `FeasibleRegionSpec.slack`, 1e-9 * max(half width, D_min),
+of the square and of every disc rim.  Points exactly D_min apart are
+feasible whatever their rounding.
 """
 
 from __future__ import annotations
@@ -51,14 +57,22 @@ def clamp_to_square(point: np.ndarray, half_width: float) -> np.ndarray:
     return np.clip(point, -half_width, half_width)
 
 
-def is_feasible(point: np.ndarray, spec: FeasibleRegionSpec) -> bool:
+def is_feasible(points: np.ndarray, spec: FeasibleRegionSpec):
+    """Whether points lie in the square and outside every disc, up to slack.
+
+    `points` is one point (2,) or a stack (..., 2); returns a bool or a
+    bool array of the stack's shape.
+    """
+    points = np.asarray(points, dtype=float)
     slack = spec.slack
-    if np.any(np.abs(point) > spec.half_width + slack):
-        return False
-    if spec.obstacles.size == 0:
-        return True
-    d = np.linalg.norm(spec.obstacles - point, axis=1)
-    return bool(np.all(d >= spec.radius - slack))
+    x, y = points[..., 0], points[..., 1]
+    lim = spec.half_width + slack
+    ok = (np.abs(x) <= lim) & (np.abs(y) <= lim)
+    # x and y apart: a reduction over the length-2 axis is slow on grid stacks.
+    dx = x[..., None] - spec.obstacles[:, 0]
+    dy = y[..., None] - spec.obstacles[:, 1]
+    ok &= (np.sqrt(dx * dx + dy * dy) >= spec.radius - slack).all(axis=-1)
+    return ok if ok.ndim else bool(ok)
 
 
 def ray_circle_exit(center: np.ndarray, radius: float,
@@ -135,27 +149,33 @@ def nearest_feasible_point(sp: np.ndarray, spec: FeasibleRegionSpec) -> np.ndarr
         cands.extend(circle_square_intersections(c, radius, hw))
         for c_b in obstacles[i + 1:]:
             cands.extend(circle_circle_intersections(c, c_b, radius))
-    cands.sort(key=lambda c: np.linalg.norm(c - sp))
-    for c in cands:
-        if is_feasible(c, spec):
-            return c
-    raise RuntimeError("feasible region is empty")
+    cands = np.array(cands).reshape(-1, 2)
+    ok = is_feasible(cands, spec)
+    if not ok.any():
+        raise RuntimeError("feasible region is empty")
+    dist = np.where(ok, np.linalg.norm(cands - sp, axis=1), np.inf)
+    return cands[np.argmin(dist)]   # the first of equals, in family order
 
 
 def min_pairwise_distance(points: np.ndarray) -> float:
     """Smallest distance between any two points; inf for fewer than two."""
-    points = np.asarray(points, dtype=float)
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
     if len(points) < 2:
         return np.inf
-    diff = points[:, None, :] - points[None, :, :]
-    d = np.linalg.norm(diff, axis=2)
-    return float(np.min(d[np.triu_indices(len(points), k=1)]))
+    dx = points[:, None, 0] - points[:, 0]
+    dy = points[:, None, 1] - points[:, 1]
+    d2 = dx * dx + dy * dy
+    np.fill_diagonal(d2, np.inf)
+    return float(np.sqrt(d2.min()))
 
 
-def layout_side_feasible(points: np.ndarray, half_width: float, d_min: float,
-                         slack: float | None = None) -> bool:
-    if slack is None:
-        slack = 1e-9 * max(half_width, d_min)
-    if np.any(np.abs(points) > half_width + slack):
-        return False
-    return min_pairwise_distance(points) >= d_min - slack
+def layout_side_feasible(points: np.ndarray, half_width: float,
+                         d_min: float) -> bool:
+    """Whether one side's layout meets the rule `is_feasible` applies.
+
+    Every point must lie in the square and every pair at least d_min
+    apart, both up to `FeasibleRegionSpec.slack`.
+    """
+    spec = FeasibleRegionSpec(half_width, np.empty((0, 2)), d_min)
+    return bool(np.all(is_feasible(points, spec))) \
+        and min_pairwise_distance(points) >= d_min - spec.slack

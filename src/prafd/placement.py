@@ -37,7 +37,7 @@ from .channel import (AntennaLayout, ChannelRealization, Channels,
                       _user_channel, build_channels, field_response)
 from .config import ScenarioConfig
 from .fp import SolverState
-from .geometry import FeasibleRegionSpec, nearest_feasible_point
+from .geometry import FeasibleRegionSpec, is_feasible, nearest_feasible_point
 
 TAU_MIN_FACTOR = 1e-6
 MAX_TAU_DOUBLINGS = 20
@@ -348,20 +348,15 @@ class RateGrid:
         return np.log2(1.0 + sig1 / (s1 - sig1)) @ cfg.weights[:kd] \
             + np.log2(1.0 + sig2 / (s2 - sig2)) @ cfg.weights[kd:]
 
-    def _free_points(self, others: np.ndarray) -> np.ndarray:
-        """Mask of grid points at least D_min from every other antenna."""
-        ok = np.ones(len(self.points), dtype=bool)
-        for q in others:
-            ok &= np.hypot(*(self.points - q).T) >= self.cfg.D_min
-        return ok
-
     def place(self, state: SolverState, layout: AntennaLayout, ch: Channels,
               rate: float):
-        """Move antennas one at a time to their best free grid point.
+        """Move antennas one at a time to their best feasible grid point.
 
-        Cycles through the transmit then the receive antennas and moves one
-        only when its best grid point raises the true rate, confirmed by
-        `fp.weighted_sum_rate` on rebuilt channels.  Stops once every
+        Grid points are masked by `is_feasible` against the side's other
+        antennas.  Cycles through the transmit then the receive antennas
+        and moves one only when its best grid point raises the true rate,
+        confirmed by `fp.rate_and_powers` on rebuilt channels; an accepted
+        move's received-power pass scores the next visit.  Stops once every
         antenna has been visited since the last move, so that no single
         grid move raises the rate, or after MAX_GRID_ROUNDS passes.  Sides
         without users are skipped.  Returns (layout, channels, rate,
@@ -379,9 +374,11 @@ class RateGrid:
             if settled == len(visits):
                 break
             settled += 1
-            others = np.delete(getattr(layout, side), n, axis=0)
+            region = FeasibleRegionSpec(
+                cfg.region_half_width,
+                np.delete(getattr(layout, side), n, axis=0), cfg.D_min)
             vals = self.rates(state, layout, ch, powers, side, n)
-            vals[~self._free_points(others)] = -np.inf
+            vals[~is_feasible(self.points, region)] = -np.inf
             best = int(np.argmax(vals))
             bar = rate + GRID_MIN_GAIN * max(1.0, abs(rate))
             if not vals[best] > bar:
@@ -389,11 +386,9 @@ class RateGrid:
             cand = layout.copy()
             getattr(cand, side)[n] = self.points[best]
             cand_ch = build_channels(cand, self.rlz, cfg)
-            cand_rate = fp.weighted_sum_rate(state, cand_ch, cfg)
+            cand_rate, cand_powers = fp.rate_and_powers(state, cand_ch, cfg)
             if cand_rate > bar:
-                layout, ch, rate = cand, cand_ch, cand_rate
-                powers = fp.received_powers(state.W_t, state.W_r, state.p,
-                                            ch, cfg)
+                layout, ch, rate, powers = cand, cand_ch, cand_rate, cand_powers
                 moves += 1
                 settled = 1
         return layout, ch, rate, moves

@@ -18,7 +18,7 @@ retired for the rest of the run; from there on the loop is plain BSUM.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from . import beamforming, fp, placement
 from .channel import (AntennaLayout, ChannelRealization, Channels,
                       build_channels)
 from .config import ConfigError, ScenarioConfig
-from .geometry import layout_side_feasible
+from .geometry import FeasibleRegionSpec, is_feasible, layout_side_feasible
 
 INIT_REJECTION_CAP = 100_000
 
@@ -62,12 +62,13 @@ class TrialResult:
 
 def _sample_side(n: int, half_width: float, d_min: float,
                  rng: np.random.Generator) -> np.ndarray:
-    pts: list[np.ndarray] = []
+    region = FeasibleRegionSpec(half_width, np.empty((0, 2)), d_min)
     failures = 0
-    while len(pts) < n:
+    while len(region.obstacles) < n:
         q = rng.uniform(-half_width, half_width, size=2)
-        if all(np.linalg.norm(q - p) >= d_min for p in pts):
-            pts.append(q)
+        if is_feasible(q, region):
+            region = FeasibleRegionSpec(
+                half_width, np.vstack([region.obstacles, q]), d_min)
         else:
             failures += 1
             if failures > INIT_REJECTION_CAP:
@@ -75,7 +76,7 @@ def _sample_side(n: int, half_width: float, d_min: float,
                     f"could not place {n} antennas with spacing {d_min:g} m in a "
                     f"{2 * half_width:g} m square after {INIT_REJECTION_CAP} rejections"
                 )
-    return np.array(pts)
+    return region.obstacles
 
 
 def initialize_layout(cfg: ScenarioConfig, rng: np.random.Generator) -> AntennaLayout:

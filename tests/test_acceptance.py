@@ -12,7 +12,6 @@ from itertools import product
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from prafd.beamforming import optimal_scalar_power, solve_transmit_qp
 from prafd.channel import build_channels, sample_realization, trial_rng

@@ -54,8 +54,7 @@ class TestGradientDescent:
             out, trace, _ = gradient_descent_positions(
                 ctx, layout.t, np.random.default_rng(trial), eps=1e-4)
             assert np.all(np.diff(trace) <= 1e-12)
-            assert layout_side_feasible(out, ctx.half_width, ctx.d_min,
-                                        slack=1e-6 * ctx.d_min)
+            assert layout_side_feasible(out, ctx.half_width, ctx.d_min)
             assert_allclose(placement_objective(ctx, out), trace[-1],
                             rtol=1e-12)
 
@@ -139,6 +138,16 @@ class TestHalfDuplex:
         opts = SolveOptions(max_outer=3, eval_rlz=rlz)
         solve_half_duplex(cfg, rlz, trial_rng(0, 0, 3), 0.5, opts)
         assert opts.eval_rlz is rlz
+
+    def test_starts_from_the_given_layout(self):
+        cfg = ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2)
+        rlz = sample_realization(cfg, trial_rng(0, 0, 0))
+        layout = initialize_layout(cfg, trial_rng(0, 0, 1))
+        res = solve_half_duplex(cfg, rlz, trial_rng(0, 0, 3), 0.5,
+                                SolveOptions(position_method="none"),
+                                initial_layout=layout)
+        assert np.array_equal(res.layout.t, layout.t)
+        assert np.array_equal(res.layout.r, layout.r)
 
     @pytest.mark.parametrize("factor", [0.0, -0.5, 1.5])
     def test_out_of_range_duplex_factor_rejected(self, factor):

@@ -10,8 +10,7 @@ from prafd.beamforming import (normalize_receive_columns, optimal_scalar_power,
                                uplink_power_coefficients)
 from prafd.channel import build_channels, sample_realization, trial_rng
 from prafd.config import ScenarioConfig
-from prafd.fp import SolverState, auxiliary_pass, surrogate_objective, \
-    weighted_sum_rate
+from prafd.fp import auxiliary_pass, surrogate_objective, weighted_sum_rate
 from prafd.oracles import (power_grid_search, random_complex, random_psd,
                            receive_objective_value, transmit_qp_pgd,
                            transmit_qp_value)

@@ -1,7 +1,6 @@
 from dataclasses import replace
 
 import numpy as np
-import pytest
 from numpy.testing import assert_allclose
 
 from prafd.channel import (AntennaLayout, build_channels, build_downlink_channel,

@@ -2,6 +2,7 @@ import csv
 
 import pytest
 
+from prafd import experiment
 from prafd.cli import main
 
 
@@ -46,6 +47,29 @@ class TestSolve:
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--config", str(tmp_path / "absent.cfg")])
         assert exc.value.code == 2
+
+    def test_rate_matches_the_experiment_trial(self, tmp_path, capsys):
+        scenario = ["--set", "K_D=1", "--set", "K_U=1", "--set", "N_t=2",
+                    "--set", "N_r=2", "--seed", "3"]
+        out = tmp_path / "run"
+        assert main(["experiment", "--trials", "2", "--algos", "fp-gd",
+                     "--out", str(out)] + scenario) == 0
+        with open(f"{out}_raw.csv", newline="") as fh:
+            row = [r for r in csv.DictReader(fh) if r["trial"] == "1"][0]
+        capsys.readouterr()
+        assert main(["solve", "--algo", "fp-gd", "--trial", "1"]
+                    + scenario) == 0
+        assert (f"weighted rate    {float(row['rate']):.6f} bit/s/Hz"
+                in capsys.readouterr().out)
+
+    def test_failed_trial_returns_one(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("feasible region is empty")
+
+        monkeypatch.setattr(experiment, "run_algorithm", broken)
+        rc = main(["solve", "--set", "K_D=1", "--set", "K_U=1"])
+        assert rc == 1
+        assert "feasible region is empty" in capsys.readouterr().out
 
 
 class TestExperiment:

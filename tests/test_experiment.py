@@ -69,6 +69,25 @@ class TestApplySweep:
         with pytest.raises(ConfigError, match="--seed"):
             apply_sweep(ScenarioConfig(), "seed", 1)
 
+    def test_user_count_points_get_equal_weights(self):
+        base = ScenarioConfig(K_D=2, K_U=2)
+        for field, value in (("K_D", 1), ("K_D", 3), ("K_U", 0), ("K_U", 4)):
+            cfg = apply_sweep(base, field, value)
+            assert_allclose(cfg.weights, np.full(cfg.K, 1.0 / cfg.K))
+        hand_set = base.replace(weights=np.array([0.4, 0.1, 0.25, 0.25]))
+        for value in (1, 2):
+            with pytest.raises(ConfigError, match="weights"):
+                apply_sweep(hand_set, "K_D", value)
+
+    @pytest.mark.parametrize("field", ["N", "K_D", "K_U", "N_t", "N_r", "L",
+                                       "L_SI"])
+    def test_integer_fields_reject_fractions(self, field):
+        with pytest.raises(ConfigError, match="integral"):
+            apply_sweep(ScenarioConfig(), field, 2.5)
+        cfg = apply_sweep(ScenarioConfig(), field, 2.0)
+        for name in ("N_t", "N_r") if field == "N" else (field,):
+            assert type(getattr(cfg, name)) is int and getattr(cfg, name) == 2
+
 
 class TestPerturbations:
     def test_zero_angle_noise_is_identity(self):
@@ -211,12 +230,14 @@ class TestCsv:
 
 class TestPinnedRates:
     # Rates of a seeded desk-scale experiment, recorded before the signal
-    # model was consolidated; refactors must reproduce them.
+    # model was consolidated; refactors must reproduce them.  The hd row was
+    # re-recorded when hd began to start from the trial's layout and grid
+    # placement took the spacing rule's slack.
     PINNED = {
         "fp-bsum": (6.039274741068192, 6.7734295950310415, 8.613603352236684),
         "fp-gd": (6.0910421034302065, 6.681577262829426, 7.900577394861842),
         "fpas": (4.379906153573741, 6.505871254364, 4.315288701195113),
-        "hd": (3.43590401688241, 3.062376706013957, 3.957096691961226),
+        "hd": (2.3601319893763706, 3.3861065014208993, 3.97777252507769),
     }
 
     def test_desk_scale_rates_unchanged(self):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -30,6 +32,20 @@ class TestPrimitives:
         spec = region(obstacles=[[0.0, 0.0]])
         assert is_feasible(np.array([0.25, 0.0]), spec)
         assert is_feasible(np.array([1.0, 1.0]), spec)
+
+    def test_stack_matches_point_by_point_reference(self):
+        rng = np.random.default_rng(3)
+        spec = region(obstacles=rng.uniform(-1.0, 1.0, (4, 2)), radius=0.4)
+        slack = spec.slack
+        points = rng.uniform(-1.2, 1.2, (5, 7, 2))
+        mask = is_feasible(points, spec)
+        assert mask.shape == (5, 7) and mask.any() and not mask.all()
+        ref = [[all(abs(c) <= 1.0 + slack for c in q)
+                and all(math.dist(q, o) >= 0.4 - slack
+                        for o in spec.obstacles) for q in row]
+               for row in points]
+        assert mask.tolist() == ref
+        assert is_feasible(points[0, 0], spec) is bool(mask[0, 0])
 
     def test_ray_exit_is_nearest_rim_point(self):
         center = np.array([0.0, 0.0])

@@ -1,11 +1,10 @@
 import numpy as np
-import pytest
 from numpy.testing import assert_allclose
 
 from prafd.channel import build_channels, sample_realization, trial_rng, \
     AntennaLayout
 from prafd.config import ScenarioConfig
-from prafd import fp
+from prafd import fp, placement
 from prafd.fp import (auxiliary_pass, received_powers, surrogate_objective,
                       weighted_sum_rate)
 from prafd.geometry import layout_side_feasible
@@ -168,8 +167,7 @@ class TestBsumSweep:
                 assert np.all(diffs <= 1e-9 * np.maximum(1.0,
                                                          np.abs(trace[:-1])))
                 assert sweeps <= 50
-                assert layout_side_feasible(out, ctx.half_width, ctx.d_min,
-                                            slack=1e-6 * ctx.d_min)
+                assert layout_side_feasible(out, ctx.half_width, ctx.d_min)
                 assert_allclose(placement_objective(ctx, out), trace[-1],
                                 rtol=1e-12)
 
@@ -261,32 +259,63 @@ class TestRateGrid:
         assert moved_trials >= 4
 
     def test_one_received_power_pass_per_channel_state(self, monkeypatch):
-        # The grid scores every visit from the pass of the current channels;
-        # only an accepted move makes a new one.  Passes made inside
-        # weighted_sum_rate, which confirms candidate moves, are not counted.
-        counts = {"powers": 0, "rate": 0}
-        real_powers, real_rate = fp.received_powers, fp.weighted_sum_rate
+        # The grid scores every visit from the pass of the current channels.
+        # Each candidate move costs one more pass, on its rebuilt channels,
+        # which confirms the move and, when it is accepted, scores the next
+        # visit.
+        counts = {"powers": 0, "confirm": 0}
+        real_powers, real_build = fp.received_powers, placement.build_channels
 
         def powers(*a):
             counts["powers"] += 1
             return real_powers(*a)
 
-        def rate(*a):
-            counts["rate"] += 1
-            return real_rate(*a)
+        def build(*a):
+            counts["confirm"] += 1
+            return real_build(*a)
 
         monkeypatch.setattr(fp, "received_powers", powers)
-        monkeypatch.setattr(fp, "weighted_sum_rate", rate)
+        monkeypatch.setattr(placement, "build_channels", build)
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=3, N_r=3, L=3, L_SI=3, A=2.0)
         total_moves = 0
         for trial in range(4):
             rlz, layout, ch, state = random_grid_case(cfg, trial)
-            start = real_rate(state, ch, cfg)
-            counts.update(powers=0, rate=0)
+            start = weighted_sum_rate(state, ch, cfg)
+            counts.update(powers=0, confirm=0)
             _, _, _, moves = RateGrid(rlz, cfg).place(state, layout, ch, start)
-            assert counts["powers"] - counts["rate"] == 1 + moves
+            assert counts["powers"] == 1 + counts["confirm"]
             total_moves += moves
         assert total_moves > 0
+
+    def test_point_exactly_d_min_from_a_neighbour_is_eligible(self,
+                                                              monkeypatch):
+        # At A = 4 the grid axis values 1 and 5 are D_min = lambda/2 apart,
+        # but their difference rounds to D_min * (1 - 2.2e-16).  The
+        # spacing rule accepts such a point wherever the neighbour sits;
+        # here both lie on the centre column, axis value 16.
+        cfg = ScenarioConfig(K_D=1, K_U=1, N_t=2, N_r=1, L=2, L_SI=2, A=4.0)
+        rlz, layout, _, state = random_grid_case(cfg, 0)
+        grid = RateGrid(rlz, cfg)
+        axis = grid_axis(cfg.region_half_width, cfg.wavelength / 8)
+        neighbour = np.array([axis[16], axis[1]])
+        goal = np.array([axis[16], axis[5]])
+        assert np.hypot(*(goal - neighbour)) < cfg.D_min
+        layout.t = np.array([[axis[30], axis[30]], neighbour])
+        ch = build_channels(layout, rlz, cfg)
+        target = 16 * len(axis) + 5
+        assert np.array_equal(grid.points[target], goal)
+
+        def rates(self, *args):
+            return np.where(np.arange(len(self.points)) == target, 1.0, 0.0)
+
+        # Every grid point but the goal scores 0 and any point beats the
+        # rate of -1 passed in, so antenna 0 lands on the goal only if the
+        # goal is eligible.
+        monkeypatch.setattr(RateGrid, "rates", rates)
+        out, _, _, moves = grid.place(state, layout, ch, -1.0)
+        assert moves >= 1
+        assert np.array_equal(out.t[0], goal)
+        assert layout_side_feasible(out.t, cfg.region_half_width, cfg.D_min)
 
     def test_positions_kept_without_gain(self):
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2, L=3, L_SI=3, A=2.0)

@@ -8,11 +8,9 @@ from prafd.channel import AntennaLayout, build_channels, sample_realization, \
     trial_rng
 from prafd import fp, solver
 from prafd.config import ConfigError, ScenarioConfig, validate_config
-from prafd.fp import weighted_sum_rate
 from prafd.geometry import layout_side_feasible
-from prafd.solver import (SolveOptions, TrialResult, _Monitor,
-                          alternating_optimize, initial_state,
-                          initialize_layout)
+from prafd.solver import (SolveOptions, _Monitor, alternating_optimize,
+                          initial_state, initialize_layout)
 
 
 def solve(cfg, trial=0, seed=0, **opt_kw):
@@ -108,8 +106,7 @@ class TestAlternatingOptimize:
             res = solve(cfg, trial)
             for side in (res.layout.t, res.layout.r):
                 assert layout_side_feasible(side, cfg.region_half_width,
-                                            cfg.D_min,
-                                            slack=1e-6 * cfg.D_min)
+                                            cfg.D_min)
 
     def test_deterministic_given_streams(self):
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2)
