@@ -16,7 +16,8 @@ import numpy as np
 from .channel import ChannelRealization
 from .config import ConfigError, ScenarioConfig
 from .geometry import FeasibleRegionSpec, layout_side_feasible, nearest_feasible_point
-from .placement import SurrogateContext, antenna_bundle, placement_objective
+from .placement import (SurrogateContext, antenna_bundle, layout_fields,
+                        others_index, placement_objective)
 from .solver import AntennaLayout, SolveOptions, TrialResult, alternating_optimize
 
 ALGORITHMS = ("fp-bsum", "fp-gd", "fpas", "hd")
@@ -47,10 +48,10 @@ def _project_side(cand: np.ndarray, half_width: float,
                   d_min: float) -> np.ndarray | None:
     """Sequentially restore pairwise feasibility after a joint move."""
     proj = cand.copy()
+    others = others_index(len(proj))
     for _ in range(5):
         for n in range(len(proj)):
-            region = FeasibleRegionSpec(half_width,
-                                        np.delete(proj, n, axis=0), d_min)
+            region = FeasibleRegionSpec(half_width, proj[others[n]], d_min)
             proj[n] = nearest_feasible_point(cand[n], region)
         if layout_side_feasible(proj, half_width, d_min):
             return proj
@@ -65,16 +66,18 @@ def gradient_descent_positions(ctx: SurrogateContext, positions: np.ndarray,
     Same interface and monotonicity contract as the per-antenna majorizer
     sweep; `max_sweeps` caps gradient steps here.  Step sizes come from
     Armijo backtracking (sufficient decrease c=1e-4, halving), so the
-    objective trace never increases.
+    objective trace never increases.  The channel fields of each layout
+    are built once and serve its objective and all N bundles.
     """
     pos = np.array(positions, dtype=float, copy=True)
     n_ant = len(pos)
-    f = placement_objective(ctx, pos)
+    fields = layout_fields(ctx, pos)
+    f = placement_objective(ctx, pos, fields)
     trace = [f]
     steps = 0
     alpha0 = None
     for _ in range(max_sweeps):
-        bundles = [antenna_bundle(ctx, pos, n) for n in range(n_ant)]
+        bundles = [antenna_bundle(ctx, pos, n, fields) for n in range(n_ant)]
         caps = np.array([b.curvature_cap() for b in bundles])
         if np.all(caps == 0.0):
             break
@@ -90,7 +93,8 @@ def gradient_descent_positions(ctx: SurrogateContext, positions: np.ndarray,
         for _ in range(GD_MAX_HALVINGS):
             proj = _project_side(pos - alpha * grad, ctx.half_width, ctx.d_min)
             if proj is not None:
-                f_new = placement_objective(ctx, proj)
+                proj_fields = layout_fields(ctx, proj)
+                f_new = placement_objective(ctx, proj, proj_fields)
                 if f_new <= f - ARMIJO_C * alpha * gnorm2:
                     accepted = True
                     break
@@ -98,7 +102,7 @@ def gradient_descent_positions(ctx: SurrogateContext, positions: np.ndarray,
         if not accepted:
             break  # constrained stationary point at this resolution
         alpha0 = 2.0 * alpha  # warm start the next line search
-        pos = proj
+        pos, fields = proj, proj_fields
         trace.append(f_new)
         rel = abs(f - f_new) / max(abs(f), 1e-12)
         f = f_new

@@ -44,16 +44,17 @@ def solve_transmit_qp(H_t: np.ndarray, Hbar: np.ndarray, p_max: float):
     R = V.conj().T @ Hbar
     num = (np.abs(R) ** 2).sum(axis=1)
     active = num > 0.0
+    lam_a, num_a = lam[active], num[active]
 
     def power(mu: float) -> float:
-        den = (lam[active] + mu) ** 2
-        if np.any(den == 0.0):
+        den = (lam_a + mu) ** 2
+        if not den.all():
             return np.inf
-        return float((num[active] / den).sum())
+        return float((num_a / den).sum())
 
     def build(mu: float) -> np.ndarray:
         scale = np.zeros_like(lam)
-        scale[active] = 1.0 / (lam[active] + mu)
+        scale[active] = 1.0 / (lam_a + mu)
         return V @ (R * scale[:, None])
 
     if power(0.0) <= p_max:

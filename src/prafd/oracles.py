@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import Channels
+from .channel import Channels, _user_channel
 from .config import ScenarioConfig
 from .fp import LN2, received_powers
 from .geometry import FeasibleRegionSpec
@@ -98,6 +98,55 @@ def dual_transform_objective(gamma, W_t, W_r, p, ch: Channels,
 def receive_objective_value(H_r: np.ndarray, Hbar: np.ndarray) -> float:
     """Optimal value tr(Hbar^H H_r^{-1} Hbar) of the receive block."""
     return float(np.real(np.trace(Hbar.conj().T @ np.linalg.solve(H_r, Hbar))))
+
+
+# ---------------------------------------------------------------------------
+# placement: the antenna bundle built from scratch
+
+
+def reference_antenna_bundle(ctx, positions: np.ndarray, n: int):
+    """Coefficients and directions of antenna n's exponential sum, with
+    every term rebuilt from the context and the positions on each call.
+
+    Same arithmetic, in the same order, as `placement.antenna_bundle`,
+    which keeps the position-free parts per context and takes the channel
+    fields per layout state; the two must agree bit for bit.
+    """
+    H = _user_channel(positions, ctx.user_dirs, ctx.user_prm, ctx.kappa)
+    wn = ctx.W[n, :]
+    D0 = ctx.W.conj().T @ H - np.outer(wn.conj(), H[n, :])
+    gram_nn = float(np.real(ctx.own[n, n]))
+    d = ctx.chan_w * (ctx.beam_w * wn.conj() @ D0.conj())
+    lin_coef = 2.0 * (d - ctx.lin * wn.conj())
+    omega = ctx.chan_w * gram_nn
+    pair = ctx.user_prm[:, :, None] * ctx.user_prm.conj()[:, None, :]
+    ddiff = ctx.kappa * (ctx.user_dirs[:, None, :, :]
+                         - ctx.user_dirs[:, :, None, :])
+    e = np.exp(1j * ctx.kappa * (positions @ ctx.si_dirs.T))
+    X0 = ctx.si_mix @ e.T
+    X0[:, n] = 0.0
+    u_lin = ctx.other @ X0 @ ctx.own[:, n]
+    M = ctx.si_mix.conj().T @ ctx.other @ ctx.si_mix
+    sdiff = ctx.kappa * (ctx.si_dirs[None, :, :] - ctx.si_dirs[:, None, :])
+    coefs = np.concatenate([(lin_coef[:, None] * ctx.user_prm).ravel(),
+                            (omega[:, None, None] * pair).ravel(),
+                            2.0 * (u_lin.conj() @ ctx.si_mix),
+                            (gram_nn * M).ravel()])
+    dirs = np.vstack([(-ctx.kappa * ctx.user_dirs).reshape(-1, 2),
+                      ddiff.reshape(-1, 2), ctx.kappa * ctx.si_dirs,
+                      sdiff.reshape(-1, 2)])
+    return coefs, dirs
+
+
+def reference_curvature_bound(coefs: np.ndarray, dirs: np.ndarray,
+                              t: np.ndarray, floor_factor: float) -> float:
+    """Top Hessian eigenvalue of sum Re{c exp(j u.t)} at t, floored at
+    floor_factor * sum |c| ||u||^2."""
+    w = np.real(coefs * np.exp(1j * (dirs @ t)))
+    h = -np.einsum("m,mi,mj->ij", w, dirs, dirs)
+    lam = 0.5 * (h[0, 0] + h[1, 1] + np.hypot(h[0, 0] - h[1, 1], 2.0 * h[0, 1]))
+    cap = float(np.sum(np.abs(coefs) * (dirs ** 2).sum(axis=1)))
+    return max(lam, floor_factor * cap)
 
 
 # ---------------------------------------------------------------------------

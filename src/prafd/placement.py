@@ -13,6 +13,17 @@ the feasible region; tau doubles on the rare occasions the projected step
 fails to descend (the term-wise bound sum(|c|*||u||^2) majorizes the Hessian
 everywhere, so finitely many doublings always restore descent).
 
+Each quantity is built once at the level where it can change:
+
+* per context (one side's placement call): the spatial frequencies of
+  every term and their squared norms, the path-pair products, the SI mix
+  product M and W^H, and, on an antenna's first visit, its quadratic
+  coefficients;
+* per layout state: the channel fields H, D = W^H H and the SI matrix X
+  (`layout_fields`), rebuilt in full after an accepted move;
+* per point: one phasor vector serves the value, gradient and Hessian of
+  an `ExpSum`, and its curvature cap is taken once.
+
 That step only looks near the current layout: the quadratic-transform
 auxiliaries anchor the surrogate at the present channel, so one antenna's
 best reachable |h| is barely above its current one.  `RateGrid` supplies the
@@ -28,7 +39,7 @@ beamformed products C, G and S rather than a channel rebuild.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,18 +57,32 @@ MAX_GRID_ROUNDS = 5
 GRID_MIN_GAIN = 1e-12   # relative rate rise a grid move must beat
 
 
-@dataclass
 class ExpSum:
-    """f(t) = sum_m Re{coefs[m] * exp(j dirs[m].t)} with exact derivatives."""
+    """f(t) = sum_m Re{coefs[m] * exp(j dirs[m].t)} with exact derivatives.
 
-    coefs: np.ndarray  # (M,) complex
-    dirs: np.ndarray   # (M, 2), spatial frequencies (kappa absorbed)
+    The phasors of the last point evaluated are kept, keyed by the point's
+    bytes, so value, gradient and Hessian at one point share one
+    exponential.  `norm2`, the squared norms of `dirs`, may be passed when
+    already known.
+    """
+
+    def __init__(self, coefs: np.ndarray, dirs: np.ndarray,
+                 norm2: np.ndarray | None = None):
+        self.coefs = coefs  # (M,) complex
+        self.dirs = dirs    # (M, 2), spatial frequencies (kappa absorbed)
+        self._norm2 = norm2
+        self._cap = None
+        self._at = None     # (point bytes, phased coefficients)
 
     def _phased(self, t: np.ndarray) -> np.ndarray:
-        return self.coefs * np.exp(1j * (self.dirs @ t))
+        t = np.asarray(t, dtype=float)
+        key = t.tobytes()
+        if self._at is None or self._at[0] != key:
+            self._at = (key, self.coefs * np.exp(1j * (self.dirs @ t)))
+        return self._at[1]
 
     def value(self, t: np.ndarray) -> float:
-        return float(np.sum(np.real(self._phased(t))))
+        return float(self._phased(t).real.sum())
 
     def gradient(self, t: np.ndarray) -> np.ndarray:
         w = self._phased(t)
@@ -69,7 +94,11 @@ class ExpSum:
 
     def curvature_cap(self) -> float:
         """Global bound on the Hessian spectral norm: sum |c| ||u||^2."""
-        return float(np.sum(np.abs(self.coefs) * (self.dirs ** 2).sum(axis=1)))
+        if self._cap is None:
+            norm2 = self._norm2 if self._norm2 is not None \
+                else (self.dirs ** 2).sum(axis=1)
+            self._cap = float((np.abs(self.coefs) * norm2).sum())
+        return self._cap
 
 
 @dataclass
@@ -80,7 +109,8 @@ class SurrogateContext:
     positions stay fixed, i.e. for one side's whole BSUM run.  Each side
     sees the self-interference matrix with its own antennas as columns:
     X = H_SI on the transmit side and X = H_SI^H on the receive side, so
-    the SI term is tr(own X^H other X) on both.
+    the SI term is tr(own X^H other X) on both.  The position-free parts of
+    every antenna bundle are built here, once.
     """
 
     kappa: float
@@ -96,6 +126,36 @@ class SurrogateContext:
     other: np.ndarray      # the other side's gram
     si_dirs: np.ndarray    # (L_SI, 2) this side's SI path directions
     si_mix: np.ndarray     # (N_other, L_SI) X = si_mix @ phasors^T
+    # Derived in __post_init__:
+    WH: np.ndarray = field(init=False, repr=False)     # W^H
+    dirs: np.ndarray = field(init=False, repr=False)   # every bundle's dirs
+    norm2: np.ndarray = field(init=False, repr=False)  # their squared norms
+    pair: np.ndarray = field(init=False, repr=False)   # (K, L, L) prm pairs
+    M: np.ndarray = field(init=False, repr=False)      # si_mix^H other si_mix
+    _quad: dict = field(init=False, repr=False)        # n -> quadratic coefs
+
+    def __post_init__(self):
+        k = self.kappa
+        self.WH = self.W.conj().T
+        self.pair = self.user_prm[:, :, None] * self.user_prm.conj()[:, None, :]
+        self.M = self.si_mix.conj().T @ self.other @ self.si_mix
+        ddiff = k * (self.user_dirs[:, None, :, :] - self.user_dirs[:, :, None, :])
+        sdiff = k * (self.si_dirs[None, :, :] - self.si_dirs[:, None, :])
+        # Term order: user linear, user pairs, SI linear, SI pairs.
+        self.dirs = np.vstack([(-k * self.user_dirs).reshape(-1, 2),
+                               ddiff.reshape(-1, 2), k * self.si_dirs,
+                               sdiff.reshape(-1, 2)])
+        self.norm2 = (self.dirs ** 2).sum(axis=1)
+        self._quad = {}
+
+    def quadratic_coefs(self, n: int):
+        """Antenna n's user-pair and SI-pair coefficients (position-free)."""
+        if n not in self._quad:
+            gram_nn = float(np.real(self.own[n, n]))
+            omega = self.chan_w * gram_nn
+            self._quad[n] = ((omega[:, None, None] * self.pair).ravel(),
+                             (gram_nn * self.M).ravel())
+        return self._quad[n]
 
 
 def _context(state: SolverState, rlz: ChannelRealization,
@@ -139,58 +199,55 @@ def _si_matrix(ctx: SurrogateContext, positions: np.ndarray) -> np.ndarray:
     return ctx.si_mix @ e.T
 
 
-def placement_objective(ctx: SurrogateContext, positions: np.ndarray) -> float:
-    """Negated position-dependent surrogate part; BSUM minimizes this."""
+def layout_fields(ctx: SurrogateContext, positions: np.ndarray):
+    """Channel fields of one layout state: (H, D = W^H H, X).
+
+    D[b, c] = w_b^H h_c; X is this side's SI matrix (`_si_matrix`).
+    """
     H = _user_channel(positions, ctx.user_dirs, ctx.user_prm, ctx.kappa)
-    D = ctx.W.conj().T @ H          # D[b, c] = w_b^H h_c
+    return H, ctx.WH @ H, _si_matrix(ctx, positions)
+
+
+def placement_objective(ctx: SurrogateContext, positions: np.ndarray,
+                        fields: tuple | None = None) -> float:
+    """Negated position-dependent surrogate part; BSUM minimizes this.
+
+    `fields` are the `layout_fields` of `positions`, built here if absent.
+    """
+    _, D, X = fields if fields is not None else layout_fields(ctx, positions)
     t1 = -2.0 * float(np.real(ctx.lin @ np.diag(D)))
     t2 = float(ctx.beam_w @ (np.abs(D) ** 2) @ ctx.chan_w)
-    X = _si_matrix(ctx, positions)
     t3 = float(np.real(np.trace(ctx.own @ X.conj().T @ ctx.other @ X)))
     return t1 + t2 + t3
 
 
-def antenna_bundle(ctx: SurrogateContext, positions: np.ndarray,
-                   n: int) -> ExpSum:
+def antenna_bundle(ctx: SurrogateContext, positions: np.ndarray, n: int,
+                   fields: tuple | None = None) -> ExpSum:
     """Exact exponential-sum form of the objective in antenna n's position.
 
     The returned ExpSum differs from placement_objective by a constant
     (everything not involving antenna n), so values are only meaningful as
-    differences; gradients and Hessians are exact.
+    differences; gradients and Hessians are exact.  `fields` are the
+    `layout_fields` of `positions`, built here if absent.
     """
-    H = _user_channel(positions, ctx.user_dirs, ctx.user_prm, ctx.kappa)
-    wn = ctx.W[n, :]
-    # Inner products with antenna n's own contribution removed.
-    D0 = ctx.W.conj().T @ H - np.outer(wn.conj(), H[n, :])
-    gram_nn = float(np.real(ctx.own[n, n]))
-
-    coefs = []
-    dirs = []
-
+    H, D, X = fields if fields is not None else layout_fields(ctx, positions)
+    wn = ctx.W[n, :].conj()
+    # Inner products with antenna n's own contribution removed.  np.outer,
+    # not a broadcast product: numpy may round the two differently.
+    D0 = D - np.outer(wn, H[n, :])
     # Channel terms.  d_c aggregates how the moving antenna's phasor beats
     # against the rest of the array through every beamformer column.
-    d = ctx.chan_w * (ctx.beam_w * wn.conj() @ D0.conj())
-    lin_coef = 2.0 * (d - ctx.lin * wn.conj())
-    coefs.append((lin_coef[:, None] * ctx.user_prm).ravel())
-    dirs.append((-ctx.kappa * ctx.user_dirs).reshape(-1, 2))
-    omega = ctx.chan_w * gram_nn
-    pair = ctx.user_prm[:, :, None] * ctx.user_prm.conj()[:, None, :]
-    coefs.append((omega[:, None, None] * pair).ravel())
-    ddiff = ctx.kappa * (ctx.user_dirs[:, None, :, :] - ctx.user_dirs[:, :, None, :])
-    dirs.append(ddiff.reshape(-1, 2))
-
+    d = ctx.chan_w * (ctx.beam_w * wn @ D0.conj())
+    lin_coef = 2.0 * (d - ctx.lin * wn)
     # Self-interference terms; antenna n is column n of X.
-    X0 = _si_matrix(ctx, positions)
+    X0 = X.copy()
     X0[:, n] = 0.0
     u_lin = ctx.other @ X0 @ ctx.own[:, n]
-    M = ctx.si_mix.conj().T @ ctx.other @ ctx.si_mix
-    coefs.append(2.0 * (u_lin.conj() @ ctx.si_mix))
-    dirs.append(ctx.kappa * ctx.si_dirs)
-    coefs.append((gram_nn * M).ravel())
-    sdiff = ctx.kappa * (ctx.si_dirs[None, :, :] - ctx.si_dirs[:, None, :])
-    dirs.append(sdiff.reshape(-1, 2))
-
-    return ExpSum(np.concatenate(coefs), np.vstack(dirs))
+    user_quad, si_quad = ctx.quadratic_coefs(n)
+    coefs = np.concatenate([(lin_coef[:, None] * ctx.user_prm).ravel(),
+                            user_quad, 2.0 * (u_lin.conj() @ ctx.si_mix),
+                            si_quad])
+    return ExpSum(coefs, ctx.dirs, ctx.norm2)
 
 
 def placement_gradient(ctx: SurrogateContext, positions: np.ndarray,
@@ -215,6 +272,12 @@ def curvature_bound(ctx: SurrogateContext, positions: np.ndarray, n: int,
     return max(_lam_max_2x2(bundle.hessian(positions[n])), tau_min)
 
 
+def others_index(n_ant: int) -> list:
+    """Per antenna n, the indices of the other antennas on its side."""
+    idx = np.arange(n_ant)
+    return [np.delete(idx, n) for n in range(n_ant)]
+
+
 def bsum_optimize_side(ctx: SurrogateContext, positions: np.ndarray,
                        rng: np.random.Generator, eps: float,
                        max_sweeps: int = 50):
@@ -226,28 +289,30 @@ def bsum_optimize_side(ctx: SurrogateContext, positions: np.ndarray,
     that holds (or the antenna stays put).
     """
     pos = np.array(positions, dtype=float, copy=True)
-    n_ant = len(pos)
-    f = placement_objective(ctx, pos)
+    others = others_index(len(pos))
+    fields = layout_fields(ctx, pos)
+    f = placement_objective(ctx, pos, fields)
     trace = [f]
     sweeps = 0
     for _ in range(max_sweeps):
         sweeps += 1
-        for n in rng.permutation(n_ant):
-            bundle = antenna_bundle(ctx, pos, n)
+        for n in rng.permutation(len(pos)):
+            bundle = antenna_bundle(ctx, pos, n, fields)
             if bundle.curvature_cap() == 0.0:
                 continue  # objective does not depend on this antenna
             g = bundle.gradient(pos[n])
             tau = curvature_bound(ctx, pos, n, bundle)
-            region = FeasibleRegionSpec(ctx.half_width,
-                                        np.delete(pos, n, axis=0), ctx.d_min)
+            region = FeasibleRegionSpec(ctx.half_width, pos[others[n]],
+                                        ctx.d_min)
             f_here = bundle.value(pos[n])
             for _ in range(MAX_TAU_DOUBLINGS + 1):
                 cand = nearest_feasible_point(pos[n] - g / tau, region)
                 if bundle.value(cand) <= f_here + 1e-12 * (1.0 + abs(f_here)):
                     pos[n] = cand
+                    fields = layout_fields(ctx, pos)
                     break
                 tau *= 2.0
-        f_new = placement_objective(ctx, pos)
+        f_new = placement_objective(ctx, pos, fields)
         trace.append(f_new)
         rel = abs(f - f_new) / max(abs(f), 1e-12)
         f = f_new
@@ -349,18 +414,20 @@ class RateGrid:
             + np.log2(1.0 + sig2 / (s2 - sig2)) @ cfg.weights[kd:]
 
     def place(self, state: SolverState, layout: AntennaLayout, ch: Channels,
-              rate: float):
+              rate: float, powers: tuple | None = None):
         """Move antennas one at a time to their best feasible grid point.
 
         Grid points are masked by `is_feasible` against the side's other
         antennas.  Cycles through the transmit then the receive antennas
         and moves one only when its best grid point raises the true rate,
         confirmed by `fp.rate_and_powers` on rebuilt channels; an accepted
-        move's received-power pass scores the next visit.  Stops once every
-        antenna has been visited since the last move, so that no single
-        grid move raises the rate, or after MAX_GRID_ROUNDS passes.  Sides
-        without users are skipped.  Returns (layout, channels, rate,
-        moves); the inputs are not modified.
+        move's received-power pass scores the next visit.  `rate` and
+        `powers` are those of `state` on `ch`, as `fp.rate_and_powers`
+        returns them; the pass is made here when `powers` is None.  Stops
+        once every antenna has been visited since the last move, so that
+        no single grid move raises the rate, or after MAX_GRID_ROUNDS
+        passes.  Sides without users are skipped.  Returns (layout,
+        channels, rate, moves); the inputs are not modified.
         """
         cfg = self.cfg
         visits = [(side, n) for side, users, count in
@@ -368,7 +435,8 @@ class RateGrid:
                   if users > 0 for n in range(count)]
         moves = 0
         settled = 0     # visits since the last move, that move's included
-        powers = fp.received_powers(state.W_t, state.W_r, state.p, ch, cfg)
+        if powers is None:
+            powers = fp.received_powers(state.W_t, state.W_r, state.p, ch, cfg)
         for side, n in itertools.islice(itertools.cycle(visits),
                                         MAX_GRID_ROUNDS * len(visits)):
             if settled == len(visits):

@@ -210,7 +210,7 @@ def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
 
         if grid is not None:
             layout, ch, grid_rate, moves = grid.place(
-                state, layout, ch, fp.weighted_sum_rate(state, ch, cfg))
+                state, layout, ch, *fp.rate_and_powers(state, ch, cfg))
             if moves:
                 state.gamma, state.y = fp.auxiliary_pass(state, ch, cfg)
                 p3_new = fp.surrogate_objective(state, ch, cfg)

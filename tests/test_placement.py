@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 from numpy.testing import assert_allclose
 
@@ -9,11 +11,14 @@ from prafd.fp import (auxiliary_pass, received_powers, surrogate_objective,
                       weighted_sum_rate)
 from prafd.geometry import layout_side_feasible
 from prafd.oracles import (central_difference_gradient,
-                           central_difference_hessian, random_complex)
+                           central_difference_hessian, random_complex,
+                           reference_antenna_bundle,
+                           reference_curvature_bound)
 from prafd.placement import (ExpSum, RateGrid, antenna_bundle,
                              bsum_optimize_side, curvature_bound, grid_axis,
-                             placement_gradient, placement_objective,
-                             receive_context, transmit_context)
+                             layout_fields, placement_gradient,
+                             placement_objective, receive_context,
+                             transmit_context)
 from prafd.solver import initial_state, initialize_layout
 
 LN2 = np.log(2.0)
@@ -70,6 +75,77 @@ class TestExpSum:
                 t = rng.uniform(-0.02, 0.02, 2)
                 lams = np.linalg.eigvalsh(es.hessian(t))
                 assert np.max(np.abs(lams)) <= cap * (1 + 1e-12)
+
+    def test_kept_phasors_match_a_fresh_sum(self):
+        # The phasors of the last point are reused; a new point, a return
+        # to an old one and a point array mutated in place must all give
+        # what a fresh ExpSum gives, bit for bit.
+        rng = np.random.default_rng(7)
+        es = random_exp_sum(rng)
+        t1 = rng.uniform(-0.01, 0.01, 2)
+        t2 = rng.uniform(-0.01, 0.01, 2)
+        point = t1.copy()
+
+        def same(t):
+            fresh = ExpSum(coefs=es.coefs, dirs=es.dirs)
+            assert es.value(t) == fresh.value(t)
+            assert np.array_equal(es.gradient(t), fresh.gradient(t))
+            assert np.array_equal(es.hessian(t), fresh.hessian(t))
+
+        same(point)
+        same(t2)
+        same(t1)
+        same(point)
+        point[:] = t2 + 1e-3
+        same(point)
+        point[1] = -0.0
+        same(point)
+
+
+class TestBundleReference:
+    """The bundle built from per-context, per-layout and per-point parts
+    equals the from-scratch reference bit for bit."""
+
+    @staticmethod
+    def check(ctx, pos, n, bundle):
+        ref_coefs, ref_dirs = reference_antenna_bundle(ctx, pos, n)
+        assert np.array_equal(bundle.coefs, ref_coefs)
+        assert np.array_equal(bundle.dirs, ref_dirs)
+        assert curvature_bound(ctx, pos, n, bundle) == \
+            reference_curvature_bound(ref_coefs, ref_dirs, pos[n],
+                                      placement.TAU_MIN_FACTOR)
+
+    def test_both_sides_with_and_without_fields(self):
+        # One uplink user gives 1x1 outer products, which numpy can round
+        # unlike the same product broadcast; random beamformers keep such
+        # last-bit differences from cancelling as they do for matched
+        # filters.
+        cfgs = (ScenarioConfig(K_D=2, K_U=2, N_t=3, N_r=4, L=3, L_SI=3),
+                ScenarioConfig(K_D=3, K_U=1, N_t=3, N_r=2, L=8, L_SI=3))
+        rng = np.random.default_rng(9)
+        for cfg, trial in itertools.product(cfgs, range(4)):
+            rlz, layout, _, state, _, _ = make_contexts(cfg, trial)
+            state.W_t = random_complex(rng, state.W_t.shape, 0.1)
+            state.W_r = random_complex(rng, state.W_r.shape)
+            ctx_t = transmit_context(state, rlz, layout.r, cfg)
+            ctx_r = receive_context(state, rlz, layout.t, cfg)
+            for ctx, pos0 in ((ctx_t, layout.t), (ctx_r, layout.r)):
+                pos = pos0.copy()
+                # Revisit antennas after moves, so the parts kept per
+                # antenna are reused against new layouts.
+                order = list(range(len(pos))) + [len(pos) - 1, 0]
+                for n in order:
+                    fields = layout_fields(ctx, pos)
+                    self.check(ctx, pos, n, antenna_bundle(ctx, pos, n))
+                    self.check(ctx, pos, n,
+                               antenna_bundle(ctx, pos, n, fields))
+                    assert curvature_bound(ctx, pos, n) == \
+                        reference_curvature_bound(
+                            *reference_antenna_bundle(ctx, pos, n), pos[n],
+                            placement.TAU_MIN_FACTOR)
+                    assert placement_objective(ctx, pos, fields) == \
+                        placement_objective(ctx, pos)
+                    pos[n] += rng.uniform(-0.1, 0.1, 2) * cfg.wavelength
 
 
 class TestObjective:
@@ -259,10 +335,10 @@ class TestRateGrid:
         assert moved_trials >= 4
 
     def test_one_received_power_pass_per_channel_state(self, monkeypatch):
-        # The grid scores every visit from the pass of the current channels.
-        # Each candidate move costs one more pass, on its rebuilt channels,
-        # which confirms the move and, when it is accepted, scores the next
-        # visit.
+        # The grid scores its first visit from the pass handed in with the
+        # rate.  Each candidate move costs one more pass, on its rebuilt
+        # channels, which confirms the move and, when it is accepted,
+        # scores the next visit.
         counts = {"powers": 0, "confirm": 0}
         real_powers, real_build = fp.received_powers, placement.build_channels
 
@@ -280,10 +356,11 @@ class TestRateGrid:
         total_moves = 0
         for trial in range(4):
             rlz, layout, ch, state = random_grid_case(cfg, trial)
-            start = weighted_sum_rate(state, ch, cfg)
+            start, start_powers = fp.rate_and_powers(state, ch, cfg)
             counts.update(powers=0, confirm=0)
-            _, _, _, moves = RateGrid(rlz, cfg).place(state, layout, ch, start)
-            assert counts["powers"] == 1 + counts["confirm"]
+            _, _, _, moves = RateGrid(rlz, cfg).place(state, layout, ch, start,
+                                                      start_powers)
+            assert counts["powers"] == counts["confirm"]
             total_moves += moves
         assert total_moves > 0
 

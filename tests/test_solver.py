@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from prafd.channel import AntennaLayout, build_channels, sample_realization, \
     trial_rng
-from prafd import fp, solver
+from prafd import fp, placement, solver
 from prafd.config import ConfigError, ScenarioConfig, validate_config
 from prafd.geometry import layout_side_feasible
 from prafd.solver import (SolveOptions, _Monitor, alternating_optimize,
@@ -167,6 +167,47 @@ class TestAlternatingOptimize:
         res = solve(cfg, 0, position_method="none")
         assert res.outer_iterations >= 5
         assert len(calls) <= 7 * res.outer_iterations
+
+    def test_one_received_power_pass_per_grid_block(self, monkeypatch):
+        # A grid block is scored by one pass; every further pass inside it
+        # confirms a candidate move on rebuilt channels.  The block starts
+        # after the uplink power block's surrogate.
+        counts = {"powers": 0, "confirm": 0}
+        mark = {}
+        blocks = []
+        real_powers, real_build = fp.received_powers, placement.build_channels
+        real_surrogate, real_place = fp.surrogate_objective, \
+            placement.RateGrid.place
+
+        def powers(*a):
+            counts["powers"] += 1
+            return real_powers(*a)
+
+        def build(*a):
+            counts["confirm"] += 1
+            return real_build(*a)
+
+        def surrogate(*a):
+            out = real_surrogate(*a)
+            mark.update(counts)
+            return out
+
+        def place(self, *a):
+            out = real_place(self, *a)
+            blocks.append({k: counts[k] - mark[k] for k in counts})
+            return out
+
+        monkeypatch.setattr(fp, "received_powers", powers)
+        monkeypatch.setattr(fp, "surrogate_objective", surrogate)
+        monkeypatch.setattr(placement, "build_channels", build)
+        monkeypatch.setattr(placement.RateGrid, "place", place)
+        cfg = ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2, A=4.0)
+        for trial in range(3):
+            blocks.clear()
+            solve(cfg, trial)
+            assert blocks
+            for block in blocks:
+                assert block["powers"] == 1 + block["confirm"]
 
 
 class TestMismatchedEvaluation:
