@@ -24,6 +24,7 @@ ALGORITHMS = ("fp-bsum", "fp-gd", "fpas", "hd")
 
 ARMIJO_C = 1e-4
 GD_MAX_HALVINGS = 40
+GD_MAX_STEPS = 200
 
 
 def upa_layout(n: int, spacing: float, half_width: float) -> np.ndarray:
@@ -59,12 +60,11 @@ def _project_side(cand: np.ndarray, half_width: float,
 
 
 def gradient_descent_positions(ctx: SurrogateContext, positions: np.ndarray,
-                               rng: np.random.Generator, eps: float,
-                               max_sweeps: int = 200):
+                               rng: np.random.Generator, eps: float):
     """Projected gradient descent on one side's placement objective.
 
     Same interface and monotonicity contract as the per-antenna majorizer
-    sweep; `max_sweeps` caps gradient steps here.  Step sizes come from
+    sweep; GD_MAX_STEPS caps gradient steps.  Step sizes come from
     Armijo backtracking (sufficient decrease c=1e-4, halving), so the
     objective trace never increases.  The channel fields of each layout
     are built once and serve its objective and all N bundles.
@@ -72,12 +72,12 @@ def gradient_descent_positions(ctx: SurrogateContext, positions: np.ndarray,
     pos = np.array(positions, dtype=float, copy=True)
     n_ant = len(pos)
     fields = layout_fields(ctx, pos)
-    f = placement_objective(ctx, pos, fields)
+    f = placement_objective(ctx, fields)
     trace = [f]
     steps = 0
     alpha0 = None
-    for _ in range(max_sweeps):
-        bundles = [antenna_bundle(ctx, pos, n, fields) for n in range(n_ant)]
+    for _ in range(GD_MAX_STEPS):
+        bundles = [antenna_bundle(ctx, fields, n) for n in range(n_ant)]
         caps = np.array([b.curvature_cap() for b in bundles])
         if np.all(caps == 0.0):
             break
@@ -94,7 +94,7 @@ def gradient_descent_positions(ctx: SurrogateContext, positions: np.ndarray,
             proj = _project_side(pos - alpha * grad, ctx.half_width, ctx.d_min)
             if proj is not None:
                 proj_fields = layout_fields(ctx, proj)
-                f_new = placement_objective(ctx, proj, proj_fields)
+                f_new = placement_objective(ctx, proj_fields)
                 if f_new <= f - ARMIJO_C * alpha * gnorm2:
                     accepted = True
                     break

@@ -60,8 +60,9 @@ def solve_transmit_qp(H_t: np.ndarray, Hbar: np.ndarray, p_max: float):
     if power(0.0) <= p_max:
         return build(0.0), 0.0, 0
 
+    # power(hi) <= p_max from the start, and hi only ever takes feasible
+    # midpoints, so hi is the answer when the step cap runs out.
     lo, hi = 0.0, float(np.sqrt(num.sum() / p_max))
-    mu = hi
     for it in range(1, BISECT_MAX_ITER + 1):
         mu = 0.5 * (lo + hi)
         pw = power(mu)
@@ -71,6 +72,8 @@ def solve_transmit_qp(H_t: np.ndarray, Hbar: np.ndarray, p_max: float):
             lo = mu
         else:
             hi = mu
+    else:
+        mu = hi
     return build(mu), mu, it
 
 

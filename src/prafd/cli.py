@@ -16,7 +16,7 @@ from .config import (ConfigError, ScenarioConfig, load_config, parse_setting,
                      validate_config)
 from .experiment import ExperimentSpec, emit_csv, run_experiment, run_trial
 from .geometry import FeasibleRegionSpec, is_feasible, nearest_feasible_point
-from .placement import (placement_gradient, placement_objective,
+from .placement import (antenna_bundle, layout_fields, placement_objective,
                         receive_context, transmit_context)
 from .solver import initial_state, initialize_layout
 
@@ -166,12 +166,13 @@ def _oracle_placement(rng, count, lines, fails):
         for ctx, pos in ((transmit_context(state, rlz, layout.r, cfg), layout.t),
                          (receive_context(state, rlz, layout.t, cfg), layout.r)):
             for n in range(len(pos)):
-                grad = placement_gradient(ctx, pos, n)
+                bundle = antenna_bundle(ctx, layout_fields(ctx, pos), n)
+                grad = bundle.gradient(pos[n])
 
                 def obj(q, n=n, ctx=ctx, pos=pos):
                     trial = pos.copy()
                     trial[n] = q
-                    return placement_objective(ctx, trial)
+                    return placement_objective(ctx, layout_fields(ctx, trial))
 
                 ref = oracles.central_difference_gradient(obj, pos[n], step)
                 err = np.linalg.norm(grad - ref) / max(1.0, np.linalg.norm(ref))

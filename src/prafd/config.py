@@ -27,6 +27,9 @@ _DB_KEYS = {
 }
 
 _INT_FIELDS = {"K_D", "K_U", "N_t", "N_r", "L", "L_SI", "seed"}
+_FLOAT_FIELDS = ("A", "D_min", "rho_0", "alpha", "rho_SI", "rho_IUI",
+                 "sigma2", "p_D_max", "p_U_max", "d_near", "d_far",
+                 "epsilon", "epsilon_bsum")
 
 
 @dataclass
@@ -64,7 +67,9 @@ class ScenarioConfig:
 
     def __post_init__(self):
         if self.D_min is None:
-            self.D_min = 0.5 * self.wavelength
+            # f_c is checked by validate_config; no default from a bad one.
+            self.D_min = 0.5 * self.wavelength \
+                if 0.0 < self.f_c < math.inf else math.nan
         if self.weights is None:
             k = self.K_D + self.K_U
             self.weights = np.full(k, 1.0 / k) if k else np.zeros(0)
@@ -114,6 +119,11 @@ def validate_config(cfg: ScenarioConfig) -> None:
 
     Raises ConfigError with the offending field named.
     """
+    if not 0.0 < cfg.f_c < math.inf:
+        raise ConfigError("f_c must be positive and finite")
+    for name in _FLOAT_FIELDS:
+        if not math.isfinite(getattr(cfg, name)):
+            raise ConfigError(f"{name} must be finite")
     if cfg.K_D < 0 or cfg.K_U < 0 or cfg.K_D + cfg.K_U == 0:
         raise ConfigError("need at least one user (K_D + K_U >= 1)")
     if cfg.N_t < 1 or cfg.N_r < 1:
@@ -139,6 +149,8 @@ def validate_config(cfg: ScenarioConfig) -> None:
     w = np.asarray(cfg.weights, dtype=float)
     if w.shape != (cfg.K,):
         raise ConfigError(f"weights must have length K_D + K_U = {cfg.K}")
+    if not np.all(np.isfinite(w)):
+        raise ConfigError("weights must be finite")
     if np.any(w < 0):
         raise ConfigError("weights must be non-negative")
     if abs(float(w.sum()) - 1.0) > 1e-12:

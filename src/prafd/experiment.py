@@ -57,6 +57,9 @@ class ExperimentSpec:
         for a in self.algorithms:
             if a not in ALGORITHMS:
                 raise ConfigError(f"unknown algorithm {a!r}")
+        if not 0.0 < self.duplex_factor <= 1.0:
+            raise ConfigError(f"duplex factor must be in (0, 1], "
+                              f"got {self.duplex_factor:g}")
 
     def points(self) -> list:
         return list(self.sweep_values) if self.sweep_field else [float("nan")]

@@ -17,8 +17,7 @@ Each quantity is built once at the level where it can change:
 
 * per context (one side's placement call): the spatial frequencies of
   every term and their squared norms, the path-pair products, the SI mix
-  product M and W^H, and, on an antenna's first visit, its quadratic
-  coefficients;
+  product M, W^H, and every antenna's quadratic coefficients;
 * per layout state: the channel fields H, D = W^H H and the SI matrix X
   (`layout_fields`), rebuilt in full after an accepted move;
 * per point: one phasor vector serves the value, gradient and Hessian of
@@ -52,6 +51,7 @@ from .geometry import FeasibleRegionSpec, is_feasible, nearest_feasible_point
 
 TAU_MIN_FACTOR = 1e-6
 MAX_TAU_DOUBLINGS = 20
+MAX_BSUM_SWEEPS = 50
 GRID_STEP_WAVELENGTHS = 0.125
 MAX_GRID_ROUNDS = 5
 GRID_MIN_GAIN = 1e-12   # relative rate rise a grid move must beat
@@ -62,15 +62,14 @@ class ExpSum:
 
     The phasors of the last point evaluated are kept, keyed by the point's
     bytes, so value, gradient and Hessian at one point share one
-    exponential.  `norm2`, the squared norms of `dirs`, may be passed when
-    already known.
+    exponential.
     """
 
     def __init__(self, coefs: np.ndarray, dirs: np.ndarray,
-                 norm2: np.ndarray | None = None):
+                 norm2: np.ndarray):
         self.coefs = coefs  # (M,) complex
         self.dirs = dirs    # (M, 2), spatial frequencies (kappa absorbed)
-        self._norm2 = norm2
+        self.norm2 = norm2  # (M,) squared norms of dirs
         self._cap = None
         self._at = None     # (point bytes, phased coefficients)
 
@@ -95,9 +94,7 @@ class ExpSum:
     def curvature_cap(self) -> float:
         """Global bound on the Hessian spectral norm: sum |c| ||u||^2."""
         if self._cap is None:
-            norm2 = self._norm2 if self._norm2 is not None \
-                else (self.dirs ** 2).sum(axis=1)
-            self._cap = float((np.abs(self.coefs) * norm2).sum())
+            self._cap = float((np.abs(self.coefs) * self.norm2).sum())
         return self._cap
 
 
@@ -132,7 +129,8 @@ class SurrogateContext:
     norm2: np.ndarray = field(init=False, repr=False)  # their squared norms
     pair: np.ndarray = field(init=False, repr=False)   # (K, L, L) prm pairs
     M: np.ndarray = field(init=False, repr=False)      # si_mix^H other si_mix
-    _quad: dict = field(init=False, repr=False)        # n -> quadratic coefs
+    user_quad: np.ndarray = field(init=False, repr=False)  # (N, K*L*L)
+    si_quad: np.ndarray = field(init=False, repr=False)    # (N, L_SI^2)
 
     def __post_init__(self):
         k = self.kappa
@@ -146,16 +144,12 @@ class SurrogateContext:
                                ddiff.reshape(-1, 2), k * self.si_dirs,
                                sdiff.reshape(-1, 2)])
         self.norm2 = (self.dirs ** 2).sum(axis=1)
-        self._quad = {}
-
-    def quadratic_coefs(self, n: int):
-        """Antenna n's user-pair and SI-pair coefficients (position-free)."""
-        if n not in self._quad:
-            gram_nn = float(np.real(self.own[n, n]))
-            omega = self.chan_w * gram_nn
-            self._quad[n] = ((omega[:, None, None] * self.pair).ravel(),
-                             (gram_nn * self.M).ravel())
-        return self._quad[n]
+        # Antenna n's user-pair and SI-pair coefficients, row n.
+        gram = np.real(np.diag(self.own))
+        omega = gram[:, None] * self.chan_w
+        n_ant = len(gram)
+        self.user_quad = (omega[:, :, None, None] * self.pair).reshape(n_ant, -1)
+        self.si_quad = (gram[:, None, None] * self.M).reshape(n_ant, -1)
 
 
 def _context(state: SolverState, rlz: ChannelRealization,
@@ -193,44 +187,37 @@ def receive_context(state: SolverState, rlz: ChannelRealization,
     return _context(state, rlz, t_positions, cfg, transmit=False)
 
 
-def _si_matrix(ctx: SurrogateContext, positions: np.ndarray) -> np.ndarray:
-    """This side's SI matrix X as a function of its positions only."""
-    e = np.exp(1j * ctx.kappa * (positions @ ctx.si_dirs.T))
-    return ctx.si_mix @ e.T
-
-
 def layout_fields(ctx: SurrogateContext, positions: np.ndarray):
     """Channel fields of one layout state: (H, D = W^H H, X).
 
-    D[b, c] = w_b^H h_c; X is this side's SI matrix (`_si_matrix`).
+    D[b, c] = w_b^H h_c; X is this side's SI matrix.
     """
     H = _user_channel(positions, ctx.user_dirs, ctx.user_prm, ctx.kappa)
-    return H, ctx.WH @ H, _si_matrix(ctx, positions)
+    e = np.exp(1j * ctx.kappa * (positions @ ctx.si_dirs.T))
+    return H, ctx.WH @ H, ctx.si_mix @ e.T
 
 
-def placement_objective(ctx: SurrogateContext, positions: np.ndarray,
-                        fields: tuple | None = None) -> float:
+def placement_objective(ctx: SurrogateContext, fields: tuple) -> float:
     """Negated position-dependent surrogate part; BSUM minimizes this.
 
-    `fields` are the `layout_fields` of `positions`, built here if absent.
+    `fields` are the `layout_fields` of the positions to score.
     """
-    _, D, X = fields if fields is not None else layout_fields(ctx, positions)
+    _, D, X = fields
     t1 = -2.0 * float(np.real(ctx.lin @ np.diag(D)))
     t2 = float(ctx.beam_w @ (np.abs(D) ** 2) @ ctx.chan_w)
     t3 = float(np.real(np.trace(ctx.own @ X.conj().T @ ctx.other @ X)))
     return t1 + t2 + t3
 
 
-def antenna_bundle(ctx: SurrogateContext, positions: np.ndarray, n: int,
-                   fields: tuple | None = None) -> ExpSum:
+def antenna_bundle(ctx: SurrogateContext, fields: tuple, n: int) -> ExpSum:
     """Exact exponential-sum form of the objective in antenna n's position.
 
     The returned ExpSum differs from placement_objective by a constant
     (everything not involving antenna n), so values are only meaningful as
     differences; gradients and Hessians are exact.  `fields` are the
-    `layout_fields` of `positions`, built here if absent.
+    `layout_fields` of the current positions.
     """
-    H, D, X = fields if fields is not None else layout_fields(ctx, positions)
+    H, D, X = fields
     wn = ctx.W[n, :].conj()
     # Inner products with antenna n's own contribution removed.  np.outer,
     # not a broadcast product: numpy may round the two differently.
@@ -243,33 +230,24 @@ def antenna_bundle(ctx: SurrogateContext, positions: np.ndarray, n: int,
     X0 = X.copy()
     X0[:, n] = 0.0
     u_lin = ctx.other @ X0 @ ctx.own[:, n]
-    user_quad, si_quad = ctx.quadratic_coefs(n)
     coefs = np.concatenate([(lin_coef[:, None] * ctx.user_prm).ravel(),
-                            user_quad, 2.0 * (u_lin.conj() @ ctx.si_mix),
-                            si_quad])
+                            ctx.user_quad[n], 2.0 * (u_lin.conj() @ ctx.si_mix),
+                            ctx.si_quad[n]])
     return ExpSum(coefs, ctx.dirs, ctx.norm2)
-
-
-def placement_gradient(ctx: SurrogateContext, positions: np.ndarray,
-                       n: int) -> np.ndarray:
-    return antenna_bundle(ctx, positions, n).gradient(positions[n])
 
 
 def _lam_max_2x2(h: np.ndarray) -> float:
     return 0.5 * (h[0, 0] + h[1, 1] + np.hypot(h[0, 0] - h[1, 1], 2.0 * h[0, 1]))
 
 
-def curvature_bound(ctx: SurrogateContext, positions: np.ndarray, n: int,
-                    bundle: ExpSum | None = None) -> float:
-    """Majorizer curvature: local Hessian top eigenvalue, floored.
+def curvature_bound(bundle: ExpSum, t: np.ndarray) -> float:
+    """Majorizer curvature at t: local Hessian top eigenvalue, floored.
 
     The floor scales with the term-wise global curvature cap so it carries
     the right units (kappa^2 times coefficient magnitude).
     """
-    if bundle is None:
-        bundle = antenna_bundle(ctx, positions, n)
     tau_min = TAU_MIN_FACTOR * bundle.curvature_cap()
-    return max(_lam_max_2x2(bundle.hessian(positions[n])), tau_min)
+    return max(_lam_max_2x2(bundle.hessian(t)), tau_min)
 
 
 def others_index(n_ant: int) -> list:
@@ -279,10 +257,11 @@ def others_index(n_ant: int) -> list:
 
 
 def bsum_optimize_side(ctx: SurrogateContext, positions: np.ndarray,
-                       rng: np.random.Generator, eps: float,
-                       max_sweeps: int = 50):
+                       rng: np.random.Generator, eps: float):
     """Sweep antennas in random order, each to its projected majorizer step.
 
+    Stops when a sweep changes the objective by less than `eps` relative,
+    or after MAX_BSUM_SWEEPS sweeps.
     Returns (positions, objective trace per sweep, sweeps used).  The trace
     is monotone non-increasing: a candidate move is only accepted when the
     per-antenna objective does not increase, and the curvature doubles until
@@ -291,17 +270,17 @@ def bsum_optimize_side(ctx: SurrogateContext, positions: np.ndarray,
     pos = np.array(positions, dtype=float, copy=True)
     others = others_index(len(pos))
     fields = layout_fields(ctx, pos)
-    f = placement_objective(ctx, pos, fields)
+    f = placement_objective(ctx, fields)
     trace = [f]
     sweeps = 0
-    for _ in range(max_sweeps):
+    for _ in range(MAX_BSUM_SWEEPS):
         sweeps += 1
         for n in rng.permutation(len(pos)):
-            bundle = antenna_bundle(ctx, pos, n, fields)
+            bundle = antenna_bundle(ctx, fields, n)
             if bundle.curvature_cap() == 0.0:
                 continue  # objective does not depend on this antenna
             g = bundle.gradient(pos[n])
-            tau = curvature_bound(ctx, pos, n, bundle)
+            tau = curvature_bound(bundle, pos[n])
             region = FeasibleRegionSpec(ctx.half_width, pos[others[n]],
                                         ctx.d_min)
             f_here = bundle.value(pos[n])
@@ -312,7 +291,7 @@ def bsum_optimize_side(ctx: SurrogateContext, positions: np.ndarray,
                     fields = layout_fields(ctx, pos)
                     break
                 tau *= 2.0
-        f_new = placement_objective(ctx, pos, fields)
+        f_new = placement_objective(ctx, fields)
         trace.append(f_new)
         rel = abs(f - f_new) / max(abs(f), 1e-12)
         f = f_new
@@ -414,7 +393,7 @@ class RateGrid:
             + np.log2(1.0 + sig2 / (s2 - sig2)) @ cfg.weights[kd:]
 
     def place(self, state: SolverState, layout: AntennaLayout, ch: Channels,
-              rate: float, powers: tuple | None = None):
+              rate: float, powers: tuple):
         """Move antennas one at a time to their best feasible grid point.
 
         Grid points are masked by `is_feasible` against the side's other
@@ -423,7 +402,7 @@ class RateGrid:
         confirmed by `fp.rate_and_powers` on rebuilt channels; an accepted
         move's received-power pass scores the next visit.  `rate` and
         `powers` are those of `state` on `ch`, as `fp.rate_and_powers`
-        returns them; the pass is made here when `powers` is None.  Stops
+        returns them.  Stops
         once every antenna has been visited since the last move, so that
         no single grid move raises the rate, or after MAX_GRID_ROUNDS
         passes.  Sides without users are skipped.  Returns (layout,
@@ -435,8 +414,6 @@ class RateGrid:
                   if users > 0 for n in range(count)]
         moves = 0
         settled = 0     # visits since the last move, that move's included
-        if powers is None:
-            powers = fp.received_powers(state.W_t, state.W_r, state.p, ch, cfg)
         for side, n in itertools.islice(itertools.cycle(visits),
                                         MAX_GRID_ROUNDS * len(visits)):
             if settled == len(visits):

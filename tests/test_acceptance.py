@@ -25,8 +25,8 @@ from prafd.oracles import (central_difference_gradient,
                            power_grid_search, random_complex, random_psd,
                            receive_objective_value, transmit_qp_pgd,
                            transmit_qp_value)
-from prafd.placement import antenna_bundle, curvature_bound, receive_context, \
-    transmit_context
+from prafd.placement import antenna_bundle, curvature_bound, layout_fields, \
+    receive_context, transmit_context
 from prafd.solver import initial_state, initialize_layout
 
 DESK = dict(K_D=2, K_U=2, N_t=2, N_r=2)
@@ -163,7 +163,7 @@ class TestPlacementDerivatives:
                 for n in range(pos.shape[0]):
                     if checked >= 1000:
                         break
-                    bundle = antenna_bundle(ctx, pos, n)
+                    bundle = antenna_bundle(ctx, layout_fields(ctx, pos), n)
                     grad = bundle.gradient(pos[n])
                     fd = central_difference_gradient(bundle.value, pos[n],
                                                      grad_step)
@@ -172,7 +172,7 @@ class TestPlacementDerivatives:
                     assert err < 1e-4
                     H_fd = central_difference_hessian(bundle.value, pos[n],
                                                       hess_step)
-                    tau = curvature_bound(ctx, pos, n, bundle)
+                    tau = curvature_bound(bundle, pos[n])
                     lam_min = np.linalg.eigvalsh(tau * np.eye(2) - H_fd)[0]
                     scale = max(1.0, np.abs(np.linalg.eigvalsh(H_fd)).max())
                     assert lam_min >= -1e-6 * scale

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from prafd import baselines
 from prafd.baselines import (ALGORITHMS, gradient_descent_positions,
                              run_algorithm, solve_fpas, solve_half_duplex,
                              upa_layout)
@@ -9,7 +10,8 @@ from prafd.channel import build_channels, sample_realization, trial_rng
 from prafd.config import ConfigError, ScenarioConfig
 from prafd.fp import auxiliary_pass
 from prafd.geometry import layout_side_feasible, min_pairwise_distance
-from prafd.placement import placement_objective, transmit_context
+from prafd.placement import (layout_fields, placement_objective,
+                             transmit_context)
 from prafd.solver import SolveOptions, initial_state, initialize_layout
 
 
@@ -55,7 +57,8 @@ class TestGradientDescent:
                 ctx, layout.t, np.random.default_rng(trial), eps=1e-4)
             assert np.all(np.diff(trace) <= 1e-12)
             assert layout_side_feasible(out, ctx.half_width, ctx.d_min)
-            assert_allclose(placement_objective(ctx, out), trace[-1],
+            assert_allclose(placement_objective(ctx, layout_fields(ctx, out)),
+                            trace[-1],
                             rtol=1e-12)
 
     def test_improves_objective(self):
@@ -63,6 +66,13 @@ class TestGradientDescent:
         _, trace, _ = gradient_descent_positions(
             ctx, layout.t, np.random.default_rng(0), eps=1e-6)
         assert trace[-1] < trace[0]
+
+    def test_respects_step_cap(self, monkeypatch):
+        cfg, layout, ctx = self.make_ctx(3)
+        monkeypatch.setattr(baselines, "GD_MAX_STEPS", 3)
+        _, trace, steps = gradient_descent_positions(
+            ctx, layout.t, np.random.default_rng(0), eps=0.0)
+        assert steps == 3 and len(trace) == 4
 
 
 class TestFixedArrayBaseline:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from prafd import beamforming
 from prafd.beamforming import (normalize_receive_columns, optimal_scalar_power,
                                receive_subproblem_matrices, solve_transmit_qp,
                                transmit_subproblem_matrices,
@@ -54,6 +55,22 @@ class TestTransmitQP:
             assert pw <= p_max * (1 + 1e-9)
             if mu > 0:
                 assert abs(pw - p_max) <= 1e-6 * p_max
+
+    def test_step_cap_returns_a_feasible_beamformer(self, monkeypatch):
+        # Cut short, the bisection's last midpoint may lie on either side
+        # of the budget; the feasible end of the bracket is returned.
+        monkeypatch.setattr(beamforming, "BISECT_MAX_ITER", 3)
+        rng = np.random.default_rng(4)
+        capped = 0
+        for _ in range(200):
+            H_t = random_psd(rng, 4)
+            Hbar = random_complex(rng, (4, 4))
+            p_max = float(rng.uniform(0.01, 2.0))
+            W, _, iters = solve_transmit_qp(H_t, Hbar, p_max)
+            capped += iters == 3
+            pw = float(np.real(np.trace(W.conj().T @ W)))
+            assert pw <= p_max * (1 + 1e-12)
+        assert capped >= 100
 
     def test_interior_solution_has_zero_multiplier(self):
         # Strong curvature keeps the unconstrained optimum inside the ball.

@@ -38,6 +38,12 @@ class TestSolve:
             main(["solve", "--set", "bandwidth=1"])
         assert exc.value.code == 2
 
+    def test_zero_carrier_frequency_exits_with_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--set", "f_c=0"])
+        assert exc.value.code == 2
+        assert "f_c" in capsys.readouterr().err
+
     def test_malformed_setting_rejected(self):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--set", "K_D"])

@@ -68,9 +68,19 @@ class TestValidation:
         dict(d_near=30.0, d_far=20.0),
         dict(alpha=0.0),
         dict(si_var_per_path="paths"),
+        dict(f_c=0.0),
+        dict(f_c=-3e10),
+        dict(f_c=float("inf")),
+        dict(f_c=float("nan")),
+        dict(d_far=float("inf")),
+        dict(sigma2=float("nan")),
+        dict(p_D_max=float("inf")),
+        dict(A=float("nan")),
+        dict(rho_0=float("nan")),
+        dict(weights=np.full(8, np.nan)),
     ])
     def test_rejects_bad_field(self, kw):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=next(iter(kw))):
             validate_config(ScenarioConfig(**kw))
 
     def test_rejects_weights_not_summing_to_one(self):

@@ -32,6 +32,11 @@ class TestSpec:
         with pytest.raises(ConfigError):
             small_spec(algorithms=("fp-bsum", "genie"))
 
+    @pytest.mark.parametrize("factor", [0.0, -0.5, 2.0, float("nan")])
+    def test_duplex_factor_outside_unit_interval_rejected(self, factor):
+        with pytest.raises(ConfigError, match="duplex factor"):
+            small_spec(algorithms=("hd",), duplex_factor=factor)
+
 
 class TestApplySweep:
     def test_antenna_count_sets_both_sides(self):

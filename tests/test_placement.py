@@ -16,9 +16,8 @@ from prafd.oracles import (central_difference_gradient,
                            reference_curvature_bound)
 from prafd.placement import (ExpSum, RateGrid, antenna_bundle,
                              bsum_optimize_side, curvature_bound, grid_axis,
-                             layout_fields, placement_gradient,
-                             placement_objective, receive_context,
-                             transmit_context)
+                             layout_fields, placement_objective,
+                             receive_context, transmit_context)
 from prafd.solver import initial_state, initialize_layout
 
 LN2 = np.log(2.0)
@@ -36,11 +35,19 @@ def make_contexts(cfg, trial=0):
     return rlz, layout, ch, state, ctx_t, ctx_r
 
 
+def objective_at(ctx, pos):
+    return placement_objective(ctx, layout_fields(ctx, pos))
+
+
+def bundle_at(ctx, pos, n):
+    return antenna_bundle(ctx, layout_fields(ctx, pos), n)
+
+
 def random_exp_sum(rng, n_terms=12, kappa=500.0):
     coefs = random_complex(rng, (n_terms,))
     ang = rng.uniform(0, 2 * np.pi, n_terms)
     dirs = kappa * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    return ExpSum(coefs=coefs, dirs=dirs)
+    return ExpSum(coefs=coefs, dirs=dirs, norm2=(dirs ** 2).sum(axis=1))
 
 
 class TestExpSum:
@@ -87,7 +94,7 @@ class TestExpSum:
         point = t1.copy()
 
         def same(t):
-            fresh = ExpSum(coefs=es.coefs, dirs=es.dirs)
+            fresh = ExpSum(coefs=es.coefs, dirs=es.dirs, norm2=es.norm2)
             assert es.value(t) == fresh.value(t)
             assert np.array_equal(es.gradient(t), fresh.gradient(t))
             assert np.array_equal(es.hessian(t), fresh.hessian(t))
@@ -111,11 +118,11 @@ class TestBundleReference:
         ref_coefs, ref_dirs = reference_antenna_bundle(ctx, pos, n)
         assert np.array_equal(bundle.coefs, ref_coefs)
         assert np.array_equal(bundle.dirs, ref_dirs)
-        assert curvature_bound(ctx, pos, n, bundle) == \
+        assert curvature_bound(bundle, pos[n]) == \
             reference_curvature_bound(ref_coefs, ref_dirs, pos[n],
                                       placement.TAU_MIN_FACTOR)
 
-    def test_both_sides_with_and_without_fields(self):
+    def test_both_sides(self):
         # One uplink user gives 1x1 outer products, which numpy can round
         # unlike the same product broadcast; random beamformers keep such
         # last-bit differences from cancelling as they do for matched
@@ -135,16 +142,7 @@ class TestBundleReference:
                 # antenna are reused against new layouts.
                 order = list(range(len(pos))) + [len(pos) - 1, 0]
                 for n in order:
-                    fields = layout_fields(ctx, pos)
-                    self.check(ctx, pos, n, antenna_bundle(ctx, pos, n))
-                    self.check(ctx, pos, n,
-                               antenna_bundle(ctx, pos, n, fields))
-                    assert curvature_bound(ctx, pos, n) == \
-                        reference_curvature_bound(
-                            *reference_antenna_bundle(ctx, pos, n), pos[n],
-                            placement.TAU_MIN_FACTOR)
-                    assert placement_objective(ctx, pos, fields) == \
-                        placement_objective(ctx, pos)
+                    self.check(ctx, pos, n, bundle_at(ctx, pos, n))
                     pos[n] += rng.uniform(-0.1, 0.1, 2) * cfg.wavelength
 
 
@@ -155,13 +153,13 @@ class TestObjective:
         _, layout, _, _, ctx_t, ctx_r = make_contexts(cfg)
         for ctx, pos0 in ((ctx_t, layout.t), (ctx_r, layout.r)):
             for n in range(3):
-                bundle = antenna_bundle(ctx, pos0, n)
-                f0 = placement_objective(ctx, pos0)
+                bundle = bundle_at(ctx, pos0, n)
+                f0 = objective_at(ctx, pos0)
                 b0 = bundle.value(pos0[n])
                 for _ in range(10):
                     pos = pos0.copy()
                     pos[n] += rng.uniform(-1, 1, 2) * cfg.wavelength
-                    df = placement_objective(ctx, pos) - f0
+                    df = objective_at(ctx, pos) - f0
                     db = bundle.value(pos[n]) - b0
                     assert_allclose(df, db, rtol=1e-9, atol=1e-12 * abs(f0))
 
@@ -171,18 +169,18 @@ class TestObjective:
         rng = np.random.default_rng(5)
         rlz, layout, ch, state, ctx_t, ctx_r = make_contexts(cfg)
         sur0 = surrogate_objective(state, ch, cfg)
-        f0_t = placement_objective(ctx_t, layout.t)
-        f0_r = placement_objective(ctx_r, layout.r)
+        f0_t = objective_at(ctx_t, layout.t)
+        f0_r = objective_at(ctx_r, layout.r)
         for _ in range(10):
             t_new = layout.t + rng.uniform(-1, 1, (3, 2)) * cfg.wavelength
             ch_new = build_channels(AntennaLayout(t=t_new, r=layout.r), rlz, cfg)
             d_sur = surrogate_objective(state, ch_new, cfg) - sur0
-            d_f = placement_objective(ctx_t, t_new) - f0_t
+            d_f = objective_at(ctx_t, t_new) - f0_t
             assert_allclose(d_sur, -d_f / LN2, rtol=1e-9, atol=1e-12)
             r_new = layout.r + rng.uniform(-1, 1, (3, 2)) * cfg.wavelength
             ch_new = build_channels(AntennaLayout(t=layout.t, r=r_new), rlz, cfg)
             d_sur = surrogate_objective(state, ch_new, cfg) - sur0
-            d_f = placement_objective(ctx_r, r_new) - f0_r
+            d_f = objective_at(ctx_r, r_new) - f0_r
             assert_allclose(d_sur, -d_f / LN2, rtol=1e-9, atol=1e-12)
 
     def test_gradient_matches_differences(self):
@@ -191,8 +189,8 @@ class TestObjective:
             _, layout, _, _, ctx_t, ctx_r = make_contexts(cfg, trial)
             for ctx, pos in ((ctx_t, layout.t), (ctx_r, layout.r)):
                 for n in range(3):
-                    bundle = antenna_bundle(ctx, pos, n)
-                    g = placement_gradient(ctx, pos, n)
+                    bundle = bundle_at(ctx, pos, n)
+                    g = bundle.gradient(pos[n])
                     fd = central_difference_gradient(bundle.value, pos[n],
                                                      1e-6 * cfg.wavelength)
                     assert_allclose(g, fd, rtol=1e-5, atol=1e-10)
@@ -204,7 +202,7 @@ class TestObjective:
         state.y = np.zeros_like(state.y)
         ctx = transmit_context(state, rlz, layout.r, cfg)
         rng = np.random.default_rng(6)
-        vals = [placement_objective(ctx, rng.uniform(-1, 1, (2, 2)) * 0.01)
+        vals = [objective_at(ctx, rng.uniform(-1, 1, (2, 2)) * 0.01)
                 for _ in range(5)]
         assert_allclose(vals, 0.0, atol=1e-30)
 
@@ -216,8 +214,8 @@ class TestCurvature:
             _, layout, _, _, ctx_t, ctx_r = make_contexts(cfg, trial)
             for ctx, pos in ((ctx_t, layout.t), (ctx_r, layout.r)):
                 for n in range(3):
-                    bundle = antenna_bundle(ctx, pos, n)
-                    tau = curvature_bound(ctx, pos, n, bundle)
+                    bundle = bundle_at(ctx, pos, n)
+                    tau = curvature_bound(bundle, pos[n])
                     lams = np.linalg.eigvalsh(bundle.hessian(pos[n]))
                     assert tau >= lams[-1] - 1e-9 * max(1.0, abs(lams[-1]))
                     assert tau > 0.0
@@ -225,8 +223,8 @@ class TestCurvature:
     def test_floor_is_positive_for_live_bundle(self):
         cfg = ScenarioConfig(K_D=1, K_U=1, N_t=2, N_r=2)
         _, layout, _, _, ctx_t, _ = make_contexts(cfg)
-        bundle = antenna_bundle(ctx_t, layout.t, 0)
-        assert curvature_bound(ctx_t, layout.t, 0, bundle) \
+        bundle = bundle_at(ctx_t, layout.t, 0)
+        assert curvature_bound(bundle, layout.t[0]) \
             >= 1e-6 * bundle.curvature_cap() - 1e-30
 
 
@@ -244,15 +242,15 @@ class TestBsumSweep:
                                                          np.abs(trace[:-1])))
                 assert sweeps <= 50
                 assert layout_side_feasible(out, ctx.half_width, ctx.d_min)
-                assert_allclose(placement_objective(ctx, out), trace[-1],
+                assert_allclose(objective_at(ctx, out), trace[-1],
                                 rtol=1e-12)
 
-    def test_respects_sweep_cap(self):
+    def test_respects_sweep_cap(self, monkeypatch):
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=3, N_r=3)
         _, layout, _, _, ctx_t, _ = make_contexts(cfg)
         rng = np.random.default_rng(0)
-        _, trace, sweeps = bsum_optimize_side(ctx_t, layout.t, rng, eps=0.0,
-                                              max_sweeps=3)
+        monkeypatch.setattr(placement, "MAX_BSUM_SWEEPS", 3)
+        _, trace, sweeps = bsum_optimize_side(ctx_t, layout.t, rng, eps=0.0)
         assert sweeps == 3 and len(trace) == 4
 
     def test_deterministic_given_generator(self):
@@ -321,9 +319,9 @@ class TestRateGrid:
         moved_trials = 0
         for trial in range(8):
             rlz, layout, ch, state = random_grid_case(cfg, trial)
-            rate = weighted_sum_rate(state, ch, cfg)
+            rate, powers = fp.rate_and_powers(state, ch, cfg)
             out, out_ch, out_rate, moves = RateGrid(rlz, cfg).place(
-                state, layout, ch, rate)
+                state, layout, ch, rate, powers)
             moved_trials += moves > 0
             assert out_rate >= rate
             assert (moves > 0) == (out_rate > rate)
@@ -389,7 +387,9 @@ class TestRateGrid:
         # rate of -1 passed in, so antenna 0 lands on the goal only if the
         # goal is eligible.
         monkeypatch.setattr(RateGrid, "rates", rates)
-        out, _, _, moves = grid.place(state, layout, ch, -1.0)
+        out, _, _, moves = grid.place(
+            state, layout, ch, -1.0,
+            received_powers(state.W_t, state.W_r, state.p, ch, cfg))
         assert moves >= 1
         assert np.array_equal(out.t[0], goal)
         assert layout_side_feasible(out.t, cfg.region_half_width, cfg.D_min)
@@ -402,16 +402,19 @@ class TestRateGrid:
         silent = initial_state(ch, cfg)
         silent.W_t = np.zeros_like(silent.W_t)
         silent.p = np.zeros(cfg.K_U)
-        out, _, out_rate, moves = grid.place(silent, layout, ch, 0.0)
+        out, _, out_rate, moves = grid.place(
+            silent, layout, ch, 0.0,
+            received_powers(silent.W_t, silent.W_r, silent.p, ch, cfg))
         assert moves == 0 and out_rate == 0.0
         assert np.array_equal(out.t, layout.t)
         assert np.array_equal(out.r, layout.r)
         # A layout no single grid move improves is returned unchanged.
-        rate = weighted_sum_rate(state, ch, cfg)
         moves = 1
         while moves:
-            layout, ch, rate, moves = grid.place(state, layout, ch, rate)
-        again = grid.place(state, layout, ch, rate)
+            layout, ch, rate, moves = grid.place(
+                state, layout, ch, *fp.rate_and_powers(state, ch, cfg))
+        again = grid.place(state, layout, ch,
+                           *fp.rate_and_powers(state, ch, cfg))
         assert again[3] == 0 and again[2] == rate
         assert np.array_equal(again[0].t, layout.t)
         assert np.array_equal(again[0].r, layout.r)
