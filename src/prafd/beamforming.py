@@ -1,12 +1,15 @@
 """Closed-form beamformer and power blocks of the alternating optimizer.
 
 With the FP auxiliaries frozen, the surrogate separates into a transmit
-quadratic program with one sum-power constraint (solved by KKT + bisection
-on the multiplier), an unconstrained receive quadratic program (plain
-linear solve), and per-user scalar uplink power problems.
+quadratic program with one sum-power constraint (solved by KKT and a
+safeguarded Newton iteration on the multiplier's secular equation), an
+unconstrained receive quadratic program (plain linear solve), and per-user
+scalar uplink power problems.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -14,8 +17,8 @@ from .channel import Channels
 from .config import ScenarioConfig
 from .fp import SolverState, amplitude, receive_gram
 
-BISECT_TOL = 1e-13
-BISECT_MAX_ITER = 200
+QP_TOL = 1e-13
+QP_MAX_ITER = 200
 
 
 def transmit_subproblem_matrices(state: SolverState, ch: Channels,
@@ -34,8 +37,14 @@ def solve_transmit_qp(H_t: np.ndarray, Hbar: np.ndarray, p_max: float):
 
     Returns (W, mu, iterations).  Solved through the eigendecomposition of
     H_t: with H_t = V diag(lam) V^H and R = V^H Hbar, the transmit power of
-    the stationary point at multiplier mu is sum_i ||R[i]||^2 / (lam_i+mu)^2,
-    decreasing in mu, so the binding multiplier is found by bisection.
+    the stationary point at multiplier mu is P(mu) = sum_i num_i / (lam_i+mu)^2
+    with num_i = ||R[i]||^2, decreasing in mu.  The binding multiplier is the
+    root of the secular equation 1/sqrt(P(mu)) = 1/sqrt(p_max), whose left
+    side is concave, increasing and nearly linear (exactly so for one mode;
+    More & Sorensen 1983), so Newton steps from the lower bound
+    max_i sqrt(num_i / p_max) - lam_i converge in a few steps.  A bracket
+    [lo, hi] safeguards them: a step that leaves it, or an infinite P,
+    is replaced by bisection.
     Eigenvalues are clipped at zero and null modes with zero numerator are
     dropped, which is the pseudo-inverse solution when H_t is singular.
     """
@@ -45,33 +54,47 @@ def solve_transmit_qp(H_t: np.ndarray, Hbar: np.ndarray, p_max: float):
     num = (np.abs(R) ** 2).sum(axis=1)
     active = num > 0.0
     lam_a, num_a = lam[active], num[active]
+    modes = list(zip(lam_a.tolist(), num_a.tolist()))
 
-    def power(mu: float) -> float:
-        den = (lam_a + mu) ** 2
-        if not den.all():
-            return np.inf
-        return float((num_a / den).sum())
+    def power(mu: float):
+        """P(mu) and -P'(mu)/2 = sum_i num_i / (lam_i+mu)^3."""
+        pw = slope = 0.0
+        for lam_i, num_i in modes:
+            d = lam_i + mu
+            if d == 0.0:
+                return math.inf, math.inf
+            term = num_i / (d * d)
+            pw += term
+            slope += term / d
+        return pw, slope
 
     def build(mu: float) -> np.ndarray:
         scale = np.zeros_like(lam)
         scale[active] = 1.0 / (lam_a + mu)
         return V @ (R * scale[:, None])
 
-    if power(0.0) <= p_max:
+    if power(0.0)[0] <= p_max:
         return build(0.0), 0.0, 0
 
     # power(hi) <= p_max from the start, and hi only ever takes feasible
-    # midpoints, so hi is the answer when the step cap runs out.
-    lo, hi = 0.0, float(np.sqrt(num.sum() / p_max))
-    for it in range(1, BISECT_MAX_ITER + 1):
-        mu = 0.5 * (lo + hi)
-        pw = power(mu)
-        if abs(pw - p_max) / p_max < BISECT_TOL or hi - lo < 1e-16 * hi:
+    # iterates, so hi is the answer when the step cap runs out.
+    lo = max(0.0, max(math.sqrt(num_i / p_max) - lam_i
+                      for lam_i, num_i in modes))
+    hi = math.sqrt(float(num.sum()) / p_max)
+    mu = lo
+    for it in range(1, QP_MAX_ITER + 1):
+        pw, slope = power(mu)
+        if abs(pw - p_max) / p_max < QP_TOL or hi - lo < 1e-16 * hi:
             break
         if pw > p_max:
             lo = mu
         else:
             hi = mu
+        # Newton on 1/sqrt(P(mu)) - 1/sqrt(p_max); an infinite P gives a
+        # nan step, which fails the bracket test like any step leaving it.
+        mu += pw / slope * (math.sqrt(pw / p_max) - 1.0)
+        if not lo < mu < hi:
+            mu = 0.5 * (lo + hi)
     else:
         mu = hi
     return build(mu), mu, it

@@ -57,6 +57,8 @@ class ExperimentSpec:
         for a in self.algorithms:
             if a not in ALGORITHMS:
                 raise ConfigError(f"unknown algorithm {a!r}")
+        if self.trials < 1:
+            raise ConfigError(f"--trials must be at least 1, got {self.trials}")
         if not 0.0 < self.duplex_factor <= 1.0:
             raise ConfigError(f"duplex factor must be in (0, 1], "
                               f"got {self.duplex_factor:g}")

@@ -2,10 +2,11 @@
 closed-form updates.
 
 Everything here trades speed for obviousness: projected gradient ascent in
-place of the eigenbasis water-filling solution, dense grids in place of KKT
-reasoning, and central differences in place of analytic derivatives.  The
-test suite compares the fast paths against these oracles on randomized
-instances; the ``oracle`` CLI subcommand runs a small batch on demand.
+place of the eigenbasis water-filling solution, plain bisection in place of
+the Newton multiplier search, dense grids in place of KKT reasoning, and
+central differences in place of analytic derivatives.  The test suite
+compares the fast paths against these oracles on randomized instances; the
+``oracle`` CLI subcommand runs a small batch on demand.
 """
 
 from __future__ import annotations
@@ -71,6 +72,50 @@ def transmit_qp_pgd(H_t: np.ndarray, Hbar: np.ndarray, p_max,
         shrink = np.where(nrm > rad, rad / np.maximum(nrm, 1e-300), 1.0)
         W = W * shrink[:, None, None]
     return W[0] if single else W
+
+
+def transmit_qp_bisect(H_t: np.ndarray, Hbar: np.ndarray, p_max: float,
+                       tol: float = 1e-13, max_iter: int = 200):
+    """Transmit subproblem by eigendecomposition and plain bisection on the
+    multiplier; returns (W, mu, iterations) like `solve_transmit_qp`.
+
+    Same KKT solution as the solver's Newton iteration, found the slow and
+    obvious way: halve [0, sqrt(sum num / p_max)] until the power
+    sum_i num_i / (lam_i + mu)^2 is within `tol` of p_max.
+    """
+    lam, V = np.linalg.eigh(H_t)
+    lam = np.clip(lam, 0.0, None)
+    R = V.conj().T @ Hbar
+    num = (np.abs(R) ** 2).sum(axis=1)
+    active = num > 0.0
+    lam_a, num_a = lam[active], num[active]
+
+    def power(mu: float) -> float:
+        den = (lam_a + mu) ** 2
+        if not den.all():
+            return np.inf
+        return float((num_a / den).sum())
+
+    def build(mu: float) -> np.ndarray:
+        scale = np.zeros_like(lam)
+        scale[active] = 1.0 / (lam_a + mu)
+        return V @ (R * scale[:, None])
+
+    if power(0.0) <= p_max:
+        return build(0.0), 0.0, 0
+    lo, hi = 0.0, float(np.sqrt(num.sum() / p_max))
+    for it in range(1, max_iter + 1):
+        mu = 0.5 * (lo + hi)
+        pw = power(mu)
+        if abs(pw - p_max) / p_max < tol or hi - lo < 1e-16 * hi:
+            break
+        if pw > p_max:
+            lo = mu
+        else:
+            hi = mu
+    else:
+        mu = hi
+    return build(mu), mu, it
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Alternating optimizer over beamformers, uplink powers and positions.
 
-Each outer iteration refreshes the FP auxiliaries (which pins the surrogate
-to the true weighted sum-rate), then solves the transmit, receive, power,
-grid-placement, transmit-placement and receive-placement blocks in that
-order.  Every block maximizes the same surrogate exactly or monotonically,
-so the true rate trace is non-decreasing and convergence is declared on its
-relative change.
+Each outer iteration solves the transmit, receive, power, grid-placement,
+transmit-placement and receive-placement blocks in that order, then
+refreshes the FP auxiliaries (as is also done once before the first
+iteration).  The refresh pins the surrogate to the true weighted sum-rate,
+and its gamma is the SINR vector, so it also scores the iteration.  Every
+block maximizes the same surrogate exactly or monotonically, so the true
+rate trace is non-decreasing and convergence is declared on its relative
+change.
 
 The grid-placement block runs with BSUM placement only.  It moves antennas
 to grid points of higher *true* rate (`placement.RateGrid`) and, if any
@@ -196,11 +198,12 @@ def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
     if move and cfg.K_U > 0:
         sides.append(("receive placement", "r", "t", placement.receive_context))
 
+    state.gamma, state.y = fp.auxiliary_pass(state, ch, cfg)
     for it in range(1, opts.max_outer + 1):
         iterations = it
-        state.gamma, state.y = fp.auxiliary_pass(state, ch, cfg)
+        # The auxiliaries were refreshed at the state and channels `rate`
+        # was scored on, so the surrogate must touch it.
         p3 = fp.surrogate_objective(state, ch, cfg)
-        # The pass changes no W, p or channel, so `rate` is still current.
         monitor.check_sandwich(p3, rate)
 
         for tag, attr, update in closed_form:
@@ -229,7 +232,10 @@ def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
             p3 = monitor.check_block(
                 p3, fp.surrogate_objective(state, ch, cfg), tag)
 
-        new_rate = fp.weighted_sum_rate(state, ch, cfg)
+        # gamma is the SINR vector, so the pass that refreshes the
+        # auxiliaries for the next iteration also scores this one.
+        state.gamma, state.y = fp.auxiliary_pass(state, ch, cfg)
+        new_rate = float(cfg.weights @ np.log2(1.0 + state.gamma))
         eval_ch, eval_rate = _reported(state, layout, ch, new_rate, cfg,
                                        opts.eval_rlz)
         trace.append(new_rate)

@@ -13,8 +13,8 @@ from prafd.channel import build_channels, sample_realization, trial_rng
 from prafd.config import ScenarioConfig
 from prafd.fp import auxiliary_pass, surrogate_objective, weighted_sum_rate
 from prafd.oracles import (power_grid_search, random_complex, random_psd,
-                           receive_objective_value, transmit_qp_pgd,
-                           transmit_qp_value)
+                           receive_objective_value, transmit_qp_bisect,
+                           transmit_qp_pgd, transmit_qp_value)
 from prafd.solver import initial_state, initialize_layout
 
 
@@ -57,9 +57,9 @@ class TestTransmitQP:
                 assert abs(pw - p_max) <= 1e-6 * p_max
 
     def test_step_cap_returns_a_feasible_beamformer(self, monkeypatch):
-        # Cut short, the bisection's last midpoint may lie on either side
-        # of the budget; the feasible end of the bracket is returned.
-        monkeypatch.setattr(beamforming, "BISECT_MAX_ITER", 3)
+        # Cut short, the last iterate may lie on either side of the
+        # budget; the feasible end of the bracket is returned.
+        monkeypatch.setattr(beamforming, "QP_MAX_ITER", 3)
         rng = np.random.default_rng(4)
         capped = 0
         for _ in range(200):
@@ -71,6 +71,38 @@ class TestTransmitQP:
             pw = float(np.real(np.trace(W.conj().T @ W)))
             assert pw <= p_max * (1 + 1e-12)
         assert capped >= 100
+
+    def test_newton_matches_bisection(self):
+        # Random sizes, an active mode with lam = 0, a single mode (the
+        # secular equation is then linear, so the lower bound is the root),
+        # interior solutions and budgets over six decades.
+        rng = np.random.default_rng(6)
+        steps, interior = [], 0
+        for i in range(400):
+            n = 1 if i % 10 == 0 else int(rng.integers(1, 5))
+            k = int(rng.integers(1, 5))
+            H_t = random_psd(rng, n, eig_lo=0.05, eig_hi=3.0)
+            if i % 10 == 1:
+                lam, V = np.linalg.eigh(H_t)
+                lam[0] = 0.0
+                H_t = (V * lam) @ V.conj().T
+            Hbar = random_complex(rng, (n, k))
+            p_max = float(10.0 ** rng.uniform(-3, 3))
+            W, mu, iters = solve_transmit_qp(H_t, Hbar, p_max)
+            W_ref, mu_ref, _ = transmit_qp_bisect(H_t, Hbar, p_max)
+            assert_allclose(mu, mu_ref, rtol=1e-9, atol=0.0)
+            assert_allclose(W, W_ref, rtol=1e-9, atol=0.0)
+            assert np.linalg.norm(W) ** 2 <= p_max * (1 + 1e-12)
+            assert iters <= 20
+            if mu > 0.0:
+                steps.append(iters)
+                if n == 1:
+                    assert iters == 1
+            else:
+                assert iters == 0
+                interior += 1
+        assert interior >= 20 and len(steps) >= 200
+        assert np.mean(steps) <= 8
 
     def test_interior_solution_has_zero_multiplier(self):
         # Strong curvature keeps the unconstrained optimum inside the ball.

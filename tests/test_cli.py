@@ -1,7 +1,12 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import prafd
 from prafd import experiment
 from prafd.cli import main
 
@@ -127,3 +132,12 @@ class TestOracle:
         assert rc == 0
         out = capsys.readouterr().out
         assert "all checks passed" in out
+
+    def test_runs_as_a_module(self):
+        src = str(Path(prafd.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-m", "prafd", "oracle",
+                              "--count", "5"], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert "all checks passed" in out.stdout

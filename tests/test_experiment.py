@@ -37,6 +37,11 @@ class TestSpec:
         with pytest.raises(ConfigError, match="duplex factor"):
             small_spec(algorithms=("hd",), duplex_factor=factor)
 
+    @pytest.mark.parametrize("trials", [0, -2])
+    def test_fewer_than_one_trial_rejected(self, trials):
+        with pytest.raises(ConfigError, match="--trials"):
+            small_spec(trials=trials)
+
 
 class TestApplySweep:
     def test_antenna_count_sets_both_sides(self):

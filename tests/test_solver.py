@@ -157,8 +157,11 @@ class TestAlternatingOptimize:
 
 
     def test_one_received_power_pass_per_block(self, monkeypatch):
-        # Per outer iteration: auxiliary pass, its surrogate, one surrogate
-        # per closed-form block and the new rate.  Nothing is re-scored.
+        # At the start: the initial rate and the first auxiliary pass.  Per
+        # outer iteration: the surrogate the auxiliaries touch, one surrogate
+        # per closed-form block and the auxiliary pass that also scores the
+        # iteration.  At the end: the per-user rates of the normalized
+        # receive beamformers.  Nothing is re-scored.
         calls = []
         real = fp.received_powers
         monkeypatch.setattr(fp, "received_powers",
@@ -166,7 +169,7 @@ class TestAlternatingOptimize:
         cfg = ScenarioConfig()
         res = solve(cfg, 0, position_method="none")
         assert res.outer_iterations >= 5
-        assert len(calls) <= 7 * res.outer_iterations
+        assert len(calls) == 2 + 5 * res.outer_iterations + 1
 
     def test_one_received_power_pass_per_grid_block(self, monkeypatch):
         # A grid block is scored by one pass; every further pass inside it
