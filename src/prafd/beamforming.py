@@ -43,8 +43,8 @@ def solve_transmit_qp(H_t: np.ndarray, Hbar: np.ndarray, p_max: float):
     side is concave, increasing and nearly linear (exactly so for one mode;
     More & Sorensen 1983), so Newton steps from the lower bound
     max_i sqrt(num_i / p_max) - lam_i converge in a few steps.  A bracket
-    [lo, hi] safeguards them: a step that leaves it, or an infinite P,
-    is replaced by bisection.
+    [lo, hi] safeguards them: a step that leaves it is replaced by
+    bisection.
     Eigenvalues are clipped at zero and null modes with zero numerator are
     dropped, which is the pseudo-inverse solution when H_t is singular.
     """
@@ -57,7 +57,12 @@ def solve_transmit_qp(H_t: np.ndarray, Hbar: np.ndarray, p_max: float):
     modes = list(zip(lam_a.tolist(), num_a.tolist()))
 
     def power(mu: float):
-        """P(mu) and -P'(mu)/2 = sum_i num_i / (lam_i+mu)^3."""
+        """P(mu) and -P'(mu)/2 = sum_i num_i / (lam_i+mu)^3.
+
+        P is infinite only at mu = 0 with an active mode of lam = 0, which
+        the interior check below meets; every later iterate is >= lo > 0
+        when such a mode exists.
+        """
         pw = slope = 0.0
         for lam_i, num_i in modes:
             d = lam_i + mu
@@ -90,8 +95,8 @@ def solve_transmit_qp(H_t: np.ndarray, Hbar: np.ndarray, p_max: float):
             lo = mu
         else:
             hi = mu
-        # Newton on 1/sqrt(P(mu)) - 1/sqrt(p_max); an infinite P gives a
-        # nan step, which fails the bracket test like any step leaving it.
+        # Newton on 1/sqrt(P(mu)) - 1/sqrt(p_max); a step that rounding
+        # carries out of the bracket is replaced by bisection.
         mu += pw / slope * (math.sqrt(pw / p_max) - 1.0)
         if not lo < mu < hi:
             mu = 0.5 * (lo + hi)

@@ -71,10 +71,15 @@ def all_sinrs(state: SolverState, ch: Channels, cfg: ScenarioConfig) -> np.ndarr
     return _sinrs(state, ch, cfg)[0]
 
 
+def rate_of_sinrs(sinr: np.ndarray, cfg: ScenarioConfig) -> float:
+    """sum_i a_i log2(1 + SINR_i) for a DL-then-UL SINR vector."""
+    return float(cfg.weights @ np.log2(1.0 + sinr))
+
+
 def rate_and_powers(state: SolverState, ch: Channels, cfg: ScenarioConfig):
     """Weighted sum-rate and the received-power pass it came from."""
     sinr, powers = _sinrs(state, ch, cfg)
-    return float(cfg.weights @ np.log2(1.0 + sinr)), powers
+    return rate_of_sinrs(sinr, cfg), powers
 
 
 def weighted_sum_rate(state: SolverState, ch: Channels, cfg: ScenarioConfig) -> float:

@@ -74,14 +74,14 @@ def transmit_qp_pgd(H_t: np.ndarray, Hbar: np.ndarray, p_max,
     return W[0] if single else W
 
 
-def transmit_qp_bisect(H_t: np.ndarray, Hbar: np.ndarray, p_max: float,
-                       tol: float = 1e-13, max_iter: int = 200):
+def transmit_qp_bisect(H_t: np.ndarray, Hbar: np.ndarray, p_max: float):
     """Transmit subproblem by eigendecomposition and plain bisection on the
     multiplier; returns (W, mu, iterations) like `solve_transmit_qp`.
 
     Same KKT solution as the solver's Newton iteration, found the slow and
     obvious way: halve [0, sqrt(sum num / p_max)] until the power
-    sum_i num_i / (lam_i + mu)^2 is within `tol` of p_max.
+    sum_i num_i / (lam_i + mu)^2 is within 1e-13 relative of p_max, or for
+    at most 200 halvings.
     """
     lam, V = np.linalg.eigh(H_t)
     lam = np.clip(lam, 0.0, None)
@@ -104,10 +104,10 @@ def transmit_qp_bisect(H_t: np.ndarray, Hbar: np.ndarray, p_max: float,
     if power(0.0) <= p_max:
         return build(0.0), 0.0, 0
     lo, hi = 0.0, float(np.sqrt(num.sum() / p_max))
-    for it in range(1, max_iter + 1):
+    for it in range(1, 201):
         mu = 0.5 * (lo + hi)
         pw = power(mu)
-        if abs(pw - p_max) / p_max < tol or hi - lo < 1e-16 * hi:
+        if abs(pw - p_max) / p_max < 1e-13 or hi - lo < 1e-16 * hi:
             break
         if pw > p_max:
             lo = mu

@@ -235,7 +235,7 @@ def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
         # gamma is the SINR vector, so the pass that refreshes the
         # auxiliaries for the next iteration also scores this one.
         state.gamma, state.y = fp.auxiliary_pass(state, ch, cfg)
-        new_rate = float(cfg.weights @ np.log2(1.0 + state.gamma))
+        new_rate = fp.rate_of_sinrs(state.gamma, cfg)
         eval_ch, eval_rate = _reported(state, layout, ch, new_rate, cfg,
                                        opts.eval_rlz)
         trace.append(new_rate)
