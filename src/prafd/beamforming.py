@@ -161,7 +161,7 @@ def uplink_power_coefficients(state: SolverState, ch: Channels,
     y_dl, y_ul = state.y[:kd], state.y[kd:]
     amp_ul = amplitude(state.gamma, cfg)[kd:]
     G = state.W_r.conj().T @ ch.H_U
-    c1 = 2.0 * amp_ul * np.real(y_ul * np.diag(G))
+    c1 = 2.0 * amp_ul * np.real(y_ul * G.diagonal())
     c2 = (np.abs(y_dl) ** 2) @ (np.abs(ch.H_IUI) ** 2) \
         + (np.abs(y_ul) ** 2) @ (np.abs(G) ** 2)
     return c1, c2

@@ -8,11 +8,16 @@ the true rate exactly; each block update afterwards can only push it up.
 
 Rates are in bits (log2).  The surrogates are computed in nats and scaled
 by 1/ln 2, which leaves every closed-form maximizer unchanged.
+
+Every score here is taken from a `ReceivedPowers` record.  The scoring
+functions build a fresh one unless the caller passes the record it keeps
+for the same state and channels, as the solver does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,38 +42,112 @@ class SolverState:
     y: np.ndarray      # (K,) quadratic-transform auxiliaries
 
 
-def received_powers(W_t, W_r, p, ch: Channels, cfg: ScenarioConfig):
-    """Total received powers s1 (at DL users) and s2 (per RX beamformer).
+class ReceivedPowers:
+    """One received-power pass of (W_t, W_r, p) on one set of channels.
 
-    s1[k] includes every transmit beam (own signal counted), uplink leakage
-    and noise; s2[u] includes every uplink user, residual self-interference
-    after W_t/W_r, and filtered noise.  Also returns C[k,i] = h_D,k^H w_t,i,
-    G[u,i] = w_r,u^H h_U,i and S = W_r^H H_SI W_t.
+    s1[k] is the total power at downlink user k: every transmit beam (its
+    own counted), uplink leakage and noise.  s2[u] is the total power after
+    receive beamformer u: every uplink user, residual self-interference
+    after W_t/W_r, and filtered noise.  The record also keeps the factors
+    they are summed from, so that after a block changes one variable the
+    record is brought up to date by recomputing only what that variable
+    enters:
+
+    * `transmit_changed` (W_t, or the transmit antennas): C and S;
+    * `receive_changed` (W_r, or the receive antennas): G, S and the
+      receive column norms;
+    * `power_changed` (p): only s1 and s2, from the cached squares.
+
+    Each updates the record in place.  H_IUI couples users only, so no
+    block changes |H_IUI|^2.  Every factor is the numpy expression of a
+    full pass on the same operands, so an updated record equals a fresh
+    pass bit for bit.
     """
-    C = ch.H_D.conj().T @ W_t
-    G = W_r.conj().T @ ch.H_U
-    S = W_r.conj().T @ ch.H_SI @ W_t
-    s1 = (np.abs(C) ** 2).sum(axis=1) + np.abs(ch.H_IUI) ** 2 @ p + cfg.sigma2
-    wr_norm2 = (np.abs(W_r) ** 2).sum(axis=0)
-    s2 = np.abs(G) ** 2 @ p + (np.abs(S) ** 2).sum(axis=1) + wr_norm2 * cfg.sigma2
-    return s1, s2, C, G, S
+
+    sigma2: float
+    iui2: np.ndarray      # |H_IUI|^2
+    p: np.ndarray         # the uplink powers s1 and s2 are taken at
+    C: np.ndarray         # (K_D, K_D) C[k, i] = h_D,k^H w_t,i
+    G: np.ndarray         # (K_U, K_U) G[u, i] = w_r,u^H h_U,i
+    S: np.ndarray         # (K_U, K_D) W_r^H H_SI W_t
+    c_rows: np.ndarray    # row sums of |C|^2
+    g2: np.ndarray        # |G|^2
+    s_rows: np.ndarray    # row sums of |S|^2
+    wr_norm2: np.ndarray  # squared column norms of W_r
+    noise: np.ndarray     # wr_norm2 * sigma2
+    s1: np.ndarray        # (K_D,)
+    s2: np.ndarray        # (K_U,)
+
+    def __init__(self, W_t, W_r, p, ch: Channels, sigma2: float):
+        self.sigma2 = sigma2
+        self.iui2 = np.abs(ch.H_IUI) ** 2
+        self.p = p
+        self._downlink(W_t, ch)
+        self._uplink(W_r, ch)
+        self._si(W_t, W_r, ch)
+        self._totals()
+
+    def transmit_changed(self, state: SolverState, ch: Channels) -> None:
+        self._downlink(state.W_t, ch)
+        self._si(state.W_t, state.W_r, ch)
+        self._totals()
+
+    def receive_changed(self, state: SolverState, ch: Channels) -> None:
+        self._uplink(state.W_r, ch)
+        self._si(state.W_t, state.W_r, ch)
+        self._totals()
+
+    def power_changed(self, state: SolverState, ch: Channels) -> None:
+        """`ch` goes unused: p enters no channel product."""
+        self.p = state.p
+        self._totals()
+
+    def _downlink(self, W_t, ch: Channels) -> None:
+        self.C = ch.H_D.conj().T @ W_t
+        self.c_rows = (np.abs(self.C) ** 2).sum(axis=1)
+
+    def _uplink(self, W_r, ch: Channels) -> None:
+        self.G = W_r.conj().T @ ch.H_U
+        self.g2 = np.abs(self.G) ** 2
+        self.wr_norm2 = (np.abs(W_r) ** 2).sum(axis=0)
+        self.noise = self.wr_norm2 * self.sigma2
+
+    def _si(self, W_t, W_r, ch: Channels) -> None:
+        self.S = W_r.conj().T @ ch.H_SI @ W_t
+        self.s_rows = (np.abs(self.S) ** 2).sum(axis=1)
+
+    def _totals(self) -> None:
+        self.s1 = self.c_rows + self.iui2 @ self.p + self.sigma2
+        self.s2 = self.g2 @ self.p + self.s_rows + self.noise
 
 
-def _sinrs(state: SolverState, ch: Channels, cfg: ScenarioConfig):
-    """SINRs (DL then UL) and the received-power pass they came from."""
-    W_r, p = state.W_r, state.p
-    if W_r.shape[1] and np.any((np.abs(W_r) ** 2).sum(axis=0) == 0.0):
+def received_powers(W_t, W_r, p, ch: Channels,
+                    cfg: ScenarioConfig) -> ReceivedPowers:
+    """A full received-power pass: every factor computed afresh."""
+    return ReceivedPowers(W_t, W_r, p, ch, cfg.sigma2)
+
+
+def _pass(state: SolverState, ch: Channels, cfg: ScenarioConfig,
+          powers: ReceivedPowers | None) -> ReceivedPowers:
+    """`powers` when the caller holds the pass of `state` on `ch`, else a
+    fresh pass."""
+    if powers is None:
+        return received_powers(state.W_t, state.W_r, state.p, ch, cfg)
+    return powers
+
+
+def sinrs_of(powers: ReceivedPowers) -> np.ndarray:
+    """SINRs, DL then UL, of one received-power pass."""
+    if np.any(powers.wr_norm2 == 0.0):
         raise ValueError("zero receive beamformer column")
-    powers = received_powers(state.W_t, W_r, p, ch, cfg)
-    s1, s2, C, G, _ = powers
-    sig_dl = np.abs(np.diag(C)) ** 2
-    sig_ul = p * np.abs(np.diag(G)) ** 2
-    sinr = np.concatenate([sig_dl / (s1 - sig_dl), sig_ul / (s2 - sig_ul)])
-    return sinr, powers
+    sig_dl = np.abs(powers.C.diagonal()) ** 2
+    sig_ul = powers.p * np.abs(powers.G.diagonal()) ** 2
+    return np.concatenate([sig_dl / (powers.s1 - sig_dl),
+                           sig_ul / (powers.s2 - sig_ul)])
 
 
 def all_sinrs(state: SolverState, ch: Channels, cfg: ScenarioConfig) -> np.ndarray:
-    return _sinrs(state, ch, cfg)[0]
+    return sinrs_of(received_powers(state.W_t, state.W_r, state.p, ch, cfg))
 
 
 def rate_of_sinrs(sinr: np.ndarray, cfg: ScenarioConfig) -> float:
@@ -78,13 +157,14 @@ def rate_of_sinrs(sinr: np.ndarray, cfg: ScenarioConfig) -> float:
 
 def rate_and_powers(state: SolverState, ch: Channels, cfg: ScenarioConfig):
     """Weighted sum-rate and the received-power pass it came from."""
-    sinr, powers = _sinrs(state, ch, cfg)
-    return rate_of_sinrs(sinr, cfg), powers
+    powers = received_powers(state.W_t, state.W_r, state.p, ch, cfg)
+    return rate_of_sinrs(sinrs_of(powers), cfg), powers
 
 
-def weighted_sum_rate(state: SolverState, ch: Channels, cfg: ScenarioConfig) -> float:
+def weighted_sum_rate(state: SolverState, ch: Channels, cfg: ScenarioConfig,
+                      *, powers: ReceivedPowers | None = None) -> float:
     """Objective: sum_i a_i log2(1 + SINR_i) over DL then UL users."""
-    return rate_and_powers(state, ch, cfg)[0]
+    return rate_of_sinrs(sinrs_of(_pass(state, ch, cfg, powers)), cfg)
 
 
 def per_user_rates(state: SolverState, ch: Channels, cfg: ScenarioConfig):
@@ -106,7 +186,8 @@ def receive_gram(state: SolverState, cfg: ScenarioConfig) -> np.ndarray:
     return (state.W_r * np.abs(state.y[cfg.K_D:]) ** 2) @ state.W_r.conj().T
 
 
-def auxiliary_pass(state: SolverState, ch: Channels, cfg: ScenarioConfig):
+def auxiliary_pass(state: SolverState, ch: Channels, cfg: ScenarioConfig,
+                   *, powers: ReceivedPowers | None = None):
     """One (gamma, y) refresh; returns the new pair without mutating state.
 
     gamma is the current SINR vector (the dual-transform optimizer) and y
@@ -118,26 +199,57 @@ def auxiliary_pass(state: SolverState, ch: Channels, cfg: ScenarioConfig):
     terms vanish identically.
     """
     kd = cfg.K_D
-    gamma, (s1, s2, C, G, _) = _sinrs(state, ch, cfg)
+    powers = _pass(state, ch, cfg, powers)
+    gamma = sinrs_of(powers)
     a = cfg.weights
-    y_dl = amplitude(gamma, cfg)[:kd] * np.diag(C) / s1
-    y_ul = np.sqrt(a[kd:] * state.p * (1.0 + gamma[kd:])) * np.diag(G).conj() / s2
+    y_dl = amplitude(gamma, cfg)[:kd] * powers.C.diagonal() / powers.s1
+    y_ul = np.sqrt(a[kd:] * state.p * (1.0 + gamma[kd:])) \
+        * powers.G.diagonal().conj() / powers.s2
     return gamma, np.concatenate([y_dl, y_ul])
 
 
-def surrogate_objective(state: SolverState, ch: Channels,
-                        cfg: ScenarioConfig) -> float:
-    """Quadratic-transform surrogate at the state's own (gamma, y), in bits."""
+class SurrogateTerms(NamedTuple):
+    """The parts of the surrogate that depend on (gamma, y) and weights only.
+
+    They hold between auxiliary passes, so the solver builds them once per
+    pass instead of once per surrogate evaluation.
+    """
+
+    base: float           # a . (log(1 + gamma) - gamma)
+    amp2_dl: np.ndarray   # 2 * amplitude, downlink users
+    ybar_dl: np.ndarray   # conj(y), downlink users
+    y2_dl: np.ndarray     # |y|^2, downlink users
+    a_ul: np.ndarray      # weights of the uplink users
+    lift_ul: np.ndarray   # 1 + gamma, uplink users
+    y_ul: np.ndarray      # y, uplink users
+    y2_ul: np.ndarray     # |y|^2, uplink users
+
+
+def surrogate_terms(state: SolverState, cfg: ScenarioConfig) -> SurrogateTerms:
     kd = cfg.K_D
-    a = cfg.weights
-    gamma, y = state.gamma, state.y
-    s1, s2, C, G, _ = received_powers(state.W_t, state.W_r, state.p, ch, cfg)
-    base = a @ (np.log(1.0 + gamma) - gamma)
-    y_dl, y_ul = y[:kd], y[kd:]
-    t1 = 2.0 * amplitude(gamma, cfg)[:kd] @ np.real(y_dl.conj() * np.diag(C)) \
-        - (np.abs(y_dl) ** 2) @ s1
+    a, gamma = cfg.weights, state.gamma
+    y_dl, y_ul = state.y[:kd], state.y[kd:]
+    return SurrogateTerms(
+        base=a @ (np.log(1.0 + gamma) - gamma),
+        amp2_dl=2.0 * amplitude(gamma, cfg)[:kd], ybar_dl=y_dl.conj(),
+        y2_dl=np.abs(y_dl) ** 2, a_ul=a[kd:], lift_ul=1.0 + gamma[kd:],
+        y_ul=y_ul, y2_ul=np.abs(y_ul) ** 2)
+
+
+def surrogate_objective(state: SolverState, ch: Channels, cfg: ScenarioConfig,
+                        *, powers: ReceivedPowers | None = None,
+                        terms: SurrogateTerms | None = None) -> float:
+    """Quadratic-transform surrogate at the state's own (gamma, y), in bits.
+
+    `terms`, when given, must be the `surrogate_terms` of the state's
+    current (gamma, y).
+    """
+    powers = _pass(state, ch, cfg, powers)
+    t = surrogate_terms(state, cfg) if terms is None else terms
+    t1 = t.amp2_dl @ np.real(t.ybar_dl * powers.C.diagonal()) \
+        - t.y2_dl @ powers.s1
     # Uplink terms pair the *unconjugated* auxiliary with w_r^H h_U; this is
     # the pairing under which the closed-form y and W_r updates both hold.
-    t2 = 2.0 * np.sqrt(a[kd:] * state.p * (1.0 + gamma[kd:])) \
-        @ np.real(y_ul * np.diag(G)) - (np.abs(y_ul) ** 2) @ s2
-    return float(base + t1 + t2) / LN2
+    t2 = 2.0 * np.sqrt(t.a_ul * state.p * t.lift_ul) \
+        @ np.real(t.y_ul * powers.G.diagonal()) - t.y2_ul @ powers.s2
+    return float(t.base + t1 + t2) / LN2

@@ -131,10 +131,10 @@ def dual_transform_objective(gamma, W_t, W_r, p, ch: Channels,
     """
     kd = cfg.K_D
     a = cfg.weights
-    s1, s2, C, G, _ = received_powers(W_t, W_r, p, ch, cfg)
+    pw = received_powers(W_t, W_r, p, ch, cfg)
     base = a @ (np.log(1.0 + gamma) - gamma)
-    ratio_dl = np.abs(np.diag(C)) ** 2 / s1
-    ratio_ul = p * np.abs(np.diag(G)) ** 2 / s2
+    ratio_dl = np.abs(np.diag(pw.C)) ** 2 / pw.s1
+    ratio_ul = p * np.abs(np.diag(pw.G)) ** 2 / pw.s2
     lift = (a[:kd] * (1.0 + gamma[:kd])) @ ratio_dl \
         + (a[kd:] * (1.0 + gamma[kd:])) @ ratio_ul
     return float(base + lift) / LN2

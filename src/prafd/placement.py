@@ -203,7 +203,7 @@ def placement_objective(ctx: SurrogateContext, fields: tuple) -> float:
     `fields` are the `layout_fields` of the positions to score.
     """
     _, D, X = fields
-    t1 = -2.0 * float(np.real(ctx.lin @ np.diag(D)))
+    t1 = -2.0 * float(np.real(ctx.lin @ D.diagonal()))
     t2 = float(ctx.beam_w @ (np.abs(D) ** 2) @ ctx.chan_w)
     t3 = float(np.real(np.trace(ctx.own @ X.conj().T @ ctx.other @ X)))
     return t1 + t2 + t3
@@ -356,27 +356,27 @@ class RateGrid:
         """Rate with antenna n of `side` ("t" or "r") at each grid point.
 
         `ch` must be the channels of `layout` and `powers` the
-        `fp.received_powers` pass of `state` on `ch`; the spacing
+        `fp.ReceivedPowers` record of `state` on `ch`; the spacing
         constraint is not applied here.  Those received powers are expanded
         around the current layout, so no (points x users x users) array is
         formed.
         """
         cfg, rlz = self.cfg, self.rlz
         W_t, W_r, p = state.W_t, state.W_r, state.p
-        s1, s2, C, G, S = powers
-        sig1 = _abs2(np.diag(C))
+        s1, s2, C, G, S = powers.s1, powers.s2, powers.C, powers.G, powers.S
+        sig1 = _abs2(C.diagonal())
         if side == "t":
             # Row n of H_D and column n of H_SI move: C += a w^T, S += d w^T.
             w = W_t[n]
             ww = _abs2(w).sum()
             a = (self.h_dl - ch.H_D[n]).conj()
             s1 = s1 + 2.0 * np.real(a * (C.conj() @ w)) + _abs2(a) * ww
-            sig1 = _abs2(np.diag(C) + a * w)
+            sig1 = _abs2(C.diagonal() + a * w)
             er = field_response(layout.r, rlz.si_r_dirs, cfg.kappa)
             d = self.e_si_t @ (W_r.conj().T @ er.conj() @ rlz.sigma_si).T \
                 - W_r.conj().T @ ch.H_SI[:, n]
             s2 = s2 + 2.0 * np.real(d * (S.conj() @ w)) + _abs2(d) * ww
-            sig2 = p * _abs2(np.diag(G))
+            sig2 = p * _abs2(G.diagonal())
         else:
             # Row n of H_U and of H_SI move: G += v b^T, S += v e^T.
             v = W_r[n].conj()
@@ -387,7 +387,7 @@ class RateGrid:
             s2 = s2 + 2.0 * np.real(v * (b @ (p * G.conj()).T
                                          + e @ S.conj().T)) \
                 + vv * (_abs2(b) @ p + _abs2(e).sum(axis=1))[:, None]
-            sig2 = p * _abs2(np.diag(G) + v * b)
+            sig2 = p * _abs2(G.diagonal() + v * b)
         kd = cfg.K_D
         return np.log2(1.0 + sig1 / (s1 - sig1)) @ cfg.weights[:kd] \
             + np.log2(1.0 + sig2 / (s2 - sig2)) @ cfg.weights[kd:]
@@ -402,11 +402,12 @@ class RateGrid:
         confirmed by `fp.rate_and_powers` on rebuilt channels; an accepted
         move's received-power pass scores the next visit.  `rate` and
         `powers` are those of `state` on `ch`, as `fp.rate_and_powers`
-        returns them.  Stops
-        once every antenna has been visited since the last move, so that
-        no single grid move raises the rate, or after MAX_GRID_ROUNDS
-        passes.  Sides without users are skipped.  Returns (layout,
-        channels, rate, moves); the inputs are not modified.
+        returns them.  Stops once every antenna has been visited since the
+        last move, so that no single grid move raises the rate, or after
+        MAX_GRID_ROUNDS passes.  Sides without users are skipped.  Returns
+        (layout, channels, rate, powers, moves) with the rate and
+        received-power pass of `state` on the returned channels; the inputs
+        are not modified.
         """
         cfg = self.cfg
         visits = [(side, n) for side, users, count in
@@ -436,4 +437,4 @@ class RateGrid:
                 layout, ch, rate, powers = cand, cand_ch, cand_rate, cand_powers
                 moves += 1
                 settled = 1
-        return layout, ch, rate, moves
+        return layout, ch, rate, powers, moves

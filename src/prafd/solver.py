@@ -15,6 +15,13 @@ moved, refreshes the auxiliaries again: the stale surrogate is at most the
 rate before the jump, which is at most the rate after it, so the surrogate
 still never decreases.  The first time the block moves no antenna it is
 retired for the rest of the run; from there on the loop is plain BSUM.
+
+One received-power record (`fp.ReceivedPowers`) of the current state and
+channels is kept through the run.  A block updates only the factors its
+variable enters, the surrogate after each block and the auxiliary passes
+read the updated record, and a grid move hands over the record of its
+confirming pass.  So the only full passes of a run are the first one and
+the final per-user rates, plus the grid's confirmations.
 """
 
 from __future__ import annotations
@@ -174,7 +181,9 @@ def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
     state = initial_state(ch, cfg)
     monitor = _Monitor()
 
-    rate = fp.weighted_sum_rate(state, ch, cfg)
+    # The run's one full pass; every block updates it in place.
+    powers = fp.received_powers(state.W_t, state.W_r, state.p, ch, cfg)
+    rate = fp.weighted_sum_rate(state, ch, cfg, powers=powers)
     eval_ch, eval_rate = _reported(state, layout, ch, rate, cfg, opts.eval_rlz)
     trace, eval_trace = [rate], [eval_rate]
     bsum_sweeps = 0
@@ -187,54 +196,68 @@ def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
         if opts.position_method == "bsum" else None
     # Built per call, not at import: the functions are looked up on their
     # modules, so wrappers installed there at run time are honoured.
+    record = fp.ReceivedPowers
     closed_form = (
-        ("transmit beamformer", "W_t", beamforming.update_transmit_beamformer),
-        ("receive beamformer", "W_r", beamforming.update_receive_beamformer),
-        ("uplink power", "p", beamforming.update_uplink_power),
+        ("transmit beamformer", "W_t", beamforming.update_transmit_beamformer,
+         record.transmit_changed),
+        ("receive beamformer", "W_r", beamforming.update_receive_beamformer,
+         record.receive_changed),
+        ("uplink power", "p", beamforming.update_uplink_power,
+         record.power_changed),
     )
     sides = []      # placement blocks, only for sides that serve users
     if move and cfg.K_D > 0:
-        sides.append(("transmit placement", "t", "r", placement.transmit_context))
+        sides.append(("transmit placement", "t", "r", placement.transmit_context,
+                      record.transmit_changed))
     if move and cfg.K_U > 0:
-        sides.append(("receive placement", "r", "t", placement.receive_context))
+        sides.append(("receive placement", "r", "t", placement.receive_context,
+                      record.receive_changed))
 
-    state.gamma, state.y = fp.auxiliary_pass(state, ch, cfg)
+    state.gamma, state.y = fp.auxiliary_pass(state, ch, cfg, powers=powers)
     for it in range(1, opts.max_outer + 1):
         iterations = it
-        # The auxiliaries were refreshed at the state and channels `rate`
-        # was scored on, so the surrogate must touch it.
-        p3 = fp.surrogate_objective(state, ch, cfg)
+        # The auxiliaries were refreshed from `powers`, the pass `rate` was
+        # scored on, so the surrogate must touch it.
+        terms = fp.surrogate_terms(state, cfg)
+        p3 = fp.surrogate_objective(state, ch, cfg, powers=powers, terms=terms)
         monitor.check_sandwich(p3, rate)
 
-        for tag, attr, update in closed_form:
+        for tag, attr, update, changed in closed_form:
             setattr(state, attr, update(state, ch, cfg))
-            p3 = monitor.check_block(
-                p3, fp.surrogate_objective(state, ch, cfg), tag)
+            changed(powers, state, ch)
+            p3 = monitor.check_block(p3, fp.surrogate_objective(
+                state, ch, cfg, powers=powers, terms=terms), tag)
 
         if grid is not None:
-            layout, ch, grid_rate, moves = grid.place(
-                state, layout, ch, *fp.rate_and_powers(state, ch, cfg))
+            layout, ch, grid_rate, powers, moves = grid.place(
+                state, layout, ch, fp.rate_of_sinrs(fp.sinrs_of(powers), cfg),
+                powers)
             if moves:
-                state.gamma, state.y = fp.auxiliary_pass(state, ch, cfg)
-                p3_new = fp.surrogate_objective(state, ch, cfg)
+                state.gamma, state.y = fp.auxiliary_pass(state, ch, cfg,
+                                                         powers=powers)
+                terms = fp.surrogate_terms(state, cfg)
+                p3_new = fp.surrogate_objective(state, ch, cfg, powers=powers,
+                                                terms=terms)
                 monitor.check_sandwich(p3_new, grid_rate)
                 p3 = monitor.check_block(p3, p3_new, "grid placement")
             else:
                 grid = None
 
-        for tag, side, other, context in sides:
+        for tag, side, other, context, changed in sides:
             ctx = context(state, rlz, getattr(layout, other), cfg)
             pos, _, sw = optimizer(ctx, getattr(layout, side), rng,
                                    cfg.epsilon_bsum)
             setattr(layout, side, pos)
             bsum_sweeps += sw
             ch = build_channels(layout, rlz, cfg)
-            p3 = monitor.check_block(
-                p3, fp.surrogate_objective(state, ch, cfg), tag)
+            changed(powers, state, ch)
+            p3 = monitor.check_block(p3, fp.surrogate_objective(
+                state, ch, cfg, powers=powers, terms=terms), tag)
 
         # gamma is the SINR vector, so the pass that refreshes the
-        # auxiliaries for the next iteration also scores this one.
-        state.gamma, state.y = fp.auxiliary_pass(state, ch, cfg)
+        # auxiliaries for the next iteration also scores this one; it
+        # reuses the last block's record.
+        state.gamma, state.y = fp.auxiliary_pass(state, ch, cfg, powers=powers)
         new_rate = fp.rate_of_sinrs(state.gamma, cfg)
         eval_ch, eval_rate = _reported(state, layout, ch, new_rate, cfg,
                                        opts.eval_rlz)

@@ -6,7 +6,7 @@ from prafd.channel import build_channels, sample_realization, trial_rng
 from prafd.config import ScenarioConfig
 from prafd.fp import (all_sinrs, amplitude, auxiliary_pass, per_user_rates,
                       receive_gram, received_powers, surrogate_objective,
-                      weighted_sum_rate)
+                      surrogate_terms, weighted_sum_rate)
 from prafd.oracles import dual_transform_objective, random_complex
 from prafd.solver import initial_state, initialize_layout
 
@@ -85,8 +85,8 @@ class TestRate:
     def test_received_powers_match_loops(self):
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=3, L=2, L_SI=2)
         _, _, ch, state = make_instance(cfg, 4, randomize=True)
-        s1, s2, C, G, S = received_powers(state.W_t, state.W_r, state.p, ch,
-                                          cfg)
+        pw = received_powers(state.W_t, state.W_r, state.p, ch, cfg)
+        s1, s2, C, G, S = pw.s1, pw.s2, pw.C, pw.G, pw.S
         for k in range(cfg.K_D):
             ref = sum(abs(np.vdot(ch.H_D[:, k], state.W_t[:, j])) ** 2
                       for j in range(cfg.K_D))
@@ -197,3 +197,56 @@ class TestAuxiliaries:
                   * np.outer(state.W_r[:, u], state.W_r[:, u].conj())
                   for u in range(cfg.K_U))
         assert_allclose(B, ref, rtol=1e-12)
+
+
+def same_record(a, b) -> bool:
+    """Every factor of two received-power records equal, bit for bit."""
+    return vars(a).keys() == vars(b).keys() and all(
+        np.array_equal(v, getattr(b, k)) for k, v in vars(a).items())
+
+
+class TestReceivedPowersUpdates:
+    """An updated record equals a full pass on the new state, exactly."""
+
+    CASES = [ScenarioConfig(K_D=2, K_U=3, N_t=3, N_r=2, L=3, L_SI=2),
+             ScenarioConfig(K_D=3, K_U=0, N_t=2, N_r=2, L=2, L_SI=2),
+             ScenarioConfig(K_D=1, K_U=2, N_t=1, N_r=3, L=2, L_SI=3)]
+
+    def fresh(self, state, ch, cfg):
+        return received_powers(state.W_t, state.W_r, state.p, ch, cfg)
+
+    def test_each_block_kind(self):
+        rng = np.random.default_rng(3)
+        for trial, cfg in enumerate(self.CASES):
+            rlz, layout, ch, state = make_instance(cfg, trial, randomize=True)
+            pw = self.fresh(state, ch, cfg)
+            state.W_t = random_complex(rng, state.W_t.shape)
+            pw.transmit_changed(state, ch)
+            assert same_record(pw, self.fresh(state, ch, cfg))
+            state.W_r = random_complex(rng, state.W_r.shape)
+            pw.receive_changed(state, ch)
+            assert same_record(pw, self.fresh(state, ch, cfg))
+            state.p = rng.uniform(0.0, cfg.p_U_max, cfg.K_U)
+            pw.power_changed(state, ch)
+            assert same_record(pw, self.fresh(state, ch, cfg))
+            # Placement: one side's antennas move, the channels are rebuilt.
+            for side, changed in (("t", pw.transmit_changed),
+                                  ("r", pw.receive_changed)):
+                setattr(layout, side,
+                        getattr(initialize_layout(cfg, rng), side))
+                ch = build_channels(layout, rlz, cfg)
+                changed(state, ch)
+                assert same_record(pw, self.fresh(state, ch, cfg))
+
+    def test_scores_match_a_fresh_pass(self):
+        cfg = self.CASES[0]
+        _, _, ch, state = make_instance(cfg, 11, randomize=True)
+        pw = self.fresh(state, ch, cfg)
+        gamma, y = auxiliary_pass(state, ch, cfg, powers=pw)
+        assert np.array_equal(gamma, auxiliary_pass(state, ch, cfg)[0])
+        assert weighted_sum_rate(state, ch, cfg, powers=pw) \
+            == weighted_sum_rate(state, ch, cfg)
+        state.gamma, state.y = gamma, y
+        assert surrogate_objective(state, ch, cfg, powers=pw,
+                                   terms=surrogate_terms(state, cfg)) \
+            == surrogate_objective(state, ch, cfg)

@@ -276,6 +276,45 @@ class TestBsumSweep:
         assert_allclose(trace, [0.0, 0.0], atol=1e-30)
 
 
+    def test_tau_doublings_running_out_leave_the_antenna_put(self,
+                                                            monkeypatch):
+        # A negative curvature makes every majorizer step an ascent step of
+        # the antenna's objective (|tau| >= the global curvature cap keeps
+        # the first-order gain ahead of the curvature), and doubling keeps
+        # it one, so each visit projects MAX_TAU_DOUBLINGS + 1 candidates,
+        # rejects them all and falls out of the loop.  One antenna per side
+        # keeps the feasible region convex, so the projection keeps the
+        # ascent.
+        monkeypatch.setattr(placement, "MAX_TAU_DOUBLINGS", 2)
+        monkeypatch.setattr(placement, "curvature_bound",
+                            lambda bundle, t: -bundle.curvature_cap())
+        counts = {"visits": 0, "projections": 0}
+        real_bundle = placement.antenna_bundle
+        real_project = placement.nearest_feasible_point
+
+        def bundle(*a):
+            counts["visits"] += 1
+            return real_bundle(*a)
+
+        def project(*a):
+            counts["projections"] += 1
+            return real_project(*a)
+
+        monkeypatch.setattr(placement, "antenna_bundle", bundle)
+        monkeypatch.setattr(placement, "nearest_feasible_point", project)
+        cfg = ScenarioConfig(K_D=2, K_U=2, N_t=1, N_r=1, L=3, L_SI=3)
+        for trial in range(3):
+            _, layout, _, _, ctx_t, ctx_r = make_contexts(cfg, trial)
+            for ctx, pos in ((ctx_t, layout.t), (ctx_r, layout.r)):
+                counts.update(visits=0, projections=0)
+                out, trace, _ = bsum_optimize_side(
+                    ctx, pos, np.random.default_rng(trial), eps=1e-3)
+                assert np.array_equal(out, pos)
+                assert np.all(np.diff(trace) <= 0.0)
+                assert counts["visits"] > 0
+                assert counts["projections"] == 3 * counts["visits"]
+
+
 def random_grid_case(cfg, trial):
     """Realization, feasible layout, its channels and a random state."""
     rng = trial_rng(21, trial, 0)
@@ -320,7 +359,7 @@ class TestRateGrid:
         for trial in range(8):
             rlz, layout, ch, state = random_grid_case(cfg, trial)
             rate, powers = fp.rate_and_powers(state, ch, cfg)
-            out, out_ch, out_rate, moves = RateGrid(rlz, cfg).place(
+            out, out_ch, out_rate, _, moves = RateGrid(rlz, cfg).place(
                 state, layout, ch, rate, powers)
             moved_trials += moves > 0
             assert out_rate >= rate
@@ -356,8 +395,8 @@ class TestRateGrid:
             rlz, layout, ch, state = random_grid_case(cfg, trial)
             start, start_powers = fp.rate_and_powers(state, ch, cfg)
             counts.update(powers=0, confirm=0)
-            _, _, _, moves = RateGrid(rlz, cfg).place(state, layout, ch, start,
-                                                      start_powers)
+            _, _, _, _, moves = RateGrid(rlz, cfg).place(state, layout, ch,
+                                                         start, start_powers)
             assert counts["powers"] == counts["confirm"]
             total_moves += moves
         assert total_moves > 0
@@ -387,7 +426,7 @@ class TestRateGrid:
         # rate of -1 passed in, so antenna 0 lands on the goal only if the
         # goal is eligible.
         monkeypatch.setattr(RateGrid, "rates", rates)
-        out, _, _, moves = grid.place(
+        out, _, _, _, moves = grid.place(
             state, layout, ch, -1.0,
             received_powers(state.W_t, state.W_r, state.p, ch, cfg))
         assert moves >= 1
@@ -402,7 +441,7 @@ class TestRateGrid:
         silent = initial_state(ch, cfg)
         silent.W_t = np.zeros_like(silent.W_t)
         silent.p = np.zeros(cfg.K_U)
-        out, _, out_rate, moves = grid.place(
+        out, _, out_rate, _, moves = grid.place(
             silent, layout, ch, 0.0,
             received_powers(silent.W_t, silent.W_r, silent.p, ch, cfg))
         assert moves == 0 and out_rate == 0.0
@@ -411,11 +450,11 @@ class TestRateGrid:
         # A layout no single grid move improves is returned unchanged.
         moves = 1
         while moves:
-            layout, ch, rate, moves = grid.place(
+            layout, ch, rate, _, moves = grid.place(
                 state, layout, ch, *fp.rate_and_powers(state, ch, cfg))
         again = grid.place(state, layout, ch,
                            *fp.rate_and_powers(state, ch, cfg))
-        assert again[3] == 0 and again[2] == rate
+        assert again[4] == 0 and again[2] == rate
         assert np.array_equal(again[0].t, layout.t)
         assert np.array_equal(again[0].r, layout.r)
 

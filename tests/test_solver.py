@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from prafd.channel import AntennaLayout, build_channels, sample_realization, \
     trial_rng
-from prafd import fp, placement, solver
+from prafd import beamforming, fp, placement, solver
 from prafd.config import ConfigError, ScenarioConfig, validate_config
 from prafd.geometry import layout_side_feasible
 from prafd.solver import (SolveOptions, _Monitor, alternating_optimize,
@@ -157,11 +157,11 @@ class TestAlternatingOptimize:
 
 
     def test_one_received_power_pass_per_block(self, monkeypatch):
-        # At the start: the initial rate and the first auxiliary pass.  Per
-        # outer iteration: the surrogate the auxiliaries touch, one surrogate
-        # per closed-form block and the auxiliary pass that also scores the
-        # iteration.  At the end: the per-user rates of the normalized
-        # receive beamformers.  Nothing is re-scored.
+        # One full pass at the start scores the initial rate and feeds the
+        # first auxiliary pass; every block then updates that record in
+        # place, and the surrogates and auxiliary passes read it.  One more
+        # at the end gives the per-user rates of the normalized receive
+        # beamformers.  No iteration makes a full pass.
         calls = []
         real = fp.received_powers
         monkeypatch.setattr(fp, "received_powers",
@@ -169,12 +169,12 @@ class TestAlternatingOptimize:
         cfg = ScenarioConfig()
         res = solve(cfg, 0, position_method="none")
         assert res.outer_iterations >= 5
-        assert len(calls) == 2 + 5 * res.outer_iterations + 1
+        assert len(calls) == 2
 
     def test_one_received_power_pass_per_grid_block(self, monkeypatch):
-        # A grid block is scored by one pass; every further pass inside it
-        # confirms a candidate move on rebuilt channels.  The block starts
-        # after the uplink power block's surrogate.
+        # The grid block starts from the record the uplink power block left;
+        # every full pass inside it confirms a candidate move on rebuilt
+        # channels.
         counts = {"powers": 0, "confirm": 0}
         mark = {}
         blocks = []
@@ -190,8 +190,8 @@ class TestAlternatingOptimize:
             counts["confirm"] += 1
             return real_build(*a)
 
-        def surrogate(*a):
-            out = real_surrogate(*a)
+        def surrogate(*a, **kw):
+            out = real_surrogate(*a, **kw)
             mark.update(counts)
             return out
 
@@ -205,12 +205,115 @@ class TestAlternatingOptimize:
         monkeypatch.setattr(placement, "build_channels", build)
         monkeypatch.setattr(placement.RateGrid, "place", place)
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2, A=4.0)
+        confirmed = 0
         for trial in range(3):
             blocks.clear()
             solve(cfg, trial)
             assert blocks
             for block in blocks:
-                assert block["powers"] == 1 + block["confirm"]
+                assert block["powers"] == block["confirm"]
+                confirmed += block["confirm"]
+        assert confirmed > 0
+
+    def test_updated_record_equals_a_full_pass(self, monkeypatch):
+        # After every block the solver scores the surrogate from the record
+        # it updated; that record must equal a full pass on the current
+        # state and channels exactly, or the monitor would check stale
+        # factors.
+        pending, seen = [], {}
+        real_surrogate = fp.surrogate_objective
+        real_check = _Monitor.check_block
+
+        def surrogate(state, ch, cfg, *, powers, terms):
+            fresh = fp.received_powers(state.W_t, state.W_r, state.p, ch, cfg)
+            pending.append(vars(powers).keys() == vars(fresh).keys() and all(
+                np.array_equal(v, getattr(fresh, k))
+                for k, v in vars(powers).items()))
+            return real_surrogate(state, ch, cfg, powers=powers, terms=terms)
+
+        def check_block(self, before, after, tag):
+            seen.setdefault(tag, []).append(pending[-1])
+            return real_check(self, before, after, tag)
+
+        monkeypatch.setattr(fp, "surrogate_objective", surrogate)
+        monkeypatch.setattr(_Monitor, "check_block", check_block)
+        cfg = ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2, A=4.0)
+        for trial in range(2):
+            solve(cfg, trial)
+        assert set(seen) == {"transmit beamformer", "receive beamformer",
+                             "uplink power", "grid placement",
+                             "transmit placement", "receive placement"}
+        assert all(pending)
+        assert all(all(v) for v in seen.values())
+
+
+# The eight symmetries of the square region: each maps a feasible layout to
+# a feasible layout.
+SQUARE_SYMMETRIES = [np.array([[a, 0], [0, b]]) for a in (1, -1)
+                     for b in (1, -1)] + \
+    [np.array([[0, a], [b, 0]]) for a in (1, -1) for b in (1, -1)]
+
+
+class TestMonitorEndToEnd:
+    """A block that lowers the surrogate must stop the run, naming itself.
+
+    Each case spoils one block through the module attribute the solver
+    looks up; if the surrogate were scored from stale factors, the drop
+    would go unseen.
+    """
+
+    @pytest.mark.parametrize("attr, tag, spoil", [
+        # -W_t keeps every SINR but flips the quadratic transform's linear
+        # term; twice the optimal W_r overshoots the receive quadratic;
+        # zero power forgoes every uplink reward.
+        ("update_transmit_beamformer", "transmit beamformer", np.negative),
+        ("update_receive_beamformer", "receive beamformer",
+         lambda w: 2.0 * w),
+        ("update_uplink_power", "uplink power", np.zeros_like),
+    ])
+    def test_closed_form_block(self, monkeypatch, attr, tag, spoil):
+        real = getattr(beamforming, attr)
+        monkeypatch.setattr(beamforming, attr,
+                            lambda *a: spoil(real(*a)))
+        cfg = ScenarioConfig()
+        with pytest.raises(AssertionError,
+                           match=f"surrogate decreased in {tag} block"):
+            solve(cfg, 0, position_method="none")
+
+    @pytest.mark.parametrize("context, tag", [
+        ("transmit_context", "transmit placement"),
+        ("receive_context", "receive placement"),
+    ])
+    def test_placement_side(self, monkeypatch, context, tag):
+        spoiled = []
+        real_context = getattr(placement, context)
+        real_side = placement.bsum_optimize_side
+
+        def marked(*a):
+            spoiled.append(real_context(*a))
+            return spoiled[-1]
+
+        def side(ctx, positions, rng, eps):
+            if not (spoiled and ctx is spoiled[-1]):
+                return real_side(ctx, positions, rng, eps)
+
+            # Moves the side to the symmetric layout of highest placement
+            # objective, i.e. of lowest surrogate.
+            def objective(pos):
+                return placement.placement_objective(
+                    ctx, placement.layout_fields(ctx, pos))
+            start = objective(positions)
+            worst = max((positions @ m for m in SQUARE_SYMMETRIES),
+                        key=objective)
+            assert objective(worst) > start + 1e-6 * (1.0 + abs(start))
+            return worst, [start, objective(worst)], 1
+
+        monkeypatch.setattr(placement, context, marked)
+        monkeypatch.setattr(placement, "bsum_optimize_side", side)
+        cfg = ScenarioConfig(K_D=2, K_U=2, N_t=3, N_r=3)
+        with pytest.raises(AssertionError,
+                           match=f"surrogate decreased in {tag} block"):
+            solve(cfg, 0)
 
 
 class TestMismatchedEvaluation:
