@@ -54,7 +54,9 @@ MAX_TAU_DOUBLINGS = 20
 MAX_BSUM_SWEEPS = 50
 GRID_STEP_WAVELENGTHS = 0.125
 MAX_GRID_ROUNDS = 5
-GRID_MIN_GAIN = 1e-12   # relative rate rise a grid move must beat
+# Relative rate rise a grid move must beat: well above the rounding of a
+# solve, so last-bit differences do not decide whether the grid block moves.
+GRID_MIN_GAIN = 1e-9
 
 
 class ExpSum:

@@ -433,6 +433,44 @@ class TestRateGrid:
         assert np.array_equal(out.t[0], goal)
         assert layout_side_feasible(out.t, cfg.region_half_width, cfg.D_min)
 
+    def test_gain_below_the_margin_is_refused(self, monkeypatch):
+        # A move whose true gain is 5e-10 relative, far above rounding but
+        # below the 1e-9 margin, is refused; one of 2e-9 is taken.  The
+        # faked grid rates send every visit to one point; the confirming
+        # pass on rebuilt channels then sees the true rate `goal` there.
+        cfg = ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2, L=3, L_SI=3, A=2.0)
+        rlz, layout, ch, _ = random_grid_case(cfg, 2)
+        state = initial_state(ch, cfg)
+        grid = RateGrid(rlz, cfg)
+        region = placement.FeasibleRegionSpec(
+            cfg.region_half_width, layout.t[1:], cfg.D_min)
+        target = int(np.flatnonzero(
+            placement.is_feasible(grid.points, region))[0])
+        moved = layout.copy()
+        moved.t[0] = grid.points[target]
+        goal = weighted_sum_rate(state, build_channels(moved, rlz, cfg), cfg)
+        assert goal > 1.0   # so the margin is relative
+
+        def rates(self, *args):
+            return np.where(np.arange(len(self.points)) == target, goal,
+                            -np.inf)
+
+        monkeypatch.setattr(RateGrid, "rates", rates)
+        powers = received_powers(state.W_t, state.W_r, state.p, ch, cfg)
+        out, _, out_rate, _, moves = grid.place(
+            state, layout, ch, goal / (1.0 + 5e-10), powers)
+        assert moves == 0
+        assert np.array_equal(out.t, layout.t)
+        assert out_rate == goal / (1.0 + 5e-10)
+        out, out_ch, out_rate, out_powers, moves = grid.place(
+            state, layout, ch, goal / (1.0 + 2e-9), powers)
+        assert moves == 1
+        assert np.array_equal(out.t[0], grid.points[target])
+        assert out_rate == goal
+        fresh = received_powers(state.W_t, state.W_r, state.p, out_ch, cfg)
+        assert all(np.array_equal(v, getattr(fresh, k))
+                   for k, v in vars(out_powers).items())
+
     def test_positions_kept_without_gain(self):
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2, L=3, L_SI=3, A=2.0)
         rlz, layout, ch, state = random_grid_case(cfg, 0)
