@@ -62,7 +62,6 @@ class ScenarioConfig:
     weights: np.ndarray | None = None  # rate weights, DL users then UL users
     epsilon: float = 1e-3       # outer-loop relative convergence threshold
     epsilon_bsum: float = 1e-3  # placement-sweep relative convergence threshold
-    si_var_per_path: str = "L_SI"  # divide rho_SI by "L_SI" or by "L"
     seed: int = 0
 
     def __post_init__(self):
@@ -95,8 +94,7 @@ class ScenarioConfig:
         return self.K_D + self.K_U
 
     def si_path_variance(self) -> float:
-        den = self.L_SI if self.si_var_per_path == "L_SI" else self.L
-        return self.rho_SI / den
+        return self.rho_SI / self.L_SI
 
     def replace(self, **kw) -> "ScenarioConfig":
         return dataclasses.replace(self, **kw)
@@ -144,8 +142,6 @@ def validate_config(cfg: ScenarioConfig) -> None:
         raise ConfigError("need 0 < d_near <= d_far")
     if cfg.alpha <= 0:
         raise ConfigError("alpha must be positive")
-    if cfg.si_var_per_path not in ("L_SI", "L"):
-        raise ConfigError("si_var_per_path must be 'L_SI' or 'L'")
     w = np.asarray(cfg.weights, dtype=float)
     if w.shape != (cfg.K,):
         raise ConfigError(f"weights must have length K_D + K_U = {cfg.K}")
@@ -172,8 +168,6 @@ def _parse_value(key: str, raw: str):
     raw = raw.strip()
     if key == "weights":
         return np.array([float(x) for x in raw.replace(",", " ").split()])
-    if key == "si_var_per_path":
-        return raw
     if key in _INT_FIELDS:
         return int(raw)
     return float(raw)

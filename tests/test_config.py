@@ -38,12 +38,8 @@ class TestDefaults:
 
 class TestSiVariance:
     def test_per_si_path_normalization(self):
-        cfg = ScenarioConfig(rho_SI=1e-9, L_SI=6, si_var_per_path="L_SI")
+        cfg = ScenarioConfig(rho_SI=1e-9, L_SI=6)
         assert_allclose(cfg.si_path_variance(), 1e-9 / 6)
-
-    def test_per_user_path_normalization(self):
-        cfg = ScenarioConfig(rho_SI=1e-9, L=8, si_var_per_path="L")
-        assert_allclose(cfg.si_path_variance(), 1e-9 / 8)
 
 
 class TestDownlinkOnly:
@@ -67,7 +63,7 @@ class TestValidation:
         dict(epsilon=0.0),
         dict(d_near=30.0, d_far=20.0),
         dict(alpha=0.0),
-        dict(si_var_per_path="paths"),
+        dict(L_SI=0),
         dict(f_c=0.0),
         dict(f_c=-3e10),
         dict(f_c=float("inf")),
