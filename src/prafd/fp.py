@@ -138,7 +138,7 @@ def _pass(state: SolverState, ch: Channels, cfg: ScenarioConfig,
 
 def sinrs_of(powers: ReceivedPowers) -> np.ndarray:
     """SINRs, DL then UL, of one received-power pass."""
-    if np.any(powers.wr_norm2 == 0.0):
+    if (powers.wr_norm2 == 0.0).any():
         raise ValueError("zero receive beamformer column")
     sig_dl = np.abs(powers.C.diagonal()) ** 2
     sig_ul = powers.p * np.abs(powers.G.diagonal()) ** 2
@@ -246,10 +246,10 @@ def surrogate_objective(state: SolverState, ch: Channels, cfg: ScenarioConfig,
     """
     powers = _pass(state, ch, cfg, powers)
     t = surrogate_terms(state, cfg) if terms is None else terms
-    t1 = t.amp2_dl @ np.real(t.ybar_dl * powers.C.diagonal()) \
+    t1 = t.amp2_dl @ (t.ybar_dl * powers.C.diagonal()).real \
         - t.y2_dl @ powers.s1
     # Uplink terms pair the *unconjugated* auxiliary with w_r^H h_U; this is
     # the pairing under which the closed-form y and W_r updates both hold.
     t2 = 2.0 * np.sqrt(t.a_ul * state.p * t.lift_ul) \
-        @ np.real(t.y_ul * powers.G.diagonal()) - t.y2_ul @ powers.s2
+        @ (t.y_ul * powers.G.diagonal()).real - t.y2_ul @ powers.s2
     return float(t.base + t1 + t2) / LN2
