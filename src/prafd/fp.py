@@ -9,9 +9,10 @@ the true rate exactly; each block update afterwards can only push it up.
 Rates are in bits (log2).  The surrogates are computed in nats and scaled
 by 1/ln 2, which leaves every closed-form maximizer unchanged.
 
-Every score here is taken from a `ReceivedPowers` record.  The scoring
-functions build a fresh one unless the caller passes the record it keeps
-for the same state and channels, as the solver does.
+Every score here is taken from a `ReceivedPowers` record.  The surrogate
+is scored from the record and terms the caller keeps for the same state
+and channels, as the solver does; the rate and the auxiliary pass build a
+fresh record unless the caller passes one.
 """
 
 from __future__ import annotations
@@ -155,16 +156,15 @@ def rate_of_sinrs(sinr: np.ndarray, cfg: ScenarioConfig) -> float:
     return float(cfg.weights @ np.log2(1.0 + sinr))
 
 
-def rate_and_powers(state: SolverState, ch: Channels, cfg: ScenarioConfig):
-    """Weighted sum-rate and the received-power pass it came from."""
-    powers = received_powers(state.W_t, state.W_r, state.p, ch, cfg)
-    return rate_of_sinrs(sinrs_of(powers), cfg), powers
+def rate_of(powers: ReceivedPowers, cfg: ScenarioConfig) -> float:
+    """Weighted sum-rate of one received-power pass."""
+    return rate_of_sinrs(sinrs_of(powers), cfg)
 
 
 def weighted_sum_rate(state: SolverState, ch: Channels, cfg: ScenarioConfig,
                       *, powers: ReceivedPowers | None = None) -> float:
     """Objective: sum_i a_i log2(1 + SINR_i) over DL then UL users."""
-    return rate_of_sinrs(sinrs_of(_pass(state, ch, cfg, powers)), cfg)
+    return rate_of(_pass(state, ch, cfg, powers), cfg)
 
 
 def per_user_rates(state: SolverState, ch: Channels, cfg: ScenarioConfig):
@@ -237,15 +237,14 @@ def surrogate_terms(state: SolverState, cfg: ScenarioConfig) -> SurrogateTerms:
 
 
 def surrogate_objective(state: SolverState, ch: Channels, cfg: ScenarioConfig,
-                        *, powers: ReceivedPowers | None = None,
-                        terms: SurrogateTerms | None = None) -> float:
+                        *, powers: ReceivedPowers,
+                        terms: SurrogateTerms) -> float:
     """Quadratic-transform surrogate at the state's own (gamma, y), in bits.
 
-    `terms`, when given, must be the `surrogate_terms` of the state's
-    current (gamma, y).
+    `powers` must be the received-power pass of `state` on `ch`, and
+    `terms` the `surrogate_terms` of the state's current (gamma, y).
     """
-    powers = _pass(state, ch, cfg, powers)
-    t = surrogate_terms(state, cfg) if terms is None else terms
+    t = terms
     t1 = t.amp2_dl @ (t.ybar_dl * powers.C.diagonal()).real \
         - t.y2_dl @ powers.s1
     # Uplink terms pair the *unconjugated* auxiliary with w_r^H h_U; this is

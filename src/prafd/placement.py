@@ -395,16 +395,16 @@ class RateGrid:
             + np.log2(1.0 + sig2 / (s2 - sig2)) @ cfg.weights[kd:]
 
     def place(self, state: SolverState, layout: AntennaLayout, ch: Channels,
-              rate: float, powers: tuple):
+              rate: float, powers: fp.ReceivedPowers):
         """Move antennas one at a time to their best feasible grid point.
 
         Grid points are masked by `is_feasible` against the side's other
         antennas.  Cycles through the transmit then the receive antennas
         and moves one only when its best grid point raises the true rate,
-        confirmed by `fp.rate_and_powers` on rebuilt channels; an accepted
-        move's received-power pass scores the next visit.  `rate` and
-        `powers` are those of `state` on `ch`, as `fp.rate_and_powers`
-        returns them.  Stops once every antenna has been visited since the
+        confirmed by a full received-power pass on rebuilt channels; an
+        accepted move's pass scores the next visit.  `rate` and `powers`
+        are the weighted sum-rate and the received-power record of `state`
+        on `ch`.  Stops once every antenna has been visited since the
         last move, so that no single grid move raises the rate, or after
         MAX_GRID_ROUNDS passes.  Sides without users are skipped.  Returns
         (layout, channels, rate, powers, moves) with the rate and
@@ -434,7 +434,9 @@ class RateGrid:
             cand = layout.copy()
             getattr(cand, side)[n] = self.points[best]
             cand_ch = build_channels(cand, self.rlz, cfg)
-            cand_rate, cand_powers = fp.rate_and_powers(state, cand_ch, cfg)
+            cand_powers = fp.received_powers(state.W_t, state.W_r, state.p,
+                                             cand_ch, cfg)
+            cand_rate = fp.rate_of(cand_powers, cfg)
             if cand_rate > bar:
                 layout, ch, rate, powers = cand, cand_ch, cand_rate, cand_powers
                 moves += 1

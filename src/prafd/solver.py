@@ -21,7 +21,9 @@ channels is kept through the run.  A block updates only the factors its
 variable enters, the surrogate after each block and the auxiliary passes
 read the updated record, and a grid move hands over the record of its
 confirming pass.  So the only full passes of a run are the first one and
-the final per-user rates, plus the grid's confirmations.
+the final per-user rates, plus the grid's confirmations and, with
+`eval_rlz`, one pass at the start and one per iteration on the evaluation
+channels.
 """
 
 from __future__ import annotations
@@ -230,8 +232,7 @@ def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
 
         if grid is not None:
             layout, ch, grid_rate, powers, moves = grid.place(
-                state, layout, ch, fp.rate_of_sinrs(fp.sinrs_of(powers), cfg),
-                powers)
+                state, layout, ch, fp.rate_of(powers, cfg), powers)
             if moves:
                 state.gamma, state.y = fp.auxiliary_pass(state, ch, cfg,
                                                          powers=powers)

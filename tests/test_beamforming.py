@@ -11,8 +11,9 @@ from prafd.beamforming import (normalize_receive_columns, optimal_scalar_power,
                                uplink_power_coefficients)
 from prafd.channel import build_channels, sample_realization, trial_rng
 from prafd.config import ScenarioConfig
-from prafd.fp import auxiliary_pass, surrogate_objective, weighted_sum_rate
-from prafd.oracles import (power_grid_search, random_complex, random_psd,
+from prafd.fp import auxiliary_pass, weighted_sum_rate
+from prafd.oracles import (fresh_surrogate, power_grid_search, random_complex,
+                           random_psd,
                            receive_objective_value, transmit_qp_bisect,
                            transmit_qp_pgd, transmit_qp_value)
 from prafd.solver import initial_state, initialize_layout
@@ -129,9 +130,9 @@ class TestTransmitQP:
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=3, N_r=3, L=3, L_SI=3)
         for trial in range(15):
             ch, state = refreshed_state(cfg, trial)
-            before = surrogate_objective(state, ch, cfg)
+            before = fresh_surrogate(state, ch, cfg)
             state.W_t = update_transmit_beamformer(state, ch, cfg)
-            after = surrogate_objective(state, ch, cfg)
+            after = fresh_surrogate(state, ch, cfg)
             assert after >= before - 1e-9 * max(1.0, abs(before))
 
     def test_update_respects_power_budget(self):
@@ -171,9 +172,9 @@ class TestReceiveUpdate:
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=3, N_r=3, L=3, L_SI=3)
         for trial in range(15):
             ch, state = refreshed_state(cfg, trial)
-            before = surrogate_objective(state, ch, cfg)
+            before = fresh_surrogate(state, ch, cfg)
             state.W_r = update_receive_beamformer(state, ch, cfg)
-            after = surrogate_objective(state, ch, cfg)
+            after = fresh_surrogate(state, ch, cfg)
             assert after >= before - 1e-9 * max(1.0, abs(before))
 
     def test_silent_user_column_kept(self):
@@ -230,9 +231,9 @@ class TestUplinkPower:
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=3, N_r=3, L=3, L_SI=3)
         for trial in range(15):
             ch, state = refreshed_state(cfg, trial)
-            before = surrogate_objective(state, ch, cfg)
+            before = fresh_surrogate(state, ch, cfg)
             state.p = update_uplink_power(state, ch, cfg)
-            after = surrogate_objective(state, ch, cfg)
+            after = fresh_surrogate(state, ch, cfg)
             assert after >= before - 1e-9 * max(1.0, abs(before))
             assert np.all(state.p >= 0.0) and np.all(state.p <= cfg.p_U_max)
 

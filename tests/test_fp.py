@@ -7,7 +7,8 @@ from prafd.config import ScenarioConfig
 from prafd.fp import (all_sinrs, amplitude, auxiliary_pass, per_user_rates,
                       receive_gram, received_powers, surrogate_objective,
                       surrogate_terms, weighted_sum_rate)
-from prafd.oracles import dual_transform_objective, random_complex
+from prafd.oracles import (dual_transform_objective, fresh_surrogate,
+                            random_complex)
 from prafd.solver import initial_state, initialize_layout
 
 
@@ -122,7 +123,7 @@ class TestAuxiliaries:
             _, _, ch, state = make_instance(cfg, trial, randomize=True)
             state.gamma, state.y = auxiliary_pass(state, ch, cfg)
             rate = weighted_sum_rate(state, ch, cfg)
-            sur = surrogate_objective(state, ch, cfg)
+            sur = fresh_surrogate(state, ch, cfg)
             assert abs(sur - rate) <= 1e-12 * max(1.0, abs(rate))
 
     def test_dual_transform_tight_at_sinr(self):
@@ -157,7 +158,7 @@ class TestAuxiliaries:
                                             state.p, ch, cfg)
             for _ in range(10):
                 state.y = random_complex(rng, (cfg.K,), scale=10.0)
-                sur = surrogate_objective(state, ch, cfg)
+                sur = fresh_surrogate(state, ch, cfg)
                 assert sur <= dual + 1e-9 * max(1.0, abs(dual))
 
     def test_optimal_y_closes_quadratic_gap(self):
@@ -166,7 +167,7 @@ class TestAuxiliaries:
         state.gamma, state.y = auxiliary_pass(state, ch, cfg)
         dual = dual_transform_objective(state.gamma, state.W_t, state.W_r,
                                         state.p, ch, cfg)
-        assert_allclose(surrogate_objective(state, ch, cfg), dual, rtol=1e-12)
+        assert_allclose(fresh_surrogate(state, ch, cfg), dual, rtol=1e-12)
 
     def test_y_zero_for_silent_uplink_user(self):
         cfg = ScenarioConfig(K_D=1, K_U=2, N_t=2, N_r=2)
@@ -241,7 +242,10 @@ class TestReceivedPowersUpdates:
     def test_scores_match_a_fresh_pass(self):
         cfg = self.CASES[0]
         _, _, ch, state = make_instance(cfg, 11, randomize=True)
+        # A record brought up to date by a block, not a fresh one.
         pw = self.fresh(state, ch, cfg)
+        state.W_t = random_complex(np.random.default_rng(3), state.W_t.shape)
+        pw.transmit_changed(state, ch)
         gamma, y = auxiliary_pass(state, ch, cfg, powers=pw)
         assert np.array_equal(gamma, auxiliary_pass(state, ch, cfg)[0])
         assert weighted_sum_rate(state, ch, cfg, powers=pw) \
@@ -249,4 +253,4 @@ class TestReceivedPowersUpdates:
         state.gamma, state.y = gamma, y
         assert surrogate_objective(state, ch, cfg, powers=pw,
                                    terms=surrogate_terms(state, cfg)) \
-            == surrogate_objective(state, ch, cfg)
+            == fresh_surrogate(state, ch, cfg)

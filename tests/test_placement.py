@@ -7,11 +7,11 @@ from prafd.channel import build_channels, sample_realization, trial_rng, \
     AntennaLayout
 from prafd.config import ScenarioConfig
 from prafd import fp, placement
-from prafd.fp import (auxiliary_pass, received_powers, surrogate_objective,
-                      weighted_sum_rate)
+from prafd.fp import auxiliary_pass, received_powers, weighted_sum_rate
 from prafd.geometry import layout_side_feasible
 from prafd.oracles import (central_difference_gradient,
-                           central_difference_hessian, random_complex,
+                           central_difference_hessian, fresh_surrogate,
+                           random_complex,
                            reference_antenna_bundle,
                            reference_curvature_bound)
 from prafd.placement import (ExpSum, RateGrid, antenna_bundle,
@@ -168,18 +168,18 @@ class TestObjective:
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=3, N_r=3, L=3, L_SI=3)
         rng = np.random.default_rng(5)
         rlz, layout, ch, state, ctx_t, ctx_r = make_contexts(cfg)
-        sur0 = surrogate_objective(state, ch, cfg)
+        sur0 = fresh_surrogate(state, ch, cfg)
         f0_t = objective_at(ctx_t, layout.t)
         f0_r = objective_at(ctx_r, layout.r)
         for _ in range(10):
             t_new = layout.t + rng.uniform(-1, 1, (3, 2)) * cfg.wavelength
             ch_new = build_channels(AntennaLayout(t=t_new, r=layout.r), rlz, cfg)
-            d_sur = surrogate_objective(state, ch_new, cfg) - sur0
+            d_sur = fresh_surrogate(state, ch_new, cfg) - sur0
             d_f = objective_at(ctx_t, t_new) - f0_t
             assert_allclose(d_sur, -d_f / LN2, rtol=1e-9, atol=1e-12)
             r_new = layout.r + rng.uniform(-1, 1, (3, 2)) * cfg.wavelength
             ch_new = build_channels(AntennaLayout(t=layout.t, r=r_new), rlz, cfg)
-            d_sur = surrogate_objective(state, ch_new, cfg) - sur0
+            d_sur = fresh_surrogate(state, ch_new, cfg) - sur0
             d_f = objective_at(ctx_r, r_new) - f0_r
             assert_allclose(d_sur, -d_f / LN2, rtol=1e-9, atol=1e-12)
 
@@ -315,6 +315,12 @@ class TestBsumSweep:
                 assert counts["projections"] == 3 * counts["visits"]
 
 
+def rate_and_powers(state, ch, cfg):
+    """The rate and received-power record `RateGrid.place` starts from."""
+    powers = fp.received_powers(state.W_t, state.W_r, state.p, ch, cfg)
+    return fp.rate_of(powers, cfg), powers
+
+
 def random_grid_case(cfg, trial):
     """Realization, feasible layout, its channels and a random state."""
     rng = trial_rng(21, trial, 0)
@@ -358,7 +364,7 @@ class TestRateGrid:
         moved_trials = 0
         for trial in range(8):
             rlz, layout, ch, state = random_grid_case(cfg, trial)
-            rate, powers = fp.rate_and_powers(state, ch, cfg)
+            rate, powers = rate_and_powers(state, ch, cfg)
             out, out_ch, out_rate, _, moves = RateGrid(rlz, cfg).place(
                 state, layout, ch, rate, powers)
             moved_trials += moves > 0
@@ -393,7 +399,7 @@ class TestRateGrid:
         total_moves = 0
         for trial in range(4):
             rlz, layout, ch, state = random_grid_case(cfg, trial)
-            start, start_powers = fp.rate_and_powers(state, ch, cfg)
+            start, start_powers = rate_and_powers(state, ch, cfg)
             counts.update(powers=0, confirm=0)
             _, _, _, _, moves = RateGrid(rlz, cfg).place(state, layout, ch,
                                                          start, start_powers)
@@ -489,9 +495,9 @@ class TestRateGrid:
         moves = 1
         while moves:
             layout, ch, rate, _, moves = grid.place(
-                state, layout, ch, *fp.rate_and_powers(state, ch, cfg))
+                state, layout, ch, *rate_and_powers(state, ch, cfg))
         again = grid.place(state, layout, ch,
-                           *fp.rate_and_powers(state, ch, cfg))
+                           *rate_and_powers(state, ch, cfg))
         assert again[4] == 0 and again[2] == rate
         assert np.array_equal(again[0].t, layout.t)
         assert np.array_equal(again[0].r, layout.r)
