@@ -46,17 +46,18 @@ def upa_layout(n: int, spacing: float, half_width: float) -> np.ndarray:
 
 
 def _project_side(cand: np.ndarray, half_width: float,
-                  d_min: float) -> np.ndarray | None:
-    """Sequentially restore pairwise feasibility after a joint move."""
+                  d_min: float) -> np.ndarray:
+    """Restore feasibility after a joint move in one pass.
+
+    Each antenna is projected against the final positions of the ones
+    before it, so every pair ends at least d_min apart.
+    """
     proj = cand.copy()
     others = others_index(len(proj))
-    for _ in range(5):
-        for n in range(len(proj)):
-            region = FeasibleRegionSpec(half_width, proj[others[n]], d_min)
-            proj[n] = nearest_feasible_point(cand[n], region)
-        if layout_side_feasible(proj, half_width, d_min):
-            return proj
-    return None
+    for n in range(len(proj)):
+        region = FeasibleRegionSpec(half_width, proj[others[n]], d_min)
+        proj[n] = nearest_feasible_point(cand[n], region)
+    return proj
 
 
 def gradient_descent_positions(ctx: SurrogateContext, positions: np.ndarray,
@@ -92,12 +93,11 @@ def gradient_descent_positions(ctx: SurrogateContext, positions: np.ndarray,
         accepted = False
         for _ in range(GD_MAX_HALVINGS):
             proj = _project_side(pos - alpha * grad, ctx.half_width, ctx.d_min)
-            if proj is not None:
-                proj_fields = layout_fields(ctx, proj)
-                f_new = placement_objective(ctx, proj_fields)
-                if f_new <= f - ARMIJO_C * alpha * gnorm2:
-                    accepted = True
-                    break
+            proj_fields = layout_fields(ctx, proj)
+            f_new = placement_objective(ctx, proj_fields)
+            if f_new <= f - ARMIJO_C * alpha * gnorm2:
+                accepted = True
+                break
             alpha *= 0.5
         if not accepted:
             break  # constrained stationary point at this resolution

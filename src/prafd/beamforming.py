@@ -142,14 +142,6 @@ def update_receive_beamformer(state: SolverState, ch: Channels,
     return W
 
 
-def normalize_receive_columns(W_r: np.ndarray) -> np.ndarray:
-    """Scale each receive beamformer to unit norm (rates are unaffected)."""
-    norms = np.linalg.norm(W_r, axis=0)
-    if np.any(norms == 0.0):
-        raise ValueError("zero receive beamformer column")
-    return W_r / norms
-
-
 def uplink_power_coefficients(state: SolverState, ch: Channels,
                               cfg: ScenarioConfig):
     """Per-user coefficients of the scalar power objective c1*sqrt(p) - c2*p.

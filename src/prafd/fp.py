@@ -147,13 +147,14 @@ def sinrs_of(powers: ReceivedPowers) -> np.ndarray:
                            sig_ul / (powers.s2 - sig_ul)])
 
 
-def all_sinrs(state: SolverState, ch: Channels, cfg: ScenarioConfig) -> np.ndarray:
-    return sinrs_of(received_powers(state.W_t, state.W_r, state.p, ch, cfg))
+def rate_of_sinrs(sinr: np.ndarray, cfg: ScenarioConfig):
+    """sum_i a_i log2(1 + SINR_i) for DL-then-UL SINR vectors.
 
-
-def rate_of_sinrs(sinr: np.ndarray, cfg: ScenarioConfig) -> float:
-    """sum_i a_i log2(1 + SINR_i) for a DL-then-UL SINR vector."""
-    return float(cfg.weights @ np.log2(1.0 + sinr))
+    A vector gives a float; a stack of vectors (users last) gives one rate
+    per vector.
+    """
+    rate = np.log2(1.0 + sinr) @ cfg.weights
+    return rate if np.ndim(rate) else float(rate)
 
 
 def rate_of(powers: ReceivedPowers, cfg: ScenarioConfig) -> float:
@@ -165,12 +166,6 @@ def weighted_sum_rate(state: SolverState, ch: Channels, cfg: ScenarioConfig,
                       *, powers: ReceivedPowers | None = None) -> float:
     """Objective: sum_i a_i log2(1 + SINR_i) over DL then UL users."""
     return rate_of(_pass(state, ch, cfg, powers), cfg)
-
-
-def per_user_rates(state: SolverState, ch: Channels, cfg: ScenarioConfig):
-    g = all_sinrs(state, ch, cfg)
-    rates = np.log2(1.0 + g)
-    return rates[: cfg.K_D], rates[cfg.K_D:]
 
 
 def amplitude(gamma: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:

@@ -354,7 +354,7 @@ class RateGrid:
         self.e_si_r = _grid_phasors(axis, rlz.si_r_dirs, -k).T
 
     def rates(self, state: SolverState, layout: AntennaLayout, ch: Channels,
-              powers: tuple, side: str, n: int) -> np.ndarray:
+              powers: fp.ReceivedPowers, side: str, n: int) -> np.ndarray:
         """Rate with antenna n of `side` ("t" or "r") at each grid point.
 
         `ch` must be the channels of `layout` and `powers` the
@@ -390,9 +390,13 @@ class RateGrid:
                                          + e @ S.conj().T)) \
                 + vv * (_abs2(b) @ p + _abs2(e).sum(axis=1))[:, None]
             sig2 = p * _abs2(G.diagonal() + v * b)
-        kd = cfg.K_D
-        return np.log2(1.0 + sig1 / (s1 - sig1)) @ cfg.weights[:kd] \
-            + np.log2(1.0 + sig2 / (s2 - sig2)) @ cfg.weights[kd:]
+        # (points x users), stored user by user so that each column fills
+        # in one contiguous run.  A receive move leaves the downlink SINRs
+        # alone, so their one row is broadcast to every point.
+        sinr = np.empty((cfg.K, len(self.points))).T
+        sinr[:, :cfg.K_D] = sig1 / (s1 - sig1)
+        sinr[:, cfg.K_D:] = sig2 / (s2 - sig2)
+        return fp.rate_of_sinrs(sinr, cfg)
 
     def place(self, state: SolverState, layout: AntennaLayout, ch: Channels,
               rate: float, powers: fp.ReceivedPowers):

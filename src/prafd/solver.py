@@ -20,10 +20,13 @@ One received-power record (`fp.ReceivedPowers`) of the current state and
 channels is kept through the run.  A block updates only the factors its
 variable enters, the surrogate after each block and the auxiliary passes
 read the updated record, and a grid move hands over the record of its
-confirming pass.  So the only full passes of a run are the first one and
-the final per-user rates, plus the grid's confirmations and, with
-`eval_rlz`, one pass at the start and one per iteration on the evaluation
-channels.
+confirming pass.  So the only full passes of a run are the first one, plus
+the grid's confirmations and, with `eval_rlz`, one pass at the start and
+one per iteration on the evaluation channels.
+
+The SINR vector that scores an iteration is the only source of what the
+run reports: each `eval_trace` entry is its weighted sum-rate and the
+per-user rates are those of the last one.
 """
 
 from __future__ import annotations
@@ -154,14 +157,16 @@ class _Monitor:
                 f"surrogate {surrogate!r} does not match rate {rate!r}")
 
 
-def _reported(state: fp.SolverState, layout: AntennaLayout, ch: Channels,
-              rate: float, cfg: ScenarioConfig,
-              eval_rlz: ChannelRealization | None):
-    """Channels and rate to report: `ch` and `rate` unless `eval_rlz` is set."""
+def _reported(state: fp.SolverState, layout: AntennaLayout,
+              cfg: ScenarioConfig,
+              eval_rlz: ChannelRealization | None) -> np.ndarray:
+    """SINR vector to report: the auxiliary pass's gamma, or with
+    `eval_rlz` the SINRs of a full pass on the evaluation channels."""
     if eval_rlz is None:
-        return ch, rate
+        return state.gamma
     eval_ch = build_channels(layout, eval_rlz, cfg)
-    return eval_ch, fp.weighted_sum_rate(state, eval_ch, cfg)
+    return fp.sinrs_of(fp.received_powers(state.W_t, state.W_r, state.p,
+                                          eval_ch, cfg))
 
 
 def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
@@ -186,8 +191,9 @@ def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
     # The run's one full pass; every block updates it in place.
     powers = fp.received_powers(state.W_t, state.W_r, state.p, ch, cfg)
     rate = fp.weighted_sum_rate(state, ch, cfg, powers=powers)
-    eval_ch, eval_rate = _reported(state, layout, ch, rate, cfg, opts.eval_rlz)
-    trace, eval_trace = [rate], [eval_rate]
+    state.gamma, state.y = fp.auxiliary_pass(state, ch, cfg, powers=powers)
+    sinr = _reported(state, layout, cfg, opts.eval_rlz)
+    trace, eval_trace = [rate], [fp.rate_of_sinrs(sinr, cfg)]
     bsum_sweeps = 0
     converged = False
     iterations = 0
@@ -215,7 +221,6 @@ def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
         sides.append(("receive placement", "r", "t", placement.receive_context,
                       record.receive_changed))
 
-    state.gamma, state.y = fp.auxiliary_pass(state, ch, cfg, powers=powers)
     for it in range(1, opts.max_outer + 1):
         iterations = it
         # The auxiliaries were refreshed from `powers`, the pass `rate` was
@@ -260,23 +265,18 @@ def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
         # reuses the last block's record.
         state.gamma, state.y = fp.auxiliary_pass(state, ch, cfg, powers=powers)
         new_rate = fp.rate_of_sinrs(state.gamma, cfg)
-        eval_ch, eval_rate = _reported(state, layout, ch, new_rate, cfg,
-                                       opts.eval_rlz)
+        sinr = _reported(state, layout, cfg, opts.eval_rlz)
         trace.append(new_rate)
-        eval_trace.append(eval_rate)
+        eval_trace.append(fp.rate_of_sinrs(sinr, cfg))
         converged = abs(new_rate - rate) <= cfg.epsilon * max(abs(rate), 1e-12)
         rate = new_rate
         if converged:
             break
 
-    # Receive beamformer scale does not affect rates; report unit columns.
-    if cfg.K_U > 0:
-        state.W_r = beamforming.normalize_receive_columns(state.W_r)
-
-    dl_rates, ul_rates = fp.per_user_rates(state, eval_ch, cfg)
+    user_rates = np.log2(1.0 + sinr)
     return TrialResult(
         rate=eval_trace[-1],
-        dl_rates=dl_rates, ul_rates=ul_rates,
+        dl_rates=user_rates[:cfg.K_D], ul_rates=user_rates[cfg.K_D:],
         outer_iterations=iterations, bsum_sweeps=bsum_sweeps,
         wall_time=time.perf_counter() - t_start,
         layout=layout, trace=trace, eval_trace=eval_trace,

@@ -67,6 +67,25 @@ class TestGradientDescent:
             ctx, layout.t, np.random.default_rng(0), eps=1e-6)
         assert trace[-1] < trace[0]
 
+    def test_one_projection_pass_restores_feasibility(self):
+        # Joint steps of every size, most of them infeasible, come back
+        # feasible from a single pass.  The disc area stays below the
+        # square's, so no antenna's region is empty.
+        rng = np.random.default_rng(11)
+        infeasible = 0
+        for A, n_ant in ((2.0, 4), (2.0, 6), (4.0, 4)):
+            cfg = ScenarioConfig(A=A, N_t=n_ant)
+            hw, lam = cfg.region_half_width, cfg.wavelength
+            for scale in (0.05, 0.3, 1.0):
+                for _ in range(40):
+                    pos = initialize_layout(cfg, rng).t
+                    cand = pos + rng.normal(scale=scale * lam,
+                                            size=pos.shape)
+                    infeasible += not layout_side_feasible(cand, hw, cfg.D_min)
+                    proj = baselines._project_side(cand, hw, cfg.D_min)
+                    assert layout_side_feasible(proj, hw, cfg.D_min)
+        assert infeasible > 180
+
     def test_respects_step_cap(self, monkeypatch):
         cfg, layout, ctx = self.make_ctx(3)
         monkeypatch.setattr(baselines, "GD_MAX_STEPS", 3)

@@ -1,9 +1,8 @@
 import numpy as np
-import pytest
 from numpy.testing import assert_allclose
 
 from prafd import beamforming
-from prafd.beamforming import (normalize_receive_columns, optimal_scalar_power,
+from prafd.beamforming import (optimal_scalar_power,
                                receive_subproblem_matrices, solve_transmit_qp,
                                transmit_subproblem_matrices,
                                update_receive_beamformer,
@@ -11,7 +10,7 @@ from prafd.beamforming import (normalize_receive_columns, optimal_scalar_power,
                                uplink_power_coefficients)
 from prafd.channel import build_channels, sample_realization, trial_rng
 from prafd.config import ScenarioConfig
-from prafd.fp import auxiliary_pass, weighted_sum_rate
+from prafd.fp import auxiliary_pass
 from prafd.oracles import (fresh_surrogate, power_grid_search, random_complex,
                            random_psd,
                            receive_objective_value, transmit_qp_bisect,
@@ -186,20 +185,6 @@ class TestReceiveUpdate:
         W = update_receive_beamformer(state, ch, cfg)
         assert_allclose(W[:, 1], old[:, 1])
         assert not np.allclose(W[:, 0], old[:, 0])
-
-    def test_normalize_keeps_rate(self):
-        cfg = ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2)
-        ch, state = refreshed_state(cfg, 3)
-        rate = weighted_sum_rate(state, ch, cfg)
-        state.W_r = normalize_receive_columns(state.W_r)
-        assert_allclose(np.linalg.norm(state.W_r, axis=0), np.ones(cfg.K_U))
-        assert_allclose(weighted_sum_rate(state, ch, cfg), rate, rtol=1e-12)
-
-    def test_normalize_rejects_zero_column(self):
-        W = np.zeros((2, 2), dtype=complex)
-        W[:, 0] = 1.0
-        with pytest.raises(ValueError):
-            normalize_receive_columns(W)
 
 
 class TestUplinkPower:

@@ -4,8 +4,8 @@ from numpy.testing import assert_allclose
 
 from prafd.channel import build_channels, sample_realization, trial_rng
 from prafd.config import ScenarioConfig
-from prafd.fp import (all_sinrs, amplitude, auxiliary_pass, per_user_rates,
-                      receive_gram, received_powers, surrogate_objective,
+from prafd.fp import (amplitude, auxiliary_pass, rate_of_sinrs, receive_gram,
+                      received_powers, sinrs_of, surrogate_objective,
                       surrogate_terms, weighted_sum_rate)
 from prafd.oracles import (dual_transform_objective, fresh_surrogate,
                             random_complex)
@@ -24,6 +24,11 @@ def make_instance(cfg, trial=0, seed=0, randomize=False):
         state.W_r = random_complex(rng, state.W_r.shape)
         state.p = rng.uniform(0.0, cfg.p_U_max, cfg.K_U)
     return rlz, layout, ch, state
+
+
+def sinrs(state, ch, cfg):
+    """SINRs, DL then UL, of a full received-power pass."""
+    return sinrs_of(received_powers(state.W_t, state.W_r, state.p, ch, cfg))
 
 
 def rate_by_hand(cfg, ch, state):
@@ -62,16 +67,26 @@ class TestRate:
     def test_per_user_rates_sum_to_weighted_rate(self):
         cfg = ScenarioConfig(K_D=2, K_U=3, N_t=2, N_r=2)
         _, _, ch, state = make_instance(cfg, 1, randomize=True)
-        dl, ul = per_user_rates(state, ch, cfg)
-        assert dl.shape == (2,) and ul.shape == (3,)
-        combined = cfg.weights @ np.concatenate([dl, ul])
-        assert_allclose(combined, weighted_sum_rate(state, ch, cfg), rtol=1e-12)
+        user_rates = np.log2(1.0 + sinrs(state, ch, cfg))
+        assert user_rates.shape == (5,)
+        assert user_rates @ cfg.weights == weighted_sum_rate(state, ch, cfg)
+
+    def test_rate_of_sinrs_scores_a_stack_row_by_row(self):
+        cfg = ScenarioConfig(K_D=2, K_U=3, N_t=2, N_r=2)
+        stack = np.random.default_rng(4).uniform(0.0, 10.0, (7, cfg.K))
+        rows = [rate_of_sinrs(row, cfg) for row in stack]
+        assert all(type(r) is float for r in rows)
+        # Row-major, and user by user as `RateGrid.rates` stores it.
+        for layout in (stack, np.asfortranarray(stack)):
+            rates = rate_of_sinrs(layout, cfg)
+            assert rates.shape == (7,)
+            assert_allclose(rates, rows, rtol=1e-14)
 
     def test_zero_uplink_power_gives_zero_uplink_rate(self):
         cfg = ScenarioConfig(K_D=1, K_U=2, N_t=2, N_r=2)
         _, _, ch, state = make_instance(cfg, 2)
         state.p = np.zeros(cfg.K_U)
-        _, ul = per_user_rates(state, ch, cfg)
+        ul = np.log2(1.0 + sinrs(state, ch, cfg)[cfg.K_D:])
         assert_allclose(ul, np.zeros(2), atol=1e-15)
 
     def test_uplink_sinr_rejects_dead_beamformer(self):
@@ -79,7 +94,7 @@ class TestRate:
         _, _, ch, state = make_instance(cfg, 3)
         state.W_r[:, 0] = 0.0
         with pytest.raises(ValueError, match="zero receive beamformer"):
-            all_sinrs(state, ch, cfg)
+            sinrs(state, ch, cfg)
         with pytest.raises(ValueError, match="zero receive beamformer"):
             auxiliary_pass(state, ch, cfg)
 
@@ -115,7 +130,7 @@ class TestAuxiliaries:
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2)
         _, _, ch, state = make_instance(cfg, 5, randomize=True)
         gamma, _ = auxiliary_pass(state, ch, cfg)
-        assert_allclose(gamma, all_sinrs(state, ch, cfg), rtol=1e-14)
+        assert_allclose(gamma, sinrs(state, ch, cfg), rtol=1e-14)
 
     def test_surrogate_touches_rate_after_pass(self):
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=3, N_r=3, L=3, L_SI=3)
@@ -129,7 +144,7 @@ class TestAuxiliaries:
     def test_dual_transform_tight_at_sinr(self):
         cfg = ScenarioConfig(K_D=2, K_U=1, N_t=2, N_r=2)
         _, _, ch, state = make_instance(cfg, 6, randomize=True)
-        gamma = all_sinrs(state, ch, cfg)
+        gamma = sinrs(state, ch, cfg)
         val = dual_transform_objective(gamma, state.W_t, state.W_r, state.p,
                                        ch, cfg)
         assert_allclose(val, weighted_sum_rate(state, ch, cfg), rtol=1e-12)
@@ -153,7 +168,7 @@ class TestAuxiliaries:
         rng = np.random.default_rng(18)
         for trial in range(10):
             _, _, ch, state = make_instance(cfg, trial, randomize=True)
-            state.gamma = all_sinrs(state, ch, cfg)
+            state.gamma = sinrs(state, ch, cfg)
             dual = dual_transform_objective(state.gamma, state.W_t, state.W_r,
                                             state.p, ch, cfg)
             for _ in range(10):

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from prafd.channel import AntennaLayout, build_channels, sample_realization, \
     trial_rng
 from prafd import beamforming, fp, placement, solver
+from prafd.baselines import run_algorithm
 from prafd.config import ConfigError, ScenarioConfig, validate_config
 from prafd.geometry import layout_side_feasible
 from prafd.solver import (SolveOptions, _Monitor, alternating_optimize,
@@ -159,9 +160,9 @@ class TestAlternatingOptimize:
     def test_one_received_power_pass_per_block(self, monkeypatch):
         # One full pass at the start scores the initial rate and feeds the
         # first auxiliary pass; every block then updates that record in
-        # place, and the surrogates and auxiliary passes read it.  One more
-        # at the end gives the per-user rates of the normalized receive
-        # beamformers.  No iteration makes a full pass.
+        # place, and the surrogates and auxiliary passes read it.  The last
+        # auxiliary pass's SINRs give the per-user rates, so no iteration
+        # and no end of run makes a full pass.
         calls = []
         real = fp.received_powers
         monkeypatch.setattr(fp, "received_powers",
@@ -169,7 +170,23 @@ class TestAlternatingOptimize:
         cfg = ScenarioConfig()
         res = solve(cfg, 0, position_method="none")
         assert res.outer_iterations >= 5
-        assert len(calls) == 2
+        assert len(calls) == 1
+
+    def test_one_evaluation_pass_per_iteration(self, monkeypatch):
+        # With evaluation channels the run adds one full pass on them at
+        # the start and one per iteration; its SINRs are what is reported.
+        calls = []
+        real = fp.received_powers
+        monkeypatch.setattr(fp, "received_powers",
+                            lambda *a: calls.append(1) or real(*a))
+        cfg = ScenarioConfig()
+        true_rlz = sample_realization(cfg, trial_rng(0, 0, 0))
+        shifted = replace(true_rlz, dl_angles=true_rlz.dl_angles + 0.3)
+        opts = SolveOptions(position_method="none", eval_rlz=true_rlz)
+        res = alternating_optimize(cfg, shifted, trial_rng(0, 0, 3),
+                                   options=opts)
+        assert res.outer_iterations >= 5
+        assert len(calls) == 2 + res.outer_iterations
 
     def test_one_received_power_pass_per_grid_block(self, monkeypatch):
         # The grid block starts from the record the uplink power block left;
@@ -335,6 +352,26 @@ class TestMismatchedEvaluation:
         opts = SolveOptions(eval_rlz=rlz)
         res = alternating_optimize(cfg, rlz, trial_rng(0, 0, 3), options=opts)
         assert_allclose(res.rate, res.solver_rate, rtol=1e-12)
+
+
+class TestReportedRates:
+    """The trial's rate and its per-user rates come from one SINR vector."""
+
+    @pytest.mark.parametrize("algo", ["fp-bsum", "fp-gd", "fpas"])
+    @pytest.mark.parametrize("mismatched", [False, True])
+    def test_rate_is_weighted_user_rates(self, algo, mismatched):
+        cfg = ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2, A=4.0)
+        for trial in range(3):
+            true_rlz = sample_realization(cfg, trial_rng(5, trial, 0))
+            rlz, eval_rlz = true_rlz, None
+            if mismatched:
+                rlz = replace(true_rlz, dl_angles=true_rlz.dl_angles + 0.05)
+                eval_rlz = true_rlz
+            res = run_algorithm(algo, cfg, rlz, trial_rng(5, trial, 3),
+                                eval_rlz=eval_rlz)
+            user_rates = np.concatenate([res.dl_rates, res.ul_rates])
+            assert user_rates @ cfg.weights == res.rate
+            assert res.rate == res.eval_trace[-1]
 
 
 class TestMonitor:
