@@ -2,7 +2,9 @@
 
 * fpas: fixed uniform planar arrays, beamforming/power only.
 * fp-gd: same alternating scheme but positions move by projected gradient
-  descent with Armijo backtracking instead of per-antenna majorization.
+  descent with Armijo backtracking instead of per-antenna majorization;
+  each step moves the whole side along one joint gradient
+  (`placement.placement_gradient`).
 * hd: downlink-only half-duplex operation, scaled by a duplex factor.
 """
 
@@ -17,7 +19,7 @@ from .channel import ChannelRealization
 from .config import ConfigError, ScenarioConfig
 from .geometry import FeasibleRegionSpec, layout_side_feasible, nearest_feasible_point
 from .placement import (SurrogateContext, antenna_bundle, layout_fields,
-                        others_index, placement_objective)
+                        others_index, placement_gradient, placement_objective)
 from .solver import AntennaLayout, SolveOptions, TrialResult, alternating_optimize
 
 ALGORITHMS = ("fp-bsum", "fp-gd", "fpas", "hd")
@@ -68,26 +70,29 @@ def gradient_descent_positions(ctx: SurrogateContext, positions: np.ndarray,
     sweep; GD_MAX_STEPS caps gradient steps.  Step sizes come from
     Armijo backtracking (sufficient decrease c=1e-4, halving), so the
     objective trace never increases.  The channel fields of each layout
-    are built once and serve its objective and all N bundles.
+    are built once and serve its objective and its joint gradient, one
+    `placement_gradient` call per step.  The per-antenna bundles are
+    built at the first step only: their largest curvature cap sets the
+    first trial step 1 / cap, and a zero cap means the objective does
+    not depend on the positions.
     """
     pos = np.array(positions, dtype=float, copy=True)
-    n_ant = len(pos)
     fields = layout_fields(ctx, pos)
     f = placement_objective(ctx, fields)
     trace = [f]
     steps = 0
     alpha0 = None
     for _ in range(GD_MAX_STEPS):
-        bundles = [antenna_bundle(ctx, fields, n) for n in range(n_ant)]
-        caps = np.array([b.curvature_cap() for b in bundles])
-        if np.all(caps == 0.0):
-            break
-        grad = np.stack([bundles[n].gradient(pos[n]) for n in range(n_ant)])
+        if alpha0 is None:
+            cap = max(antenna_bundle(ctx, fields, n).curvature_cap()
+                      for n in range(len(pos)))
+            if cap == 0.0:
+                break
+            alpha0 = 1.0 / cap
+        grad = placement_gradient(ctx, pos, fields)
         gnorm2 = float((grad ** 2).sum())
         if gnorm2 == 0.0:
             break
-        if alpha0 is None:
-            alpha0 = 1.0 / float(caps.max())
         steps += 1
         alpha = alpha0
         accepted = False

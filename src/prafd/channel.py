@@ -124,14 +124,14 @@ def trial_rng(seed: int, trial: int, stream: int = 0) -> np.random.Generator:
 
 
 def _user_channel(positions, dirs, prm, kappa) -> np.ndarray:
-    """Stack per-user columns sum_l prm[u,l] * exp(-j*kappa*n_{u,l}.pos_n)."""
-    n_ant = positions.shape[0]
-    k = dirs.shape[0]
-    out = np.empty((n_ant, k), dtype=complex)
-    for u in range(k):
-        e = field_response(positions, dirs[u], kappa)
-        out[:, u] = e.conj() @ prm[u]
-    return out
+    """Stack per-user columns sum_l prm[u,l] * exp(-j*kappa*n_{u,l}.pos_n).
+
+    One exponential over all K*L paths and one contraction build the
+    whole (N, K) matrix.
+    """
+    k, l = prm.shape
+    e = field_response(positions, dirs.reshape(-1, 2), -kappa)
+    return np.einsum("nkl,kl->nk", e.reshape(len(e), k, l), prm)
 
 
 def build_downlink_channel(t_pos: np.ndarray, rlz: ChannelRealization,

@@ -16,8 +16,9 @@ from .config import (ConfigError, ScenarioConfig, load_config, parse_setting,
                      validate_config)
 from .experiment import ExperimentSpec, emit_csv, run_experiment, run_trial
 from .geometry import FeasibleRegionSpec, is_feasible, nearest_feasible_point
-from .placement import (antenna_bundle, layout_fields, placement_objective,
-                        receive_context, transmit_context)
+from .placement import (antenna_bundle, layout_fields, placement_gradient,
+                        placement_objective, receive_context,
+                        transmit_context)
 from .solver import initial_state, initialize_layout
 
 
@@ -100,7 +101,7 @@ def _cmd_experiment(args) -> int:
 
 def _report(name: str, worst: float, limit: float, lines: list, fails: list):
     ok = worst <= limit
-    lines.append(f"{name:<36} worst {worst: .3e}  limit {limit:.1e}  "
+    lines.append(f"{name:<40} worst {worst: .3e}  limit {limit:.1e}  "
                  + ("ok" if ok else "FAIL"))
     if not ok:
         fails.append(name)
@@ -156,7 +157,7 @@ def _oracle_projection(rng, count, lines, fails):
 def _oracle_placement(rng, count, lines, fails):
     cfg = ScenarioConfig(K_D=2, K_U=2, N_t=3, N_r=3, L=3, L_SI=3)
     step = 1e-6 * cfg.wavelength
-    worst = 0.0
+    worst = worst_joint = 0.0
     for _ in range(max(2, count // 25)):
         rlz = sample_realization(cfg, rng)
         layout = initialize_layout(cfg, rng)
@@ -165,9 +166,10 @@ def _oracle_placement(rng, count, lines, fails):
         state.gamma, state.y = fp.auxiliary_pass(state, ch, cfg)
         for ctx, pos in ((transmit_context(state, rlz, layout.r, cfg), layout.t),
                          (receive_context(state, rlz, layout.t, cfg), layout.r)):
+            fields = layout_fields(ctx, pos)
+            joint = placement_gradient(ctx, pos, fields)
             for n in range(len(pos)):
-                bundle = antenna_bundle(ctx, layout_fields(ctx, pos), n)
-                grad = bundle.gradient(pos[n])
+                grad = antenna_bundle(ctx, fields, n).gradient(pos[n])
 
                 def obj(q, n=n, ctx=ctx, pos=pos):
                     trial = pos.copy()
@@ -175,9 +177,13 @@ def _oracle_placement(rng, count, lines, fails):
                     return placement_objective(ctx, layout_fields(ctx, trial))
 
                 ref = oracles.central_difference_gradient(obj, pos[n], step)
-                err = np.linalg.norm(grad - ref) / max(1.0, np.linalg.norm(ref))
-                worst = max(worst, float(err))
+                scale = max(1.0, np.linalg.norm(ref))
+                worst = max(worst, np.linalg.norm(grad - ref) / scale)
+                worst_joint = max(worst_joint,
+                                  np.linalg.norm(joint[n] - ref) / scale)
     _report("placement gradient vs differences", worst, 1e-4, lines, fails)
+    _report("joint placement gradient vs differences", worst_joint, 1e-4,
+            lines, fails)
 
 
 def _cmd_oracle(args) -> int:

@@ -27,6 +27,7 @@ feasible whatever their rounding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,25 +55,38 @@ class FeasibleRegionSpec:
 
 
 def clamp_to_square(point: np.ndarray, half_width: float) -> np.ndarray:
-    return np.clip(point, -half_width, half_width)
+    # The same bits as np.clip, at a fraction of its call overhead.
+    return np.minimum(np.maximum(point, -half_width), half_width)
 
 
 def is_feasible(points: np.ndarray, spec: FeasibleRegionSpec):
     """Whether points lie in the square and outside every disc, up to slack.
 
     `points` is one point (2,) or a stack (..., 2); returns a bool or a
-    bool array of the stack's shape.
+    bool array of the stack's shape.  One point is judged in Python
+    floats by the same IEEE operations as a stack, so it gets the same
+    answer as the stack holding it.
     """
     points = np.asarray(points, dtype=float)
     slack = spec.slack
-    x, y = points[..., 0], points[..., 1]
     lim = spec.half_width + slack
+    if points.shape == (2,):
+        x, y = points.tolist()
+        if not (abs(x) <= lim and abs(y) <= lim):
+            return False
+        rim = spec.radius - slack
+        for ox, oy in spec.obstacles.tolist():
+            dx, dy = x - ox, y - oy
+            if not math.sqrt(dx * dx + dy * dy) >= rim:
+                return False
+        return True
+    x, y = points[..., 0], points[..., 1]
     ok = (np.abs(x) <= lim) & (np.abs(y) <= lim)
     # x and y apart: a reduction over the length-2 axis is slow on grid stacks.
     dx = x[..., None] - spec.obstacles[:, 0]
     dy = y[..., None] - spec.obstacles[:, 1]
     ok &= (np.sqrt(dx * dx + dy * dy) >= spec.radius - slack).all(axis=-1)
-    return ok if ok.ndim else bool(ok)
+    return ok
 
 
 def ray_circle_exit(center: np.ndarray, radius: float,

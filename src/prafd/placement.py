@@ -19,7 +19,10 @@ Each quantity is built once at the level where it can change:
   every term and their squared norms, the path-pair products, the SI mix
   product M, W^H, and every antenna's quadratic coefficients;
 * per layout state: the channel fields H, D = W^H H and the SI matrix X
-  (`layout_fields`), rebuilt in full after an accepted move;
+  (`layout_fields`), rebuilt in full after an accepted move, and from
+  them the joint gradient in every antenna's position
+  (`placement_gradient`), the one gradient projected gradient descent
+  reads per step;
 * per point: one phasor vector serves the value, gradient and Hessian of
   an `ExpSum`, and its curvature cap is taken once.
 
@@ -209,6 +212,31 @@ def placement_objective(ctx: SurrogateContext, fields: tuple) -> float:
     t2 = float(ctx.beam_w @ (np.abs(D) ** 2) @ ctx.chan_w)
     t3 = float(np.real(np.trace(ctx.own @ X.conj().T @ ctx.other @ X)))
     return t1 + t2 + t3
+
+
+def placement_gradient(ctx: SurrogateContext, positions: np.ndarray,
+                       fields: tuple) -> np.ndarray:
+    """Gradient of `placement_objective` in every antenna's position, (N, 2).
+
+    `fields` are the `layout_fields` of `positions`.  With
+    A = chan_w (conj(W) beam_w) conj(D) - lin conj(W) and Z = other X own,
+    row n is 2 Re sum_c A[n, c] dH[n, c]/dt_n + 2 Re sum_i conj(Z[i, n])
+    dX[i, n]/dt_n: one evaluation for the whole side, equal up to rounding
+    to the stacked `antenna_bundle(ctx, fields, n).gradient(positions[n])`.
+    """
+    _, D, X = fields
+    k = ctx.kappa
+    Wc = ctx.W.conj()
+    A = ctx.chan_w * ((Wc * ctx.beam_w) @ D.conj()) - ctx.lin * Wc
+    udirs = ctx.user_dirs.reshape(-1, 2)
+    # dH[n, c]/dt_n = sum_l prm[c, l] exp(-j k u_cl.t_n) (-j k u_cl).
+    E = field_response(positions, udirs, -k).reshape((len(A),)
+                                                     + ctx.user_prm.shape)
+    user = (A[:, :, None] * ctx.user_prm * E).reshape(len(A), -1)
+    # dX[i, n]/dt_n = sum_l si_mix[i, l] exp(j k s_l.t_n) (j k s_l).
+    Z = ctx.other @ X @ ctx.own
+    si = (Z.conj().T @ ctx.si_mix) * field_response(positions, ctx.si_dirs, k)
+    return (2.0 * k) * (user.imag @ udirs - si.imag @ ctx.si_dirs)
 
 
 def antenna_bundle(ctx: SurrogateContext, fields: tuple, n: int) -> ExpSum:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -85,6 +87,42 @@ class TestGradientDescent:
                     proj = baselines._project_side(cand, hw, cfg.D_min)
                     assert layout_side_feasible(proj, hw, cfg.D_min)
         assert infeasible > 180
+
+    def test_bundles_only_at_the_first_step(self, monkeypatch):
+        # The first step's curvature caps are GD's only use of the
+        # per-antenna bundles; that use is also what keeps perfbench's
+        # placement.antenna_bundle span alive on defaults-gd.
+        events = []
+        bundle, project = baselines.antenna_bundle, baselines._project_side
+
+        def counting_bundle(*args):
+            events.append("bundle")
+            return bundle(*args)
+
+        def counting_project(*args):
+            events.append("project")
+            return project(*args)
+
+        monkeypatch.setattr(baselines, "antenna_bundle", counting_bundle)
+        monkeypatch.setattr(baselines, "_project_side", counting_project)
+        for trial in range(4):
+            cfg, layout, ctx = self.make_ctx(trial)
+            events.clear()
+            _, _, steps = gradient_descent_positions(
+                ctx, layout.t, np.random.default_rng(0), eps=1e-6)
+            assert steps >= 2
+            n_bundles = events.count("bundle")
+            assert n_bundles == cfg.N_t
+            assert events[:n_bundles] == ["bundle"] * n_bundles
+
+    def test_zero_beamformers_leave_positions_put(self):
+        # A zero transmit beamformer zeroes W and its gram Q = W W^H.
+        _, layout, ctx = self.make_ctx(0)
+        ctx = replace(ctx, W=np.zeros_like(ctx.W), own=np.zeros_like(ctx.own))
+        out, trace, steps = gradient_descent_positions(
+            ctx, layout.t, np.random.default_rng(0), eps=1e-6)
+        assert steps == 0 and len(trace) == 1
+        assert np.array_equal(out, layout.t)
 
     def test_respects_step_cap(self, monkeypatch):
         cfg, layout, ctx = self.make_ctx(3)

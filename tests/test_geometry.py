@@ -61,6 +61,73 @@ class TestPrimitives:
         assert_allclose(np.linalg.norm(p), 0.5)
 
 
+class TestSinglePoint:
+    """One (2,) point is judged in Python floats; each answer must be the
+    one the stack path gives the same point."""
+
+    @staticmethod
+    def check(points, spec):
+        points = np.asarray(points, dtype=float).reshape(-1, 2)
+        stack = is_feasible(points, spec)
+        single = [is_feasible(p, spec) for p in points]
+        assert all(type(v) is bool for v in single)
+        assert single == stack.tolist()
+        return single
+
+    def test_random_points(self):
+        rng = np.random.default_rng(21)
+        for n_obs in (0, 1, 3):
+            spec = region(obstacles=rng.uniform(-1.0, 1.0, (n_obs, 2)),
+                          radius=0.4)
+            out = self.check(rng.uniform(-1.2, 1.2, (400, 2)), spec)
+            assert any(out) and not all(out)
+
+    def test_exactly_d_min_from_an_obstacle(self):
+        # Points placed D_min from an obstacle measure a hair under or
+        # over it after rounding; all lie within the slack.
+        obstacle = np.array([0.1234, -0.0567])
+        spec = region(obstacles=[obstacle], radius=0.25)
+        ang = np.linspace(0.0, 2.0 * np.pi, 200, endpoint=False)
+        pts = obstacle + 0.25 * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        dist = np.hypot(*(pts - obstacle).T)
+        assert (dist < 0.25).any() and (dist > 0.25).any()
+        assert all(self.check(pts, spec))
+        # At the rim less the slack, a few ulps decide either way.
+        rim = 0.25 - spec.slack
+        base = obstacle + rim * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        nudged = [base]
+        for _ in range(3):
+            nudged.append(np.nextafter(nudged[-1], obstacle))
+            nudged.append(np.nextafter(nudged[-2], 2.0 * base - obstacle))
+        out = self.check(np.concatenate(nudged), spec)
+        assert any(out) and not all(out)
+
+    def test_square_edge(self):
+        for obstacles in ((), [[-0.5, -0.5]]):
+            spec = region(obstacles=obstacles)
+            lim = 1.0 + spec.slack
+            past = np.nextafter(lim, np.inf)
+            pts = [[1.0, 0.0], [0.2, -1.0], [1.0 + 0.5 * spec.slack, 0.0],
+                   [lim, 0.0], [-0.3, -lim], [past, 0.0], [0.0, -past],
+                   [1.0 + 2.0 * spec.slack, 0.7]]
+            assert self.check(pts, spec) == [True] * 5 + [False] * 3
+
+    def test_nan_is_infeasible(self):
+        for obstacles in ((), [[0.0, 0.0]]):
+            spec = region(obstacles=obstacles)
+            pts = [[np.nan, 0.5], [0.5, np.nan], [np.nan, np.nan]]
+            assert self.check(pts, spec) == [False] * 3
+
+    def test_clamp_matches_clip_bit_for_bit(self):
+        pts = np.array([[-0.0, 0.0], [0.0, -0.0], [np.nan, 0.5],
+                        [-0.0, np.nan], [2.0, -3.0], [1.0, -1.0],
+                        [np.inf, -np.inf], [0.3, -0.7]])
+        for hw in (1.0, 0.25, 0.7):
+            for p in pts:
+                out = clamp_to_square(p, hw)
+                assert out.tobytes() == np.clip(p, -hw, hw).tobytes()
+
+
 class TestCircleIntersections:
     def test_two_points(self):
         pts = circle_circle_intersections(np.array([0.0, 0.0]),

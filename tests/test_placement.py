@@ -16,8 +16,9 @@ from prafd.oracles import (central_difference_gradient,
                            reference_curvature_bound)
 from prafd.placement import (ExpSum, RateGrid, antenna_bundle,
                              bsum_optimize_side, curvature_bound, grid_axis,
-                             layout_fields, placement_objective,
-                             receive_context, transmit_context)
+                             layout_fields, placement_gradient,
+                             placement_objective, receive_context,
+                             transmit_context)
 from prafd.solver import initial_state, initialize_layout
 
 LN2 = np.log(2.0)
@@ -144,6 +145,41 @@ class TestBundleReference:
                 for n in order:
                     self.check(ctx, pos, n, bundle_at(ctx, pos, n))
                     pos[n] += rng.uniform(-0.1, 0.1, 2) * cfg.wavelength
+
+
+class TestPlacementGradient:
+    def test_equals_stacked_bundle_gradients(self):
+        cfgs = (ScenarioConfig(K_D=2, K_U=2, N_t=3, N_r=4, L=3, L_SI=3),
+                ScenarioConfig(K_D=3, K_U=1, N_t=3, N_r=2, L=8, L_SI=3),
+                ScenarioConfig(K_D=2, K_U=1, N_t=1, N_r=2, L=8, L_SI=3))
+        rng = np.random.default_rng(12)
+        for cfg, trial in itertools.product(cfgs, range(4)):
+            rlz, layout, _, state, _, _ = make_contexts(cfg, trial)
+            state.W_t = random_complex(rng, state.W_t.shape, 0.1)
+            state.W_r = random_complex(rng, state.W_r.shape)
+            for ctx, pos in ((transmit_context(state, rlz, layout.r, cfg),
+                              layout.t),
+                             (receive_context(state, rlz, layout.t, cfg),
+                              layout.r)):
+                fields = layout_fields(ctx, pos)
+                ref = np.stack([antenna_bundle(ctx, fields, n).gradient(pos[n])
+                                for n in range(len(pos))])
+                joint = placement_gradient(ctx, pos, fields)
+                assert joint.shape == pos.shape
+                assert np.linalg.norm(joint - ref) \
+                    <= 1e-12 * np.linalg.norm(ref)
+
+    def test_zero_beamformers_give_a_zero_gradient(self):
+        cfg = ScenarioConfig(K_D=2, K_U=2, N_t=3, N_r=3, L=3, L_SI=3)
+        rlz, layout, _, state, _, _ = make_contexts(cfg)
+        state.W_t = np.zeros_like(state.W_t)
+        state.W_r = np.zeros_like(state.W_r)
+        for ctx, pos in ((transmit_context(state, rlz, layout.r, cfg),
+                          layout.t),
+                         (receive_context(state, rlz, layout.t, cfg),
+                          layout.r)):
+            grad = placement_gradient(ctx, pos, layout_fields(ctx, pos))
+            assert np.all(grad == 0.0)
 
 
 class TestObjective:
