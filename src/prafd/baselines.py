@@ -47,15 +47,15 @@ def upa_layout(n: int, spacing: float, half_width: float) -> np.ndarray:
     return pts
 
 
-def _project_side(cand: np.ndarray, half_width: float,
+def _project_side(cand: np.ndarray, others: list, half_width: float,
                   d_min: float) -> np.ndarray:
     """Restore feasibility after a joint move in one pass.
 
     Each antenna is projected against the final positions of the ones
-    before it, so every pair ends at least d_min apart.
+    before it, so every pair ends at least d_min apart.  `others` is the
+    side's `others_index`.
     """
     proj = cand.copy()
-    others = others_index(len(proj))
     for n in range(len(proj)):
         region = FeasibleRegionSpec(half_width, proj[others[n]], d_min)
         proj[n] = nearest_feasible_point(cand[n], region)
@@ -77,6 +77,7 @@ def gradient_descent_positions(ctx: SurrogateContext, positions: np.ndarray,
     not depend on the positions.
     """
     pos = np.array(positions, dtype=float, copy=True)
+    others = others_index(len(pos))
     fields = layout_fields(ctx, pos)
     f = placement_objective(ctx, fields)
     trace = [f]
@@ -97,7 +98,8 @@ def gradient_descent_positions(ctx: SurrogateContext, positions: np.ndarray,
         alpha = alpha0
         accepted = False
         for _ in range(GD_MAX_HALVINGS):
-            proj = _project_side(pos - alpha * grad, ctx.half_width, ctx.d_min)
+            proj = _project_side(pos - alpha * grad, others, ctx.half_width,
+                                 ctx.d_min)
             proj_fields = layout_fields(ctx, proj)
             f_new = placement_objective(ctx, proj_fields)
             if f_new <= f - ARMIJO_C * alpha * gnorm2:
@@ -157,7 +159,6 @@ def solve_half_duplex(cfg: ScenarioConfig, rlz: ChannelRealization,
     res.dl_rates = res.dl_rates * duplex_factor
     res.trace = [duplex_factor * v for v in res.trace]
     res.eval_trace = [duplex_factor * v for v in res.eval_trace]
-    res.solver_rate *= duplex_factor
     return res
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .channel import Channels
 from .config import ScenarioConfig
-from .fp import SolverState, amplitude, receive_gram
+from .fp import SolverState, receive_gram
 
 QP_TOL = 1e-13
 QP_MAX_ITER = 200
@@ -24,11 +24,10 @@ QP_MAX_ITER = 200
 def transmit_subproblem_matrices(state: SolverState, ch: Channels,
                                  cfg: ScenarioConfig):
     """Quadratic form H_t and linear term Hbar_D of the transmit block."""
-    kd = cfg.K_D
-    y_dl = state.y[:kd]
-    H_t = (ch.H_D * np.abs(y_dl) ** 2) @ ch.H_D.conj().T \
-        + ch.H_SI.conj().T @ receive_gram(state, cfg) @ ch.H_SI
-    Hbar = ch.H_D * (y_dl * amplitude(state.gamma, cfg)[:kd])
+    x = state.aux
+    H_t = (ch.H_D * x.y2_dl) @ ch.H_D.conj().T \
+        + ch.H_SI.conj().T @ receive_gram(state) @ ch.H_SI
+    Hbar = ch.H_D * (x.y_dl * x.amp_dl)
     return H_t, Hbar
 
 
@@ -115,11 +114,10 @@ def update_transmit_beamformer(state: SolverState, ch: Channels,
 def receive_subproblem_matrices(state: SolverState, ch: Channels,
                                 cfg: ScenarioConfig):
     """Quadratic form H_r and linear term Hbar_U of the receive block."""
-    amp_ul = amplitude(state.gamma, cfg)[cfg.K_D:]
     H_r = (ch.H_U * state.p) @ ch.H_U.conj().T \
         + ch.H_SI @ state.W_t @ state.W_t.conj().T @ ch.H_SI.conj().T \
         + cfg.sigma2 * np.eye(ch.H_U.shape[0])
-    Hbar = ch.H_U * (amp_ul * np.sqrt(state.p))
+    Hbar = ch.H_U * (state.aux.amp_ul * np.sqrt(state.p))
     return H_r, Hbar
 
 
@@ -133,7 +131,7 @@ def update_receive_beamformer(state: SolverState, ch: Channels,
     if cfg.K_U == 0:
         return state.W_r.copy()
     H_r, Hbar = receive_subproblem_matrices(state, ch, cfg)
-    y_ul = state.y[cfg.K_D:]
+    y_ul = state.aux.y_ul
     W = state.W_r.copy()
     live = y_ul != 0.0
     if np.any(live):
@@ -149,13 +147,10 @@ def uplink_power_coefficients(state: SolverState, ch: Channels,
     c1 collects the user's own matched-filter reward; c2 collects the damage
     its power does through every receive beamformer and every downlink user.
     """
-    kd = cfg.K_D
-    y_dl, y_ul = state.y[:kd], state.y[kd:]
-    amp_ul = amplitude(state.gamma, cfg)[kd:]
+    x = state.aux
     G = state.W_r.conj().T @ ch.H_U
-    c1 = 2.0 * amp_ul * np.real(y_ul * G.diagonal())
-    c2 = (np.abs(y_dl) ** 2) @ (np.abs(ch.H_IUI) ** 2) \
-        + (np.abs(y_ul) ** 2) @ (np.abs(G) ** 2)
+    c1 = 2.0 * x.amp_ul * np.real(x.y_ul * G.diagonal())
+    c2 = x.y2_dl @ (np.abs(ch.H_IUI) ** 2) + x.y2_ul @ (np.abs(G) ** 2)
     return c1, c2
 
 

@@ -163,7 +163,7 @@ def _oracle_placement(rng, count, lines, fails):
         layout = initialize_layout(cfg, rng)
         ch = build_channels(layout, rlz, cfg)
         state = initial_state(ch, cfg)
-        state.gamma, state.y = fp.auxiliary_pass(state, ch, cfg)
+        state.aux = fp.auxiliary_pass(state, ch, cfg)
         for ctx, pos in ((transmit_context(state, rlz, layout.r, cfg), layout.t),
                          (receive_context(state, rlz, layout.t, cfg), layout.r)):
             fields = layout_fields(ctx, pos)

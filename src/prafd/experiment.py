@@ -156,7 +156,7 @@ def run_trial(spec: ExperimentSpec, sweep_value, trial: int) -> list[TrialResult
                 rate=float("nan"), dl_rates=np.full(cfg.K_D, np.nan),
                 ul_rates=np.full(cfg.K_U, np.nan), outer_iterations=0,
                 bsum_sweeps=0, wall_time=0.0, layout=layout, trace=[],
-                eval_trace=[], converged=False, solver_rate=float("nan"),
+                eval_trace=[], converged=False,
                 sandwich_gap=float("nan"))
             res.failure = f"{type(exc).__name__}: {exc}"
         res.algorithm = algo

@@ -10,9 +10,14 @@ Rates are in bits (log2).  The surrogates are computed in nats and scaled
 by 1/ln 2, which leaves every closed-form maximizer unchanged.
 
 Every score here is taken from a `ReceivedPowers` record.  The surrogate
-is scored from the record and terms the caller keeps for the same state
-and channels, as the solver does; the rate and the auxiliary pass build a
+is scored from the record the caller keeps for the same state and
+channels, as the solver does; the rate and the auxiliary pass build a
 fresh record unless the caller passes one.
+
+(gamma, y) and every coefficient the blocks read from them live in one
+immutable `Auxiliaries` record, made only by `auxiliaries`: each auxiliary
+pass derives them once, and the surrogate, the closed-form blocks and the
+placement contexts read them from the state.
 """
 
 from __future__ import annotations
@@ -28,19 +33,34 @@ from .config import ScenarioConfig
 LN2 = float(np.log(2.0))
 
 
-@dataclass
-class SolverState:
-    """Designed variables plus the FP auxiliaries.
+class Auxiliaries(NamedTuple):
+    """The FP auxiliaries (gamma, y) and every coefficient derived from them.
 
     gamma and y are ordered downlink users first, then uplink users,
-    matching the weight vector.
+    matching the weight vector.  Only `auxiliaries` builds one.
     """
+
+    gamma: np.ndarray    # (K,) dual-transform auxiliaries
+    y: np.ndarray        # (K,) quadratic-transform auxiliaries
+    base: float          # a . (log(1 + gamma) - gamma)
+    amp_dl: np.ndarray   # amplitude sqrt(a (1 + gamma)), downlink users
+    amp_ul: np.ndarray   # the same, uplink users
+    lift_ul: np.ndarray  # 1 + gamma, uplink users
+    y_dl: np.ndarray     # y, downlink users
+    y_ul: np.ndarray     # y, uplink users
+    y2_dl: np.ndarray    # |y|^2, downlink users
+    y2_ul: np.ndarray    # |y|^2, uplink users
+
+
+@dataclass
+class SolverState:
+    """Designed variables plus the record of the FP auxiliaries they are
+    scored against; a new pass replaces `aux` whole."""
 
     W_t: np.ndarray   # (N_t, K_D) transmit beamformers
     W_r: np.ndarray   # (N_r, K_U) receive beamformers
     p: np.ndarray     # (K_U,) uplink transmit powers
-    gamma: np.ndarray  # (K,) dual-transform auxiliaries
-    y: np.ndarray      # (K,) quadratic-transform auxiliaries
+    aux: Auxiliaries
 
 
 class ReceivedPowers:
@@ -168,22 +188,39 @@ def weighted_sum_rate(state: SolverState, ch: Channels, cfg: ScenarioConfig,
     return rate_of(_pass(state, ch, cfg, powers), cfg)
 
 
-def amplitude(gamma: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
-    """FP amplitudes sqrt(a_i (1 + gamma_i)) that scale each user's signal.
+def auxiliaries(gamma: np.ndarray, y: np.ndarray | None, cfg: ScenarioConfig,
+                powers: ReceivedPowers | None = None) -> Auxiliaries:
+    """The record of (gamma, y): the one place its coefficients are derived.
 
-    Uplink users additionally carry sqrt(p_u) wherever their signal enters.
+    With `powers` (and y None), y is the quadratic-transform optimizer for
+    gamma on that received-power pass.  The blocks read the amplitudes,
+    |y|^2 and the slices from the record, so each is derived once per pass.
     """
-    return np.sqrt(cfg.weights * (1.0 + gamma))
+    kd = cfg.K_D
+    a = cfg.weights
+    lift = 1.0 + gamma
+    amp = np.sqrt(a * lift)
+    if powers is not None:
+        y = np.concatenate([
+            amp[:kd] * powers.C.diagonal() / powers.s1,
+            np.sqrt(a[kd:] * powers.p * lift[kd:])
+            * powers.G.diagonal().conj() / powers.s2])
+    y_dl, y_ul = y[:kd], y[kd:]
+    return Auxiliaries(
+        gamma=gamma, y=y, base=a @ (np.log(lift) - gamma),
+        amp_dl=amp[:kd], amp_ul=amp[kd:], lift_ul=lift[kd:],
+        y_dl=y_dl, y_ul=y_ul, y2_dl=np.abs(y_dl) ** 2,
+        y2_ul=np.abs(y_ul) ** 2)
 
 
-def receive_gram(state: SolverState, cfg: ScenarioConfig) -> np.ndarray:
+def receive_gram(state: SolverState) -> np.ndarray:
     """Weighted receive gram W_r |Y_U|^2 W_r^H, shape (N_r, N_r)."""
-    return (state.W_r * np.abs(state.y[cfg.K_D:]) ** 2) @ state.W_r.conj().T
+    return (state.W_r * state.aux.y2_ul) @ state.W_r.conj().T
 
 
 def auxiliary_pass(state: SolverState, ch: Channels, cfg: ScenarioConfig,
-                   *, powers: ReceivedPowers | None = None):
-    """One (gamma, y) refresh; returns the new pair without mutating state.
+                   *, powers: ReceivedPowers | None = None) -> Auxiliaries:
+    """One (gamma, y) refresh; returns the new record without mutating state.
 
     gamma is the current SINR vector (the dual-transform optimizer) and y
     the quadratic-transform optimizer for that gamma, both from one
@@ -193,57 +230,21 @@ def auxiliary_pass(state: SolverState, ch: Channels, cfg: ScenarioConfig,
     is monotone.)  Uplink users with zero power get y = 0: their surrogate
     terms vanish identically.
     """
-    kd = cfg.K_D
     powers = _pass(state, ch, cfg, powers)
-    gamma = sinrs_of(powers)
-    a = cfg.weights
-    y_dl = amplitude(gamma, cfg)[:kd] * powers.C.diagonal() / powers.s1
-    y_ul = np.sqrt(a[kd:] * state.p * (1.0 + gamma[kd:])) \
-        * powers.G.diagonal().conj() / powers.s2
-    return gamma, np.concatenate([y_dl, y_ul])
-
-
-class SurrogateTerms(NamedTuple):
-    """The parts of the surrogate that depend on (gamma, y) and weights only.
-
-    They hold between auxiliary passes, so the solver builds them once per
-    pass instead of once per surrogate evaluation.
-    """
-
-    base: float           # a . (log(1 + gamma) - gamma)
-    amp2_dl: np.ndarray   # 2 * amplitude, downlink users
-    ybar_dl: np.ndarray   # conj(y), downlink users
-    y2_dl: np.ndarray     # |y|^2, downlink users
-    a_ul: np.ndarray      # weights of the uplink users
-    lift_ul: np.ndarray   # 1 + gamma, uplink users
-    y_ul: np.ndarray      # y, uplink users
-    y2_ul: np.ndarray     # |y|^2, uplink users
-
-
-def surrogate_terms(state: SolverState, cfg: ScenarioConfig) -> SurrogateTerms:
-    kd = cfg.K_D
-    a, gamma = cfg.weights, state.gamma
-    y_dl, y_ul = state.y[:kd], state.y[kd:]
-    return SurrogateTerms(
-        base=a @ (np.log(1.0 + gamma) - gamma),
-        amp2_dl=2.0 * amplitude(gamma, cfg)[:kd], ybar_dl=y_dl.conj(),
-        y2_dl=np.abs(y_dl) ** 2, a_ul=a[kd:], lift_ul=1.0 + gamma[kd:],
-        y_ul=y_ul, y2_ul=np.abs(y_ul) ** 2)
+    return auxiliaries(sinrs_of(powers), None, cfg, powers)
 
 
 def surrogate_objective(state: SolverState, ch: Channels, cfg: ScenarioConfig,
-                        *, powers: ReceivedPowers,
-                        terms: SurrogateTerms) -> float:
-    """Quadratic-transform surrogate at the state's own (gamma, y), in bits.
+                        *, powers: ReceivedPowers) -> float:
+    """Quadratic-transform surrogate at the state's own auxiliaries, in bits.
 
-    `powers` must be the received-power pass of `state` on `ch`, and
-    `terms` the `surrogate_terms` of the state's current (gamma, y).
+    `powers` must be the received-power pass of `state` on `ch`.
     """
-    t = terms
-    t1 = t.amp2_dl @ (t.ybar_dl * powers.C.diagonal()).real \
-        - t.y2_dl @ powers.s1
+    x = state.aux
+    t1 = 2.0 * x.amp_dl @ (x.y_dl.conj() * powers.C.diagonal()).real \
+        - x.y2_dl @ powers.s1
     # Uplink terms pair the *unconjugated* auxiliary with w_r^H h_U; this is
     # the pairing under which the closed-form y and W_r updates both hold.
-    t2 = 2.0 * np.sqrt(t.a_ul * state.p * t.lift_ul) \
-        @ (t.y_ul * powers.G.diagonal()).real - t.y2_ul @ powers.s2
-    return float(t.base + t1 + t2) / LN2
+    t2 = 2.0 * np.sqrt(cfg.weights[cfg.K_D:] * state.p * x.lift_ul) \
+        @ (x.y_ul * powers.G.diagonal()).real - x.y2_ul @ powers.s2
+    return float(x.base + t1 + t2) / LN2

@@ -15,7 +15,7 @@ import numpy as np
 
 from .channel import Channels, _user_channel
 from .config import ScenarioConfig
-from .fp import LN2, received_powers, surrogate_objective, surrogate_terms
+from .fp import LN2, received_powers, surrogate_objective
 from .geometry import FeasibleRegionSpec
 
 
@@ -141,11 +141,10 @@ def dual_transform_objective(gamma, W_t, W_r, p, ch: Channels,
 
 
 def fresh_surrogate(state, ch: Channels, cfg: ScenarioConfig) -> float:
-    """The surrogate at the state's own (gamma, y), scored from a fresh
-    received-power pass and freshly built terms."""
+    """The surrogate at the state's own auxiliaries, scored from a fresh
+    received-power pass."""
     powers = received_powers(state.W_t, state.W_r, state.p, ch, cfg)
-    return surrogate_objective(state, ch, cfg, powers=powers,
-                               terms=surrogate_terms(state, cfg))
+    return surrogate_objective(state, ch, cfg, powers=powers)
 
 
 def receive_objective_value(H_r: np.ndarray, Hbar: np.ndarray) -> float:

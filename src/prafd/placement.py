@@ -160,21 +160,19 @@ class SurrogateContext:
 def _context(state: SolverState, rlz: ChannelRealization,
              other_positions: np.ndarray, cfg: ScenarioConfig,
              transmit: bool) -> SurrogateContext:
-    kd = cfg.K_D
-    amp = fp.amplitude(state.gamma, cfg)
-    y_dl, y_ul = state.y[:kd], state.y[kd:]
+    x = state.aux
     Q = state.W_t @ state.W_t.conj().T
-    B = fp.receive_gram(state, cfg)
+    B = fp.receive_gram(state)
     if transmit:
         side = dict(user_dirs=rlz.dl_dirs, user_prm=rlz.prm_dl,
-                    lin=amp[:kd] * y_dl, chan_w=np.abs(y_dl) ** 2,
-                    beam_w=np.ones(kd), W=state.W_t, own=Q, other=B,
+                    lin=x.amp_dl * x.y_dl, chan_w=x.y2_dl,
+                    beam_w=np.ones(cfg.K_D), W=state.W_t, own=Q, other=B,
                     si_dirs=rlz.si_t_dirs)
         other_dirs, sigma = rlz.si_r_dirs, rlz.sigma_si
     else:
         side = dict(user_dirs=rlz.ul_dirs, user_prm=rlz.prm_ul,
-                    lin=amp[kd:] * np.sqrt(state.p) * y_ul,
-                    chan_w=state.p.astype(float), beam_w=np.abs(y_ul) ** 2,
+                    lin=x.amp_ul * np.sqrt(state.p) * x.y_ul,
+                    chan_w=state.p.astype(float), beam_w=x.y2_ul,
                     W=state.W_r, own=B, other=Q, si_dirs=rlz.si_r_dirs)
         other_dirs, sigma = rlz.si_t_dirs, rlz.sigma_si.conj().T
     e = field_response(other_positions, other_dirs, cfg.kappa)

@@ -24,6 +24,10 @@ confirming pass.  So the only full passes of a run are the first one, plus
 the grid's confirmations and, with `eval_rlz`, one pass at the start and
 one per iteration on the evaluation channels.
 
+Each auxiliary pass replaces `state.aux`, the one record of (gamma, y) and
+every coefficient derived from them (`fp.Auxiliaries`); the blocks and
+surrogates up to the next pass read it, so nothing is re-derived per block.
+
 The SINR vector that scores an iteration is the only source of what the
 run reports: each `eval_trace` entry is its weighted sum-rate and the
 per-user rates are those of the last one.
@@ -65,7 +69,6 @@ class TrialResult:
     trace: list                 # solver-side rate per outer iteration
     eval_trace: list            # rate on true channels per iteration
     converged: bool
-    solver_rate: float          # final rate on the channels the solver saw
     sandwich_gap: float         # worst |surrogate - rate| after aux passes
     # filled by the experiment harness:
     algorithm: str = ""
@@ -114,7 +117,7 @@ def initial_state(ch: Channels, cfg: ScenarioConfig) -> fp.SolverState:
     k = cfg.K
     return fp.SolverState(
         W_t=W_t, W_r=W_r, p=np.full(cfg.K_U, cfg.p_U_max),
-        gamma=np.zeros(k), y=np.zeros(k, dtype=complex),
+        aux=fp.auxiliaries(np.zeros(k), np.zeros(k, dtype=complex), cfg),
     )
 
 
@@ -163,7 +166,7 @@ def _reported(state: fp.SolverState, layout: AntennaLayout,
     """SINR vector to report: the auxiliary pass's gamma, or with
     `eval_rlz` the SINRs of a full pass on the evaluation channels."""
     if eval_rlz is None:
-        return state.gamma
+        return state.aux.gamma
     eval_ch = build_channels(layout, eval_rlz, cfg)
     return fp.sinrs_of(fp.received_powers(state.W_t, state.W_r, state.p,
                                           eval_ch, cfg))
@@ -191,7 +194,7 @@ def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
     # The run's one full pass; every block updates it in place.
     powers = fp.received_powers(state.W_t, state.W_r, state.p, ch, cfg)
     rate = fp.weighted_sum_rate(state, ch, cfg, powers=powers)
-    state.gamma, state.y = fp.auxiliary_pass(state, ch, cfg, powers=powers)
+    state.aux = fp.auxiliary_pass(state, ch, cfg, powers=powers)
     sinr = _reported(state, layout, cfg, opts.eval_rlz)
     trace, eval_trace = [rate], [fp.rate_of_sinrs(sinr, cfg)]
     bsum_sweeps = 0
@@ -225,25 +228,21 @@ def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
         iterations = it
         # The auxiliaries were refreshed from `powers`, the pass `rate` was
         # scored on, so the surrogate must touch it.
-        terms = fp.surrogate_terms(state, cfg)
-        p3 = fp.surrogate_objective(state, ch, cfg, powers=powers, terms=terms)
+        p3 = fp.surrogate_objective(state, ch, cfg, powers=powers)
         monitor.check_sandwich(p3, rate)
 
         for tag, attr, update, changed in closed_form:
             setattr(state, attr, update(state, ch, cfg))
             changed(powers, state, ch)
             p3 = monitor.check_block(p3, fp.surrogate_objective(
-                state, ch, cfg, powers=powers, terms=terms), tag)
+                state, ch, cfg, powers=powers), tag)
 
         if grid is not None:
             layout, ch, grid_rate, powers, moves = grid.place(
                 state, layout, ch, fp.rate_of(powers, cfg), powers)
             if moves:
-                state.gamma, state.y = fp.auxiliary_pass(state, ch, cfg,
-                                                         powers=powers)
-                terms = fp.surrogate_terms(state, cfg)
-                p3_new = fp.surrogate_objective(state, ch, cfg, powers=powers,
-                                                terms=terms)
+                state.aux = fp.auxiliary_pass(state, ch, cfg, powers=powers)
+                p3_new = fp.surrogate_objective(state, ch, cfg, powers=powers)
                 monitor.check_sandwich(p3_new, grid_rate)
                 p3 = monitor.check_block(p3, p3_new, "grid placement")
             else:
@@ -258,13 +257,13 @@ def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
             ch = build_channels(layout, rlz, cfg)
             changed(powers, state, ch)
             p3 = monitor.check_block(p3, fp.surrogate_objective(
-                state, ch, cfg, powers=powers, terms=terms), tag)
+                state, ch, cfg, powers=powers), tag)
 
         # gamma is the SINR vector, so the pass that refreshes the
         # auxiliaries for the next iteration also scores this one; it
         # reuses the last block's record.
-        state.gamma, state.y = fp.auxiliary_pass(state, ch, cfg, powers=powers)
-        new_rate = fp.rate_of_sinrs(state.gamma, cfg)
+        state.aux = fp.auxiliary_pass(state, ch, cfg, powers=powers)
+        new_rate = fp.rate_of_sinrs(state.aux.gamma, cfg)
         sinr = _reported(state, layout, cfg, opts.eval_rlz)
         trace.append(new_rate)
         eval_trace.append(fp.rate_of_sinrs(sinr, cfg))
@@ -280,6 +279,5 @@ def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
         outer_iterations=iterations, bsum_sweeps=bsum_sweeps,
         wall_time=time.perf_counter() - t_start,
         layout=layout, trace=trace, eval_trace=eval_trace,
-        converged=converged, solver_rate=trace[-1],
-        sandwich_gap=monitor.sandwich_gap,
+        converged=converged, sandwich_gap=monitor.sandwich_gap,
     )

@@ -156,7 +156,7 @@ class TestPlacementDerivatives:
             layout = initialize_layout(cfg, rng)
             ch = build_channels(layout, rlz, cfg)
             state = initial_state(ch, cfg)
-            state.gamma, state.y = auxiliary_pass(state, ch, cfg)
+            state.aux = auxiliary_pass(state, ch, cfg)
             sides = ((transmit_context(state, rlz, layout.r, cfg), layout.t),
                      (receive_context(state, rlz, layout.t, cfg), layout.r))
             for ctx, pos in sides:
@@ -216,7 +216,7 @@ class TestReceiveScaleInvariance:
             W2 = state.W_r.copy()
             W2[:, u] *= scale
             scaled = weighted_sum_rate(
-                SolverState(state.W_t, W2, state.p, state.gamma, state.y),
+                SolverState(state.W_t, W2, state.p, state.aux),
                 ch, cfg)
             assert abs(scaled - base) < 1e-9 * max(1.0, abs(base))
 

@@ -12,8 +12,8 @@ from prafd.channel import build_channels, sample_realization, trial_rng
 from prafd.config import ConfigError, ScenarioConfig
 from prafd.fp import auxiliary_pass
 from prafd.geometry import layout_side_feasible, min_pairwise_distance
-from prafd.placement import (layout_fields, placement_objective,
-                             transmit_context)
+from prafd.placement import (layout_fields, others_index,
+                             placement_objective, transmit_context)
 from prafd.solver import SolveOptions, initial_state, initialize_layout
 
 
@@ -49,7 +49,7 @@ class TestGradientDescent:
         layout = initialize_layout(cfg, rng)
         ch = build_channels(layout, rlz, cfg)
         state = initial_state(ch, cfg)
-        state.gamma, state.y = auxiliary_pass(state, ch, cfg)
+        state.aux = auxiliary_pass(state, ch, cfg)
         return cfg, layout, transmit_context(state, rlz, layout.r, cfg)
 
     def test_trace_monotone_and_feasible(self):
@@ -84,7 +84,8 @@ class TestGradientDescent:
                     cand = pos + rng.normal(scale=scale * lam,
                                             size=pos.shape)
                     infeasible += not layout_side_feasible(cand, hw, cfg.D_min)
-                    proj = baselines._project_side(cand, hw, cfg.D_min)
+                    proj = baselines._project_side(
+                        cand, others_index(n_ant), hw, cfg.D_min)
                     assert layout_side_feasible(proj, hw, cfg.D_min)
         assert infeasible > 180
 

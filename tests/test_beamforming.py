@@ -24,7 +24,7 @@ def refreshed_state(cfg, trial=0):
     layout = initialize_layout(cfg, rng)
     ch = build_channels(layout, rlz, cfg)
     state = initial_state(ch, cfg)
-    state.gamma, state.y = auxiliary_pass(state, ch, cfg)
+    state.aux = auxiliary_pass(state, ch, cfg)
     return ch, state
 
 
@@ -180,7 +180,7 @@ class TestReceiveUpdate:
         cfg = ScenarioConfig(K_D=1, K_U=2, N_t=2, N_r=2)
         ch, state = refreshed_state(cfg, 2)
         state.p = np.array([cfg.p_U_max, 0.0])
-        state.gamma, state.y = auxiliary_pass(state, ch, cfg)
+        state.aux = auxiliary_pass(state, ch, cfg)
         old = state.W_r.copy()
         W = update_receive_beamformer(state, ch, cfg)
         assert_allclose(W[:, 1], old[:, 1])

@@ -167,7 +167,7 @@ class TestRunTrial:
         res = run_trial(spec, 0.3, trial=0)[0]
         assert len(res.eval_trace) == len(res.trace)
         assert res.rate == res.eval_trace[-1]
-        assert res.rate != res.solver_rate
+        assert res.rate != res.trace[-1]
 
     def test_zero_perturbation_matches_plain_run(self):
         spec = small_spec(sweep_field="theta_m", sweep_values=(0.0,))

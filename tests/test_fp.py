@@ -4,9 +4,9 @@ from numpy.testing import assert_allclose
 
 from prafd.channel import build_channels, sample_realization, trial_rng
 from prafd.config import ScenarioConfig
-from prafd.fp import (amplitude, auxiliary_pass, rate_of_sinrs, receive_gram,
+from prafd.fp import (auxiliaries, auxiliary_pass, rate_of_sinrs, receive_gram,
                       received_powers, sinrs_of, surrogate_objective,
-                      surrogate_terms, weighted_sum_rate)
+                      weighted_sum_rate)
 from prafd.oracles import (dual_transform_objective, fresh_surrogate,
                             random_complex)
 from prafd.solver import initial_state, initialize_layout
@@ -129,14 +129,14 @@ class TestAuxiliaries:
     def test_gamma_update_returns_sinrs(self):
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2)
         _, _, ch, state = make_instance(cfg, 5, randomize=True)
-        gamma, _ = auxiliary_pass(state, ch, cfg)
+        gamma = auxiliary_pass(state, ch, cfg).gamma
         assert_allclose(gamma, sinrs(state, ch, cfg), rtol=1e-14)
 
     def test_surrogate_touches_rate_after_pass(self):
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=3, N_r=3, L=3, L_SI=3)
         for trial in range(30):
             _, _, ch, state = make_instance(cfg, trial, randomize=True)
-            state.gamma, state.y = auxiliary_pass(state, ch, cfg)
+            state.aux = auxiliary_pass(state, ch, cfg)
             rate = weighted_sum_rate(state, ch, cfg)
             sur = fresh_surrogate(state, ch, cfg)
             assert abs(sur - rate) <= 1e-12 * max(1.0, abs(rate))
@@ -168,19 +168,20 @@ class TestAuxiliaries:
         rng = np.random.default_rng(18)
         for trial in range(10):
             _, _, ch, state = make_instance(cfg, trial, randomize=True)
-            state.gamma = sinrs(state, ch, cfg)
-            dual = dual_transform_objective(state.gamma, state.W_t, state.W_r,
+            gamma = sinrs(state, ch, cfg)
+            dual = dual_transform_objective(gamma, state.W_t, state.W_r,
                                             state.p, ch, cfg)
             for _ in range(10):
-                state.y = random_complex(rng, (cfg.K,), scale=10.0)
+                state.aux = auxiliaries(
+                    gamma, random_complex(rng, (cfg.K,), scale=10.0), cfg)
                 sur = fresh_surrogate(state, ch, cfg)
                 assert sur <= dual + 1e-9 * max(1.0, abs(dual))
 
     def test_optimal_y_closes_quadratic_gap(self):
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2)
         _, _, ch, state = make_instance(cfg, 7, randomize=True)
-        state.gamma, state.y = auxiliary_pass(state, ch, cfg)
-        dual = dual_transform_objective(state.gamma, state.W_t, state.W_r,
+        state.aux = auxiliary_pass(state, ch, cfg)
+        dual = dual_transform_objective(state.aux.gamma, state.W_t, state.W_r,
                                         state.p, ch, cfg)
         assert_allclose(fresh_surrogate(state, ch, cfg), dual, rtol=1e-12)
 
@@ -188,28 +189,39 @@ class TestAuxiliaries:
         cfg = ScenarioConfig(K_D=1, K_U=2, N_t=2, N_r=2)
         _, _, ch, state = make_instance(cfg, 8)
         state.p = np.array([cfg.p_U_max, 0.0])
-        _, y = auxiliary_pass(state, ch, cfg)
+        y = auxiliary_pass(state, ch, cfg).y
         assert y[cfg.K_D + 1] == 0.0
         assert y[cfg.K_D] != 0.0
 
     def test_pass_does_not_mutate_state(self):
         cfg = ScenarioConfig(K_D=1, K_U=1, N_t=2, N_r=2)
         _, _, ch, state = make_instance(cfg, 9)
-        g0, y0 = state.gamma.copy(), state.y.copy()
+        aux = state.aux
+        g0, y0 = aux.gamma.copy(), aux.y.copy()
         auxiliary_pass(state, ch, cfg)
-        assert_allclose(state.gamma, g0)
-        assert_allclose(state.y, y0)
+        assert state.aux is aux
+        assert_allclose(state.aux.gamma, g0)
+        assert_allclose(state.aux.y, y0)
 
     def test_amplitude_and_receive_gram_match_loops(self):
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=3)
         _, _, ch, state = make_instance(cfg, 10, randomize=True)
-        state.gamma, state.y = auxiliary_pass(state, ch, cfg)
-        amp = amplitude(state.gamma, cfg)
-        B = receive_gram(state, cfg)
+        state.aux = x = auxiliary_pass(state, ch, cfg)
+        kd = cfg.K_D
+        amp = np.concatenate([x.amp_dl, x.amp_ul])
+        y2 = np.concatenate([x.y2_dl, x.y2_ul])
+        assert np.array_equal(np.concatenate([x.y_dl, x.y_ul]), x.y)
+        assert_allclose(x.lift_ul, 1.0 + x.gamma[kd:], rtol=1e-15)
         for i in range(cfg.K):
             assert_allclose(amp[i] ** 2,
-                            cfg.weights[i] * (1.0 + state.gamma[i]), rtol=1e-12)
-        ref = sum(abs(state.y[cfg.K_D + u]) ** 2
+                            cfg.weights[i] * (1.0 + x.gamma[i]), rtol=1e-12)
+            assert_allclose(y2[i], x.y[i].real ** 2 + x.y[i].imag ** 2,
+                            rtol=1e-12)
+        base = sum(cfg.weights[i] * (np.log(1.0 + x.gamma[i]) - x.gamma[i])
+                   for i in range(cfg.K))
+        assert_allclose(x.base, base, rtol=1e-12)
+        B = receive_gram(state)
+        ref = sum(abs(x.y[kd + u]) ** 2
                   * np.outer(state.W_r[:, u], state.W_r[:, u].conj())
                   for u in range(cfg.K_U))
         assert_allclose(B, ref, rtol=1e-12)
@@ -261,11 +273,10 @@ class TestReceivedPowersUpdates:
         pw = self.fresh(state, ch, cfg)
         state.W_t = random_complex(np.random.default_rng(3), state.W_t.shape)
         pw.transmit_changed(state, ch)
-        gamma, y = auxiliary_pass(state, ch, cfg, powers=pw)
-        assert np.array_equal(gamma, auxiliary_pass(state, ch, cfg)[0])
+        aux = auxiliary_pass(state, ch, cfg, powers=pw)
+        assert np.array_equal(aux.gamma, auxiliary_pass(state, ch, cfg).gamma)
         assert weighted_sum_rate(state, ch, cfg, powers=pw) \
             == weighted_sum_rate(state, ch, cfg)
-        state.gamma, state.y = gamma, y
-        assert surrogate_objective(state, ch, cfg, powers=pw,
-                                   terms=surrogate_terms(state, cfg)) \
+        state.aux = aux
+        assert surrogate_objective(state, ch, cfg, powers=pw) \
             == fresh_surrogate(state, ch, cfg)

@@ -7,7 +7,8 @@ from prafd.channel import build_channels, sample_realization, trial_rng, \
     AntennaLayout
 from prafd.config import ScenarioConfig
 from prafd import fp, placement
-from prafd.fp import auxiliary_pass, received_powers, weighted_sum_rate
+from prafd.fp import (auxiliaries, auxiliary_pass, received_powers,
+                      weighted_sum_rate)
 from prafd.geometry import layout_side_feasible
 from prafd.oracles import (central_difference_gradient,
                            central_difference_hessian, fresh_surrogate,
@@ -30,7 +31,7 @@ def make_contexts(cfg, trial=0):
     layout = initialize_layout(cfg, rng)
     ch = build_channels(layout, rlz, cfg)
     state = initial_state(ch, cfg)
-    state.gamma, state.y = auxiliary_pass(state, ch, cfg)
+    state.aux = auxiliary_pass(state, ch, cfg)
     ctx_t = transmit_context(state, rlz, layout.r, cfg)
     ctx_r = receive_context(state, rlz, layout.t, cfg)
     return rlz, layout, ch, state, ctx_t, ctx_r
@@ -235,7 +236,8 @@ class TestObjective:
         cfg = ScenarioConfig(K_D=1, K_U=1, N_t=2, N_r=2)
         rlz, layout, ch, state, _, _ = make_contexts(cfg)
         state.W_t = np.zeros_like(state.W_t)
-        state.y = np.zeros_like(state.y)
+        state.aux = auxiliaries(state.aux.gamma, np.zeros_like(state.aux.y),
+                                cfg)
         ctx = transmit_context(state, rlz, layout.r, cfg)
         rng = np.random.default_rng(6)
         vals = [objective_at(ctx, rng.uniform(-1, 1, (2, 2)) * 0.01)
@@ -303,7 +305,7 @@ class TestBsumSweep:
         cfg = ScenarioConfig(K_D=1, K_U=1, N_t=2, N_r=2)
         rlz, layout, ch, state, _, _ = make_contexts(cfg)
         state.p = np.zeros(cfg.K_U)
-        state.gamma, state.y = auxiliary_pass(state, ch, cfg)
+        state.aux = auxiliary_pass(state, ch, cfg)
         ctx = receive_context(state, rlz, layout.t, cfg)
         out, trace, sweeps = bsum_optimize_side(ctx, layout.r,
                                                 np.random.default_rng(0),
