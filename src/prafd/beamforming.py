@@ -128,8 +128,6 @@ def update_receive_beamformer(state: SolverState, ch: Channels,
     Columns whose y auxiliary is zero have a flat subproblem and keep their
     previous value.
     """
-    if cfg.K_U == 0:
-        return state.W_r.copy()
     H_r, Hbar = receive_subproblem_matrices(state, ch, cfg)
     y_ul = state.aux.y_ul
     W = state.W_r.copy()

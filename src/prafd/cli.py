@@ -8,12 +8,11 @@ import time
 
 import numpy as np
 
-from . import fp, oracles
+from . import oracles
 from .baselines import ALGORITHMS
 from .beamforming import optimal_scalar_power, solve_transmit_qp
 from .channel import build_channels, sample_realization
-from .config import (ConfigError, ScenarioConfig, load_config, parse_setting,
-                     validate_config)
+from .config import ConfigError, ScenarioConfig, load_config, parse_setting
 from .experiment import ExperimentSpec, emit_csv, run_experiment, run_trial
 from .geometry import FeasibleRegionSpec, is_feasible, nearest_feasible_point
 from .placement import (antenna_bundle, layout_fields, placement_gradient,
@@ -32,9 +31,7 @@ def _config_from_args(args) -> ScenarioConfig:
         overrides[target] = val
     if args.config:
         return load_config(args.config, overrides)
-    cfg = ScenarioConfig(**overrides)
-    validate_config(cfg)
-    return cfg
+    return ScenarioConfig(**overrides)
 
 
 def _cmd_solve(args) -> int:
@@ -162,8 +159,7 @@ def _oracle_placement(rng, count, lines, fails):
         rlz = sample_realization(cfg, rng)
         layout = initialize_layout(cfg, rng)
         ch = build_channels(layout, rlz, cfg)
-        state = initial_state(ch, cfg)
-        state.aux = fp.auxiliary_pass(state, ch, cfg)
+        state, _ = initial_state(ch, cfg)
         for ctx, pos in ((transmit_context(state, rlz, layout.r, cfg), layout.t),
                          (receive_context(state, rlz, layout.t, cfg), layout.r)):
             fields = layout_fields(ctx, pos)

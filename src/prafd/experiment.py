@@ -52,6 +52,7 @@ class ExperimentSpec:
     threads: int = 1
 
     def __post_init__(self):
+        validate_config(self.base)
         self.algorithms = tuple(self.algorithms)
         self.sweep_values = tuple(self.sweep_values)
         for a in self.algorithms:

@@ -9,15 +9,16 @@ the true rate exactly; each block update afterwards can only push it up.
 Rates are in bits (log2).  The surrogates are computed in nats and scaled
 by 1/ln 2, which leaves every closed-form maximizer unchanged.
 
-Every score here is taken from a `ReceivedPowers` record.  The surrogate
-is scored from the record the caller keeps for the same state and
-channels, as the solver does; the rate and the auxiliary pass build a
-fresh record unless the caller passes one.
+Every score here is read from a `ReceivedPowers` record the caller holds:
+the rate, the auxiliary pass and the surrogate make no received-power pass
+of their own, so a full pass happens only where `received_powers` is
+called.
 
 (gamma, y) and every coefficient the blocks read from them live in one
 immutable `Auxiliaries` record, made only by `auxiliaries`: each auxiliary
-pass derives them once, and the surrogate, the closed-form blocks and the
-placement contexts read them from the state.
+pass forms gamma and y from its received-power record and derives the rest
+once, and the surrogate, the closed-form blocks and the placement contexts
+read them from the state.
 """
 
 from __future__ import annotations
@@ -148,15 +149,6 @@ def received_powers(W_t, W_r, p, ch: Channels,
     return ReceivedPowers(W_t, W_r, p, ch, cfg.sigma2)
 
 
-def _pass(state: SolverState, ch: Channels, cfg: ScenarioConfig,
-          powers: ReceivedPowers | None) -> ReceivedPowers:
-    """`powers` when the caller holds the pass of `state` on `ch`, else a
-    fresh pass."""
-    if powers is None:
-        return received_powers(state.W_t, state.W_r, state.p, ch, cfg)
-    return powers
-
-
 def sinrs_of(powers: ReceivedPowers) -> np.ndarray:
     """SINRs, DL then UL, of one received-power pass."""
     if (powers.wr_norm2 == 0.0).any():
@@ -177,34 +169,23 @@ def rate_of_sinrs(sinr: np.ndarray, cfg: ScenarioConfig):
     return rate if np.ndim(rate) else float(rate)
 
 
-def rate_of(powers: ReceivedPowers, cfg: ScenarioConfig) -> float:
-    """Weighted sum-rate of one received-power pass."""
+def weighted_sum_rate(powers: ReceivedPowers, cfg: ScenarioConfig) -> float:
+    """Objective: sum_i a_i log2(1 + SINR_i) over DL then UL users, of one
+    received-power pass."""
     return rate_of_sinrs(sinrs_of(powers), cfg)
 
 
-def weighted_sum_rate(state: SolverState, ch: Channels, cfg: ScenarioConfig,
-                      *, powers: ReceivedPowers | None = None) -> float:
-    """Objective: sum_i a_i log2(1 + SINR_i) over DL then UL users."""
-    return rate_of(_pass(state, ch, cfg, powers), cfg)
-
-
-def auxiliaries(gamma: np.ndarray, y: np.ndarray | None, cfg: ScenarioConfig,
-                powers: ReceivedPowers | None = None) -> Auxiliaries:
+def auxiliaries(gamma: np.ndarray, y: np.ndarray,
+                cfg: ScenarioConfig) -> Auxiliaries:
     """The record of (gamma, y): the one place its coefficients are derived.
 
-    With `powers` (and y None), y is the quadratic-transform optimizer for
-    gamma on that received-power pass.  The blocks read the amplitudes,
-    |y|^2 and the slices from the record, so each is derived once per pass.
+    The blocks read the amplitudes, |y|^2 and the slices from the record,
+    so each is derived once per pass.
     """
     kd = cfg.K_D
     a = cfg.weights
     lift = 1.0 + gamma
     amp = np.sqrt(a * lift)
-    if powers is not None:
-        y = np.concatenate([
-            amp[:kd] * powers.C.diagonal() / powers.s1,
-            np.sqrt(a[kd:] * powers.p * lift[kd:])
-            * powers.G.diagonal().conj() / powers.s2])
     y_dl, y_ul = y[:kd], y[kd:]
     return Auxiliaries(
         gamma=gamma, y=y, base=a @ (np.log(lift) - gamma),
@@ -218,20 +199,25 @@ def receive_gram(state: SolverState) -> np.ndarray:
     return (state.W_r * state.aux.y2_ul) @ state.W_r.conj().T
 
 
-def auxiliary_pass(state: SolverState, ch: Channels, cfg: ScenarioConfig,
-                   *, powers: ReceivedPowers | None = None) -> Auxiliaries:
-    """One (gamma, y) refresh; returns the new record without mutating state.
+def auxiliary_pass(powers: ReceivedPowers, cfg: ScenarioConfig) -> Auxiliaries:
+    """One (gamma, y) refresh from the received-power pass `powers`.
 
-    gamma is the current SINR vector (the dual-transform optimizer) and y
-    the quadratic-transform optimizer for that gamma, both from one
-    received-power pass.  Jointly this never decreases the surrogate and
-    lands it exactly on the weighted sum-rate.  (The gamma half alone,
-    evaluated against a stale y, can transiently decrease it; only the pair
-    is monotone.)  Uplink users with zero power get y = 0: their surrogate
-    terms vanish identically.
+    gamma is the SINR vector of the pass (the dual-transform optimizer) and
+    y the quadratic-transform optimizer for that gamma on the same pass.
+    Jointly this never decreases the surrogate and lands it exactly on the
+    weighted sum-rate.  (The gamma half alone, evaluated against a stale y,
+    can transiently decrease it; only the pair is monotone.)  Uplink users
+    with zero power get y = 0: their surrogate terms vanish identically.
     """
-    powers = _pass(state, ch, cfg, powers)
-    return auxiliaries(sinrs_of(powers), None, cfg, powers)
+    kd = cfg.K_D
+    a = cfg.weights
+    gamma = sinrs_of(powers)
+    lift = 1.0 + gamma
+    y = np.concatenate([
+        np.sqrt(a[:kd] * lift[:kd]) * powers.C.diagonal() / powers.s1,
+        np.sqrt(a[kd:] * powers.p * lift[kd:])
+        * powers.G.diagonal().conj() / powers.s2])
+    return auxiliaries(gamma, y, cfg)
 
 
 def surrogate_objective(state: SolverState, ch: Channels, cfg: ScenarioConfig,

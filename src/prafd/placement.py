@@ -132,16 +132,14 @@ class SurrogateContext:
     WH: np.ndarray = field(init=False, repr=False)     # W^H
     dirs: np.ndarray = field(init=False, repr=False)   # every bundle's dirs
     norm2: np.ndarray = field(init=False, repr=False)  # their squared norms
-    pair: np.ndarray = field(init=False, repr=False)   # (K, L, L) prm pairs
-    M: np.ndarray = field(init=False, repr=False)      # si_mix^H other si_mix
     user_quad: np.ndarray = field(init=False, repr=False)  # (N, K*L*L)
     si_quad: np.ndarray = field(init=False, repr=False)    # (N, L_SI^2)
 
     def __post_init__(self):
         k = self.kappa
         self.WH = self.W.conj().T
-        self.pair = self.user_prm[:, :, None] * self.user_prm.conj()[:, None, :]
-        self.M = self.si_mix.conj().T @ self.other @ self.si_mix
+        pair = self.user_prm[:, :, None] * self.user_prm.conj()[:, None, :]
+        M = self.si_mix.conj().T @ self.other @ self.si_mix
         ddiff = k * (self.user_dirs[:, None, :, :] - self.user_dirs[:, :, None, :])
         sdiff = k * (self.si_dirs[None, :, :] - self.si_dirs[:, None, :])
         # Term order: user linear, user pairs, SI linear, SI pairs.
@@ -153,8 +151,8 @@ class SurrogateContext:
         gram = np.real(np.diag(self.own))
         omega = gram[:, None] * self.chan_w
         n_ant = len(gram)
-        self.user_quad = (omega[:, :, None, None] * self.pair).reshape(n_ant, -1)
-        self.si_quad = (gram[:, None, None] * self.M).reshape(n_ant, -1)
+        self.user_quad = (omega[:, :, None, None] * pair).reshape(n_ant, -1)
+        self.si_quad = (gram[:, None, None] * M).reshape(n_ant, -1)
 
 
 def _context(state: SolverState, rlz: ChannelRealization,
@@ -466,7 +464,7 @@ class RateGrid:
             cand_ch = build_channels(cand, self.rlz, cfg)
             cand_powers = fp.received_powers(state.W_t, state.W_r, state.p,
                                              cand_ch, cfg)
-            cand_rate = fp.rate_of(cand_powers, cfg)
+            cand_rate = fp.weighted_sum_rate(cand_powers, cfg)
             if cand_rate > bar:
                 layout, ch, rate, powers = cand, cand_ch, cand_rate, cand_powers
                 moves += 1

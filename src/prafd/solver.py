@@ -17,12 +17,14 @@ still never decreases.  The first time the block moves no antenna it is
 retired for the rest of the run; from there on the loop is plain BSUM.
 
 One received-power record (`fp.ReceivedPowers`) of the current state and
-channels is kept through the run.  A block updates only the factors its
-variable enters, the surrogate after each block and the auxiliary passes
-read the updated record, and a grid move hands over the record of its
-confirming pass.  So the only full passes of a run are the first one, plus
-the grid's confirmations and, with `eval_rlz`, one pass at the start and
-one per iteration on the evaluation channels.
+channels is kept through the run.  `initial_state` makes its first full
+pass and returns the starting state already scored, with the auxiliaries
+of that pass.  A block updates only the factors its variable enters, the
+rate, the surrogate after each block and the auxiliary passes read the
+updated record, and a grid move hands over the record of its confirming
+pass.  So the only full passes of a run are the first one, plus the
+grid's confirmations and, with `eval_rlz`, one pass at the start and one
+per iteration on the evaluation channels.
 
 Each auxiliary pass replaces `state.aux`, the one record of (gamma, y) and
 every coefficient derived from them (`fp.Auxiliaries`); the blocks and
@@ -105,8 +107,13 @@ def initialize_layout(cfg: ScenarioConfig, rng: np.random.Generator) -> AntennaL
     )
 
 
-def initial_state(ch: Channels, cfg: ScenarioConfig) -> fp.SolverState:
-    """Matched-filter beamformers at full power budgets."""
+def initial_state(ch: Channels,
+                  cfg: ScenarioConfig) -> tuple[fp.SolverState, fp.ReceivedPowers]:
+    """Matched-filter beamformers at full power budgets, scored.
+
+    Returns the state, with the auxiliaries of its first received-power
+    pass, and that pass.
+    """
     g = float(np.sum(np.abs(ch.H_D) ** 2))
     W_t = ch.H_D * np.sqrt(cfg.p_D_max / g) if g > 0 else np.zeros_like(ch.H_D)
     W_r = ch.H_U.copy()
@@ -114,11 +121,9 @@ def initial_state(ch: Channels, cfg: ScenarioConfig) -> fp.SolverState:
         if np.linalg.norm(W_r[:, u]) == 0.0:
             W_r[:, u] = 0.0
             W_r[0, u] = 1.0
-    k = cfg.K
-    return fp.SolverState(
-        W_t=W_t, W_r=W_r, p=np.full(cfg.K_U, cfg.p_U_max),
-        aux=fp.auxiliaries(np.zeros(k), np.zeros(k, dtype=complex), cfg),
-    )
+    p = np.full(cfg.K_U, cfg.p_U_max)
+    powers = fp.received_powers(W_t, W_r, p, ch, cfg)
+    return fp.SolverState(W_t, W_r, p, fp.auxiliary_pass(powers, cfg)), powers
 
 
 def _check_layout(layout: AntennaLayout, cfg: ScenarioConfig) -> None:
@@ -188,13 +193,10 @@ def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
     _check_layout(layout, cfg)
 
     ch = build_channels(layout, rlz, cfg)
-    state = initial_state(ch, cfg)
+    # `powers` is the run's one full pass; every block updates it in place.
+    state, powers = initial_state(ch, cfg)
     monitor = _Monitor()
-
-    # The run's one full pass; every block updates it in place.
-    powers = fp.received_powers(state.W_t, state.W_r, state.p, ch, cfg)
-    rate = fp.weighted_sum_rate(state, ch, cfg, powers=powers)
-    state.aux = fp.auxiliary_pass(state, ch, cfg, powers=powers)
+    rate = fp.weighted_sum_rate(powers, cfg)
     sinr = _reported(state, layout, cfg, opts.eval_rlz)
     trace, eval_trace = [rate], [fp.rate_of_sinrs(sinr, cfg)]
     bsum_sweeps = 0
@@ -239,9 +241,9 @@ def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
 
         if grid is not None:
             layout, ch, grid_rate, powers, moves = grid.place(
-                state, layout, ch, fp.rate_of(powers, cfg), powers)
+                state, layout, ch, fp.weighted_sum_rate(powers, cfg), powers)
             if moves:
-                state.aux = fp.auxiliary_pass(state, ch, cfg, powers=powers)
+                state.aux = fp.auxiliary_pass(powers, cfg)
                 p3_new = fp.surrogate_objective(state, ch, cfg, powers=powers)
                 monitor.check_sandwich(p3_new, grid_rate)
                 p3 = monitor.check_block(p3, p3_new, "grid placement")
@@ -262,7 +264,7 @@ def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
         # gamma is the SINR vector, so the pass that refreshes the
         # auxiliaries for the next iteration also scores this one; it
         # reuses the last block's record.
-        state.aux = fp.auxiliary_pass(state, ch, cfg, powers=powers)
+        state.aux = fp.auxiliary_pass(powers, cfg)
         new_rate = fp.rate_of_sinrs(state.aux.gamma, cfg)
         sinr = _reported(state, layout, cfg, opts.eval_rlz)
         trace.append(new_rate)

@@ -10,7 +10,6 @@ from prafd.baselines import (ALGORITHMS, gradient_descent_positions,
                              upa_layout)
 from prafd.channel import build_channels, sample_realization, trial_rng
 from prafd.config import ConfigError, ScenarioConfig
-from prafd.fp import auxiliary_pass
 from prafd.geometry import layout_side_feasible, min_pairwise_distance
 from prafd.placement import (layout_fields, others_index,
                              placement_objective, transmit_context)
@@ -48,8 +47,7 @@ class TestGradientDescent:
         rlz = sample_realization(cfg, rng)
         layout = initialize_layout(cfg, rng)
         ch = build_channels(layout, rlz, cfg)
-        state = initial_state(ch, cfg)
-        state.aux = auxiliary_pass(state, ch, cfg)
+        state, _ = initial_state(ch, cfg)
         return cfg, layout, transmit_context(state, rlz, layout.r, cfg)
 
     def test_trace_monotone_and_feasible(self):

@@ -10,7 +10,7 @@ from prafd.beamforming import (optimal_scalar_power,
                                uplink_power_coefficients)
 from prafd.channel import build_channels, sample_realization, trial_rng
 from prafd.config import ScenarioConfig
-from prafd.fp import auxiliary_pass
+from prafd.fp import auxiliary_pass, received_powers
 from prafd.oracles import (fresh_surrogate, power_grid_search, random_complex,
                            random_psd,
                            receive_objective_value, transmit_qp_bisect,
@@ -23,8 +23,7 @@ def refreshed_state(cfg, trial=0):
     rlz = sample_realization(cfg, rng)
     layout = initialize_layout(cfg, rng)
     ch = build_channels(layout, rlz, cfg)
-    state = initial_state(ch, cfg)
-    state.aux = auxiliary_pass(state, ch, cfg)
+    state, _ = initial_state(ch, cfg)
     return ch, state
 
 
@@ -180,7 +179,8 @@ class TestReceiveUpdate:
         cfg = ScenarioConfig(K_D=1, K_U=2, N_t=2, N_r=2)
         ch, state = refreshed_state(cfg, 2)
         state.p = np.array([cfg.p_U_max, 0.0])
-        state.aux = auxiliary_pass(state, ch, cfg)
+        state.aux = auxiliary_pass(
+            received_powers(state.W_t, state.W_r, state.p, ch, cfg), cfg)
         old = state.W_r.copy()
         W = update_receive_beamformer(state, ch, cfg)
         assert_allclose(W[:, 1], old[:, 1])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from prafd import experiment
 from prafd.channel import sample_realization, trial_rng
 from prafd.config import ConfigError, ScenarioConfig
 from prafd.experiment import (AGG_COLUMNS, RAW_COLUMNS, ExperimentSpec,
@@ -41,6 +42,17 @@ class TestSpec:
     def test_fewer_than_one_trial_rejected(self, trials):
         with pytest.raises(ConfigError, match="--trials"):
             small_spec(trials=trials)
+
+    @pytest.mark.parametrize("kw, match", [
+        (dict(N_t=0), "N_t and N_r"),
+        (dict(weights=np.array([0.75, 0.75])), "weights must sum"),
+    ])
+    def test_invalid_base_config_rejected(self, kw, match):
+        # The library path has the same gate as the command line: an
+        # invalid base config never reaches a trial.
+        base = ScenarioConfig(**{**dict(K_D=1, K_U=1, N_t=2, N_r=2), **kw})
+        with pytest.raises(ConfigError, match=match):
+            small_spec(base=base)
 
 
 class TestApplySweep:
@@ -169,6 +181,19 @@ class TestRunTrial:
         assert res.rate == res.eval_trace[-1]
         assert res.rate != res.trace[-1]
 
+    def test_zero_gain_start_scores_zero(self):
+        # rho_0 = 0 zeroes every user channel: each algorithm starts from
+        # the receive-column fallback and reports rate 0 without failing.
+        spec = small_spec(base=ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2,
+                                              rho_0=0.0),
+                          algorithms=("fp-bsum", "fp-gd", "fpas", "hd"))
+        out = run_trial(spec, float("nan"), trial=0)
+        assert [r.algorithm for r in out] == list(spec.algorithms)
+        for r in out:
+            assert r.failure is None
+            assert r.rate == 0.0
+            assert not r.dl_rates.any() and not r.ul_rates.any()
+
     def test_zero_perturbation_matches_plain_run(self):
         spec = small_spec(sweep_field="theta_m", sweep_values=(0.0,))
         plain = run_trial(small_spec(), float("nan"), 0)[0]
@@ -224,6 +249,44 @@ class TestCsv:
         assert int(cols["n_failed"]) == 0
         assert_allclose(float(cols["rate_mean"]), rates.mean(), rtol=1e-12)
         assert_allclose(float(cols["rate_p50"]), np.median(rates), rtol=1e-12)
+
+    def test_failed_trials_keep_their_rows(self, tmp_path, monkeypatch):
+        # Every fp-bsum trial fails, and so does fpas's second trial.
+        real = experiment.run_algorithm
+        fpas_calls = []
+
+        def flaky(algo, *args, **kwargs):
+            if algo == "fpas":
+                fpas_calls.append(1)
+            if algo == "fp-bsum" or len(fpas_calls) == 2:
+                raise RuntimeError("feasible region is empty")
+            return real(algo, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "run_algorithm", flaky)
+        spec = small_spec(trials=3)
+        res = run_experiment(spec)
+        raw, agg = tmp_path / "raw.csv", tmp_path / "agg.csv"
+        emit_csv(res, spec, str(raw), str(agg))
+        rows = [dict(zip(RAW_COLUMNS, r)) for r in self.read(raw)[1:]]
+        assert len(rows) == 6
+        failed = [(r["algorithm"], r["trial"]) for r in rows if r["failure"]]
+        assert failed == [("fp-bsum", "0"), ("fp-bsum", "1"),
+                          ("fp-bsum", "2"), ("fpas", "1")]
+        for r in rows:
+            if r["failure"]:
+                assert r["failure"] == \
+                    "RuntimeError: feasible region is empty"
+                assert r["rate"] == r["dl_rates"] == r["ul_rates"] == ""
+            else:
+                assert float(r["rate"]) > 0.0
+        cells = {r[0]: dict(zip(AGG_COLUMNS, r)) for r in self.read(agg)[1:]}
+        dead, alive = cells["fp-bsum"], cells["fpas"]
+        assert (dead["n_trials"], dead["n_failed"]) == ("3", "3")
+        assert all(dead[c] == "nan" for c in AGG_COLUMNS[5:])
+        assert (alive["n_trials"], alive["n_failed"]) == ("3", "1")
+        ok = [float(r["rate"]) for r in rows
+              if r["algorithm"] == "fpas" and not r["failure"]]
+        assert float(alive["rate_mean"]) == np.mean(ok)
 
     def test_reruns_identical_excluding_wall_time(self, tmp_path):
         spec = small_spec(trials=3)

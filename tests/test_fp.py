@@ -17,7 +17,7 @@ def make_instance(cfg, trial=0, seed=0, randomize=False):
     rlz = sample_realization(cfg, rng)
     layout = initialize_layout(cfg, rng)
     ch = build_channels(layout, rlz, cfg)
-    state = initial_state(ch, cfg)
+    state, _ = initial_state(ch, cfg)
     if randomize:
         state.W_t = random_complex(rng, state.W_t.shape,
                                    np.sqrt(cfg.p_D_max / (2 * state.W_t.size)))
@@ -26,9 +26,14 @@ def make_instance(cfg, trial=0, seed=0, randomize=False):
     return rlz, layout, ch, state
 
 
+def full_pass(state, ch, cfg):
+    """A full received-power pass of `state` on `ch`."""
+    return received_powers(state.W_t, state.W_r, state.p, ch, cfg)
+
+
 def sinrs(state, ch, cfg):
     """SINRs, DL then UL, of a full received-power pass."""
-    return sinrs_of(received_powers(state.W_t, state.W_r, state.p, ch, cfg))
+    return sinrs_of(full_pass(state, ch, cfg))
 
 
 def rate_by_hand(cfg, ch, state):
@@ -61,7 +66,7 @@ class TestRate:
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=3, N_r=3, L=3, L_SI=3)
         for trial in range(20):
             _, _, ch, state = make_instance(cfg, trial, randomize=True)
-            assert_allclose(weighted_sum_rate(state, ch, cfg),
+            assert_allclose(weighted_sum_rate(full_pass(state, ch, cfg), cfg),
                             rate_by_hand(cfg, ch, state), rtol=1e-12)
 
     def test_per_user_rates_sum_to_weighted_rate(self):
@@ -69,7 +74,8 @@ class TestRate:
         _, _, ch, state = make_instance(cfg, 1, randomize=True)
         user_rates = np.log2(1.0 + sinrs(state, ch, cfg))
         assert user_rates.shape == (5,)
-        assert user_rates @ cfg.weights == weighted_sum_rate(state, ch, cfg)
+        assert user_rates @ cfg.weights \
+            == weighted_sum_rate(full_pass(state, ch, cfg), cfg)
 
     def test_rate_of_sinrs_scores_a_stack_row_by_row(self):
         cfg = ScenarioConfig(K_D=2, K_U=3, N_t=2, N_r=2)
@@ -96,7 +102,7 @@ class TestRate:
         with pytest.raises(ValueError, match="zero receive beamformer"):
             sinrs(state, ch, cfg)
         with pytest.raises(ValueError, match="zero receive beamformer"):
-            auxiliary_pass(state, ch, cfg)
+            auxiliary_pass(full_pass(state, ch, cfg), cfg)
 
     def test_received_powers_match_loops(self):
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=3, L=2, L_SI=2)
@@ -129,15 +135,16 @@ class TestAuxiliaries:
     def test_gamma_update_returns_sinrs(self):
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2)
         _, _, ch, state = make_instance(cfg, 5, randomize=True)
-        gamma = auxiliary_pass(state, ch, cfg).gamma
+        gamma = auxiliary_pass(full_pass(state, ch, cfg), cfg).gamma
         assert_allclose(gamma, sinrs(state, ch, cfg), rtol=1e-14)
 
     def test_surrogate_touches_rate_after_pass(self):
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=3, N_r=3, L=3, L_SI=3)
         for trial in range(30):
             _, _, ch, state = make_instance(cfg, trial, randomize=True)
-            state.aux = auxiliary_pass(state, ch, cfg)
-            rate = weighted_sum_rate(state, ch, cfg)
+            powers = full_pass(state, ch, cfg)
+            state.aux = auxiliary_pass(powers, cfg)
+            rate = weighted_sum_rate(powers, cfg)
             sur = fresh_surrogate(state, ch, cfg)
             assert abs(sur - rate) <= 1e-12 * max(1.0, abs(rate))
 
@@ -147,7 +154,8 @@ class TestAuxiliaries:
         gamma = sinrs(state, ch, cfg)
         val = dual_transform_objective(gamma, state.W_t, state.W_r, state.p,
                                        ch, cfg)
-        assert_allclose(val, weighted_sum_rate(state, ch, cfg), rtol=1e-12)
+        assert_allclose(val, weighted_sum_rate(full_pass(state, ch, cfg), cfg),
+                        rtol=1e-12)
 
     def test_dual_transform_majorized_by_rate(self):
         # For any gamma the dual transform value sits at or below the rate.
@@ -155,7 +163,7 @@ class TestAuxiliaries:
         rng = np.random.default_rng(17)
         for trial in range(10):
             _, _, ch, state = make_instance(cfg, trial, randomize=True)
-            rate = weighted_sum_rate(state, ch, cfg)
+            rate = weighted_sum_rate(full_pass(state, ch, cfg), cfg)
             for _ in range(10):
                 gamma = rng.uniform(0.0, 5.0, cfg.K)
                 val = dual_transform_objective(gamma, state.W_t, state.W_r,
@@ -180,7 +188,7 @@ class TestAuxiliaries:
     def test_optimal_y_closes_quadratic_gap(self):
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2)
         _, _, ch, state = make_instance(cfg, 7, randomize=True)
-        state.aux = auxiliary_pass(state, ch, cfg)
+        state.aux = auxiliary_pass(full_pass(state, ch, cfg), cfg)
         dual = dual_transform_objective(state.aux.gamma, state.W_t, state.W_r,
                                         state.p, ch, cfg)
         assert_allclose(fresh_surrogate(state, ch, cfg), dual, rtol=1e-12)
@@ -189,7 +197,7 @@ class TestAuxiliaries:
         cfg = ScenarioConfig(K_D=1, K_U=2, N_t=2, N_r=2)
         _, _, ch, state = make_instance(cfg, 8)
         state.p = np.array([cfg.p_U_max, 0.0])
-        y = auxiliary_pass(state, ch, cfg).y
+        y = auxiliary_pass(full_pass(state, ch, cfg), cfg).y
         assert y[cfg.K_D + 1] == 0.0
         assert y[cfg.K_D] != 0.0
 
@@ -198,7 +206,7 @@ class TestAuxiliaries:
         _, _, ch, state = make_instance(cfg, 9)
         aux = state.aux
         g0, y0 = aux.gamma.copy(), aux.y.copy()
-        auxiliary_pass(state, ch, cfg)
+        auxiliary_pass(full_pass(state, ch, cfg), cfg)
         assert state.aux is aux
         assert_allclose(state.aux.gamma, g0)
         assert_allclose(state.aux.y, y0)
@@ -206,7 +214,7 @@ class TestAuxiliaries:
     def test_amplitude_and_receive_gram_match_loops(self):
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=3)
         _, _, ch, state = make_instance(cfg, 10, randomize=True)
-        state.aux = x = auxiliary_pass(state, ch, cfg)
+        state.aux = x = auxiliary_pass(full_pass(state, ch, cfg), cfg)
         kd = cfg.K_D
         amp = np.concatenate([x.amp_dl, x.amp_ul])
         y2 = np.concatenate([x.y2_dl, x.y2_ul])
@@ -240,23 +248,20 @@ class TestReceivedPowersUpdates:
              ScenarioConfig(K_D=3, K_U=0, N_t=2, N_r=2, L=2, L_SI=2),
              ScenarioConfig(K_D=1, K_U=2, N_t=1, N_r=3, L=2, L_SI=3)]
 
-    def fresh(self, state, ch, cfg):
-        return received_powers(state.W_t, state.W_r, state.p, ch, cfg)
-
     def test_each_block_kind(self):
         rng = np.random.default_rng(3)
         for trial, cfg in enumerate(self.CASES):
             rlz, layout, ch, state = make_instance(cfg, trial, randomize=True)
-            pw = self.fresh(state, ch, cfg)
+            pw = full_pass(state, ch, cfg)
             state.W_t = random_complex(rng, state.W_t.shape)
             pw.transmit_changed(state, ch)
-            assert same_record(pw, self.fresh(state, ch, cfg))
+            assert same_record(pw, full_pass(state, ch, cfg))
             state.W_r = random_complex(rng, state.W_r.shape)
             pw.receive_changed(state, ch)
-            assert same_record(pw, self.fresh(state, ch, cfg))
+            assert same_record(pw, full_pass(state, ch, cfg))
             state.p = rng.uniform(0.0, cfg.p_U_max, cfg.K_U)
             pw.power_changed(state, ch)
-            assert same_record(pw, self.fresh(state, ch, cfg))
+            assert same_record(pw, full_pass(state, ch, cfg))
             # Placement: one side's antennas move, the channels are rebuilt.
             for side, changed in (("t", pw.transmit_changed),
                                   ("r", pw.receive_changed)):
@@ -264,19 +269,19 @@ class TestReceivedPowersUpdates:
                         getattr(initialize_layout(cfg, rng), side))
                 ch = build_channels(layout, rlz, cfg)
                 changed(state, ch)
-                assert same_record(pw, self.fresh(state, ch, cfg))
+                assert same_record(pw, full_pass(state, ch, cfg))
 
     def test_scores_match_a_fresh_pass(self):
         cfg = self.CASES[0]
         _, _, ch, state = make_instance(cfg, 11, randomize=True)
         # A record brought up to date by a block, not a fresh one.
-        pw = self.fresh(state, ch, cfg)
+        pw = full_pass(state, ch, cfg)
         state.W_t = random_complex(np.random.default_rng(3), state.W_t.shape)
         pw.transmit_changed(state, ch)
-        aux = auxiliary_pass(state, ch, cfg, powers=pw)
-        assert np.array_equal(aux.gamma, auxiliary_pass(state, ch, cfg).gamma)
-        assert weighted_sum_rate(state, ch, cfg, powers=pw) \
-            == weighted_sum_rate(state, ch, cfg)
+        fresh = full_pass(state, ch, cfg)
+        aux = auxiliary_pass(pw, cfg)
+        assert np.array_equal(aux.gamma, auxiliary_pass(fresh, cfg).gamma)
+        assert weighted_sum_rate(pw, cfg) == weighted_sum_rate(fresh, cfg)
         state.aux = aux
         assert surrogate_objective(state, ch, cfg, powers=pw) \
             == fresh_surrogate(state, ch, cfg)

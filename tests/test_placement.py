@@ -7,8 +7,7 @@ from prafd.channel import build_channels, sample_realization, trial_rng, \
     AntennaLayout
 from prafd.config import ScenarioConfig
 from prafd import fp, placement
-from prafd.fp import (auxiliaries, auxiliary_pass, received_powers,
-                      weighted_sum_rate)
+from prafd.fp import auxiliaries, auxiliary_pass, received_powers
 from prafd.geometry import layout_side_feasible
 from prafd.oracles import (central_difference_gradient,
                            central_difference_hessian, fresh_surrogate,
@@ -30,8 +29,7 @@ def make_contexts(cfg, trial=0):
     rlz = sample_realization(cfg, rng)
     layout = initialize_layout(cfg, rng)
     ch = build_channels(layout, rlz, cfg)
-    state = initial_state(ch, cfg)
-    state.aux = auxiliary_pass(state, ch, cfg)
+    state, _ = initial_state(ch, cfg)
     ctx_t = transmit_context(state, rlz, layout.r, cfg)
     ctx_r = receive_context(state, rlz, layout.t, cfg)
     return rlz, layout, ch, state, ctx_t, ctx_r
@@ -305,7 +303,8 @@ class TestBsumSweep:
         cfg = ScenarioConfig(K_D=1, K_U=1, N_t=2, N_r=2)
         rlz, layout, ch, state, _, _ = make_contexts(cfg)
         state.p = np.zeros(cfg.K_U)
-        state.aux = auxiliary_pass(state, ch, cfg)
+        state.aux = auxiliary_pass(
+            received_powers(state.W_t, state.W_r, state.p, ch, cfg), cfg)
         ctx = receive_context(state, rlz, layout.t, cfg)
         out, trace, sweeps = bsum_optimize_side(ctx, layout.r,
                                                 np.random.default_rng(0),
@@ -354,9 +353,10 @@ class TestBsumSweep:
 
 
 def rate_and_powers(state, ch, cfg):
-    """The rate and received-power record `RateGrid.place` starts from."""
+    """The rate and full received-power pass of `state` on `ch`, as
+    `RateGrid.place` starts from."""
     powers = fp.received_powers(state.W_t, state.W_r, state.p, ch, cfg)
-    return fp.rate_of(powers, cfg), powers
+    return fp.weighted_sum_rate(powers, cfg), powers
 
 
 def random_grid_case(cfg, trial):
@@ -365,7 +365,7 @@ def random_grid_case(cfg, trial):
     rlz = sample_realization(cfg, rng)
     layout = initialize_layout(cfg, rng)
     ch = build_channels(layout, rlz, cfg)
-    state = initial_state(ch, cfg)
+    state, _ = initial_state(ch, cfg)
     W_t = random_complex(rng, state.W_t.shape)
     state.W_t = W_t * np.sqrt(cfg.p_D_max) / np.linalg.norm(W_t)
     state.W_r = random_complex(rng, state.W_r.shape)
@@ -392,8 +392,8 @@ class TestRateGrid:
                     for q in grid.points:
                         moved = layout.copy()
                         getattr(moved, side)[n] = q
-                        ref.append(weighted_sum_rate(
-                            state, build_channels(moved, rlz, cfg), cfg))
+                        ref.append(rate_and_powers(
+                            state, build_channels(moved, rlz, cfg), cfg)[0])
                     assert_allclose(vals, ref, rtol=1e-12, atol=0.0)
 
     def test_place_raises_rate_and_stays_feasible(self):
@@ -408,8 +408,8 @@ class TestRateGrid:
             moved_trials += moves > 0
             assert out_rate >= rate
             assert (moves > 0) == (out_rate > rate)
-            assert out_rate == weighted_sum_rate(
-                state, build_channels(out, rlz, cfg), cfg)
+            assert out_rate == rate_and_powers(
+                state, build_channels(out, rlz, cfg), cfg)[0]
             assert_allclose(out_ch.H_D, build_channels(out, rlz, cfg).H_D)
             for side in (out.t, out.r):
                 assert layout_side_feasible(side, hw, cfg.D_min)
@@ -484,7 +484,7 @@ class TestRateGrid:
         # pass on rebuilt channels then sees the true rate `goal` there.
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2, L=3, L_SI=3, A=2.0)
         rlz, layout, ch, _ = random_grid_case(cfg, 2)
-        state = initial_state(ch, cfg)
+        state, _ = initial_state(ch, cfg)
         grid = RateGrid(rlz, cfg)
         region = placement.FeasibleRegionSpec(
             cfg.region_half_width, layout.t[1:], cfg.D_min)
@@ -492,7 +492,7 @@ class TestRateGrid:
             placement.is_feasible(grid.points, region))[0])
         moved = layout.copy()
         moved.t[0] = grid.points[target]
-        goal = weighted_sum_rate(state, build_channels(moved, rlz, cfg), cfg)
+        goal, _ = rate_and_powers(state, build_channels(moved, rlz, cfg), cfg)
         assert goal > 1.0   # so the margin is relative
 
         def rates(self, *args):
@@ -520,7 +520,7 @@ class TestRateGrid:
         rlz, layout, ch, state = random_grid_case(cfg, 0)
         grid = RateGrid(rlz, cfg)
         # Silent transmitters: every rate is zero wherever antennas sit.
-        silent = initial_state(ch, cfg)
+        silent, _ = initial_state(ch, cfg)
         silent.W_t = np.zeros_like(silent.W_t)
         silent.p = np.zeros(cfg.K_U)
         out, _, out_rate, _, moves = grid.place(

@@ -58,11 +58,41 @@ class TestInitialization:
         rng = trial_rng(0, 0, 0)
         rlz = sample_realization(cfg, rng)
         ch = build_channels(initialize_layout(cfg, rng), rlz, cfg)
-        state = initial_state(ch, cfg)
+        state, _ = initial_state(ch, cfg)
         assert_allclose(np.real(np.trace(state.W_t.conj().T @ state.W_t)),
                         cfg.p_D_max, rtol=1e-12)
         assert_allclose(state.p, np.full(cfg.K_U, cfg.p_U_max))
         assert np.all(np.linalg.norm(state.W_r, axis=0) > 0)
+
+    def test_initial_state_is_scored_by_its_pass(self):
+        # The state comes with the full received-power pass it was scored
+        # on and the auxiliaries of that pass.
+        cfg = ScenarioConfig(K_D=2, K_U=2, N_t=3, N_r=3)
+        rng = trial_rng(0, 1, 0)
+        rlz = sample_realization(cfg, rng)
+        ch = build_channels(initialize_layout(cfg, rng), rlz, cfg)
+        state, powers = initial_state(ch, cfg)
+        fresh = fp.received_powers(state.W_t, state.W_r, state.p, ch, cfg)
+        assert all(np.array_equal(v, getattr(fresh, k))
+                   for k, v in vars(powers).items())
+        ref = fp.auxiliary_pass(fresh, cfg)
+        assert all(np.array_equal(a, b) for a, b in zip(state.aux, ref))
+
+    def test_zero_gain_start_uses_unit_receive_columns(self):
+        # With rho_0 = 0 every user channel is zero: the transmit beams are
+        # zero and each receive column falls back to the first unit vector,
+        # so the first pass scores every SINR at exactly 0.
+        cfg = ScenarioConfig(K_D=2, K_U=2, N_t=3, N_r=3, rho_0=0.0)
+        rng = trial_rng(0, 0, 0)
+        rlz = sample_realization(cfg, rng)
+        ch = build_channels(initialize_layout(cfg, rng), rlz, cfg)
+        state, powers = initial_state(ch, cfg)
+        assert not state.W_t.any()
+        e0 = np.zeros((cfg.N_r, cfg.K_U))
+        e0[0] = 1.0
+        assert np.array_equal(state.W_r, e0)
+        assert not state.aux.gamma.any() and not state.aux.y.any()
+        assert fp.weighted_sum_rate(powers, cfg) == 0.0
 
 
 class TestAlternatingOptimize:
@@ -174,8 +204,8 @@ class TestAlternatingOptimize:
 
     def test_one_auxiliary_record_per_pass(self, monkeypatch):
         # The FP coefficients are derived once per auxiliary pass, and the
-        # blocks and surrogates between passes read that record.  The zero
-        # record of the initial state makes the one extra build.
+        # blocks and surrogates between passes read that record.  The
+        # initial state is scored by a pass too, so builds equal passes.
         builds, passes = [], []
         real_build, real_pass = fp.auxiliaries, fp.auxiliary_pass
         monkeypatch.setattr(fp, "auxiliaries",
@@ -187,7 +217,7 @@ class TestAlternatingOptimize:
         res = solve(cfg, 0, position_method="none")
         assert res.outer_iterations >= 5
         assert len(passes) == 1 + res.outer_iterations
-        assert len(builds) == 1 + len(passes)
+        assert len(builds) == len(passes)
 
     def test_one_evaluation_pass_per_iteration(self, monkeypatch):
         # With evaluation channels the run adds one full pass on them at
