@@ -154,7 +154,8 @@ def _oracle_projection(rng, count, lines, fails):
 def _oracle_placement(rng, count, lines, fails):
     cfg = ScenarioConfig(K_D=2, K_U=2, N_t=3, N_r=3, L=3, L_SI=3)
     step = 1e-6 * cfg.wavelength
-    worst = worst_joint = 0.0
+    hess_step = 3e-5 * cfg.wavelength
+    worst = worst_joint = worst_hess = 0.0
     for _ in range(max(2, count // 25)):
         rlz = sample_realization(cfg, rng)
         layout = initialize_layout(cfg, rng)
@@ -165,7 +166,8 @@ def _oracle_placement(rng, count, lines, fails):
             fields = layout_fields(ctx, pos)
             joint = placement_gradient(ctx, pos, fields)
             for n in range(len(pos)):
-                grad = antenna_bundle(ctx, fields, n).gradient(pos[n])
+                bundle = antenna_bundle(ctx, fields, n)
+                grad = bundle.gradient(pos[n])
 
                 def obj(q, n=n, ctx=ctx, pos=pos):
                     trial = pos.copy()
@@ -177,9 +179,18 @@ def _oracle_placement(rng, count, lines, fails):
                 worst = max(worst, np.linalg.norm(grad - ref) / scale)
                 worst_joint = max(worst_joint,
                                   np.linalg.norm(joint[n] - ref) / scale)
+                ref = oracles.central_difference_hessian(obj, pos[n],
+                                                         hess_step)
+                worst_hess = max(worst_hess,
+                                 np.linalg.norm(bundle.hessian(pos[n]) - ref)
+                                 / max(1.0, np.linalg.norm(ref)))
     _report("placement gradient vs differences", worst, 1e-4, lines, fails)
     _report("joint placement gradient vs differences", worst_joint, 1e-4,
             lines, fails)
+    # Measured worst 4.4e-7 over seeds 0-3 and 7 at the default count; the
+    # differences' truncation and rounding set that floor.
+    _report("placement Hessian vs differences", worst_hess, 1e-5, lines,
+            fails)
 
 
 def _cmd_oracle(args) -> int:

@@ -15,16 +15,24 @@ everywhere, so finitely many doublings always restore descent).
 
 Each quantity is built once at the level where it can change:
 
-* per context (one side's placement call): the spatial frequencies of
-  every term and their squared norms, the path-pair products, the SI mix
-  product M, W^H, and every antenna's quadratic coefficients;
+* per solve (`side_terms`, one per side that serves users): the spatial
+  frequencies of every term, their squared norms, their moment table
+  [u_x, u_y, u_x^2, u_x u_y, u_y^2] and the user path-pair products,
+  which depend on the realization alone;
+* per context (one side's placement call): the SI mix product M, W^H,
+  conj(W) and its beam-weighted rows, and every antenna's quadratic
+  coefficients;
 * per layout state: the channel fields H, D = W^H H and the SI matrix X
-  (`layout_fields`), rebuilt in full after an accepted move, and from
-  them the joint gradient in every antenna's position
-  (`placement_gradient`), the one gradient projected gradient descent
-  reads per step;
-* per point: one phasor vector serves the value, gradient and Hessian of
-  an `ExpSum`, and its curvature cap is taken once.
+  (`layout_fields`), and from them the joint gradient in every antenna's
+  position (`placement_gradient`), the one gradient projected gradient
+  descent reads per step.  A BSUM side call keeps a phasor table, every
+  term's phasor at every antenna, and re-derives the fields from its
+  user-linear and SI-linear columns after an accepted move; both paths
+  share one contraction, so no exponential is taken for the fields;
+* per point: one evaluation (phasors, phased coefficients and, on demand,
+  their product with the moment table) serves the value, gradient,
+  Hessian and curvature bound of an `ExpSum`, and its curvature cap is
+  taken once.
 
 That step only looks near the current layout: the quadratic-transform
 auxiliaries anchor the surrogate at the present channel, so one antenna's
@@ -41,13 +49,14 @@ beamformed products C, G and S rather than a channel rebuild.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import fp
 from .channel import (AntennaLayout, ChannelRealization, Channels,
-                      _user_channel, build_channels, field_response)
+                      build_channels, field_response)
 from .config import ScenarioConfig
 from .fp import SolverState
 from .geometry import FeasibleRegionSpec, is_feasible, nearest_feasible_point
@@ -62,39 +71,69 @@ MAX_GRID_ROUNDS = 5
 GRID_MIN_GAIN = 1e-9
 
 
+def term_moments(dirs: np.ndarray) -> np.ndarray:
+    """Moment table [u_x, u_y, u_x^2, u_x u_y, u_y^2] of every term, (M, 5)."""
+    ux, uy = dirs[:, 0], dirs[:, 1]
+    return np.column_stack([ux, uy, ux * ux, ux * uy, uy * uy])
+
+
 class ExpSum:
     """f(t) = sum_m Re{coefs[m] * exp(j dirs[m].t)} with exact derivatives.
 
-    The phasors of the last point evaluated are kept, keyed by the point's
-    bytes, so value, gradient and Hessian at one point share one
-    exponential.
+    One evaluation is kept, that of the last point, keyed by the point's
+    bytes: its phasors, the phased coefficients w and, once a derivative
+    is asked for, the product of w (as a (2, M) real view) with the
+    moment table.  That (2, 5) product holds the gradient -Im(w) @ u and
+    the Hessian entries -Re(w) @ [u_x^2, u_x u_y, u_y^2], so value,
+    gradient, Hessian and `curvature_bound` at one point share one
+    exponential and one matrix product.  A caller that already holds a
+    point's phasors hands them to `phasors`, and no exponential is taken.
     """
 
     def __init__(self, coefs: np.ndarray, dirs: np.ndarray,
-                 norm2: np.ndarray):
-        self.coefs = coefs  # (M,) complex
-        self.dirs = dirs    # (M, 2), spatial frequencies (kappa absorbed)
-        self.norm2 = norm2  # (M,) squared norms of dirs
+                 norm2: np.ndarray, moments: np.ndarray):
+        self.coefs = coefs      # (M,) complex
+        self.dirs = dirs        # (M, 2), spatial frequencies (kappa absorbed)
+        self.norm2 = norm2      # (M,) squared norms of dirs
+        self.moments = moments  # (M, 5) `term_moments(dirs)`
         self._cap = None
-        self._at = None     # (point bytes, phased coefficients)
+        self._at = None     # [point bytes, phasors, w, moment product]
 
-    def _phased(self, t: np.ndarray) -> np.ndarray:
+    def _eval(self, t: np.ndarray, known: np.ndarray | None = None) -> list:
         t = np.asarray(t, dtype=float)
         key = t.tobytes()
         if self._at is None or self._at[0] != key:
-            self._at = (key, self.coefs * np.exp(1j * (self.dirs @ t)))
-        return self._at[1]
+            e = np.exp(1j * (self.dirs @ t)) if known is None else known
+            self._at = [key, e, self.coefs * e, None]
+        return self._at
+
+    def phasors(self, t: np.ndarray,
+                known: np.ndarray | None = None) -> np.ndarray:
+        """exp(j dirs.t), the phasors every evaluation at t reads.
+
+        `known`, if given, are taken as those phasors when t is not the
+        point already evaluated.
+        """
+        return self._eval(t, known)[1]
+
+    def moment_product(self, t: np.ndarray) -> np.ndarray:
+        """(2, 5) product of w's real and imaginary parts with the moment
+        table; -row 1 [:2] is the gradient, -row 0 [2:] the Hessian
+        entries (xx, xy, yy)."""
+        at = self._eval(t)
+        if at[3] is None:
+            at[3] = at[2].view(float).reshape(-1, 2).T @ self.moments
+        return at[3]
 
     def value(self, t: np.ndarray) -> float:
-        return float(self._phased(t).real.sum())
+        return float(self._eval(t)[2].real.sum())
 
     def gradient(self, t: np.ndarray) -> np.ndarray:
-        w = self._phased(t)
-        return -(np.imag(w) @ self.dirs)
+        return -self.moment_product(t)[1, :2]
 
     def hessian(self, t: np.ndarray) -> np.ndarray:
-        w = np.real(self._phased(t))
-        return -np.einsum("m,mi,mj->ij", w, self.dirs, self.dirs)
+        mxx, mxy, myy = self.moment_product(t)[0, 2:]
+        return -np.array([[mxx, mxy], [mxy, myy]])
 
     def curvature_cap(self) -> float:
         """Global bound on the Hessian spectral norm: sum |c| ||u||^2."""
@@ -103,16 +142,58 @@ class ExpSum:
         return self._cap
 
 
+@dataclass(frozen=True)
+class SideTerms:
+    """The realization-only parts of one side's antenna bundles.
+
+    They depend on path directions and gains alone, so a solve builds them
+    once per side that serves users (`side_terms`) and every context of
+    the solve shares them.  Term order: user linear, user pairs, SI
+    linear, SI pairs; `user_lin` and `si_lin` select the linear terms,
+    whose phasors are those of the user paths and the SI paths.
+    """
+
+    dirs: np.ndarray     # (M, 2) spatial frequencies of every term
+    norm2: np.ndarray    # (M,) their squared norms
+    moments: np.ndarray  # (M, 5) their `term_moments`
+    pair: np.ndarray     # (K, L, L) user path-pair products
+    user_lin: slice
+    si_lin: slice
+
+
+def side_terms(rlz: ChannelRealization, cfg: ScenarioConfig,
+               transmit: bool) -> SideTerms:
+    """`SideTerms` of the transmit side (users are downlink) or the receive
+    side (users are uplink)."""
+    k = cfg.kappa
+    if transmit:
+        user_dirs, prm, si_dirs = rlz.dl_dirs, rlz.prm_dl, rlz.si_t_dirs
+    else:
+        user_dirs, prm, si_dirs = rlz.ul_dirs, rlz.prm_ul, rlz.si_r_dirs
+    pair = prm[:, :, None] * prm.conj()[:, None, :]
+    ddiff = k * (user_dirs[:, None, :, :] - user_dirs[:, :, None, :])
+    sdiff = k * (si_dirs[None, :, :] - si_dirs[:, None, :])
+    dirs = np.vstack([(-k * user_dirs).reshape(-1, 2), ddiff.reshape(-1, 2),
+                      k * si_dirs, sdiff.reshape(-1, 2)])
+    n_user, n_si = prm.size, len(si_dirs)
+    si_start = n_user + pair.size
+    return SideTerms(dirs=dirs, norm2=(dirs ** 2).sum(axis=1),
+                     moments=term_moments(dirs), pair=pair,
+                     user_lin=slice(0, n_user),
+                     si_lin=slice(si_start, si_start + n_si))
+
+
 @dataclass
 class SurrogateContext:
-    """Everything the per-side placement objective needs besides positions.
+    """What one side's placement call needs besides positions.
 
     Valid while beamformers, powers, auxiliaries and the *other* side's
     positions stay fixed, i.e. for one side's whole BSUM run.  Each side
     sees the self-interference matrix with its own antennas as columns:
     X = H_SI on the transmit side and X = H_SI^H on the receive side, so
-    the SI term is tr(own X^H other X) on both.  The position-free parts of
-    every antenna bundle are built here, once.
+    the SI term is tr(own X^H other X) on both.  The realization-only
+    parts come in `terms`, shared by every context of a solve; the parts
+    that change per call are derived here, once.
     """
 
     kappa: float
@@ -128,36 +209,31 @@ class SurrogateContext:
     other: np.ndarray      # the other side's gram
     si_dirs: np.ndarray    # (L_SI, 2) this side's SI path directions
     si_mix: np.ndarray     # (N_other, L_SI) X = si_mix @ phasors^T
+    terms: SideTerms
     # Derived in __post_init__:
     WH: np.ndarray = field(init=False, repr=False)     # W^H
-    dirs: np.ndarray = field(init=False, repr=False)   # every bundle's dirs
-    norm2: np.ndarray = field(init=False, repr=False)  # their squared norms
+    Wc: np.ndarray = field(init=False, repr=False)     # conj(W)
+    Wcb: np.ndarray = field(init=False, repr=False)    # beam_w * conj(W)
     user_quad: np.ndarray = field(init=False, repr=False)  # (N, K*L*L)
     si_quad: np.ndarray = field(init=False, repr=False)    # (N, L_SI^2)
 
     def __post_init__(self):
-        k = self.kappa
-        self.WH = self.W.conj().T
-        pair = self.user_prm[:, :, None] * self.user_prm.conj()[:, None, :]
+        self.Wc = self.W.conj()
+        self.WH = self.Wc.T
+        self.Wcb = self.beam_w * self.Wc
         M = self.si_mix.conj().T @ self.other @ self.si_mix
-        ddiff = k * (self.user_dirs[:, None, :, :] - self.user_dirs[:, :, None, :])
-        sdiff = k * (self.si_dirs[None, :, :] - self.si_dirs[:, None, :])
-        # Term order: user linear, user pairs, SI linear, SI pairs.
-        self.dirs = np.vstack([(-k * self.user_dirs).reshape(-1, 2),
-                               ddiff.reshape(-1, 2), k * self.si_dirs,
-                               sdiff.reshape(-1, 2)])
-        self.norm2 = (self.dirs ** 2).sum(axis=1)
         # Antenna n's user-pair and SI-pair coefficients, row n.
         gram = np.real(np.diag(self.own))
         omega = gram[:, None] * self.chan_w
         n_ant = len(gram)
-        self.user_quad = (omega[:, :, None, None] * pair).reshape(n_ant, -1)
+        self.user_quad = (omega[:, :, None, None]
+                          * self.terms.pair).reshape(n_ant, -1)
         self.si_quad = (gram[:, None, None] * M).reshape(n_ant, -1)
 
 
 def _context(state: SolverState, rlz: ChannelRealization,
              other_positions: np.ndarray, cfg: ScenarioConfig,
-             transmit: bool) -> SurrogateContext:
+             transmit: bool, terms: SideTerms | None) -> SurrogateContext:
     x = state.aux
     Q = state.W_t @ state.W_t.conj().T
     B = fp.receive_gram(state)
@@ -173,19 +249,37 @@ def _context(state: SolverState, rlz: ChannelRealization,
                     chan_w=state.p.astype(float), beam_w=x.y2_ul,
                     W=state.W_r, own=B, other=Q, si_dirs=rlz.si_r_dirs)
         other_dirs, sigma = rlz.si_t_dirs, rlz.sigma_si.conj().T
+    if terms is None:
+        terms = side_terms(rlz, cfg, transmit)
     e = field_response(other_positions, other_dirs, cfg.kappa)
     return SurrogateContext(kappa=cfg.kappa, half_width=cfg.region_half_width,
-                            d_min=cfg.D_min, si_mix=e.conj() @ sigma, **side)
+                            d_min=cfg.D_min, si_mix=e.conj() @ sigma,
+                            terms=terms, **side)
 
 
 def transmit_context(state: SolverState, rlz: ChannelRealization,
-                     r_positions: np.ndarray, cfg: ScenarioConfig) -> SurrogateContext:
-    return _context(state, rlz, r_positions, cfg, transmit=True)
+                     r_positions: np.ndarray, cfg: ScenarioConfig,
+                     terms: SideTerms | None = None) -> SurrogateContext:
+    """Transmit-side context; `terms` are the solve's
+    `side_terms(rlz, cfg, True)`, built here when not given."""
+    return _context(state, rlz, r_positions, cfg, True, terms)
 
 
 def receive_context(state: SolverState, rlz: ChannelRealization,
-                    t_positions: np.ndarray, cfg: ScenarioConfig) -> SurrogateContext:
-    return _context(state, rlz, t_positions, cfg, transmit=False)
+                    t_positions: np.ndarray, cfg: ScenarioConfig,
+                    terms: SideTerms | None = None) -> SurrogateContext:
+    """Receive-side context; `terms` are the solve's
+    `side_terms(rlz, cfg, False)`, built here when not given."""
+    return _context(state, rlz, t_positions, cfg, False, terms)
+
+
+def _fields(ctx: SurrogateContext, user_e: np.ndarray, si_e: np.ndarray):
+    """(H, D, X) from every antenna's user-path phasors (N, K*L) and SI-path
+    phasors (N, L_SI); the one contraction behind both field builds."""
+    H = np.einsum("nkl,kl->nk", user_e.reshape(len(user_e),
+                                               *ctx.user_prm.shape),
+                  ctx.user_prm)
+    return H, ctx.WH @ H, ctx.si_mix @ si_e.T
 
 
 def layout_fields(ctx: SurrogateContext, positions: np.ndarray):
@@ -193,9 +287,17 @@ def layout_fields(ctx: SurrogateContext, positions: np.ndarray):
 
     D[b, c] = w_b^H h_c; X is this side's SI matrix.
     """
-    H = _user_channel(positions, ctx.user_dirs, ctx.user_prm, ctx.kappa)
-    e = np.exp(1j * ctx.kappa * (positions @ ctx.si_dirs.T))
-    return H, ctx.WH @ H, ctx.si_mix @ e.T
+    k = ctx.kappa
+    return _fields(ctx, field_response(positions,
+                                       ctx.user_dirs.reshape(-1, 2), -k),
+                   np.exp(1j * k * (positions @ ctx.si_dirs.T)))
+
+
+def _table_fields(ctx: SurrogateContext, table: np.ndarray):
+    """`layout_fields` read off a phasor table (N, M) of the layout, up to
+    the rounding of the phases."""
+    t = ctx.terms
+    return _fields(ctx, table[:, t.user_lin], table[:, t.si_lin])
 
 
 def placement_objective(ctx: SurrogateContext, fields: tuple) -> float:
@@ -204,9 +306,9 @@ def placement_objective(ctx: SurrogateContext, fields: tuple) -> float:
     `fields` are the `layout_fields` of the positions to score.
     """
     _, D, X = fields
-    t1 = -2.0 * float(np.real(ctx.lin @ D.diagonal()))
+    t1 = -2.0 * float((ctx.lin @ D.diagonal()).real)
     t2 = float(ctx.beam_w @ (np.abs(D) ** 2) @ ctx.chan_w)
-    t3 = float(np.real(np.trace(ctx.own @ X.conj().T @ ctx.other @ X)))
+    t3 = float((ctx.own @ X.conj().T @ ctx.other @ X).trace().real)
     return t1 + t2 + t3
 
 
@@ -222,8 +324,7 @@ def placement_gradient(ctx: SurrogateContext, positions: np.ndarray,
     """
     _, D, X = fields
     k = ctx.kappa
-    Wc = ctx.W.conj()
-    A = ctx.chan_w * ((Wc * ctx.beam_w) @ D.conj()) - ctx.lin * Wc
+    A = ctx.chan_w * (ctx.Wcb @ D.conj()) - ctx.lin * ctx.Wc
     udirs = ctx.user_dirs.reshape(-1, 2)
     # dH[n, c]/dt_n = sum_l prm[c, l] exp(-j k u_cl.t_n) (-j k u_cl).
     E = field_response(positions, udirs, -k).reshape((len(A),)
@@ -244,13 +345,13 @@ def antenna_bundle(ctx: SurrogateContext, fields: tuple, n: int) -> ExpSum:
     `layout_fields` of the current positions.
     """
     H, D, X = fields
-    wn = ctx.W[n, :].conj()
+    wn = ctx.Wc[n]
     # Inner products with antenna n's own contribution removed.  np.outer,
     # not a broadcast product: numpy may round the two differently.
     D0 = D - np.outer(wn, H[n, :])
     # Channel terms.  d_c aggregates how the moving antenna's phasor beats
     # against the rest of the array through every beamformer column.
-    d = ctx.chan_w * (ctx.beam_w * wn @ D0.conj())
+    d = ctx.chan_w * (ctx.Wcb[n] @ D0.conj())
     lin_coef = 2.0 * (d - ctx.lin * wn)
     # Self-interference terms; antenna n is column n of X.
     X0 = X.copy()
@@ -259,21 +360,21 @@ def antenna_bundle(ctx: SurrogateContext, fields: tuple, n: int) -> ExpSum:
     coefs = np.concatenate([(lin_coef[:, None] * ctx.user_prm).ravel(),
                             ctx.user_quad[n], 2.0 * (u_lin.conj() @ ctx.si_mix),
                             ctx.si_quad[n]])
-    return ExpSum(coefs, ctx.dirs, ctx.norm2)
-
-
-def _lam_max_2x2(h: np.ndarray) -> float:
-    return 0.5 * (h[0, 0] + h[1, 1] + np.hypot(h[0, 0] - h[1, 1], 2.0 * h[0, 1]))
+    t = ctx.terms
+    return ExpSum(coefs, t.dirs, t.norm2, t.moments)
 
 
 def curvature_bound(bundle: ExpSum, t: np.ndarray) -> float:
     """Majorizer curvature at t: local Hessian top eigenvalue, floored.
 
-    The floor scales with the term-wise global curvature cap so it carries
-    the right units (kappa^2 times coefficient magnitude).
+    The Hessian entries come from the bundle's evaluation at t.  The floor
+    scales with the term-wise global curvature cap so it carries the right
+    units (kappa^2 times coefficient magnitude).
     """
-    tau_min = TAU_MIN_FACTOR * bundle.curvature_cap()
-    return max(_lam_max_2x2(bundle.hessian(t)), tau_min)
+    mxx, mxy, myy = bundle.moment_product(t)[0, 2:].tolist()
+    # Top eigenvalue of -[[mxx, mxy], [mxy, myy]].
+    lam = 0.5 * (-mxx - myy + math.hypot(mxx - myy, 2.0 * mxy))
+    return max(lam, TAU_MIN_FACTOR * bundle.curvature_cap())
 
 
 def others_index(n_ant: int) -> list:
@@ -292,10 +393,16 @@ def bsum_optimize_side(ctx: SurrogateContext, positions: np.ndarray,
     is monotone non-increasing: a candidate move is only accepted when the
     per-antenna objective does not increase, and the curvature doubles until
     that holds (or the antenna stays put).
+
+    The phasors of every term at every antenna are kept in one table.  A
+    visit evaluates its bundle at the antenna from its row; an accepted
+    candidate's phasors, already taken for the descent test, replace the
+    row, and the fields are re-derived from the table.
     """
     pos = np.array(positions, dtype=float, copy=True)
     others = others_index(len(pos))
-    fields = layout_fields(ctx, pos)
+    table = np.exp(1j * (pos @ ctx.terms.dirs.T))
+    fields = _table_fields(ctx, table)
     f = placement_objective(ctx, fields)
     trace = [f]
     sweeps = 0
@@ -305,6 +412,7 @@ def bsum_optimize_side(ctx: SurrogateContext, positions: np.ndarray,
             bundle = antenna_bundle(ctx, fields, n)
             if bundle.curvature_cap() == 0.0:
                 continue  # objective does not depend on this antenna
+            bundle.phasors(pos[n], table[n])  # evaluate from the table row
             g = bundle.gradient(pos[n])
             tau = curvature_bound(bundle, pos[n])
             region = FeasibleRegionSpec(ctx.half_width, pos[others[n]],
@@ -314,7 +422,8 @@ def bsum_optimize_side(ctx: SurrogateContext, positions: np.ndarray,
                 cand = nearest_feasible_point(pos[n] - g / tau, region)
                 if bundle.value(cand) <= f_here + 1e-12 * (1.0 + abs(f_here)):
                     pos[n] = cand
-                    fields = layout_fields(ctx, pos)
+                    table[n] = bundle.phasors(cand)
+                    fields = _table_fields(ctx, table)
                     break
                 tau *= 2.0
         f_new = placement_objective(ctx, fields)

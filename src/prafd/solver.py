@@ -218,12 +218,16 @@ def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
         ("uplink power", "p", beamforming.update_uplink_power,
          record.power_changed),
     )
-    sides = []      # placement blocks, only for sides that serve users
+    # Placement blocks, only for sides that serve users; each side's
+    # realization-only terms are built here, once per solve.
+    sides = []
     if move and cfg.K_D > 0:
         sides.append(("transmit placement", "t", "r", placement.transmit_context,
+                      placement.side_terms(rlz, cfg, True),
                       record.transmit_changed))
     if move and cfg.K_U > 0:
         sides.append(("receive placement", "r", "t", placement.receive_context,
+                      placement.side_terms(rlz, cfg, False),
                       record.receive_changed))
 
     for it in range(1, opts.max_outer + 1):
@@ -250,8 +254,8 @@ def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
             else:
                 grid = None
 
-        for tag, side, other, context, changed in sides:
-            ctx = context(state, rlz, getattr(layout, other), cfg)
+        for tag, side, other, context, terms, changed in sides:
+            ctx = context(state, rlz, getattr(layout, other), cfg, terms)
             pos, _, sw = optimizer(ctx, getattr(layout, side), rng,
                                    cfg.epsilon_bsum)
             setattr(layout, side, pos)

@@ -133,6 +133,10 @@ class TestOracle:
         out = capsys.readouterr().out
         assert "all checks passed" in out
 
+    def test_reports_the_placement_hessian_check(self, capsys):
+        assert main(["oracle", "--count", "20"]) == 0
+        assert "placement Hessian vs differences" in capsys.readouterr().out
+
     def test_runs_as_a_module(self):
         src = str(Path(prafd.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)

@@ -18,7 +18,7 @@ from prafd.placement import (ExpSum, RateGrid, antenna_bundle,
                              bsum_optimize_side, curvature_bound, grid_axis,
                              layout_fields, placement_gradient,
                              placement_objective, receive_context,
-                             transmit_context)
+                             term_moments, transmit_context)
 from prafd.solver import initial_state, initialize_layout
 
 LN2 = np.log(2.0)
@@ -47,7 +47,8 @@ def random_exp_sum(rng, n_terms=12, kappa=500.0):
     coefs = random_complex(rng, (n_terms,))
     ang = rng.uniform(0, 2 * np.pi, n_terms)
     dirs = kappa * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    return ExpSum(coefs=coefs, dirs=dirs, norm2=(dirs ** 2).sum(axis=1))
+    return ExpSum(coefs=coefs, dirs=dirs, norm2=(dirs ** 2).sum(axis=1),
+                  moments=term_moments(dirs))
 
 
 class TestExpSum:
@@ -94,7 +95,8 @@ class TestExpSum:
         point = t1.copy()
 
         def same(t):
-            fresh = ExpSum(coefs=es.coefs, dirs=es.dirs, norm2=es.norm2)
+            fresh = ExpSum(coefs=es.coefs, dirs=es.dirs, norm2=es.norm2,
+                           moments=es.moments)
             assert es.value(t) == fresh.value(t)
             assert np.array_equal(es.gradient(t), fresh.gradient(t))
             assert np.array_equal(es.hessian(t), fresh.hessian(t))
@@ -110,17 +112,19 @@ class TestExpSum:
 
 
 class TestBundleReference:
-    """The bundle built from per-context, per-layout and per-point parts
-    equals the from-scratch reference bit for bit."""
+    """The bundle built from per-solve, per-context, per-layout and
+    per-point parts equals the from-scratch reference bit for bit; its
+    curvature bound, taken from the moment product rather than the
+    reference's einsum, agrees to 1e-12 relative."""
 
     @staticmethod
     def check(ctx, pos, n, bundle):
         ref_coefs, ref_dirs = reference_antenna_bundle(ctx, pos, n)
         assert np.array_equal(bundle.coefs, ref_coefs)
         assert np.array_equal(bundle.dirs, ref_dirs)
-        assert curvature_bound(bundle, pos[n]) == \
-            reference_curvature_bound(ref_coefs, ref_dirs, pos[n],
-                                      placement.TAU_MIN_FACTOR)
+        ref = reference_curvature_bound(ref_coefs, ref_dirs, pos[n],
+                                        placement.TAU_MIN_FACTOR)
+        assert abs(curvature_bound(bundle, pos[n]) - ref) <= 1e-12 * abs(ref)
 
     def test_both_sides(self):
         # One uplink user gives 1x1 outer products, which numpy can round
@@ -144,6 +148,35 @@ class TestBundleReference:
                 for n in order:
                     self.check(ctx, pos, n, bundle_at(ctx, pos, n))
                     pos[n] += rng.uniform(-0.1, 0.1, 2) * cfg.wavelength
+
+
+class TestMomentProduct:
+    def test_cached_evaluation_matches_the_pair_term_reference(self):
+        # Value, gradient and Hessian read one cached evaluation, the
+        # derivatives through the moment product; the reference forms
+        # each from the phased coefficients term by term, the Hessian by
+        # the three-operand einsum.  Points range over the whole region.
+        cfg = ScenarioConfig(K_D=2, K_U=2, N_t=3, N_r=3, L=3, L_SI=3)
+        rng = np.random.default_rng(14)
+        for trial in range(4):
+            _, layout, _, _, ctx_t, ctx_r = make_contexts(cfg, trial)
+            for ctx, pos in ((ctx_t, layout.t), (ctx_r, layout.r)):
+                for n in range(len(pos)):
+                    bundle = bundle_at(ctx, pos, n)
+                    cap = bundle.curvature_cap()
+                    mag = np.abs(bundle.coefs)
+                    for _ in range(25):
+                        t = rng.uniform(-1.0, 1.0, 2) * ctx.half_width
+                        w = bundle.coefs * np.exp(1j * (bundle.dirs @ t))
+                        hess = -np.einsum("m,mi,mj->ij", w.real, bundle.dirs,
+                                          bundle.dirs)
+                        assert abs(bundle.value(t) - w.real.sum()) \
+                            <= 1e-12 * mag.sum()
+                        assert np.abs(bundle.gradient(t)
+                                      + w.imag @ bundle.dirs).max() \
+                            <= 1e-12 * (mag @ np.sqrt(bundle.norm2))
+                        assert np.abs(bundle.hessian(t) - hess).max() \
+                            <= 1e-12 * cap
 
 
 class TestPlacementGradient:
@@ -312,6 +345,59 @@ class TestBsumSweep:
         assert_allclose(out, layout.r)
         assert_allclose(trace, [0.0, 0.0], atol=1e-30)
 
+
+    def test_phasor_table_fields_track_the_layout(self, monkeypatch):
+        # The side never rebuilds the fields from positions.  Every bundle
+        # and objective call receives the fields read off its phasor
+        # table; they must match layout_fields of the positions reached,
+        # which are followed here from the projections: a new fields
+        # object means the visit's last candidate was accepted.
+        real_fields = placement.layout_fields
+        real_bundle = placement.antenna_bundle
+        real_objective = placement.placement_objective
+        real_project = placement.nearest_feasible_point
+        seen = {}
+
+        def no_rebuild(*a):
+            raise AssertionError("bsum_optimize_side called layout_fields")
+
+        def check(ctx, fields):
+            if seen["fields"] is not None and fields is not seen["fields"]:
+                seen["pos"][seen["n"]] = seen["cand"]
+                seen["moves"] += 1
+            seen["fields"] = fields
+            for got, ref in zip(fields, real_fields(ctx, seen["pos"])):
+                assert np.linalg.norm(got - ref) \
+                    <= 1e-13 * np.linalg.norm(ref)
+
+        def bundle(ctx, fields, n):
+            check(ctx, fields)
+            seen["n"] = n
+            return real_bundle(ctx, fields, n)
+
+        def objective(ctx, fields):
+            check(ctx, fields)
+            return real_objective(ctx, fields)
+
+        def project(*a):
+            seen["cand"] = real_project(*a)
+            return seen["cand"]
+
+        monkeypatch.setattr(placement, "layout_fields", no_rebuild)
+        monkeypatch.setattr(placement, "antenna_bundle", bundle)
+        monkeypatch.setattr(placement, "placement_objective", objective)
+        monkeypatch.setattr(placement, "nearest_feasible_point", project)
+        cfg = ScenarioConfig(K_D=2, K_U=2, N_t=3, N_r=3, L=3, L_SI=3)
+        moves = 0
+        for trial in range(4):
+            _, layout, _, _, ctx_t, ctx_r = make_contexts(cfg, trial)
+            for ctx, pos in ((ctx_t, layout.t), (ctx_r, layout.r)):
+                seen.update(pos=pos.copy(), fields=None, moves=0)
+                out, _, _ = bsum_optimize_side(
+                    ctx, pos, np.random.default_rng(trial), eps=1e-4)
+                assert np.array_equal(seen["pos"], out)
+                moves += seen["moves"]
+        assert moves > 20
 
     def test_tau_doublings_running_out_leave_the_antenna_put(self,
                                                             monkeypatch):

@@ -311,6 +311,48 @@ class TestAlternatingOptimize:
         assert all(all(v) for v in seen.values())
 
 
+class TestSideTerms:
+    @pytest.mark.parametrize("algo, cfg, sides", [
+        ("fp-bsum", ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2), [True, False]),
+        ("fp-gd", ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2), [True, False]),
+        ("fp-bsum", ScenarioConfig(K_D=2, K_U=0, N_t=2, N_r=2), [True]),
+        ("hd", ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2), [True]),
+        ("fpas", ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2), []),
+    ])
+    def test_built_once_per_solve_for_each_side_with_users(
+            self, monkeypatch, algo, cfg, sides):
+        # Every context of a solve shares the side's terms, built once; a
+        # side without users (the receive side of hd or of K_U = 0) gets
+        # none, and fixed arrays need none.
+        built, used = [], []
+        real_terms = placement.side_terms
+        real_contexts = placement.transmit_context, placement.receive_context
+
+        def terms(rlz, cfg, transmit):
+            built.append((transmit, real_terms(rlz, cfg, transmit)))
+            return built[-1][1]
+
+        def context(real):
+            def wrapped(*a):
+                ctx = real(*a)
+                used.append(ctx.terms)
+                return ctx
+            return wrapped
+
+        monkeypatch.setattr(placement, "side_terms", terms)
+        monkeypatch.setattr(placement, "transmit_context",
+                            context(real_contexts[0]))
+        monkeypatch.setattr(placement, "receive_context",
+                            context(real_contexts[1]))
+        rlz = sample_realization(cfg, trial_rng(0, 0, 0))
+        res = run_algorithm(algo, cfg, rlz, trial_rng(0, 0, 3))
+        assert [transmit for transmit, _ in built] == sides
+        assert res.outer_iterations > 1
+        assert len(used) == len(sides) * res.outer_iterations
+        shared = [t for _, t in built]
+        assert all(any(t is s for s in shared) for t in used)
+
+
 # The eight symmetries of the square region: each maps a feasible layout to
 # a feasible layout.
 SQUARE_SYMMETRIES = [np.array([[a, 0], [0, b]]) for a in (1, -1)
