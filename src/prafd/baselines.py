@@ -72,25 +72,24 @@ def gradient_descent_positions(ctx: SurrogateContext, positions: np.ndarray,
     objective trace never increases.  The channel fields of each layout
     are built once and serve its objective and its joint gradient, one
     `placement_gradient` call per step.  The per-antenna bundles are
-    built at the first step only: their largest curvature cap sets the
-    first trial step 1 / cap, and a zero cap means the objective does
+    built once, before the first step: their largest curvature cap sets
+    the first trial step 1 / cap, and a zero cap means the objective does
     not depend on the positions.
     """
+    half_width, d_min = ctx.terms.half_width, ctx.terms.d_min
     pos = np.array(positions, dtype=float, copy=True)
     others = others_index(len(pos))
     fields = layout_fields(ctx, pos)
     f = placement_objective(ctx, fields)
     trace = [f]
     steps = 0
-    alpha0 = None
+    cap = max(antenna_bundle(ctx, fields, n).curvature_cap()
+              for n in range(len(pos)))
+    if cap == 0.0:
+        return pos, trace, steps
+    alpha0 = 1.0 / cap
     for _ in range(GD_MAX_STEPS):
-        if alpha0 is None:
-            cap = max(antenna_bundle(ctx, fields, n).curvature_cap()
-                      for n in range(len(pos)))
-            if cap == 0.0:
-                break
-            alpha0 = 1.0 / cap
-        grad = placement_gradient(ctx, pos, fields)
+        grad = placement_gradient(ctx, fields)
         gnorm2 = float((grad ** 2).sum())
         if gnorm2 == 0.0:
             break
@@ -98,8 +97,8 @@ def gradient_descent_positions(ctx: SurrogateContext, positions: np.ndarray,
         alpha = alpha0
         accepted = False
         for _ in range(GD_MAX_HALVINGS):
-            proj = _project_side(pos - alpha * grad, others, ctx.half_width,
-                                 ctx.d_min)
+            proj = _project_side(pos - alpha * grad, others, half_width,
+                                 d_min)
             proj_fields = layout_fields(ctx, proj)
             f_new = placement_objective(ctx, proj_fields)
             if f_new <= f - ARMIJO_C * alpha * gnorm2:

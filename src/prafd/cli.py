@@ -16,7 +16,7 @@ from .config import ConfigError, ScenarioConfig, load_config, parse_setting
 from .experiment import ExperimentSpec, emit_csv, run_experiment, run_trial
 from .geometry import FeasibleRegionSpec, is_feasible, nearest_feasible_point
 from .placement import (antenna_bundle, layout_fields, placement_gradient,
-                        placement_objective, receive_context,
+                        placement_objective, receive_context, side_terms,
                         transmit_context)
 from .solver import initial_state, initialize_layout
 
@@ -161,10 +161,11 @@ def _oracle_placement(rng, count, lines, fails):
         layout = initialize_layout(cfg, rng)
         ch = build_channels(layout, rlz, cfg)
         state, _ = initial_state(ch, cfg)
-        for ctx, pos in ((transmit_context(state, rlz, layout.r, cfg), layout.t),
-                         (receive_context(state, rlz, layout.t, cfg), layout.r)):
+        terms = side_terms(rlz, cfg, True), side_terms(rlz, cfg, False)
+        for ctx, pos in ((transmit_context(state, terms[0], layout.r), layout.t),
+                         (receive_context(state, terms[1], layout.t), layout.r)):
             fields = layout_fields(ctx, pos)
-            joint = placement_gradient(ctx, pos, fields)
+            joint = placement_gradient(ctx, fields)
             for n in range(len(pos)):
                 bundle = antenna_bundle(ctx, fields, n)
                 grad = bundle.gradient(pos[n])

@@ -162,30 +162,32 @@ def reference_antenna_bundle(ctx, positions: np.ndarray, n: int):
 
     Same arithmetic, in the same order, as `placement.antenna_bundle`,
     which keeps the position-free parts per context and takes the channel
-    fields per layout state; the two must agree bit for bit.
+    fields per layout state; the two must agree bit for bit.  Of
+    `ctx.terms` it reads only the raw directions, gains and kappa.
     """
-    H = _user_channel(positions, ctx.user_dirs, ctx.user_prm, ctx.kappa)
+    t = ctx.terms
+    H = _user_channel(positions, t.user_dirs, t.user_prm, t.kappa)
     wn = ctx.W[n, :]
     D0 = ctx.W.conj().T @ H - np.outer(wn.conj(), H[n, :])
     gram_nn = float(np.real(ctx.own[n, n]))
     d = ctx.chan_w * (ctx.beam_w * wn.conj() @ D0.conj())
     lin_coef = 2.0 * (d - ctx.lin * wn.conj())
     omega = ctx.chan_w * gram_nn
-    pair = ctx.user_prm[:, :, None] * ctx.user_prm.conj()[:, None, :]
-    ddiff = ctx.kappa * (ctx.user_dirs[:, None, :, :]
-                         - ctx.user_dirs[:, :, None, :])
-    e = np.exp(1j * ctx.kappa * (positions @ ctx.si_dirs.T))
+    pair = t.user_prm[:, :, None] * t.user_prm.conj()[:, None, :]
+    ddiff = t.kappa * (t.user_dirs[:, None, :, :]
+                       - t.user_dirs[:, :, None, :])
+    e = np.exp(1j * t.kappa * (positions @ t.si_dirs.T))
     X0 = ctx.si_mix @ e.T
     X0[:, n] = 0.0
     u_lin = ctx.other @ X0 @ ctx.own[:, n]
     M = ctx.si_mix.conj().T @ ctx.other @ ctx.si_mix
-    sdiff = ctx.kappa * (ctx.si_dirs[None, :, :] - ctx.si_dirs[:, None, :])
-    coefs = np.concatenate([(lin_coef[:, None] * ctx.user_prm).ravel(),
+    sdiff = t.kappa * (t.si_dirs[None, :, :] - t.si_dirs[:, None, :])
+    coefs = np.concatenate([(lin_coef[:, None] * t.user_prm).ravel(),
                             (omega[:, None, None] * pair).ravel(),
                             2.0 * (u_lin.conj() @ ctx.si_mix),
                             (gram_nn * M).ravel()])
-    dirs = np.vstack([(-ctx.kappa * ctx.user_dirs).reshape(-1, 2),
-                      ddiff.reshape(-1, 2), ctx.kappa * ctx.si_dirs,
+    dirs = np.vstack([(-t.kappa * t.user_dirs).reshape(-1, 2),
+                      ddiff.reshape(-1, 2), t.kappa * t.si_dirs,
                       sdiff.reshape(-1, 2)])
     return coefs, dirs
 

@@ -15,20 +15,20 @@ everywhere, so finitely many doublings always restore descent).
 
 Each quantity is built once at the level where it can change:
 
-* per solve (`side_terms`, one per side that serves users): the spatial
-  frequencies of every term, their squared norms, their moment table
-  [u_x, u_y, u_x^2, u_x u_y, u_y^2] and the user path-pair products,
-  which depend on the realization alone;
-* per context (one side's placement call): the SI mix product M, W^H,
+* per solve (`side_terms`, one per side that serves users): the side's
+  paths, region and spacing, and from them every term's spatial
+  frequency, squared norm and moments [u_x, u_y, u_x^2, u_x u_y, u_y^2]
+  and the user path-pair products;
+* per context (one side's placement call): the SI mix and its product M,
   conj(W) and its beam-weighted rows, and every antenna's quadratic
   coefficients;
 * per layout state: the channel fields H, D = W^H H and the SI matrix X
-  (`layout_fields`), and from them the joint gradient in every antenna's
-  position (`placement_gradient`), the one gradient projected gradient
-  descent reads per step.  A BSUM side call keeps a phasor table, every
-  term's phasor at every antenna, and re-derives the fields from its
-  user-linear and SI-linear columns after an accepted move; both paths
-  share one contraction, so no exponential is taken for the fields;
+  with the phasors they contract (`layout_fields`), and from them, with
+  no exponential, the joint gradient (`placement_gradient`) projected
+  gradient descent reads per step.  A BSUM side call keeps a phasor
+  table, every term's phasor at every antenna, and re-derives the fields
+  from its user-linear and SI-linear columns after an accepted move; both
+  paths share one contraction;
 * per point: one evaluation (phasors, phased coefficients and, on demand,
   their product with the moment table) serves the value, gradient,
   Hessian and curvature bound of an `ExpSum`, and its curvature cap is
@@ -144,15 +144,24 @@ class ExpSum:
 
 @dataclass(frozen=True)
 class SideTerms:
-    """The realization-only parts of one side's antenna bundles.
+    """Everything a solve fixes for one side's placement.
 
-    They depend on path directions and gains alone, so a solve builds them
-    once per side that serves users (`side_terms`) and every context of
-    the solve shares them.  Term order: user linear, user pairs, SI
-    linear, SI pairs; `user_lin` and `si_lin` select the linear terms,
-    whose phasors are those of the user paths and the SI paths.
+    Built once per side that serves users (`side_terms`), shared by every
+    context of the solve and oriented for the side: `user_*` are its
+    users' paths, `si_dirs` its SI paths, `other_si_dirs` the other
+    side's and `sigma_si` has its SI paths as columns.  Terms run user
+    linear, user pairs, SI linear, SI pairs; `user_lin` and `si_lin`
+    select the linear terms, whose phasors are the user and SI paths'.
     """
 
+    kappa: float
+    half_width: float
+    d_min: float
+    user_dirs: np.ndarray      # (K, L, 2)
+    user_prm: np.ndarray       # (K, L)
+    si_dirs: np.ndarray        # (L_SI, 2)
+    other_si_dirs: np.ndarray  # (L_SI, 2)
+    sigma_si: np.ndarray       # (L_SI other, L_SI)
     dirs: np.ndarray     # (M, 2) spatial frequencies of every term
     norm2: np.ndarray    # (M,) their squared norms
     moments: np.ndarray  # (M, 5) their `term_moments`
@@ -168,8 +177,10 @@ def side_terms(rlz: ChannelRealization, cfg: ScenarioConfig,
     k = cfg.kappa
     if transmit:
         user_dirs, prm, si_dirs = rlz.dl_dirs, rlz.prm_dl, rlz.si_t_dirs
+        other_si_dirs, sigma = rlz.si_r_dirs, rlz.sigma_si
     else:
         user_dirs, prm, si_dirs = rlz.ul_dirs, rlz.prm_ul, rlz.si_r_dirs
+        other_si_dirs, sigma = rlz.si_t_dirs, rlz.sigma_si.conj().T
     pair = prm[:, :, None] * prm.conj()[:, None, :]
     ddiff = k * (user_dirs[:, None, :, :] - user_dirs[:, :, None, :])
     sdiff = k * (si_dirs[None, :, :] - si_dirs[:, None, :])
@@ -177,7 +188,10 @@ def side_terms(rlz: ChannelRealization, cfg: ScenarioConfig,
                       k * si_dirs, sdiff.reshape(-1, 2)])
     n_user, n_si = prm.size, len(si_dirs)
     si_start = n_user + pair.size
-    return SideTerms(dirs=dirs, norm2=(dirs ** 2).sum(axis=1),
+    return SideTerms(kappa=k, half_width=cfg.region_half_width,
+                     d_min=cfg.D_min, user_dirs=user_dirs, user_prm=prm,
+                     si_dirs=si_dirs, other_si_dirs=other_si_dirs,
+                     sigma_si=sigma, dirs=dirs, norm2=(dirs ** 2).sum(axis=1),
                      moments=term_moments(dirs), pair=pair,
                      user_lin=slice(0, n_user),
                      si_lin=slice(si_start, si_start + n_si))
@@ -185,117 +199,94 @@ def side_terms(rlz: ChannelRealization, cfg: ScenarioConfig,
 
 @dataclass
 class SurrogateContext:
-    """What one side's placement call needs besides positions.
+    """What one side's placement call needs besides its positions.
 
     Valid while beamformers, powers, auxiliaries and the *other* side's
     positions stay fixed, i.e. for one side's whole BSUM run.  Each side
     sees the self-interference matrix with its own antennas as columns:
     X = H_SI on the transmit side and X = H_SI^H on the receive side, so
-    the SI term is tr(own X^H other X) on both.  The realization-only
-    parts come in `terms`, shared by every context of a solve; the parts
-    that change per call are derived here, once.
+    the SI term is tr(own X^H other X) on both.  What the solve fixes is
+    read from `terms`; the rest is derived here, once.
     """
 
-    kappa: float
-    half_width: float
-    d_min: float
-    user_dirs: np.ndarray  # (K, L, 2) path directions of this side's users
-    user_prm: np.ndarray   # (K, L)
     lin: np.ndarray        # (K,) linear-term coefficients
     chan_w: np.ndarray     # (K,) weight of ||.||^2 per user channel
     beam_w: np.ndarray     # (K,) weight per beamformer column
     W: np.ndarray          # (N, K) this side's beamformer
     own: np.ndarray        # (N, N) this side's gram, sum_b beam_w_b w_b w_b^H
     other: np.ndarray      # the other side's gram
-    si_dirs: np.ndarray    # (L_SI, 2) this side's SI path directions
-    si_mix: np.ndarray     # (N_other, L_SI) X = si_mix @ phasors^T
+    other_pos: np.ndarray  # (N_other, 2) the other side's positions
     terms: SideTerms
     # Derived in __post_init__:
-    WH: np.ndarray = field(init=False, repr=False)     # W^H
+    si_mix: np.ndarray = field(init=False, repr=False)  # X = si_mix @ e^T
     Wc: np.ndarray = field(init=False, repr=False)     # conj(W)
     Wcb: np.ndarray = field(init=False, repr=False)    # beam_w * conj(W)
     user_quad: np.ndarray = field(init=False, repr=False)  # (N, K*L*L)
     si_quad: np.ndarray = field(init=False, repr=False)    # (N, L_SI^2)
 
     def __post_init__(self):
+        t = self.terms
+        self.si_mix = field_response(self.other_pos, t.other_si_dirs,
+                                     t.kappa).conj() @ t.sigma_si
         self.Wc = self.W.conj()
-        self.WH = self.Wc.T
         self.Wcb = self.beam_w * self.Wc
         M = self.si_mix.conj().T @ self.other @ self.si_mix
         # Antenna n's user-pair and SI-pair coefficients, row n.
         gram = np.real(np.diag(self.own))
         omega = gram[:, None] * self.chan_w
         n_ant = len(gram)
-        self.user_quad = (omega[:, :, None, None]
-                          * self.terms.pair).reshape(n_ant, -1)
+        self.user_quad = (omega[:, :, None, None] * t.pair).reshape(n_ant, -1)
         self.si_quad = (gram[:, None, None] * M).reshape(n_ant, -1)
 
 
-def _context(state: SolverState, rlz: ChannelRealization,
-             other_positions: np.ndarray, cfg: ScenarioConfig,
-             transmit: bool, terms: SideTerms | None) -> SurrogateContext:
-    x = state.aux
-    Q = state.W_t @ state.W_t.conj().T
-    B = fp.receive_gram(state)
-    if transmit:
-        side = dict(user_dirs=rlz.dl_dirs, user_prm=rlz.prm_dl,
-                    lin=x.amp_dl * x.y_dl, chan_w=x.y2_dl,
-                    beam_w=np.ones(cfg.K_D), W=state.W_t, own=Q, other=B,
-                    si_dirs=rlz.si_t_dirs)
-        other_dirs, sigma = rlz.si_r_dirs, rlz.sigma_si
-    else:
-        side = dict(user_dirs=rlz.ul_dirs, user_prm=rlz.prm_ul,
-                    lin=x.amp_ul * np.sqrt(state.p) * x.y_ul,
-                    chan_w=state.p.astype(float), beam_w=x.y2_ul,
-                    W=state.W_r, own=B, other=Q, si_dirs=rlz.si_r_dirs)
-        other_dirs, sigma = rlz.si_t_dirs, rlz.sigma_si.conj().T
-    if terms is None:
-        terms = side_terms(rlz, cfg, transmit)
-    e = field_response(other_positions, other_dirs, cfg.kappa)
-    return SurrogateContext(kappa=cfg.kappa, half_width=cfg.region_half_width,
-                            d_min=cfg.D_min, si_mix=e.conj() @ sigma,
-                            terms=terms, **side)
-
-
-def transmit_context(state: SolverState, rlz: ChannelRealization,
-                     r_positions: np.ndarray, cfg: ScenarioConfig,
-                     terms: SideTerms | None = None) -> SurrogateContext:
+def transmit_context(state: SolverState, terms: SideTerms,
+                     r_positions: np.ndarray) -> SurrogateContext:
     """Transmit-side context; `terms` are the solve's
-    `side_terms(rlz, cfg, True)`, built here when not given."""
-    return _context(state, rlz, r_positions, cfg, True, terms)
+    `side_terms(rlz, cfg, True)`."""
+    x = state.aux
+    return SurrogateContext(lin=x.amp_dl * x.y_dl, chan_w=x.y2_dl,
+                            beam_w=np.ones(len(x.y_dl)), W=state.W_t,
+                            own=state.W_t @ state.W_t.conj().T,
+                            other=fp.receive_gram(state),
+                            other_pos=r_positions, terms=terms)
 
 
-def receive_context(state: SolverState, rlz: ChannelRealization,
-                    t_positions: np.ndarray, cfg: ScenarioConfig,
-                    terms: SideTerms | None = None) -> SurrogateContext:
+def receive_context(state: SolverState, terms: SideTerms,
+                    t_positions: np.ndarray) -> SurrogateContext:
     """Receive-side context; `terms` are the solve's
-    `side_terms(rlz, cfg, False)`, built here when not given."""
-    return _context(state, rlz, t_positions, cfg, False, terms)
+    `side_terms(rlz, cfg, False)`."""
+    x = state.aux
+    return SurrogateContext(lin=x.amp_ul * np.sqrt(state.p) * x.y_ul,
+                            chan_w=state.p.astype(float), beam_w=x.y2_ul,
+                            W=state.W_r, own=fp.receive_gram(state),
+                            other=state.W_t @ state.W_t.conj().T,
+                            other_pos=t_positions, terms=terms)
 
 
 def _fields(ctx: SurrogateContext, user_e: np.ndarray, si_e: np.ndarray):
-    """(H, D, X) from every antenna's user-path phasors (N, K*L) and SI-path
-    phasors (N, L_SI); the one contraction behind both field builds."""
-    H = np.einsum("nkl,kl->nk", user_e.reshape(len(user_e),
-                                               *ctx.user_prm.shape),
-                  ctx.user_prm)
-    return H, ctx.WH @ H, ctx.si_mix @ si_e.T
+    """(H, D, X, user_e, si_e) from every antenna's user-path phasors
+    (N, K*L) and SI-path phasors (N, L_SI); the one contraction behind
+    both field builds."""
+    prm = ctx.terms.user_prm
+    H = np.einsum("nkl,kl->nk", user_e.reshape(len(user_e), *prm.shape), prm)
+    return H, ctx.Wc.T @ H, ctx.si_mix @ si_e.T, user_e, si_e
 
 
 def layout_fields(ctx: SurrogateContext, positions: np.ndarray):
-    """Channel fields of one layout state: (H, D = W^H H, X).
+    """Channel fields of one layout state: (H, D = W^H H, X) and the user
+    and SI phasors they contract.
 
     D[b, c] = w_b^H h_c; X is this side's SI matrix.
     """
-    k = ctx.kappa
-    return _fields(ctx, field_response(positions,
-                                       ctx.user_dirs.reshape(-1, 2), -k),
-                   np.exp(1j * k * (positions @ ctx.si_dirs.T)))
+    t = ctx.terms
+    return _fields(ctx, field_response(positions, t.user_dirs.reshape(-1, 2),
+                                       -t.kappa),
+                   field_response(positions, t.si_dirs, t.kappa))
 
 
 def _table_fields(ctx: SurrogateContext, table: np.ndarray):
     """`layout_fields` read off a phasor table (N, M) of the layout, up to
-    the rounding of the phases."""
+    the rounding of the phases; the phasors are views of the table."""
     t = ctx.terms
     return _fields(ctx, table[:, t.user_lin], table[:, t.si_lin])
 
@@ -305,35 +296,34 @@ def placement_objective(ctx: SurrogateContext, fields: tuple) -> float:
 
     `fields` are the `layout_fields` of the positions to score.
     """
-    _, D, X = fields
+    _, D, X, _, _ = fields
     t1 = -2.0 * float((ctx.lin @ D.diagonal()).real)
     t2 = float(ctx.beam_w @ (np.abs(D) ** 2) @ ctx.chan_w)
     t3 = float((ctx.own @ X.conj().T @ ctx.other @ X).trace().real)
     return t1 + t2 + t3
 
 
-def placement_gradient(ctx: SurrogateContext, positions: np.ndarray,
-                       fields: tuple) -> np.ndarray:
+def placement_gradient(ctx: SurrogateContext, fields: tuple) -> np.ndarray:
     """Gradient of `placement_objective` in every antenna's position, (N, 2).
 
-    `fields` are the `layout_fields` of `positions`.  With
+    `fields` are the `layout_fields` of the positions, whose phasors it
+    reads, so it takes no exponential.  With
     A = chan_w (conj(W) beam_w) conj(D) - lin conj(W) and Z = other X own,
     row n is 2 Re sum_c A[n, c] dH[n, c]/dt_n + 2 Re sum_i conj(Z[i, n])
     dX[i, n]/dt_n: one evaluation for the whole side, equal up to rounding
     to the stacked `antenna_bundle(ctx, fields, n).gradient(positions[n])`.
     """
-    _, D, X = fields
-    k = ctx.kappa
+    _, D, X, user_e, si_e = fields
+    t = ctx.terms
     A = ctx.chan_w * (ctx.Wcb @ D.conj()) - ctx.lin * ctx.Wc
-    udirs = ctx.user_dirs.reshape(-1, 2)
     # dH[n, c]/dt_n = sum_l prm[c, l] exp(-j k u_cl.t_n) (-j k u_cl).
-    E = field_response(positions, udirs, -k).reshape((len(A),)
-                                                     + ctx.user_prm.shape)
-    user = (A[:, :, None] * ctx.user_prm * E).reshape(len(A), -1)
+    E = user_e.reshape((len(A),) + t.user_prm.shape)
+    user = (A[:, :, None] * t.user_prm * E).reshape(len(A), -1)
     # dX[i, n]/dt_n = sum_l si_mix[i, l] exp(j k s_l.t_n) (j k s_l).
     Z = ctx.other @ X @ ctx.own
-    si = (Z.conj().T @ ctx.si_mix) * field_response(positions, ctx.si_dirs, k)
-    return (2.0 * k) * (user.imag @ udirs - si.imag @ ctx.si_dirs)
+    si = (Z.conj().T @ ctx.si_mix) * si_e
+    return (2.0 * t.kappa) * (user.imag @ t.user_dirs.reshape(-1, 2)
+                              - si.imag @ t.si_dirs)
 
 
 def antenna_bundle(ctx: SurrogateContext, fields: tuple, n: int) -> ExpSum:
@@ -344,7 +334,8 @@ def antenna_bundle(ctx: SurrogateContext, fields: tuple, n: int) -> ExpSum:
     differences; gradients and Hessians are exact.  `fields` are the
     `layout_fields` of the current positions.
     """
-    H, D, X = fields
+    H, D, X, _, _ = fields
+    t = ctx.terms
     wn = ctx.Wc[n]
     # Inner products with antenna n's own contribution removed.  np.outer,
     # not a broadcast product: numpy may round the two differently.
@@ -357,10 +348,9 @@ def antenna_bundle(ctx: SurrogateContext, fields: tuple, n: int) -> ExpSum:
     X0 = X.copy()
     X0[:, n] = 0.0
     u_lin = ctx.other @ X0 @ ctx.own[:, n]
-    coefs = np.concatenate([(lin_coef[:, None] * ctx.user_prm).ravel(),
+    coefs = np.concatenate([(lin_coef[:, None] * t.user_prm).ravel(),
                             ctx.user_quad[n], 2.0 * (u_lin.conj() @ ctx.si_mix),
                             ctx.si_quad[n]])
-    t = ctx.terms
     return ExpSum(coefs, t.dirs, t.norm2, t.moments)
 
 
@@ -399,9 +389,11 @@ def bsum_optimize_side(ctx: SurrogateContext, positions: np.ndarray,
     candidate's phasors, already taken for the descent test, replace the
     row, and the fields are re-derived from the table.
     """
+    t = ctx.terms
+    half_width, d_min = t.half_width, t.d_min
     pos = np.array(positions, dtype=float, copy=True)
     others = others_index(len(pos))
-    table = np.exp(1j * (pos @ ctx.terms.dirs.T))
+    table = np.exp(1j * (pos @ t.dirs.T))
     fields = _table_fields(ctx, table)
     f = placement_objective(ctx, fields)
     trace = [f]
@@ -415,8 +407,7 @@ def bsum_optimize_side(ctx: SurrogateContext, positions: np.ndarray,
             bundle.phasors(pos[n], table[n])  # evaluate from the table row
             g = bundle.gradient(pos[n])
             tau = curvature_bound(bundle, pos[n])
-            region = FeasibleRegionSpec(ctx.half_width, pos[others[n]],
-                                        ctx.d_min)
+            region = FeasibleRegionSpec(half_width, pos[others[n]], d_min)
             f_here = bundle.value(pos[n])
             for _ in range(MAX_TAU_DOUBLINGS + 1):
                 cand = nearest_feasible_point(pos[n] - g / tau, region)

@@ -219,7 +219,7 @@ def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
          record.power_changed),
     )
     # Placement blocks, only for sides that serve users; each side's
-    # realization-only terms are built here, once per solve.
+    # `placement.SideTerms` record is built here, once per solve.
     sides = []
     if move and cfg.K_D > 0:
         sides.append(("transmit placement", "t", "r", placement.transmit_context,
@@ -255,7 +255,7 @@ def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
                 grid = None
 
         for tag, side, other, context, terms, changed in sides:
-            ctx = context(state, rlz, getattr(layout, other), cfg, terms)
+            ctx = context(state, terms, getattr(layout, other))
             pos, _, sw = optimizer(ctx, getattr(layout, side), rng,
                                    cfg.epsilon_bsum)
             setattr(layout, side, pos)

@@ -26,7 +26,7 @@ from prafd.oracles import (central_difference_gradient,
                            receive_objective_value, transmit_qp_pgd,
                            transmit_qp_value)
 from prafd.placement import antenna_bundle, curvature_bound, layout_fields, \
-    receive_context, transmit_context
+    receive_context, side_terms, transmit_context
 from prafd.solver import initial_state, initialize_layout
 
 DESK = dict(K_D=2, K_U=2, N_t=2, N_r=2)
@@ -156,8 +156,10 @@ class TestPlacementDerivatives:
             layout = initialize_layout(cfg, rng)
             ch = build_channels(layout, rlz, cfg)
             state, _ = initial_state(ch, cfg)
-            sides = ((transmit_context(state, rlz, layout.r, cfg), layout.t),
-                     (receive_context(state, rlz, layout.t, cfg), layout.r))
+            sides = ((transmit_context(state, side_terms(rlz, cfg, True),
+                                       layout.r), layout.t),
+                     (receive_context(state, side_terms(rlz, cfg, False),
+                                      layout.t), layout.r))
             for ctx, pos in sides:
                 for n in range(pos.shape[0]):
                     if checked >= 1000:

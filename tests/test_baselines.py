@@ -12,7 +12,8 @@ from prafd.channel import build_channels, sample_realization, trial_rng
 from prafd.config import ConfigError, ScenarioConfig
 from prafd.geometry import layout_side_feasible, min_pairwise_distance
 from prafd.placement import (layout_fields, others_index,
-                             placement_objective, transmit_context)
+                             placement_objective, side_terms,
+                             transmit_context)
 from prafd.solver import SolveOptions, initial_state, initialize_layout
 
 
@@ -48,7 +49,8 @@ class TestGradientDescent:
         layout = initialize_layout(cfg, rng)
         ch = build_channels(layout, rlz, cfg)
         state, _ = initial_state(ch, cfg)
-        return cfg, layout, transmit_context(state, rlz, layout.r, cfg)
+        return cfg, layout, transmit_context(
+            state, side_terms(rlz, cfg, True), layout.r)
 
     def test_trace_monotone_and_feasible(self):
         for trial in range(10):
@@ -56,7 +58,7 @@ class TestGradientDescent:
             out, trace, _ = gradient_descent_positions(
                 ctx, layout.t, np.random.default_rng(trial), eps=1e-4)
             assert np.all(np.diff(trace) <= 1e-12)
-            assert layout_side_feasible(out, ctx.half_width, ctx.d_min)
+            assert layout_side_feasible(out, ctx.terms.half_width, ctx.terms.d_min)
             assert_allclose(placement_objective(ctx, layout_fields(ctx, out)),
                             trace[-1],
                             rtol=1e-12)

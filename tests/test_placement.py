@@ -18,10 +18,18 @@ from prafd.placement import (ExpSum, RateGrid, antenna_bundle,
                              bsum_optimize_side, curvature_bound, grid_axis,
                              layout_fields, placement_gradient,
                              placement_objective, receive_context,
-                             term_moments, transmit_context)
+                             side_terms, term_moments, transmit_context)
 from prafd.solver import initial_state, initialize_layout
 
 LN2 = np.log(2.0)
+
+
+def sides(state, rlz, layout, cfg):
+    """(context, positions) of the transmit side, then the receive side."""
+    return ((transmit_context(state, side_terms(rlz, cfg, True), layout.r),
+             layout.t),
+            (receive_context(state, side_terms(rlz, cfg, False), layout.t),
+             layout.r))
 
 
 def make_contexts(cfg, trial=0):
@@ -30,8 +38,7 @@ def make_contexts(cfg, trial=0):
     layout = initialize_layout(cfg, rng)
     ch = build_channels(layout, rlz, cfg)
     state, _ = initial_state(ch, cfg)
-    ctx_t = transmit_context(state, rlz, layout.r, cfg)
-    ctx_r = receive_context(state, rlz, layout.t, cfg)
+    (ctx_t, _), (ctx_r, _) = sides(state, rlz, layout, cfg)
     return rlz, layout, ch, state, ctx_t, ctx_r
 
 
@@ -138,9 +145,7 @@ class TestBundleReference:
             rlz, layout, _, state, _, _ = make_contexts(cfg, trial)
             state.W_t = random_complex(rng, state.W_t.shape, 0.1)
             state.W_r = random_complex(rng, state.W_r.shape)
-            ctx_t = transmit_context(state, rlz, layout.r, cfg)
-            ctx_r = receive_context(state, rlz, layout.t, cfg)
-            for ctx, pos0 in ((ctx_t, layout.t), (ctx_r, layout.r)):
+            for ctx, pos0 in sides(state, rlz, layout, cfg):
                 pos = pos0.copy()
                 # Revisit antennas after moves, so the parts kept per
                 # antenna are reused against new layouts.
@@ -166,7 +171,7 @@ class TestMomentProduct:
                     cap = bundle.curvature_cap()
                     mag = np.abs(bundle.coefs)
                     for _ in range(25):
-                        t = rng.uniform(-1.0, 1.0, 2) * ctx.half_width
+                        t = rng.uniform(-1.0, 1.0, 2) * ctx.terms.half_width
                         w = bundle.coefs * np.exp(1j * (bundle.dirs @ t))
                         hess = -np.einsum("m,mi,mj->ij", w.real, bundle.dirs,
                                           bundle.dirs)
@@ -189,14 +194,11 @@ class TestPlacementGradient:
             rlz, layout, _, state, _, _ = make_contexts(cfg, trial)
             state.W_t = random_complex(rng, state.W_t.shape, 0.1)
             state.W_r = random_complex(rng, state.W_r.shape)
-            for ctx, pos in ((transmit_context(state, rlz, layout.r, cfg),
-                              layout.t),
-                             (receive_context(state, rlz, layout.t, cfg),
-                              layout.r)):
+            for ctx, pos in sides(state, rlz, layout, cfg):
                 fields = layout_fields(ctx, pos)
                 ref = np.stack([antenna_bundle(ctx, fields, n).gradient(pos[n])
                                 for n in range(len(pos))])
-                joint = placement_gradient(ctx, pos, fields)
+                joint = placement_gradient(ctx, fields)
                 assert joint.shape == pos.shape
                 assert np.linalg.norm(joint - ref) \
                     <= 1e-12 * np.linalg.norm(ref)
@@ -206,12 +208,28 @@ class TestPlacementGradient:
         rlz, layout, _, state, _, _ = make_contexts(cfg)
         state.W_t = np.zeros_like(state.W_t)
         state.W_r = np.zeros_like(state.W_r)
-        for ctx, pos in ((transmit_context(state, rlz, layout.r, cfg),
-                          layout.t),
-                         (receive_context(state, rlz, layout.t, cfg),
-                          layout.r)):
-            grad = placement_gradient(ctx, pos, layout_fields(ctx, pos))
+        for ctx, pos in sides(state, rlz, layout, cfg):
+            grad = placement_gradient(ctx, layout_fields(ctx, pos))
             assert np.all(grad == 0.0)
+
+    def test_takes_no_exponential(self, monkeypatch):
+        # The joint gradient reads the phasors the fields contracted, so
+        # it needs neither np.exp nor field_response.
+        cfg = ScenarioConfig(K_D=2, K_U=2, N_t=3, N_r=4, L=3, L_SI=3)
+        rlz, layout, _, state, _, _ = make_contexts(cfg, 2)
+
+        def forbidden(*a, **k):
+            raise AssertionError("placement_gradient took an exponential")
+
+        for ctx, pos in sides(state, rlz, layout, cfg):
+            fields = layout_fields(ctx, pos)
+            ref = np.stack([antenna_bundle(ctx, fields, n).gradient(pos[n])
+                            for n in range(len(pos))])
+            with monkeypatch.context() as m:
+                m.setattr(np, "exp", forbidden)
+                m.setattr(placement, "field_response", forbidden)
+                joint = placement_gradient(ctx, fields)
+            assert np.linalg.norm(joint - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 class TestObjective:
@@ -269,7 +287,7 @@ class TestObjective:
         state.W_t = np.zeros_like(state.W_t)
         state.aux = auxiliaries(state.aux.gamma, np.zeros_like(state.aux.y),
                                 cfg)
-        ctx = transmit_context(state, rlz, layout.r, cfg)
+        ctx = transmit_context(state, side_terms(rlz, cfg, True), layout.r)
         rng = np.random.default_rng(6)
         vals = [objective_at(ctx, rng.uniform(-1, 1, (2, 2)) * 0.01)
                 for _ in range(5)]
@@ -310,7 +328,7 @@ class TestBsumSweep:
                 assert np.all(diffs <= 1e-9 * np.maximum(1.0,
                                                          np.abs(trace[:-1])))
                 assert sweeps <= 50
-                assert layout_side_feasible(out, ctx.half_width, ctx.d_min)
+                assert layout_side_feasible(out, ctx.terms.half_width, ctx.terms.d_min)
                 assert_allclose(objective_at(ctx, out), trace[-1],
                                 rtol=1e-12)
 
@@ -338,7 +356,7 @@ class TestBsumSweep:
         state.p = np.zeros(cfg.K_U)
         state.aux = auxiliary_pass(
             received_powers(state.W_t, state.W_r, state.p, ch, cfg), cfg)
-        ctx = receive_context(state, rlz, layout.t, cfg)
+        ctx = receive_context(state, side_terms(rlz, cfg, False), layout.t)
         out, trace, sweeps = bsum_optimize_side(ctx, layout.r,
                                                 np.random.default_rng(0),
                                                 eps=1e-3)
