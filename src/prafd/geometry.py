@@ -43,11 +43,8 @@ class FeasibleRegionSpec:
     """Square of given half width minus discs of `radius` around obstacles."""
 
     half_width: float
-    obstacles: np.ndarray  # (M, 2); may be empty
+    obstacles: np.ndarray  # (M, 2) float; M may be 0
     radius: float
-
-    def __post_init__(self):
-        self.obstacles = np.asarray(self.obstacles, dtype=float).reshape(-1, 2)
 
     @property
     def slack(self) -> float:

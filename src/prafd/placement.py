@@ -20,8 +20,8 @@ Each quantity is built once at the level where it can change:
   frequency, squared norm and moments [u_x, u_y, u_x^2, u_x u_y, u_y^2]
   and the user path-pair products;
 * per context (one side's placement call): the SI mix and its product M,
-  conj(W) and its beam-weighted rows, and every antenna's quadratic
-  coefficients;
+  conj(W) and its beam-weighted rows, and one row of coefficients per
+  antenna holding its user-pair and SI-pair terms;
 * per layout state: the channel fields H, D = W^H H and the SI matrix X
   with the phasors they contract (`layout_fields`), and from them, with
   no exponential, the joint gradient (`placement_gradient`) projected
@@ -29,10 +29,11 @@ Each quantity is built once at the level where it can change:
   table, every term's phasor at every antenna, and re-derives the fields
   from its user-linear and SI-linear columns after an accepted move; both
   paths share one contraction;
-* per point: one evaluation (phasors, phased coefficients and, on demand,
-  their product with the moment table) serves the value, gradient,
-  Hessian and curvature bound of an `ExpSum`, and its curvature cap is
-  taken once.
+* per visit: the antenna's bundle is its context row with the user-linear
+  and SI-linear terms written in, evaluated once from its table row for
+  value, gradient and the moment product `curvature_bound` reads; each
+  candidate then costs one exponential and one product with the
+  coefficients.
 
 That step only looks near the current layout: the quadratic-transform
 auxiliaries anchor the surrogate at the present channel, so one antenna's
@@ -80,14 +81,13 @@ def term_moments(dirs: np.ndarray) -> np.ndarray:
 class ExpSum:
     """f(t) = sum_m Re{coefs[m] * exp(j dirs[m].t)} with exact derivatives.
 
-    One evaluation is kept, that of the last point, keyed by the point's
-    bytes: its phasors, the phased coefficients w and, once a derivative
-    is asked for, the product of w (as a (2, M) real view) with the
-    moment table.  That (2, 5) product holds the gradient -Im(w) @ u and
-    the Hessian entries -Re(w) @ [u_x^2, u_x u_y, u_y^2], so value,
-    gradient, Hessian and `curvature_bound` at one point share one
-    exponential and one matrix product.  A caller that already holds a
-    point's phasors hands them to `phasors`, and no exponential is taken.
+    Nothing is kept between points.  `evaluate` takes one point's phasors
+    exp(j dirs.t), from `phasors(t)` or from a table the caller keeps, and
+    returns the value and the (2, 5) product of the phased coefficients
+    w = coefs * phasors (as a (2, M) real view) with the moment table:
+    -row 1 [:2] is the gradient and -row 0 [2:] the Hessian entries
+    (xx, xy, yy), which `curvature_bound` reads.  `score` is the value
+    alone; `value`, `gradient` and `hessian` take their own exponential.
     """
 
     def __init__(self, coefs: np.ndarray, dirs: np.ndarray,
@@ -97,36 +97,24 @@ class ExpSum:
         self.norm2 = norm2      # (M,) squared norms of dirs
         self.moments = moments  # (M, 5) `term_moments(dirs)`
         self._cap = None
-        self._at = None     # [point bytes, phasors, w, moment product]
 
-    def _eval(self, t: np.ndarray, known: np.ndarray | None = None) -> list:
-        t = np.asarray(t, dtype=float)
-        key = t.tobytes()
-        if self._at is None or self._at[0] != key:
-            e = np.exp(1j * (self.dirs @ t)) if known is None else known
-            self._at = [key, e, self.coefs * e, None]
-        return self._at
+    def phasors(self, t: np.ndarray) -> np.ndarray:
+        return np.exp(1j * (self.dirs @ t))
 
-    def phasors(self, t: np.ndarray,
-                known: np.ndarray | None = None) -> np.ndarray:
-        """exp(j dirs.t), the phasors every evaluation at t reads.
+    def score(self, e: np.ndarray) -> float:
+        """Value at the point whose phasors are e."""
+        return float((self.coefs * e).real.sum())
 
-        `known`, if given, are taken as those phasors when t is not the
-        point already evaluated.
-        """
-        return self._eval(t, known)[1]
+    def evaluate(self, e: np.ndarray) -> tuple:
+        """(value, moment product) at the point whose phasors are e."""
+        w = self.coefs * e
+        return float(w.real.sum()), w.view(float).reshape(-1, 2).T @ self.moments
 
     def moment_product(self, t: np.ndarray) -> np.ndarray:
-        """(2, 5) product of w's real and imaginary parts with the moment
-        table; -row 1 [:2] is the gradient, -row 0 [2:] the Hessian
-        entries (xx, xy, yy)."""
-        at = self._eval(t)
-        if at[3] is None:
-            at[3] = at[2].view(float).reshape(-1, 2).T @ self.moments
-        return at[3]
+        return self.evaluate(self.phasors(t))[1]
 
     def value(self, t: np.ndarray) -> float:
-        return float(self._eval(t)[2].real.sum())
+        return self.score(self.phasors(t))
 
     def gradient(self, t: np.ndarray) -> np.ndarray:
         return -self.moment_product(t)[1, :2]
@@ -206,7 +194,10 @@ class SurrogateContext:
     sees the self-interference matrix with its own antennas as columns:
     X = H_SI on the transmit side and X = H_SI^H on the receive side, so
     the SI term is tr(own X^H other X) on both.  What the solve fixes is
-    read from `terms`; the rest is derived here, once.
+    read from `terms`; the rest is derived here, once, down to `rows`:
+    row n holds antenna n's coefficients in term order, its user-pair and
+    SI-pair blocks set and its linear blocks zero until `antenna_bundle`
+    writes them into a copy.
     """
 
     lin: np.ndarray        # (K,) linear-term coefficients
@@ -221,8 +212,7 @@ class SurrogateContext:
     si_mix: np.ndarray = field(init=False, repr=False)  # X = si_mix @ e^T
     Wc: np.ndarray = field(init=False, repr=False)     # conj(W)
     Wcb: np.ndarray = field(init=False, repr=False)    # beam_w * conj(W)
-    user_quad: np.ndarray = field(init=False, repr=False)  # (N, K*L*L)
-    si_quad: np.ndarray = field(init=False, repr=False)    # (N, L_SI^2)
+    rows: np.ndarray = field(init=False, repr=False)   # (N, M) coefficients
 
     def __post_init__(self):
         t = self.terms
@@ -231,12 +221,14 @@ class SurrogateContext:
         self.Wc = self.W.conj()
         self.Wcb = self.beam_w * self.Wc
         M = self.si_mix.conj().T @ self.other @ self.si_mix
-        # Antenna n's user-pair and SI-pair coefficients, row n.
         gram = np.real(np.diag(self.own))
         omega = gram[:, None] * self.chan_w
         n_ant = len(gram)
-        self.user_quad = (omega[:, :, None, None] * t.pair).reshape(n_ant, -1)
-        self.si_quad = (gram[:, None, None] * M).reshape(n_ant, -1)
+        self.rows = np.zeros((n_ant, len(t.dirs)), dtype=complex)
+        self.rows[:, t.user_lin.stop:t.si_lin.start] = \
+            (omega[:, :, None, None] * t.pair).reshape(n_ant, -1)
+        self.rows[:, t.si_lin.stop:] = \
+            (gram[:, None, None] * M).reshape(n_ant, -1)
 
 
 def transmit_context(state: SolverState, terms: SideTerms,
@@ -332,7 +324,8 @@ def antenna_bundle(ctx: SurrogateContext, fields: tuple, n: int) -> ExpSum:
     The returned ExpSum differs from placement_objective by a constant
     (everything not involving antenna n), so values are only meaningful as
     differences; gradients and Hessians are exact.  `fields` are the
-    `layout_fields` of the current positions.
+    `layout_fields` of the current positions.  The coefficients are a copy
+    of the context's row n with the linear terms written in.
     """
     H, D, X, _, _ = fields
     t = ctx.terms
@@ -348,29 +341,30 @@ def antenna_bundle(ctx: SurrogateContext, fields: tuple, n: int) -> ExpSum:
     X0 = X.copy()
     X0[:, n] = 0.0
     u_lin = ctx.other @ X0 @ ctx.own[:, n]
-    coefs = np.concatenate([(lin_coef[:, None] * t.user_prm).ravel(),
-                            ctx.user_quad[n], 2.0 * (u_lin.conj() @ ctx.si_mix),
-                            ctx.si_quad[n]])
+    coefs = ctx.rows[n].copy()
+    coefs[t.user_lin] = (lin_coef[:, None] * t.user_prm).ravel()
+    coefs[t.si_lin] = 2.0 * (u_lin.conj() @ ctx.si_mix)
     return ExpSum(coefs, t.dirs, t.norm2, t.moments)
 
 
-def curvature_bound(bundle: ExpSum, t: np.ndarray) -> float:
-    """Majorizer curvature at t: local Hessian top eigenvalue, floored.
+def curvature_bound(bundle: ExpSum, mp: np.ndarray) -> float:
+    """Majorizer curvature at a point: local Hessian top eigenvalue, floored.
 
-    The Hessian entries come from the bundle's evaluation at t.  The floor
-    scales with the term-wise global curvature cap so it carries the right
-    units (kappa^2 times coefficient magnitude).
+    `mp` is the bundle's moment product at the point, which holds the
+    Hessian entries.  The floor scales with the term-wise global curvature
+    cap so it carries the right units (kappa^2 times coefficient
+    magnitude).
     """
-    mxx, mxy, myy = bundle.moment_product(t)[0, 2:].tolist()
+    mxx, mxy, myy = mp[0, 2:].tolist()
     # Top eigenvalue of -[[mxx, mxy], [mxy, myy]].
     lam = 0.5 * (-mxx - myy + math.hypot(mxx - myy, 2.0 * mxy))
     return max(lam, TAU_MIN_FACTOR * bundle.curvature_cap())
 
 
-def others_index(n_ant: int) -> list:
-    """Per antenna n, the indices of the other antennas on its side."""
-    idx = np.arange(n_ant)
-    return [np.delete(idx, n) for n in range(n_ant)]
+def others_index(n_ant: int) -> np.ndarray:
+    """(N, N - 1) array whose row n indexes the other antennas of a side."""
+    return np.array([[m for m in range(n_ant) if m != n]
+                     for n in range(n_ant)], dtype=np.intp)
 
 
 def bsum_optimize_side(ctx: SurrogateContext, positions: np.ndarray,
@@ -385,8 +379,8 @@ def bsum_optimize_side(ctx: SurrogateContext, positions: np.ndarray,
     that holds (or the antenna stays put).
 
     The phasors of every term at every antenna are kept in one table.  A
-    visit evaluates its bundle at the antenna from its row; an accepted
-    candidate's phasors, already taken for the descent test, replace the
+    visit evaluates its bundle once, from the antenna's row, and takes one
+    exponential per candidate; an accepted candidate's phasors replace the
     row, and the fields are re-derived from the table.
     """
     t = ctx.terms
@@ -404,16 +398,20 @@ def bsum_optimize_side(ctx: SurrogateContext, positions: np.ndarray,
             bundle = antenna_bundle(ctx, fields, n)
             if bundle.curvature_cap() == 0.0:
                 continue  # objective does not depend on this antenna
-            bundle.phasors(pos[n], table[n])  # evaluate from the table row
-            g = bundle.gradient(pos[n])
-            tau = curvature_bound(bundle, pos[n])
+            f_here, mp = bundle.evaluate(table[n])
+            tau = curvature_bound(bundle, mp)
+            # The gradient is -mp[1, :2]; the step pos[n] - g / tau is taken
+            # in Python floats, which round as numpy would.
+            (mx, my), (x, y) = mp[1, :2].tolist(), pos[n].tolist()
             region = FeasibleRegionSpec(half_width, pos[others[n]], d_min)
-            f_here = bundle.value(pos[n])
+            bar = f_here + 1e-12 * (1.0 + abs(f_here))
             for _ in range(MAX_TAU_DOUBLINGS + 1):
-                cand = nearest_feasible_point(pos[n] - g / tau, region)
-                if bundle.value(cand) <= f_here + 1e-12 * (1.0 + abs(f_here)):
+                cand = nearest_feasible_point(
+                    np.array([x + mx / tau, y + my / tau]), region)
+                e = bundle.phasors(cand)
+                if bundle.score(e) <= bar:
                     pos[n] = cand
-                    table[n] = bundle.phasors(cand)
+                    table[n] = e
                     fields = _table_fields(ctx, table)
                     break
                 tau *= 2.0

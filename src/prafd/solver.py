@@ -196,6 +196,7 @@ def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
     # `powers` is the run's one full pass; every block updates it in place.
     state, powers = initial_state(ch, cfg)
     monitor = _Monitor()
+    # Scores the start twice; perfbench traces it, the one call on fpas/fp-gd.
     rate = fp.weighted_sum_rate(powers, cfg)
     sinr = _reported(state, layout, cfg, opts.eval_rlz)
     trace, eval_trace = [rate], [fp.rate_of_sinrs(sinr, cfg)]

@@ -173,7 +173,8 @@ class TestPlacementDerivatives:
                     assert err < 1e-4
                     H_fd = central_difference_hessian(bundle.value, pos[n],
                                                       hess_step)
-                    tau = curvature_bound(bundle, pos[n])
+                    tau = curvature_bound(bundle,
+                                          bundle.moment_product(pos[n]))
                     lam_min = np.linalg.eigvalsh(tau * np.eye(2) - H_fd)[0]
                     scale = max(1.0, np.abs(np.linalg.eigvalsh(H_fd)).max())
                     assert lam_min >= -1e-6 * scale

@@ -92,21 +92,28 @@ class TestExpSum:
                 assert np.max(np.abs(lams)) <= cap * (1 + 1e-12)
 
     def test_kept_phasors_match_a_fresh_sum(self):
-        # The phasors of the last point are reused; a new point, a return
-        # to an old one and a point array mutated in place must all give
-        # what a fresh ExpSum gives, bit for bit.
+        # Nothing is cached between points: phasors a caller took earlier
+        # and kept, like a BSUM phasor-table row, evaluate to what a fresh
+        # ExpSum gives at that point, bit for bit, whatever was evaluated
+        # in between, also after the point array is mutated in place.
         rng = np.random.default_rng(7)
         es = random_exp_sum(rng)
         t1 = rng.uniform(-0.01, 0.01, 2)
         t2 = rng.uniform(-0.01, 0.01, 2)
         point = t1.copy()
+        kept = []
 
         def same(t):
-            fresh = ExpSum(coefs=es.coefs, dirs=es.dirs, norm2=es.norm2,
-                           moments=es.moments)
-            assert es.value(t) == fresh.value(t)
-            assert np.array_equal(es.gradient(t), fresh.gradient(t))
-            assert np.array_equal(es.hessian(t), fresh.hessian(t))
+            kept.append((t.copy(), es.phasors(t)))
+            for at, e in kept:
+                fresh = ExpSum(coefs=es.coefs, dirs=es.dirs, norm2=es.norm2,
+                               moments=es.moments)
+                value, mp = es.evaluate(e)
+                assert value == es.score(e) == fresh.value(at)
+                assert np.array_equal(-mp[1, :2], fresh.gradient(at))
+                assert np.array_equal(
+                    -mp[0, [[2, 3], [3, 4]]], fresh.hessian(at))
+                assert np.array_equal(mp, fresh.moment_product(at))
 
         same(point)
         same(t2)
@@ -131,7 +138,8 @@ class TestBundleReference:
         assert np.array_equal(bundle.dirs, ref_dirs)
         ref = reference_curvature_bound(ref_coefs, ref_dirs, pos[n],
                                         placement.TAU_MIN_FACTOR)
-        assert abs(curvature_bound(bundle, pos[n]) - ref) <= 1e-12 * abs(ref)
+        tau = curvature_bound(bundle, bundle.moment_product(pos[n]))
+        assert abs(tau - ref) <= 1e-12 * abs(ref)
 
     def test_both_sides(self):
         # One uplink user gives 1x1 outer products, which numpy can round
@@ -154,10 +162,32 @@ class TestBundleReference:
                     self.check(ctx, pos, n, bundle_at(ctx, pos, n))
                     pos[n] += rng.uniform(-0.1, 0.1, 2) * cfg.wavelength
 
+    def test_rows_stay_the_contexts_own(self):
+        # A bundle writes its linear terms into a copy of the context's
+        # row: bundles for n, for m != n and for n again under new fields
+        # each keep the coefficients of the fields they were built from,
+        # and the rows do not change.
+        cfg = ScenarioConfig(K_D=2, K_U=2, N_t=3, N_r=4, L=3, L_SI=3)
+        rng = np.random.default_rng(16)
+        rlz, layout, _, state, _, _ = make_contexts(cfg, 1)
+        state.W_t = random_complex(rng, state.W_t.shape, 0.1)
+        for ctx, pos0 in sides(state, rlz, layout, cfg):
+            rows = ctx.rows.copy()
+            pos1 = pos0.copy()
+            pos1[2] += 0.1 * cfg.wavelength
+            built = [(pos, n, bundle_at(ctx, pos, n))
+                     for pos, n in ((pos0, 0), (pos0, 2), (pos1, 0))]
+            for pos, n, bundle in built:
+                assert not np.shares_memory(bundle.coefs, ctx.rows)
+                ref_coefs, _ = reference_antenna_bundle(ctx, pos, n)
+                assert np.array_equal(bundle.coefs, ref_coefs)
+            assert not np.array_equal(built[0][2].coefs, built[2][2].coefs)
+            assert np.array_equal(ctx.rows, rows)
+
 
 class TestMomentProduct:
     def test_cached_evaluation_matches_the_pair_term_reference(self):
-        # Value, gradient and Hessian read one cached evaluation, the
+        # Value, gradient and Hessian read one evaluation each, the
         # derivatives through the moment product; the reference forms
         # each from the phased coefficients term by term, the Hessian by
         # the three-operand einsum.  Points range over the whole region.
@@ -302,7 +332,8 @@ class TestCurvature:
             for ctx, pos in ((ctx_t, layout.t), (ctx_r, layout.r)):
                 for n in range(3):
                     bundle = bundle_at(ctx, pos, n)
-                    tau = curvature_bound(bundle, pos[n])
+                    tau = curvature_bound(bundle,
+                                          bundle.moment_product(pos[n]))
                     lams = np.linalg.eigvalsh(bundle.hessian(pos[n]))
                     assert tau >= lams[-1] - 1e-9 * max(1.0, abs(lams[-1]))
                     assert tau > 0.0
@@ -311,7 +342,7 @@ class TestCurvature:
         cfg = ScenarioConfig(K_D=1, K_U=1, N_t=2, N_r=2)
         _, layout, _, _, ctx_t, _ = make_contexts(cfg)
         bundle = bundle_at(ctx_t, layout.t, 0)
-        assert curvature_bound(bundle, layout.t[0]) \
+        assert curvature_bound(bundle, bundle.moment_product(layout.t[0])) \
             >= 1e-6 * bundle.curvature_cap() - 1e-30
 
 
@@ -428,7 +459,7 @@ class TestBsumSweep:
         # ascent.
         monkeypatch.setattr(placement, "MAX_TAU_DOUBLINGS", 2)
         monkeypatch.setattr(placement, "curvature_bound",
-                            lambda bundle, t: -bundle.curvature_cap())
+                            lambda bundle, mp: -bundle.curvature_cap())
         counts = {"visits": 0, "projections": 0}
         real_bundle = placement.antenna_bundle
         real_project = placement.nearest_feasible_point
@@ -454,6 +485,48 @@ class TestBsumSweep:
                 assert np.all(np.diff(trace) <= 0.0)
                 assert counts["visits"] > 0
                 assert counts["projections"] == 3 * counts["visits"]
+
+    def test_one_exponential_per_projected_candidate(self, monkeypatch):
+        # A side call takes one exponential for its phasor table and one
+        # per projected candidate; a visit reads the antenna's own point
+        # off the table.  With the curvature at its floor most first
+        # steps are too long, so tau doubles.
+        counts = dict.fromkeys(("exp", "projections", "visits"), 0)
+        real_exp = np.exp
+        real_project = placement.nearest_feasible_point
+        real_bound = placement.curvature_bound
+
+        def exp(*a, **k):
+            counts["exp"] += 1
+            return real_exp(*a, **k)
+
+        def project(*a):
+            counts["projections"] += 1
+            return real_project(*a)
+
+        def floor(bundle, mp):
+            counts["visits"] += 1
+            return placement.TAU_MIN_FACTOR * bundle.curvature_cap()
+
+        def bound(bundle, mp):
+            counts["visits"] += 1
+            return real_bound(bundle, mp)
+
+        cfg = ScenarioConfig(K_D=2, K_U=2, N_t=3, N_r=3, L=3, L_SI=3)
+        for trial, tau in itertools.product(range(3), (bound, floor)):
+            _, layout, _, _, ctx_t, ctx_r = make_contexts(cfg, trial)
+            for ctx, pos in ((ctx_t, layout.t), (ctx_r, layout.r)):
+                counts.update(exp=0, projections=0, visits=0)
+                with monkeypatch.context() as m:
+                    m.setattr(np, "exp", exp)
+                    m.setattr(placement, "nearest_feasible_point", project)
+                    m.setattr(placement, "curvature_bound", tau)
+                    bsum_optimize_side(ctx, pos, np.random.default_rng(trial),
+                                       eps=1e-3)
+                assert counts["visits"] > 0
+                assert counts["exp"] == 1 + counts["projections"]
+                if tau is floor:
+                    assert counts["projections"] > counts["visits"]
 
 
 def rate_and_powers(state, ch, cfg):
