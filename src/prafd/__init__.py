@@ -11,14 +11,13 @@ from .baselines import ALGORITHMS, run_algorithm
 from .channel import build_channels, sample_realization, trial_rng
 from .config import ConfigError, ScenarioConfig, load_config, validate_config
 from .experiment import ExperimentSpec, emit_csv, run_experiment
-from .solver import SolveOptions, TrialResult, alternating_optimize, initialize_layout
+from .solver import TrialResult, alternating_optimize, initialize_layout
 
 __all__ = [
     "ALGORITHMS",
     "ConfigError",
     "ExperimentSpec",
     "ScenarioConfig",
-    "SolveOptions",
     "TrialResult",
     "alternating_optimize",
     "build_channels",

@@ -1,6 +1,6 @@
 """Reference schemes the position-optimizing solver is compared against.
 
-* fpas: fixed uniform planar arrays, beamforming/power only.
+* fpas: fixed uniform planar arrays (`fpas_layout`), beamforming/power only.
 * fp-gd: same alternating scheme but positions move by projected gradient
   descent with Armijo backtracking instead of per-antenna majorization;
   each step moves the whole side along one joint gradient
@@ -11,7 +11,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from .config import ConfigError, ScenarioConfig
 from .geometry import FeasibleRegionSpec, layout_side_feasible, nearest_feasible_point
 from .placement import (SurrogateContext, antenna_bundle, layout_fields,
                         others_index, placement_gradient, placement_objective)
-from .solver import AntennaLayout, SolveOptions, TrialResult, alternating_optimize
+from .solver import AntennaLayout, TrialResult, alternating_optimize
 
 ALGORITHMS = ("fp-bsum", "fp-gd", "fpas", "hd")
 
@@ -117,28 +116,23 @@ def gradient_descent_positions(ctx: SurrogateContext, positions: np.ndarray,
     return pos, trace, steps
 
 
-def solve_fpas(cfg: ScenarioConfig, rlz: ChannelRealization,
-               rng: np.random.Generator,
-               options: SolveOptions | None = None) -> TrialResult:
-    """Fixed planar arrays; only beamformers/powers adapt.
+def fpas_layout(cfg: ScenarioConfig) -> AntennaLayout:
+    """Fixed planar arrays, the layout of the fpas baseline.
 
     Neighbours sit half a wavelength apart, or D_min apart when that is
     larger, so the arrays always meet the spacing constraint.
     """
-    opts = replace(options or SolveOptions(), position_method="none")
     spacing = max(0.5 * cfg.wavelength, cfg.D_min)
-    layout = AntennaLayout(
+    return AntennaLayout(
         t=upa_layout(cfg.N_t, spacing, cfg.region_half_width),
         r=upa_layout(cfg.N_r, spacing, cfg.region_half_width),
     )
-    return alternating_optimize(cfg, rlz, rng, initial_layout=layout,
-                                options=opts)
 
 
 def solve_half_duplex(cfg: ScenarioConfig, rlz: ChannelRealization,
-                      rng: np.random.Generator, duplex_factor: float = 0.5,
-                      options: SolveOptions | None = None,
-                      initial_layout: AntennaLayout | None = None) -> TrialResult:
+                      rng: np.random.Generator, layout: AntennaLayout,
+                      duplex_factor: float,
+                      eval_rlz: ChannelRealization | None = None) -> TrialResult:
     """Downlink-only operation with the same placement-aware optimizer.
 
     No uplink means no self-interference and no uplink-to-downlink coupling
@@ -149,11 +143,9 @@ def solve_half_duplex(cfg: ScenarioConfig, rlz: ChannelRealization,
     if not 0.0 < duplex_factor <= 1.0:
         raise ValueError(
             f"duplex factor must be in (0, 1], got {duplex_factor:g}")
-    opts = options or SolveOptions()
-    if opts.eval_rlz is not None:
-        opts = replace(opts, eval_rlz=opts.eval_rlz.downlink_only())
+    eval_dl = None if eval_rlz is None else eval_rlz.downlink_only()
     res = alternating_optimize(cfg.downlink_only(), rlz.downlink_only(), rng,
-                               initial_layout, opts)
+                               layout, "bsum", eval_dl)
     res.rate *= duplex_factor
     res.dl_rates = res.dl_rates * duplex_factor
     res.trace = [duplex_factor * v for v in res.trace]
@@ -162,20 +154,18 @@ def solve_half_duplex(cfg: ScenarioConfig, rlz: ChannelRealization,
 
 
 def run_algorithm(name: str, cfg: ScenarioConfig, rlz: ChannelRealization,
-                  rng: np.random.Generator,
-                  initial_layout: AntennaLayout | None = None,
+                  rng: np.random.Generator, layout: AntennaLayout,
                   eval_rlz: ChannelRealization | None = None,
                   duplex_factor: float = 0.5) -> TrialResult:
-    """Dispatch one named algorithm on one realization."""
-    opts = SolveOptions(eval_rlz=eval_rlz)
+    """Dispatch one named algorithm; fpas starts from `fpas_layout`."""
     if name == "fp-bsum":
-        return alternating_optimize(cfg, rlz, rng, initial_layout, opts)
+        return alternating_optimize(cfg, rlz, rng, layout, "bsum", eval_rlz)
     if name == "fp-gd":
-        opts.position_method = "gd"
-        return alternating_optimize(cfg, rlz, rng, initial_layout, opts)
+        return alternating_optimize(cfg, rlz, rng, layout, "gd", eval_rlz)
     if name == "fpas":
-        return solve_fpas(cfg, rlz, rng, opts)
+        return alternating_optimize(cfg, rlz, rng, fpas_layout(cfg), "none",
+                                    eval_rlz)
     if name == "hd":
-        return solve_half_duplex(cfg, rlz, rng, duplex_factor, opts,
-                                 initial_layout)
+        return solve_half_duplex(cfg, rlz, rng, layout, duplex_factor,
+                                 eval_rlz)
     raise ValueError(f"unknown algorithm {name!r}; choose from {ALGORITHMS}")

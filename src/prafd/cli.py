@@ -36,6 +36,8 @@ def _config_from_args(args) -> ScenarioConfig:
 
 def _cmd_solve(args) -> int:
     cfg = _config_from_args(args)
+    if args.trial < 0:
+        raise ConfigError(f"--trial must be non-negative, got {args.trial}")
     spec = ExperimentSpec(base=cfg, algorithms=(args.algo,),
                           seed=cfg.seed if args.seed is None else args.seed,
                           duplex_factor=args.duplex_factor)

@@ -55,11 +55,17 @@ class ExperimentSpec:
         validate_config(self.base)
         self.algorithms = tuple(self.algorithms)
         self.sweep_values = tuple(self.sweep_values)
+        if not self.algorithms:
+            raise ConfigError("--algos names no algorithm")
         for a in self.algorithms:
             if a not in ALGORITHMS:
                 raise ConfigError(f"unknown algorithm {a!r}")
+            if self.algorithms.count(a) > 1:
+                raise ConfigError(f"--algos names {a!r} twice")
         if self.trials < 1:
             raise ConfigError(f"--trials must be at least 1, got {self.trials}")
+        if self.threads < 1:
+            raise ConfigError(f"--threads must be at least 1, got {self.threads}")
         if not 0.0 < self.duplex_factor <= 1.0:
             raise ConfigError(f"duplex factor must be in (0, 1], "
                               f"got {self.duplex_factor:g}")
@@ -125,6 +131,9 @@ def apply_sweep(cfg: ScenarioConfig, field_name: str | None,
         out = cfg.replace(**{field_name: value}, weights=None)
     elif field_name in INTEGER_SWEEP_FIELDS:
         out = cfg.replace(**{field_name: value})
+    elif field_name == "f_c" and cfg.D_min == 0.5 * cfg.wavelength:
+        # A D_min left at lambda/2 follows each point's own wavelength.
+        out = cfg.replace(f_c=float(value), D_min=None)
     else:
         out = cfg.replace(**{field_name: float(value)})
     validate_config(out)
@@ -149,8 +158,8 @@ def run_trial(spec: ExperimentSpec, sweep_value, trial: int) -> list[TrialResult
         try:
             res = run_algorithm(
                 algo, cfg, solver_rlz,
-                trial_rng(spec.seed, trial, _STREAM_SOLVER),
-                initial_layout=layout, eval_rlz=eval_rlz,
+                trial_rng(spec.seed, trial, _STREAM_SOLVER), layout,
+                eval_rlz=eval_rlz,
                 duplex_factor=spec.duplex_factor)
         except Exception as exc:  # recorded, excluded from aggregates
             res = TrialResult(

@@ -49,14 +49,7 @@ from .config import ConfigError, ScenarioConfig
 from .geometry import FeasibleRegionSpec, is_feasible, layout_side_feasible
 
 INIT_REJECTION_CAP = 100_000
-
-
-@dataclass
-class SolveOptions:
-    max_outer: int = 100
-    position_method: str = "bsum"   # "bsum", "gd", or "none"
-    eval_rlz: ChannelRealization | None = None  # true channels, if the solver
-    # is fed an imperfect estimate; rates are then reported against these.
+MAX_OUTER = 100
 
 
 @dataclass
@@ -178,18 +171,18 @@ def _reported(state: fp.SolverState, layout: AntennaLayout,
 
 
 def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
-                         rng: np.random.Generator,
-                         initial_layout: AntennaLayout | None = None,
-                         options: SolveOptions | None = None) -> TrialResult:
-    """Run the full alternating scheme from a (possibly given) layout.
+                         rng: np.random.Generator, layout: AntennaLayout,
+                         position_method: str,
+                         eval_rlz: ChannelRealization | None = None) -> TrialResult:
+    """Run the full alternating scheme from a copy of `layout`.
 
-    All randomness (layout initialization, placement sweep order) comes from
-    `rng`, so results are bit-stable for a fixed generator state.
+    `position_method` names the placement block: "bsum", "gd" or "none".
+    Rates are reported on `eval_rlz`, the true channels, when it is given.
+    The placement sweep order comes from `rng`, so results are bit-stable
+    for a fixed generator state.
     """
-    opts = options or SolveOptions()
     t_start = time.perf_counter()
-    layout = initial_layout.copy() if initial_layout is not None \
-        else initialize_layout(cfg, rng)
+    layout = layout.copy()
     _check_layout(layout, cfg)
 
     ch = build_channels(layout, rlz, cfg)
@@ -198,16 +191,16 @@ def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
     monitor = _Monitor()
     # Scores the start twice; perfbench traces it, the one call on fpas/fp-gd.
     rate = fp.weighted_sum_rate(powers, cfg)
-    sinr = _reported(state, layout, cfg, opts.eval_rlz)
+    sinr = _reported(state, layout, cfg, eval_rlz)
     trace, eval_trace = [rate], [fp.rate_of_sinrs(sinr, cfg)]
     bsum_sweeps = 0
     converged = False
     iterations = 0
 
-    move = opts.position_method != "none"
-    optimizer = _position_optimizer(opts.position_method) if move else None
+    optimizer = None if position_method == "none" \
+        else _position_optimizer(position_method)
     grid = placement.RateGrid(rlz, cfg) \
-        if opts.position_method == "bsum" else None
+        if position_method == "bsum" else None
     # Built per call, not at import: the functions are looked up on their
     # modules, so wrappers installed there at run time are honoured.
     record = fp.ReceivedPowers
@@ -222,16 +215,16 @@ def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
     # Placement blocks, only for sides that serve users; each side's
     # `placement.SideTerms` record is built here, once per solve.
     sides = []
-    if move and cfg.K_D > 0:
+    if optimizer and cfg.K_D > 0:
         sides.append(("transmit placement", "t", "r", placement.transmit_context,
                       placement.side_terms(rlz, cfg, True),
                       record.transmit_changed))
-    if move and cfg.K_U > 0:
+    if optimizer and cfg.K_U > 0:
         sides.append(("receive placement", "r", "t", placement.receive_context,
                       placement.side_terms(rlz, cfg, False),
                       record.receive_changed))
 
-    for it in range(1, opts.max_outer + 1):
+    for it in range(1, MAX_OUTER + 1):
         iterations = it
         # The auxiliaries were refreshed from `powers`, the pass `rate` was
         # scored on, so the surrogate must touch it.
@@ -271,7 +264,7 @@ def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
         # reuses the last block's record.
         state.aux = fp.auxiliary_pass(powers, cfg)
         new_rate = fp.rate_of_sinrs(state.aux.gamma, cfg)
-        sinr = _reported(state, layout, cfg, opts.eval_rlz)
+        sinr = _reported(state, layout, cfg, eval_rlz)
         trace.append(new_rate)
         eval_trace.append(fp.rate_of_sinrs(sinr, cfg))
         converged = abs(new_rate - rate) <= cfg.epsilon * max(abs(rate), 1e-12)

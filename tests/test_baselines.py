@@ -5,16 +5,16 @@ import pytest
 from numpy.testing import assert_allclose
 
 from prafd import baselines
-from prafd.baselines import (ALGORITHMS, gradient_descent_positions,
-                             run_algorithm, solve_fpas, solve_half_duplex,
-                             upa_layout)
+from prafd.baselines import (ALGORITHMS, fpas_layout,
+                             gradient_descent_positions, run_algorithm,
+                             solve_half_duplex, upa_layout)
 from prafd.channel import build_channels, sample_realization, trial_rng
 from prafd.config import ConfigError, ScenarioConfig
 from prafd.geometry import layout_side_feasible, min_pairwise_distance
 from prafd.placement import (layout_fields, others_index,
                              placement_objective, side_terms,
                              transmit_context)
-from prafd.solver import SolveOptions, initial_state, initialize_layout
+from prafd.solver import alternating_optimize, initial_state, initialize_layout
 
 
 class TestUpaLayout:
@@ -137,7 +137,8 @@ class TestFixedArrayBaseline:
     def test_positions_are_uniform_arrays(self):
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=4, N_r=4)
         rlz = sample_realization(cfg, trial_rng(0, 0, 0))
-        res = solve_fpas(cfg, rlz, trial_rng(0, 0, 3), SolveOptions())
+        layout = initialize_layout(cfg, trial_rng(0, 0, 1))
+        res = run_algorithm("fpas", cfg, rlz, trial_rng(0, 0, 3), layout)
         half = cfg.wavelength / 2
         assert_allclose(res.layout.t, upa_layout(4, half, cfg.region_half_width))
         assert_allclose(res.layout.r, upa_layout(4, half, cfg.region_half_width))
@@ -149,7 +150,8 @@ class TestFixedArrayBaseline:
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=4, N_r=4)
         cfg = cfg.replace(D_min=0.6 * cfg.wavelength)
         rlz = sample_realization(cfg, trial_rng(0, 0, 0))
-        res = solve_fpas(cfg, rlz, trial_rng(0, 0, 3))
+        layout = initialize_layout(cfg, trial_rng(0, 0, 1))
+        res = run_algorithm("fpas", cfg, rlz, trial_rng(0, 0, 3), layout)
         upa = upa_layout(4, cfg.D_min, cfg.region_half_width)
         assert_allclose(res.layout.t, upa)
         assert_allclose(res.layout.r, upa)
@@ -158,72 +160,60 @@ class TestFixedArrayBaseline:
     def test_spacing_that_does_not_fit_rejected(self):
         cfg = ScenarioConfig(K_D=1, K_U=1, N_t=4, N_r=4, A=1.0)
         cfg = cfg.replace(D_min=1.01 * cfg.wavelength)
-        rlz = sample_realization(cfg, trial_rng(0, 0, 0))
         with pytest.raises(ConfigError, match="does not fit"):
-            solve_fpas(cfg, rlz, trial_rng(0, 0, 3))
+            fpas_layout(cfg)
 
     def test_ignores_initial_layout(self):
         cfg = ScenarioConfig(K_D=1, K_U=1, N_t=2, N_r=2)
         rlz = sample_realization(cfg, trial_rng(0, 0, 0))
         layout = initialize_layout(cfg, trial_rng(0, 5, 1))
-        a = run_algorithm("fpas", cfg, rlz, trial_rng(0, 0, 3))
-        b = run_algorithm("fpas", cfg, rlz, trial_rng(0, 0, 3),
-                          initial_layout=layout)
+        a = run_algorithm("fpas", cfg, rlz, trial_rng(0, 0, 3),
+                          fpas_layout(cfg))
+        b = run_algorithm("fpas", cfg, rlz, trial_rng(0, 0, 3), layout)
         assert a.rate == b.rate
         assert_allclose(a.layout.t, b.layout.t)
-
-    def test_caller_options_unchanged(self):
-        cfg = ScenarioConfig(K_D=1, K_U=1, N_t=2, N_r=2)
-        rlz = sample_realization(cfg, trial_rng(0, 0, 0))
-        opts = SolveOptions(max_outer=3)
-        solve_fpas(cfg, rlz, trial_rng(0, 0, 3), opts)
-        assert opts == SolveOptions(max_outer=3)
 
 
 class TestHalfDuplex:
     def test_no_uplink_service(self):
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2)
         rlz = sample_realization(cfg, trial_rng(0, 0, 0))
-        res = solve_half_duplex(cfg, rlz, trial_rng(0, 0, 3), 0.5,
-                                SolveOptions())
+        rng = trial_rng(0, 0, 3)
+        res = solve_half_duplex(cfg, rlz, rng, initialize_layout(cfg, rng),
+                                0.5)
         assert res.ul_rates.size == 0
         assert res.rate > 0.0
 
     def test_rate_scales_with_duplex_factor(self):
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2)
         rlz = sample_realization(cfg, trial_rng(0, 0, 0))
-        full = solve_half_duplex(cfg, rlz, trial_rng(0, 0, 3), 1.0,
-                                 SolveOptions())
-        half = solve_half_duplex(cfg, rlz, trial_rng(0, 0, 3), 0.5,
-                                 SolveOptions())
+        full_rng, half_rng = trial_rng(0, 0, 3), trial_rng(0, 0, 3)
+        full = solve_half_duplex(cfg, rlz, full_rng,
+                                 initialize_layout(cfg, full_rng), 1.0)
+        half = solve_half_duplex(cfg, rlz, half_rng,
+                                 initialize_layout(cfg, half_rng), 0.5)
         assert_allclose(half.rate, 0.5 * full.rate, rtol=1e-12)
         assert_allclose(np.asarray(half.trace),
                         0.5 * np.asarray(full.trace), rtol=1e-12)
-
-    def test_caller_options_unchanged(self):
-        cfg = ScenarioConfig(K_D=1, K_U=1, N_t=2, N_r=2)
-        rlz = sample_realization(cfg, trial_rng(0, 0, 0))
-        opts = SolveOptions(max_outer=3, eval_rlz=rlz)
-        solve_half_duplex(cfg, rlz, trial_rng(0, 0, 3), 0.5, opts)
-        assert opts.eval_rlz is rlz
 
     def test_starts_from_the_given_layout(self):
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2)
         rlz = sample_realization(cfg, trial_rng(0, 0, 0))
         layout = initialize_layout(cfg, trial_rng(0, 0, 1))
-        res = solve_half_duplex(cfg, rlz, trial_rng(0, 0, 3), 0.5,
-                                SolveOptions(position_method="none"),
-                                initial_layout=layout)
-        assert np.array_equal(res.layout.t, layout.t)
-        assert np.array_equal(res.layout.r, layout.r)
+        res = solve_half_duplex(cfg, rlz, trial_rng(0, 0, 3), layout, 0.5)
+        direct = alternating_optimize(cfg.downlink_only(), rlz.downlink_only(),
+                                      trial_rng(0, 0, 3), layout, "bsum")
+        assert res.trace == [0.5 * v for v in direct.trace]
+        assert np.array_equal(res.layout.t, direct.layout.t)
+        assert np.array_equal(res.layout.r, direct.layout.r)
 
     @pytest.mark.parametrize("factor", [0.0, -0.5, 1.5])
     def test_out_of_range_duplex_factor_rejected(self, factor):
         cfg = ScenarioConfig(K_D=1, K_U=1, N_t=2, N_r=2)
         rlz = sample_realization(cfg, trial_rng(0, 0, 0))
+        layout = initialize_layout(cfg, trial_rng(0, 0, 1))
         with pytest.raises(ValueError, match="duplex factor"):
-            solve_half_duplex(cfg, rlz, trial_rng(0, 0, 3), factor,
-                              SolveOptions())
+            solve_half_duplex(cfg, rlz, trial_rng(0, 0, 3), layout, factor)
 
 
 class TestDispatch:
@@ -232,26 +222,37 @@ class TestDispatch:
         rlz = sample_realization(cfg, trial_rng(0, 0, 0))
         layout = initialize_layout(cfg, trial_rng(0, 0, 1))
         for name in ALGORITHMS:
-            res = run_algorithm(name, cfg, rlz, trial_rng(0, 0, 3),
-                                initial_layout=layout)
+            res = run_algorithm(name, cfg, rlz, trial_rng(0, 0, 3), layout)
             assert np.isfinite(res.rate)
             assert res.rate >= 0.0
+
+    def test_caller_layout_unchanged(self):
+        # run_trial hands one layout object to every algorithm of a trial,
+        # so no solve may move the caller's antennas.
+        cfg = ScenarioConfig(K_D=1, K_U=1, N_t=2, N_r=2)
+        rlz = sample_realization(cfg, trial_rng(0, 0, 0))
+        layout = initialize_layout(cfg, trial_rng(0, 0, 1))
+        before = layout.copy()
+        for name in ("fp-bsum", "fp-gd", "hd"):
+            res = run_algorithm(name, cfg, rlz, trial_rng(0, 0, 3), layout)
+            assert not np.array_equal(res.layout.t, before.t)
+            assert np.array_equal(layout.t, before.t)
+            assert np.array_equal(layout.r, before.r)
 
     def test_unknown_name_rejected(self):
         cfg = ScenarioConfig(K_D=1, K_U=1, N_t=1, N_r=1)
         rlz = sample_realization(cfg, trial_rng(0, 0, 0))
+        layout = initialize_layout(cfg, trial_rng(0, 0, 1))
         with pytest.raises(ValueError, match="unknown algorithm"):
-            run_algorithm("annealing", cfg, rlz, trial_rng(0, 0, 3))
+            run_algorithm("annealing", cfg, rlz, trial_rng(0, 0, 3), layout)
 
     def test_matched_seeds_reproduce(self):
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2)
         rlz = sample_realization(cfg, trial_rng(0, 4, 0))
         layout = initialize_layout(cfg, trial_rng(0, 4, 1))
         for name in ("fp-bsum", "fp-gd"):
-            a = run_algorithm(name, cfg, rlz, trial_rng(0, 4, 3),
-                              initial_layout=layout)
-            b = run_algorithm(name, cfg, rlz, trial_rng(0, 4, 3),
-                              initial_layout=layout)
+            a = run_algorithm(name, cfg, rlz, trial_rng(0, 4, 3), layout)
+            b = run_algorithm(name, cfg, rlz, trial_rng(0, 4, 3), layout)
             assert a.rate == b.rate
 
     def test_position_optimization_helps_on_average(self):
@@ -262,7 +263,8 @@ class TestDispatch:
             rlz = sample_realization(cfg, trial_rng(0, trial, 0))
             layout = initialize_layout(cfg, trial_rng(0, trial, 1))
             moved = run_algorithm("fp-bsum", cfg, rlz, trial_rng(0, trial, 3),
-                                  initial_layout=layout)
-            fixed = run_algorithm("fpas", cfg, rlz, trial_rng(0, trial, 3))
+                                  layout)
+            fixed = run_algorithm("fpas", cfg, rlz, trial_rng(0, trial, 3),
+                                  layout)
             gains.append(moved.rate - fixed.rate)
         assert np.mean(gains) > 0.0

@@ -49,6 +49,12 @@ class TestSolve:
         assert exc.value.code == 2
         assert "f_c" in capsys.readouterr().err
 
+    def test_negative_trial_exits_with_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--trial", "-1"])
+        assert exc.value.code == 2
+        assert "--trial" in capsys.readouterr().err
+
     def test_malformed_setting_rejected(self):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--set", "K_D"])
@@ -124,6 +130,20 @@ class TestExperiment:
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "--algos", "genie", "--trials", "1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("args, field", [
+        (["--algos", ","], "--algos"),
+        (["--algos", "fpas,fpas"], "--algos"),
+        (["--threads", "0"], "--threads"),
+    ])
+    def test_bad_spec_exits_before_writing(self, tmp_path, capsys, args,
+                                           field):
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "--trials", "1", "--out", str(out)] + args)
+        assert exc.value.code == 2
+        assert field in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
 
 class TestOracle:

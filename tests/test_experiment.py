@@ -43,6 +43,19 @@ class TestSpec:
         with pytest.raises(ConfigError, match="--trials"):
             small_spec(trials=trials)
 
+    @pytest.mark.parametrize("algorithms, match", [
+        ((), "--algos names no algorithm"),
+        (("fpas", "fpas"), "--algos names 'fpas' twice"),
+    ])
+    def test_empty_or_repeated_algorithms_rejected(self, algorithms, match):
+        with pytest.raises(ConfigError, match=match):
+            small_spec(algorithms=algorithms)
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_fewer_than_one_thread_rejected(self, threads):
+        with pytest.raises(ConfigError, match="--threads"):
+            small_spec(threads=threads)
+
     @pytest.mark.parametrize("kw, match", [
         (dict(N_t=0), "N_t and N_r"),
         (dict(weights=np.array([0.75, 0.75])), "weights must sum"),
@@ -67,6 +80,14 @@ class TestApplySweep:
     def test_power_field(self):
         cfg = apply_sweep(ScenarioConfig(), "p_D_max", 1.0)
         assert cfg.p_D_max == 1.0
+
+    def test_carrier_points_rederive_half_wavelength_spacing(self):
+        cfg = apply_sweep(ScenarioConfig(), "f_c", 60e9)
+        assert cfg.D_min == 0.5 * cfg.wavelength
+
+    def test_carrier_points_keep_spacing_set_by_hand(self):
+        base = ScenarioConfig(D_min=6e-3)
+        assert apply_sweep(base, "f_c", 60e9).D_min == 6e-3
 
     def test_perturbation_field_leaves_config(self):
         base = ScenarioConfig()

@@ -10,14 +10,20 @@ from prafd import beamforming, fp, placement, solver
 from prafd.baselines import run_algorithm
 from prafd.config import ConfigError, ScenarioConfig, validate_config
 from prafd.geometry import layout_side_feasible
-from prafd.solver import (SolveOptions, _Monitor, alternating_optimize,
-                          initial_state, initialize_layout)
+from prafd.solver import (_Monitor, alternating_optimize, initial_state,
+                          initialize_layout)
 
 
-def solve(cfg, trial=0, seed=0, **opt_kw):
+def solve_drawn(cfg, rlz, rng, position_method="bsum", eval_rlz=None):
+    """Solve from a layout drawn from `rng`, which then sets the sweep order."""
+    layout = initialize_layout(cfg, rng)
+    return alternating_optimize(cfg, rlz, rng, layout, position_method,
+                                eval_rlz)
+
+
+def solve(cfg, trial=0, seed=0, position_method="bsum"):
     rlz = sample_realization(cfg, trial_rng(seed, trial, 0))
-    rng = trial_rng(seed, trial, 3)
-    return alternating_optimize(cfg, rlz, rng, options=SolveOptions(**opt_kw))
+    return solve_drawn(cfg, rlz, trial_rng(seed, trial, 3), position_method)
 
 
 class TestInitialization:
@@ -147,9 +153,10 @@ class TestAlternatingOptimize:
         assert_allclose(a.layout.t, b.layout.t)
         assert a.trace == b.trace
 
-    def test_iteration_cap_reported(self):
+    def test_iteration_cap_reported(self, monkeypatch):
+        monkeypatch.setattr(solver, "MAX_OUTER", 3)
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2, epsilon=0.0)
-        res = solve(cfg, 0, max_outer=3)
+        res = solve(cfg, 0)
         assert not res.converged
         assert res.outer_iterations == 3
 
@@ -157,8 +164,8 @@ class TestAlternatingOptimize:
         cfg = ScenarioConfig(K_D=1, K_U=1, N_t=2, N_r=2)
         rlz = sample_realization(cfg, trial_rng(0, 0, 0))
         layout = initialize_layout(cfg, trial_rng(0, 7, 1))
-        opts = SolveOptions(position_method="none")
-        res = alternating_optimize(cfg, rlz, trial_rng(0, 0, 3), layout, opts)
+        res = alternating_optimize(cfg, rlz, trial_rng(0, 0, 3), layout,
+                                   "none")
         assert_allclose(res.layout.t, layout.t)
         assert_allclose(res.layout.r, layout.r)
         assert res.bsum_sweeps == 0
@@ -168,7 +175,7 @@ class TestAlternatingOptimize:
         rlz = sample_realization(cfg, trial_rng(0, 0, 0))
         layout = initialize_layout(cfg, trial_rng(0, 7, 1))
         res = alternating_optimize(cfg, rlz, trial_rng(0, 0, 3), layout,
-                                   SolveOptions())
+                                   "bsum")
         assert not np.allclose(res.layout.t, layout.t)
         assert res.bsum_sweeps > 0
 
@@ -177,14 +184,14 @@ class TestAlternatingOptimize:
         rlz = sample_realization(cfg, trial_rng(0, 0, 0))
         bad = AntennaLayout(t=np.zeros((2, 2)), r=np.zeros((2, 2)))
         with pytest.raises(ValueError):
-            alternating_optimize(cfg, rlz, trial_rng(0, 0, 3), bad)
+            alternating_optimize(cfg, rlz, trial_rng(0, 0, 3), bad, "bsum")
 
     def test_infeasible_layout_rejected(self):
         cfg = ScenarioConfig(K_D=1, K_U=1, N_t=2, N_r=2)
         rlz = sample_realization(cfg, trial_rng(0, 0, 0))
         bad = AntennaLayout(t=np.zeros((2, 2)), r=np.zeros((2, 2)))
         with pytest.raises(ValueError):
-            alternating_optimize(cfg, rlz, trial_rng(0, 0, 3), bad)
+            alternating_optimize(cfg, rlz, trial_rng(0, 0, 3), bad, "bsum")
 
 
     def test_one_received_power_pass_per_block(self, monkeypatch):
@@ -229,9 +236,7 @@ class TestAlternatingOptimize:
         cfg = ScenarioConfig()
         true_rlz = sample_realization(cfg, trial_rng(0, 0, 0))
         shifted = replace(true_rlz, dl_angles=true_rlz.dl_angles + 0.3)
-        opts = SolveOptions(position_method="none", eval_rlz=true_rlz)
-        res = alternating_optimize(cfg, shifted, trial_rng(0, 0, 3),
-                                   options=opts)
+        res = solve_drawn(cfg, shifted, trial_rng(0, 0, 3), "none", true_rlz)
         assert res.outer_iterations >= 5
         assert len(calls) == 2 + res.outer_iterations
 
@@ -345,7 +350,8 @@ class TestSideTerms:
         monkeypatch.setattr(placement, "receive_context",
                             context(real_contexts[1]))
         rlz = sample_realization(cfg, trial_rng(0, 0, 0))
-        res = run_algorithm(algo, cfg, rlz, trial_rng(0, 0, 3))
+        rng = trial_rng(0, 0, 3)
+        res = run_algorithm(algo, cfg, rlz, rng, initialize_layout(cfg, rng))
         assert [transmit for transmit, _ in built] == sides
         assert res.outer_iterations > 1
         assert len(used) == len(sides) * res.outer_iterations
@@ -427,9 +433,7 @@ class TestMismatchedEvaluation:
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2)
         true_rlz = sample_realization(cfg, trial_rng(0, 0, 0))
         shifted = replace(true_rlz, dl_angles=true_rlz.dl_angles + 0.3)
-        opts = SolveOptions(eval_rlz=true_rlz)
-        res = alternating_optimize(cfg, shifted, trial_rng(0, 0, 3),
-                                   options=opts)
+        res = solve_drawn(cfg, shifted, trial_rng(0, 0, 3), eval_rlz=true_rlz)
         assert len(res.eval_trace) == len(res.trace)
         assert_allclose(res.rate, res.eval_trace[-1], rtol=1e-12)
         assert res.rate != res.trace[-1]
@@ -437,8 +441,7 @@ class TestMismatchedEvaluation:
     def test_matched_eval_is_identity(self):
         cfg = ScenarioConfig(K_D=1, K_U=1, N_t=2, N_r=2)
         rlz = sample_realization(cfg, trial_rng(0, 0, 0))
-        opts = SolveOptions(eval_rlz=rlz)
-        res = alternating_optimize(cfg, rlz, trial_rng(0, 0, 3), options=opts)
+        res = solve_drawn(cfg, rlz, trial_rng(0, 0, 3), eval_rlz=rlz)
         assert_allclose(res.rate, res.trace[-1], rtol=1e-12)
 
 
@@ -455,8 +458,9 @@ class TestReportedRates:
             if mismatched:
                 rlz = replace(true_rlz, dl_angles=true_rlz.dl_angles + 0.05)
                 eval_rlz = true_rlz
-            res = run_algorithm(algo, cfg, rlz, trial_rng(5, trial, 3),
-                                eval_rlz=eval_rlz)
+            rng = trial_rng(5, trial, 3)
+            res = run_algorithm(algo, cfg, rlz, rng,
+                                initialize_layout(cfg, rng), eval_rlz)
             user_rates = np.concatenate([res.dl_rates, res.ul_rates])
             assert user_rates @ cfg.weights == res.rate
             assert res.rate == res.eval_trace[-1]
