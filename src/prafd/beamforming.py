@@ -5,6 +5,14 @@ quadratic program with one sum-power constraint (solved by KKT and a
 safeguarded Newton iteration on the multiplier's secular equation), an
 unconstrained receive quadratic program (plain linear solve), and per-user
 scalar uplink power problems.
+
+Every block update takes `(state, ch, cfg, powers)`, where `powers` is
+the solver's received-power record (`fp.ReceivedPowers`) of `state` on
+`ch`, and reads from it what the record already holds: the transmit form's
+SI part is built from its V = W_r^H H_SI, and the power coefficients from
+its G = W_r^H H_U, |G|^2 and |H_IUI|^2.  The receive form holds no W_r
+product, so that block reads nothing of the record.  `oracles` keeps the
+forms built from the channels alone, as test references.
 """
 
 from __future__ import annotations
@@ -15,18 +23,22 @@ import numpy as np
 
 from .channel import Channels
 from .config import ScenarioConfig
-from .fp import SolverState, receive_gram
+from .fp import ReceivedPowers, SolverState
 
 QP_TOL = 1e-13
 QP_MAX_ITER = 200
 
 
 def transmit_subproblem_matrices(state: SolverState, ch: Channels,
-                                 cfg: ScenarioConfig):
-    """Quadratic form H_t and linear term Hbar_D of the transmit block."""
+                                 powers: ReceivedPowers):
+    """Quadratic form H_t and linear term Hbar_D of the transmit block.
+
+    The SI part H_SI^H W_r |Y_U|^2 W_r^H H_SI is V^H |Y_U|^2 V with the
+    record's V = W_r^H H_SI.
+    """
     x = state.aux
-    H_t = (ch.H_D * x.y2_dl) @ ch.H_D.conj().T \
-        + ch.H_SI.conj().T @ receive_gram(state) @ ch.H_SI
+    V = powers.V
+    H_t = (ch.H_D * x.y2_dl) @ ch.H_D.conj().T + (V.conj().T * x.y2_ul) @ V
     Hbar = ch.H_D * (x.y_dl * x.amp_dl)
     return H_t, Hbar
 
@@ -48,12 +60,15 @@ def solve_transmit_qp(H_t: np.ndarray, Hbar: np.ndarray, p_max: float):
     dropped, which is the pseudo-inverse solution when H_t is singular.
     """
     lam, V = np.linalg.eigh(H_t)
-    lam = np.clip(lam, 0.0, None)
+    lam = np.maximum(lam, 0.0)
     R = V.conj().T @ Hbar
     num = (np.abs(R) ** 2).sum(axis=1)
     active = num > 0.0
-    lam_a, num_a = lam[active], num[active]
-    modes = list(zip(lam_a.tolist(), num_a.tolist()))
+    if not active.all():
+        # An inactive mode's row of R is zero, so it adds nothing to W;
+        # dropping it keeps build from forming 1 / (lam + mu) at 0.
+        lam, V, R, num = lam[active], V[:, active], R[active], num[active]
+    modes = list(zip(lam.tolist(), num.tolist()))
 
     def power(mu: float):
         """P(mu) and -P'(mu)/2 = sum_i num_i / (lam_i+mu)^3.
@@ -73,8 +88,7 @@ def solve_transmit_qp(H_t: np.ndarray, Hbar: np.ndarray, p_max: float):
         return pw, slope
 
     def build(mu: float) -> np.ndarray:
-        scale = np.zeros_like(lam)
-        scale[active] = 1.0 / (lam_a + mu)
+        scale = 1.0 / (lam + mu)
         return V @ (R * scale[:, None])
 
     if power(0.0)[0] <= p_max:
@@ -105,50 +119,57 @@ def solve_transmit_qp(H_t: np.ndarray, Hbar: np.ndarray, p_max: float):
 
 
 def update_transmit_beamformer(state: SolverState, ch: Channels,
-                               cfg: ScenarioConfig) -> np.ndarray:
-    H_t, Hbar = transmit_subproblem_matrices(state, ch, cfg)
+                               cfg: ScenarioConfig,
+                               powers: ReceivedPowers) -> np.ndarray:
+    H_t, Hbar = transmit_subproblem_matrices(state, ch, powers)
     W, _, _ = solve_transmit_qp(H_t, Hbar, cfg.p_D_max)
     return W
 
 
 def receive_subproblem_matrices(state: SolverState, ch: Channels,
                                 cfg: ScenarioConfig):
-    """Quadratic form H_r and linear term Hbar_U of the receive block."""
-    H_r = (ch.H_U * state.p) @ ch.H_U.conj().T \
-        + ch.H_SI @ state.W_t @ state.W_t.conj().T @ ch.H_SI.conj().T \
-        + cfg.sigma2 * np.eye(ch.H_U.shape[0])
+    """Quadratic form H_r and linear term Hbar_U of the receive block.
+
+    The SI part is F F^H with F = H_SI W_t.
+    """
+    F = ch.H_SI @ state.W_t
+    H_r = (ch.H_U * state.p) @ ch.H_U.conj().T + F @ F.conj().T
+    # H_r is a fresh contiguous sum, so ravel() is a view of it.
+    H_r.ravel()[::H_r.shape[0] + 1] += cfg.sigma2
     Hbar = ch.H_U * (state.aux.amp_ul * np.sqrt(state.p))
     return H_r, Hbar
 
 
 def update_receive_beamformer(state: SolverState, ch: Channels,
-                              cfg: ScenarioConfig) -> np.ndarray:
+                              cfg: ScenarioConfig,
+                              powers: ReceivedPowers) -> np.ndarray:
     """Unconstrained receive block: W_r = H_r^{-1} Hbar_U Y_U^{-H}.
 
     Columns whose y auxiliary is zero have a flat subproblem and keep their
-    previous value.
+    previous value.  `powers` goes unused: H_r holds no W_r product.
     """
     H_r, Hbar = receive_subproblem_matrices(state, ch, cfg)
     y_ul = state.aux.y_ul
-    W = state.W_r.copy()
     live = y_ul != 0.0
-    if np.any(live):
+    if live.all():
+        return np.linalg.solve(H_r, Hbar) / y_ul.conj()
+    W = state.W_r.copy()
+    if live.any():
         sol = np.linalg.solve(H_r, Hbar[:, live])
         W[:, live] = sol / y_ul[live].conj()
     return W
 
 
-def uplink_power_coefficients(state: SolverState, ch: Channels,
-                              cfg: ScenarioConfig):
+def uplink_power_coefficients(state: SolverState, powers: ReceivedPowers):
     """Per-user coefficients of the scalar power objective c1*sqrt(p) - c2*p.
 
     c1 collects the user's own matched-filter reward; c2 collects the damage
     its power does through every receive beamformer and every downlink user.
+    Both read G, |G|^2 and |H_IUI|^2 from `powers`.
     """
     x = state.aux
-    G = state.W_r.conj().T @ ch.H_U
-    c1 = 2.0 * x.amp_ul * np.real(x.y_ul * G.diagonal())
-    c2 = x.y2_dl @ (np.abs(ch.H_IUI) ** 2) + x.y2_ul @ (np.abs(G) ** 2)
+    c1 = 2.0 * x.amp_ul * np.real(x.y_ul * powers.G.diagonal())
+    c2 = x.y2_dl @ powers.iui2 + x.y2_ul @ powers.g2
     return c1, c2
 
 
@@ -162,8 +183,9 @@ def optimal_scalar_power(c1: float, c2: float, p_max: float) -> float:
 
 
 def update_uplink_power(state: SolverState, ch: Channels,
-                        cfg: ScenarioConfig) -> np.ndarray:
+                        cfg: ScenarioConfig,
+                        powers: ReceivedPowers) -> np.ndarray:
     """Exact maximizer of each scalar power problem on [0, p_U_max]."""
-    c1, c2 = uplink_power_coefficients(state, ch, cfg)
+    c1, c2 = uplink_power_coefficients(state, powers)
     return np.array([optimal_scalar_power(c1[u], c2[u], cfg.p_U_max)
                      for u in range(cfg.K_U)])

@@ -62,6 +62,9 @@ class ExperimentSpec:
                 raise ConfigError(f"unknown algorithm {a!r}")
             if self.algorithms.count(a) > 1:
                 raise ConfigError(f"--algos names {a!r} twice")
+        for v in self.sweep_values:
+            if self.sweep_values.count(v) > 1:
+                raise ConfigError(f"--sweep lists {v:g} twice")
         if self.trials < 1:
             raise ConfigError(f"--trials must be at least 1, got {self.trials}")
         if self.threads < 1:

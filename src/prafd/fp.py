@@ -23,6 +23,7 @@ read them from the state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -73,10 +74,14 @@ class ReceivedPowers:
     after W_t/W_r, and filtered noise.  The record also keeps the factors
     they are summed from, so that after a block changes one variable the
     record is brought up to date by recomputing only what that variable
-    enters:
+    enters.  S = W_r^H H_SI W_t is kept as V @ W_t with the factor
+    V = W_r^H H_SI, which the transmit block also reads; V depends on W_r
+    and on both sides' antennas, not on W_t.
 
-    * `transmit_changed` (W_t, or the transmit antennas): C and S;
-    * `receive_changed` (W_r, or the receive antennas): G, S and the
+    * `transmit_changed` (W_t, or the transmit antennas): C and S, and V
+      too when `ch` carries another H_SI than the one V was formed on,
+      i.e. when the transmit antennas moved;
+    * `receive_changed` (W_r, or the receive antennas): G, V, S and the
       receive column norms;
     * `power_changed` (p): only s1 and s2, from the cached squares.
 
@@ -91,7 +96,9 @@ class ReceivedPowers:
     p: np.ndarray         # the uplink powers s1 and s2 are taken at
     C: np.ndarray         # (K_D, K_D) C[k, i] = h_D,k^H w_t,i
     G: np.ndarray         # (K_U, K_U) G[u, i] = w_r,u^H h_U,i
-    S: np.ndarray         # (K_U, K_D) W_r^H H_SI W_t
+    H_SI: np.ndarray      # the SI channel V was formed on
+    V: np.ndarray         # (K_U, N_t) W_r^H H_SI
+    S: np.ndarray         # (K_U, K_D) V @ W_t
     c_rows: np.ndarray    # row sums of |C|^2
     g2: np.ndarray        # |G|^2
     s_rows: np.ndarray    # row sums of |S|^2
@@ -106,17 +113,19 @@ class ReceivedPowers:
         self.p = p
         self._downlink(W_t, ch)
         self._uplink(W_r, ch)
-        self._si(W_t, W_r, ch)
+        self._si(W_t)
         self._totals()
 
     def transmit_changed(self, state: SolverState, ch: Channels) -> None:
         self._downlink(state.W_t, ch)
-        self._si(state.W_t, state.W_r, ch)
+        if ch.H_SI is not self.H_SI:
+            self._si_factor(state.W_r.conj().T, ch)
+        self._si(state.W_t)
         self._totals()
 
     def receive_changed(self, state: SolverState, ch: Channels) -> None:
         self._uplink(state.W_r, ch)
-        self._si(state.W_t, state.W_r, ch)
+        self._si(state.W_t)
         self._totals()
 
     def power_changed(self, state: SolverState, ch: Channels) -> None:
@@ -129,13 +138,19 @@ class ReceivedPowers:
         self.c_rows = (np.abs(self.C) ** 2).sum(axis=1)
 
     def _uplink(self, W_r, ch: Channels) -> None:
-        self.G = W_r.conj().T @ ch.H_U
+        W_rh = W_r.conj().T
+        self.G = W_rh @ ch.H_U
         self.g2 = np.abs(self.G) ** 2
         self.wr_norm2 = (np.abs(W_r) ** 2).sum(axis=0)
         self.noise = self.wr_norm2 * self.sigma2
+        self._si_factor(W_rh, ch)
 
-    def _si(self, W_t, W_r, ch: Channels) -> None:
-        self.S = W_r.conj().T @ ch.H_SI @ W_t
+    def _si_factor(self, W_rh, ch: Channels) -> None:
+        self.H_SI = ch.H_SI
+        self.V = W_rh @ ch.H_SI
+
+    def _si(self, W_t) -> None:
+        self.S = self.V @ W_t
         self.s_rows = (np.abs(self.S) ** 2).sum(axis=1)
 
     def _totals(self) -> None:
@@ -175,17 +190,21 @@ def weighted_sum_rate(powers: ReceivedPowers, cfg: ScenarioConfig) -> float:
     return rate_of_sinrs(sinrs_of(powers), cfg)
 
 
-def auxiliaries(gamma: np.ndarray, y: np.ndarray,
-                cfg: ScenarioConfig) -> Auxiliaries:
+def auxiliaries(gamma: np.ndarray, y: np.ndarray, cfg: ScenarioConfig,
+                lift: np.ndarray | None = None,
+                amp: np.ndarray | None = None) -> Auxiliaries:
     """The record of (gamma, y): the one place its coefficients are derived.
 
     The blocks read the amplitudes, |y|^2 and the slices from the record,
-    so each is derived once per pass.
+    so each is derived once per pass.  `lift` = 1 + gamma and `amp` =
+    sqrt(a lift) are formed here unless the caller formed them from this
+    gamma already, as `auxiliary_pass` does to build y.
     """
     kd = cfg.K_D
     a = cfg.weights
-    lift = 1.0 + gamma
-    amp = np.sqrt(a * lift)
+    if lift is None:
+        lift = 1.0 + gamma
+        amp = np.sqrt(a * lift)
     y_dl, y_ul = y[:kd], y[kd:]
     return Auxiliaries(
         gamma=gamma, y=y, base=a @ (np.log(lift) - gamma),
@@ -213,24 +232,34 @@ def auxiliary_pass(powers: ReceivedPowers, cfg: ScenarioConfig) -> Auxiliaries:
     a = cfg.weights
     gamma = sinrs_of(powers)
     lift = 1.0 + gamma
+    amp = np.sqrt(a * lift)
     y = np.concatenate([
-        np.sqrt(a[:kd] * lift[:kd]) * powers.C.diagonal() / powers.s1,
+        amp[:kd] * powers.C.diagonal() / powers.s1,
         np.sqrt(a[kd:] * powers.p * lift[kd:])
         * powers.G.diagonal().conj() / powers.s2])
-    return auxiliaries(gamma, y, cfg)
+    return auxiliaries(gamma, y, cfg, lift, amp)
 
 
 def surrogate_objective(state: SolverState, ch: Channels, cfg: ScenarioConfig,
                         *, powers: ReceivedPowers) -> float:
     """Quadratic-transform surrogate at the state's own auxiliaries, in bits.
 
-    `powers` must be the received-power pass of `state` on `ch`.
+    `powers` must be the received-power pass of `state` on `ch`.  Summed
+    user by user in Python floats, which for a handful of users is about
+    half the cost of the numpy expression (`oracles.reference_surrogate`)
+    and agrees with it to rounding; the value feeds only the monitor.
     """
     x = state.aux
-    t1 = 2.0 * x.amp_dl @ (x.y_dl.conj() * powers.C.diagonal()).real \
-        - x.y2_dl @ powers.s1
+    total = float(x.base)
+    for amp, y, y2, c, s1 in zip(x.amp_dl.tolist(), x.y_dl.tolist(),
+                                 x.y2_dl.tolist(), powers.C.diagonal().tolist(),
+                                 powers.s1.tolist()):
+        total += 2.0 * amp * (y.conjugate() * c).real - y2 * s1
     # Uplink terms pair the *unconjugated* auxiliary with w_r^H h_U; this is
     # the pairing under which the closed-form y and W_r updates both hold.
-    t2 = 2.0 * np.sqrt(cfg.weights[cfg.K_D:] * state.p * x.lift_ul) \
-        @ (x.y_ul * powers.G.diagonal()).real - x.y2_ul @ powers.s2
-    return float(x.base + t1 + t2) / LN2
+    for a, p, lift, y, y2, g, s2 in zip(
+            cfg.weights[cfg.K_D:].tolist(), state.p.tolist(),
+            x.lift_ul.tolist(), x.y_ul.tolist(), x.y2_ul.tolist(),
+            powers.G.diagonal().tolist(), powers.s2.tolist()):
+        total += 2.0 * math.sqrt(a * p * lift) * (y * g).real - y2 * s2
+    return total / LN2

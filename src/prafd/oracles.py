@@ -15,7 +15,7 @@ import numpy as np
 
 from .channel import Channels, _user_channel
 from .config import ScenarioConfig
-from .fp import LN2, received_powers, surrogate_objective
+from .fp import LN2, receive_gram, received_powers, surrogate_objective
 from .geometry import FeasibleRegionSpec
 
 
@@ -147,9 +147,52 @@ def fresh_surrogate(state, ch: Channels, cfg: ScenarioConfig) -> float:
     return surrogate_objective(state, ch, cfg, powers=powers)
 
 
+def reference_surrogate(state, cfg: ScenarioConfig, powers) -> float:
+    """The surrogate of `fp.surrogate_objective` as one numpy expression
+    over the user vectors, from the record `powers` of `state`."""
+    x = state.aux
+    t1 = 2.0 * x.amp_dl @ (x.y_dl.conj() * powers.C.diagonal()).real \
+        - x.y2_dl @ powers.s1
+    t2 = 2.0 * np.sqrt(cfg.weights[cfg.K_D:] * state.p * x.lift_ul) \
+        @ (x.y_ul * powers.G.diagonal()).real - x.y2_ul @ powers.s2
+    return float(x.base + t1 + t2) / LN2
+
+
 def receive_objective_value(H_r: np.ndarray, Hbar: np.ndarray) -> float:
     """Optimal value tr(Hbar^H H_r^{-1} Hbar) of the receive block."""
     return float(np.real(np.trace(Hbar.conj().T @ np.linalg.solve(H_r, Hbar))))
+
+
+# ---------------------------------------------------------------------------
+# closed-form blocks: forms built from the channels alone
+
+
+def reference_transmit_matrices(state, ch: Channels):
+    """H_t and Hbar_D of the transmit block, the SI part as
+    H_SI^H (W_r |Y_U|^2 W_r^H) H_SI from the channels."""
+    x = state.aux
+    H_t = (ch.H_D * x.y2_dl) @ ch.H_D.conj().T \
+        + ch.H_SI.conj().T @ receive_gram(state) @ ch.H_SI
+    return H_t, ch.H_D * (x.y_dl * x.amp_dl)
+
+
+def reference_receive_matrices(state, ch: Channels, cfg: ScenarioConfig):
+    """H_r and Hbar_U of the receive block, the SI part as the chain
+    H_SI W_t W_t^H H_SI^H and the noise as sigma2 times an identity."""
+    H_r = (ch.H_U * state.p) @ ch.H_U.conj().T \
+        + ch.H_SI @ state.W_t @ state.W_t.conj().T @ ch.H_SI.conj().T \
+        + cfg.sigma2 * np.eye(ch.H_U.shape[0])
+    return H_r, ch.H_U * (state.aux.amp_ul * np.sqrt(state.p))
+
+
+def reference_power_coefficients(state, ch: Channels):
+    """(c1, c2) of the uplink power block with G = W_r^H H_U and |H_IUI|^2
+    formed from the channels."""
+    x = state.aux
+    G = state.W_r.conj().T @ ch.H_U
+    c1 = 2.0 * x.amp_ul * np.real(x.y_ul * G.diagonal())
+    c2 = x.y2_dl @ (np.abs(ch.H_IUI) ** 2) + x.y2_ul @ (np.abs(G) ** 2)
+    return c1, c2
 
 
 # ---------------------------------------------------------------------------

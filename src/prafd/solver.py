@@ -19,10 +19,10 @@ retired for the rest of the run; from there on the loop is plain BSUM.
 One received-power record (`fp.ReceivedPowers`) of the current state and
 channels is kept through the run.  `initial_state` makes its first full
 pass and returns the starting state already scored, with the auxiliaries
-of that pass.  A block updates only the factors its variable enters, the
-rate, the surrogate after each block and the auxiliary passes read the
-updated record, and a grid move hands over the record of its confirming
-pass.  So the only full passes of a run are the first one, plus the
+of that pass.  A block updates only the factors its variable enters; the
+closed-form blocks, the rate, the surrogate after each block and the
+auxiliary passes read the updated record, and a grid move hands over the
+record of its confirming pass.  So the only full passes of a run are the first one, plus the
 grid's confirmations and, with `eval_rlz`, one pass at the start and one
 per iteration on the evaluation channels.
 
@@ -159,15 +159,17 @@ class _Monitor:
 
 
 def _reported(state: fp.SolverState, layout: AntennaLayout,
-              cfg: ScenarioConfig,
-              eval_rlz: ChannelRealization | None) -> np.ndarray:
-    """SINR vector to report: the auxiliary pass's gamma, or with
-    `eval_rlz` the SINRs of a full pass on the evaluation channels."""
+              cfg: ScenarioConfig, eval_rlz: ChannelRealization | None,
+              rate: float) -> tuple[np.ndarray, float]:
+    """SINR vector to report and its weighted sum-rate: the auxiliary
+    pass's gamma, which `rate` was scored from, or with `eval_rlz` the
+    SINRs of a full pass on the evaluation channels."""
     if eval_rlz is None:
-        return state.aux.gamma
+        return state.aux.gamma, rate
     eval_ch = build_channels(layout, eval_rlz, cfg)
-    return fp.sinrs_of(fp.received_powers(state.W_t, state.W_r, state.p,
+    sinr = fp.sinrs_of(fp.received_powers(state.W_t, state.W_r, state.p,
                                           eval_ch, cfg))
+    return sinr, fp.rate_of_sinrs(sinr, cfg)
 
 
 def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
@@ -191,8 +193,8 @@ def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
     monitor = _Monitor()
     # Scores the start twice; perfbench traces it, the one call on fpas/fp-gd.
     rate = fp.weighted_sum_rate(powers, cfg)
-    sinr = _reported(state, layout, cfg, eval_rlz)
-    trace, eval_trace = [rate], [fp.rate_of_sinrs(sinr, cfg)]
+    sinr, eval_rate = _reported(state, layout, cfg, eval_rlz, rate)
+    trace, eval_trace = [rate], [eval_rate]
     bsum_sweeps = 0
     converged = False
     iterations = 0
@@ -232,7 +234,7 @@ def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
         monitor.check_sandwich(p3, rate)
 
         for tag, attr, update, changed in closed_form:
-            setattr(state, attr, update(state, ch, cfg))
+            setattr(state, attr, update(state, ch, cfg, powers))
             changed(powers, state, ch)
             p3 = monitor.check_block(p3, fp.surrogate_objective(
                 state, ch, cfg, powers=powers), tag)
@@ -264,9 +266,9 @@ def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
         # reuses the last block's record.
         state.aux = fp.auxiliary_pass(powers, cfg)
         new_rate = fp.rate_of_sinrs(state.aux.gamma, cfg)
-        sinr = _reported(state, layout, cfg, eval_rlz)
+        sinr, eval_rate = _reported(state, layout, cfg, eval_rlz, new_rate)
         trace.append(new_rate)
-        eval_trace.append(fp.rate_of_sinrs(sinr, cfg))
+        eval_trace.append(eval_rate)
         converged = abs(new_rate - rate) <= cfg.epsilon * max(abs(rate), 1e-12)
         rate = new_rate
         if converged:

@@ -10,10 +10,13 @@ from prafd.beamforming import (optimal_scalar_power,
                                uplink_power_coefficients)
 from prafd.channel import build_channels, sample_realization, trial_rng
 from prafd.config import ScenarioConfig
-from prafd.fp import auxiliary_pass, received_powers
+from prafd.fp import (auxiliaries, auxiliary_pass, received_powers,
+                      surrogate_objective)
 from prafd.oracles import (fresh_surrogate, power_grid_search, random_complex,
-                           random_psd,
-                           receive_objective_value, transmit_qp_bisect,
+                           random_psd, receive_objective_value,
+                           reference_power_coefficients,
+                           reference_receive_matrices, reference_surrogate,
+                           reference_transmit_matrices, transmit_qp_bisect,
                            transmit_qp_pgd, transmit_qp_value)
 from prafd.solver import initial_state, initialize_layout
 
@@ -23,8 +26,8 @@ def refreshed_state(cfg, trial=0):
     rlz = sample_realization(cfg, rng)
     layout = initialize_layout(cfg, rng)
     ch = build_channels(layout, rlz, cfg)
-    state, _ = initial_state(ch, cfg)
-    return ch, state
+    state, powers = initial_state(ch, cfg)
+    return ch, state, powers
 
 
 class TestTransmitQP:
@@ -127,25 +130,25 @@ class TestTransmitQP:
     def test_update_never_decreases_surrogate(self):
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=3, N_r=3, L=3, L_SI=3)
         for trial in range(15):
-            ch, state = refreshed_state(cfg, trial)
+            ch, state, powers = refreshed_state(cfg, trial)
             before = fresh_surrogate(state, ch, cfg)
-            state.W_t = update_transmit_beamformer(state, ch, cfg)
+            state.W_t = update_transmit_beamformer(state, ch, cfg, powers)
             after = fresh_surrogate(state, ch, cfg)
             assert after >= before - 1e-9 * max(1.0, abs(before))
 
     def test_update_respects_power_budget(self):
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=3, N_r=3)
-        ch, state = refreshed_state(cfg, 0)
-        W = update_transmit_beamformer(state, ch, cfg)
+        ch, state, powers = refreshed_state(cfg, 0)
+        W = update_transmit_beamformer(state, ch, cfg, powers)
         assert np.real(np.trace(W.conj().T @ W)) <= cfg.p_D_max * (1 + 1e-9)
 
 
 class TestReceiveUpdate:
     def test_matches_linear_solve_up_to_column_scale(self):
         cfg = ScenarioConfig(K_D=2, K_U=3, N_t=2, N_r=3)
-        ch, state = refreshed_state(cfg, 1)
+        ch, state, powers = refreshed_state(cfg, 1)
         H_r, Hbar = receive_subproblem_matrices(state, ch, cfg)
-        W = update_receive_beamformer(state, ch, cfg)
+        W = update_receive_beamformer(state, ch, cfg, powers)
         ref = np.linalg.solve(H_r, Hbar)
         for u in range(cfg.K_U):
             cross = np.vdot(W[:, u], ref[:, u])
@@ -169,20 +172,20 @@ class TestReceiveUpdate:
     def test_update_never_decreases_surrogate(self):
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=3, N_r=3, L=3, L_SI=3)
         for trial in range(15):
-            ch, state = refreshed_state(cfg, trial)
+            ch, state, powers = refreshed_state(cfg, trial)
             before = fresh_surrogate(state, ch, cfg)
-            state.W_r = update_receive_beamformer(state, ch, cfg)
+            state.W_r = update_receive_beamformer(state, ch, cfg, powers)
             after = fresh_surrogate(state, ch, cfg)
             assert after >= before - 1e-9 * max(1.0, abs(before))
 
     def test_silent_user_column_kept(self):
         cfg = ScenarioConfig(K_D=1, K_U=2, N_t=2, N_r=2)
-        ch, state = refreshed_state(cfg, 2)
+        ch, state, _ = refreshed_state(cfg, 2)
         state.p = np.array([cfg.p_U_max, 0.0])
-        state.aux = auxiliary_pass(
-            received_powers(state.W_t, state.W_r, state.p, ch, cfg), cfg)
+        powers = received_powers(state.W_t, state.W_r, state.p, ch, cfg)
+        state.aux = auxiliary_pass(powers, cfg)
         old = state.W_r.copy()
-        W = update_receive_beamformer(state, ch, cfg)
+        W = update_receive_beamformer(state, ch, cfg, powers)
         assert_allclose(W[:, 1], old[:, 1])
         assert not np.allclose(W[:, 0], old[:, 0])
 
@@ -207,17 +210,17 @@ class TestUplinkPower:
 
     def test_coefficients_have_expected_signs(self):
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2)
-        ch, state = refreshed_state(cfg, 4)
-        c1, c2 = uplink_power_coefficients(state, ch, cfg)
+        ch, state, powers = refreshed_state(cfg, 4)
+        c1, c2 = uplink_power_coefficients(state, powers)
         assert np.all(c2 >= 0.0)
         assert c1.shape == (cfg.K_U,) and c2.shape == (cfg.K_U,)
 
     def test_update_never_decreases_surrogate(self):
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=3, N_r=3, L=3, L_SI=3)
         for trial in range(15):
-            ch, state = refreshed_state(cfg, trial)
+            ch, state, powers = refreshed_state(cfg, trial)
             before = fresh_surrogate(state, ch, cfg)
-            state.p = update_uplink_power(state, ch, cfg)
+            state.p = update_uplink_power(state, ch, cfg, powers)
             after = fresh_surrogate(state, ch, cfg)
             assert after >= before - 1e-9 * max(1.0, abs(before))
             assert np.all(state.p >= 0.0) and np.all(state.p <= cfg.p_U_max)
@@ -226,14 +229,95 @@ class TestUplinkPower:
 class TestSubproblemMatrices:
     def test_transmit_quadratic_form_is_psd(self):
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=3, N_r=3)
-        ch, state = refreshed_state(cfg, 5)
-        H_t, _ = transmit_subproblem_matrices(state, ch, cfg)
+        ch, state, powers = refreshed_state(cfg, 5)
+        H_t, _ = transmit_subproblem_matrices(state, ch, powers)
         assert_allclose(H_t, H_t.conj().T, atol=1e-14)
         assert np.linalg.eigvalsh(H_t)[0] >= -1e-12
 
     def test_receive_quadratic_form_is_pd(self):
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=3, N_r=3)
-        ch, state = refreshed_state(cfg, 6)
+        ch, state, _ = refreshed_state(cfg, 6)
         H_r, _ = receive_subproblem_matrices(state, ch, cfg)
         assert_allclose(H_r, H_r.conj().T, atol=1e-14)
         assert np.linalg.eigvalsh(H_r)[0] >= cfg.sigma2 * (1 - 1e-9)
+
+
+def record_instances():
+    """(tag, cfg, ch, state, powers) with random beamformers, powers and
+    auxiliaries: plain ones, a downlink-only view (K_U = 0, as `hd` runs),
+    an uplink user at zero power (its y is 0, so its receive column is
+    dead) and an all-zero receive column."""
+    rng = np.random.default_rng(11)
+    cases = [("random", ScenarioConfig(K_D=2, K_U=3, N_t=3, N_r=2, L=3,
+                                       L_SI=2), t) for t in range(6)]
+    cases += [("random", ScenarioConfig(), t) for t in range(3)]
+    cases += [("downlink only", ScenarioConfig(K_D=3, K_U=0, N_t=2, N_r=2), 0),
+              ("zero power", ScenarioConfig(K_D=2, K_U=2, N_t=3, N_r=3), 1),
+              ("zero column", ScenarioConfig(K_D=2, K_U=2, N_t=3, N_r=3), 2)]
+    for tag, cfg, trial in cases:
+        ch, state, _ = refreshed_state(cfg, trial)
+        state.W_t = random_complex(rng, state.W_t.shape)
+        state.W_r = random_complex(rng, state.W_r.shape)
+        state.p = rng.uniform(0.0, cfg.p_U_max, cfg.K_U)
+        if tag == "zero column":
+            state.W_r[:, 0] = 0.0
+        if tag == "zero power":
+            state.p[1] = 0.0
+        powers = received_powers(state.W_t, state.W_r, state.p, ch, cfg)
+        if tag == "zero power":
+            state.aux = auxiliary_pass(powers, cfg)
+            assert state.aux.y_ul[1] == 0.0
+        else:
+            state.aux = auxiliaries(rng.uniform(0.0, 5.0, cfg.K),
+                                    random_complex(rng, (cfg.K,)), cfg)
+        yield tag, cfg, ch, state, powers
+
+
+def frobenius_gap(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+class TestRecordReadingForms:
+    """The blocks' forms read the received-power record; the forms built
+    from the channels alone (`oracles`) are their references."""
+
+    def test_power_coefficients_equal_the_reference(self):
+        for _, cfg, ch, state, powers in record_instances():
+            c1, c2 = uplink_power_coefficients(state, powers)
+            r1, r2 = reference_power_coefficients(state, ch)
+            assert np.array_equal(c1, r1) and np.array_equal(c2, r2)
+
+    def test_transmit_form_matches_the_reference(self):
+        for _, cfg, ch, state, powers in record_instances():
+            H_t, Hbar = transmit_subproblem_matrices(state, ch, powers)
+            H_ref, Hbar_ref = reference_transmit_matrices(state, ch)
+            assert frobenius_gap(H_t, H_ref) <= 1e-12
+            assert np.array_equal(Hbar, Hbar_ref)
+
+    def test_receive_form_matches_the_reference(self):
+        for _, cfg, ch, state, powers in record_instances():
+            H_r, Hbar = receive_subproblem_matrices(state, ch, cfg)
+            H_ref, Hbar_ref = reference_receive_matrices(state, ch, cfg)
+            assert frobenius_gap(H_r, H_ref) <= 1e-12
+            assert np.array_equal(Hbar, Hbar_ref)
+
+    def test_receive_update_matches_the_reference_solve(self):
+        # Every live column solves the reference system; a dead one keeps
+        # its previous value.
+        for tag, cfg, ch, state, powers in record_instances():
+            W = update_receive_beamformer(state, ch, cfg, powers)
+            H_ref, Hbar_ref = reference_receive_matrices(state, ch, cfg)
+            y_ul = state.aux.y_ul
+            live = y_ul != 0.0
+            assert live.all() == (tag != "zero power")
+            ref = np.linalg.solve(H_ref, Hbar_ref[:, live]) / y_ul[live].conj()
+            assert_allclose(W[:, live], ref, rtol=0.0,
+                            atol=1e-10 * np.abs(ref).max(initial=0.0))
+            assert np.array_equal(W[:, ~live], state.W_r[:, ~live])
+
+    def test_surrogate_matches_the_reference(self):
+        for _, cfg, ch, state, powers in record_instances():
+            sur = surrogate_objective(state, ch, cfg, powers=powers)
+            ref = reference_surrogate(state, cfg, powers)
+            assert type(sur) is float
+            assert abs(sur - ref) <= 1e-13 * abs(ref)

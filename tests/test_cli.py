@@ -135,6 +135,7 @@ class TestExperiment:
         (["--algos", ","], "--algos"),
         (["--algos", "fpas,fpas"], "--algos"),
         (["--threads", "0"], "--threads"),
+        (["--algos", "fpas", "--sweep", "A=2,2"], "--sweep"),
     ])
     def test_bad_spec_exits_before_writing(self, tmp_path, capsys, args,
                                            field):

@@ -51,6 +51,10 @@ class TestSpec:
         with pytest.raises(ConfigError, match=match):
             small_spec(algorithms=algorithms)
 
+    def test_repeated_sweep_value_rejected(self):
+        with pytest.raises(ConfigError, match="--sweep lists 2 twice"):
+            small_spec(sweep_field="A", sweep_values=(2.0, 2.0))
+
     @pytest.mark.parametrize("threads", [0, -3])
     def test_fewer_than_one_thread_rejected(self, threads):
         with pytest.raises(ConfigError, match="--threads"):

@@ -240,6 +240,19 @@ class TestAlternatingOptimize:
         assert res.outer_iterations >= 5
         assert len(calls) == 2 + res.outer_iterations
 
+    def test_one_rate_per_iteration_without_evaluation_channels(
+            self, monkeypatch):
+        # Without evaluation channels an iteration's rate is scored once,
+        # from the auxiliary pass's gamma, and `eval_trace` reuses it.
+        calls = []
+        real = fp.rate_of_sinrs
+        monkeypatch.setattr(fp, "rate_of_sinrs",
+                            lambda *a: calls.append(1) or real(*a))
+        res = solve(ScenarioConfig(), 0, position_method="none")
+        assert res.outer_iterations >= 5
+        assert len(calls) == 1 + res.outer_iterations
+        assert res.eval_trace == res.trace
+
     def test_one_received_power_pass_per_grid_block(self, monkeypatch):
         # The grid block starts from the record the uplink power block left;
         # every full pass inside it confirms a candidate move on rebuilt
@@ -464,6 +477,8 @@ class TestReportedRates:
             user_rates = np.concatenate([res.dl_rates, res.ul_rates])
             assert user_rates @ cfg.weights == res.rate
             assert res.rate == res.eval_trace[-1]
+            if not mismatched:
+                assert res.eval_trace == res.trace
 
 
 class TestMonitor:
