@@ -78,9 +78,9 @@ class ReceivedPowers:
     V = W_r^H H_SI, which the transmit block also reads; V depends on W_r
     and on both sides' antennas, not on W_t.
 
-    * `transmit_changed` (W_t, or the transmit antennas): C and S, and V
-      too when `ch` carries another H_SI than the one V was formed on,
-      i.e. when the transmit antennas moved;
+    * `transmit_beams_changed` (W_t alone, the antennas where they were):
+      C and S;
+    * `transmit_changed` (W_t, or the transmit antennas): C, V and S;
     * `receive_changed` (W_r, or the receive antennas): G, V, S and the
       receive column norms;
     * `power_changed` (p): only s1 and s2, from the cached squares.
@@ -96,7 +96,6 @@ class ReceivedPowers:
     p: np.ndarray         # the uplink powers s1 and s2 are taken at
     C: np.ndarray         # (K_D, K_D) C[k, i] = h_D,k^H w_t,i
     G: np.ndarray         # (K_U, K_U) G[u, i] = w_r,u^H h_U,i
-    H_SI: np.ndarray      # the SI channel V was formed on
     V: np.ndarray         # (K_U, N_t) W_r^H H_SI
     S: np.ndarray         # (K_U, K_D) V @ W_t
     c_rows: np.ndarray    # row sums of |C|^2
@@ -116,12 +115,15 @@ class ReceivedPowers:
         self._si(W_t)
         self._totals()
 
-    def transmit_changed(self, state: SolverState, ch: Channels) -> None:
+    def transmit_beams_changed(self, state: SolverState,
+                               ch: Channels) -> None:
         self._downlink(state.W_t, ch)
-        if ch.H_SI is not self.H_SI:
-            self._si_factor(state.W_r.conj().T, ch)
         self._si(state.W_t)
         self._totals()
+
+    def transmit_changed(self, state: SolverState, ch: Channels) -> None:
+        self.V = state.W_r.conj().T @ ch.H_SI
+        self.transmit_beams_changed(state, ch)
 
     def receive_changed(self, state: SolverState, ch: Channels) -> None:
         self._uplink(state.W_r, ch)
@@ -143,10 +145,6 @@ class ReceivedPowers:
         self.g2 = np.abs(self.G) ** 2
         self.wr_norm2 = (np.abs(W_r) ** 2).sum(axis=0)
         self.noise = self.wr_norm2 * self.sigma2
-        self._si_factor(W_rh, ch)
-
-    def _si_factor(self, W_rh, ch: Channels) -> None:
-        self.H_SI = ch.H_SI
         self.V = W_rh @ ch.H_SI
 
     def _si(self, W_t) -> None:
@@ -190,21 +188,16 @@ def weighted_sum_rate(powers: ReceivedPowers, cfg: ScenarioConfig) -> float:
     return rate_of_sinrs(sinrs_of(powers), cfg)
 
 
-def auxiliaries(gamma: np.ndarray, y: np.ndarray, cfg: ScenarioConfig,
-                lift: np.ndarray | None = None,
-                amp: np.ndarray | None = None) -> Auxiliaries:
+def auxiliaries(gamma: np.ndarray, y: np.ndarray, lift: np.ndarray,
+                amp: np.ndarray, cfg: ScenarioConfig) -> Auxiliaries:
     """The record of (gamma, y): the one place its coefficients are derived.
 
     The blocks read the amplitudes, |y|^2 and the slices from the record,
     so each is derived once per pass.  `lift` = 1 + gamma and `amp` =
-    sqrt(a lift) are formed here unless the caller formed them from this
-    gamma already, as `auxiliary_pass` does to build y.
+    sqrt(a lift) come from the caller, which formed them to build y.
     """
     kd = cfg.K_D
     a = cfg.weights
-    if lift is None:
-        lift = 1.0 + gamma
-        amp = np.sqrt(a * lift)
     y_dl, y_ul = y[:kd], y[kd:]
     return Auxiliaries(
         gamma=gamma, y=y, base=a @ (np.log(lift) - gamma),
@@ -237,7 +230,7 @@ def auxiliary_pass(powers: ReceivedPowers, cfg: ScenarioConfig) -> Auxiliaries:
         amp[:kd] * powers.C.diagonal() / powers.s1,
         np.sqrt(a[kd:] * powers.p * lift[kd:])
         * powers.G.diagonal().conj() / powers.s2])
-    return auxiliaries(gamma, y, cfg, lift, amp)
+    return auxiliaries(gamma, y, lift, amp, cfg)
 
 
 def surrogate_objective(state: SolverState, ch: Channels, cfg: ScenarioConfig,

@@ -15,7 +15,8 @@ import numpy as np
 
 from .channel import Channels, _user_channel
 from .config import ScenarioConfig
-from .fp import LN2, receive_gram, received_powers, surrogate_objective
+from .fp import (LN2, auxiliaries, receive_gram, received_powers,
+                 surrogate_objective)
 from .geometry import FeasibleRegionSpec
 
 
@@ -138,6 +139,14 @@ def dual_transform_objective(gamma, W_t, W_r, p, ch: Channels,
     lift = (a[:kd] * (1.0 + gamma[:kd])) @ ratio_dl \
         + (a[kd:] * (1.0 + gamma[kd:])) @ ratio_ul
     return float(base + lift) / LN2
+
+
+def auxiliaries_at(gamma, y, cfg: ScenarioConfig):
+    """The auxiliary record of a hand-set (gamma, y), with 1 + gamma and
+    the amplitudes sqrt(a (1 + gamma)) formed as `fp.auxiliary_pass`
+    forms them."""
+    lift = 1.0 + gamma
+    return auxiliaries(gamma, y, lift, np.sqrt(cfg.weights * lift), cfg)
 
 
 def fresh_surrogate(state, ch: Channels, cfg: ScenarioConfig) -> float:

@@ -22,9 +22,9 @@ pass and returns the starting state already scored, with the auxiliaries
 of that pass.  A block updates only the factors its variable enters; the
 closed-form blocks, the rate, the surrogate after each block and the
 auxiliary passes read the updated record, and a grid move hands over the
-record of its confirming pass.  So the only full passes of a run are the first one, plus the
-grid's confirmations and, with `eval_rlz`, one pass at the start and one
-per iteration on the evaluation channels.
+record of its confirming pass.  So the only full passes of a run are the
+first one, plus the grid's confirmations and, with `eval_rlz`, one pass at
+the start and one per iteration on the evaluation channels.
 
 Each auxiliary pass replaces `state.aux`, the one record of (gamma, y) and
 every coefficient derived from them (`fp.Auxiliaries`); the blocks and
@@ -208,7 +208,7 @@ def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
     record = fp.ReceivedPowers
     closed_form = (
         ("transmit beamformer", "W_t", beamforming.update_transmit_beamformer,
-         record.transmit_changed),
+         record.transmit_beams_changed),
         ("receive beamformer", "W_r", beamforming.update_receive_beamformer,
          record.receive_changed),
         ("uplink power", "p", beamforming.update_uplink_power,

@@ -10,10 +10,9 @@ from prafd.beamforming import (optimal_scalar_power,
                                uplink_power_coefficients)
 from prafd.channel import build_channels, sample_realization, trial_rng
 from prafd.config import ScenarioConfig
-from prafd.fp import (auxiliaries, auxiliary_pass, received_powers,
-                      surrogate_objective)
-from prafd.oracles import (fresh_surrogate, power_grid_search, random_complex,
-                           random_psd, receive_objective_value,
+from prafd.fp import auxiliary_pass, received_powers, surrogate_objective
+from prafd.oracles import (auxiliaries_at, fresh_surrogate, power_grid_search,
+                           random_complex, random_psd, receive_objective_value,
                            reference_power_coefficients,
                            reference_receive_matrices, reference_surrogate,
                            reference_transmit_matrices, transmit_qp_bisect,
@@ -268,8 +267,8 @@ def record_instances():
             state.aux = auxiliary_pass(powers, cfg)
             assert state.aux.y_ul[1] == 0.0
         else:
-            state.aux = auxiliaries(rng.uniform(0.0, 5.0, cfg.K),
-                                    random_complex(rng, (cfg.K,)), cfg)
+            state.aux = auxiliaries_at(rng.uniform(0.0, 5.0, cfg.K),
+                                       random_complex(rng, (cfg.K,)), cfg)
         yield tag, cfg, ch, state, powers
 
 

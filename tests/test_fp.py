@@ -4,11 +4,11 @@ from numpy.testing import assert_allclose
 
 from prafd.channel import build_channels, sample_realization, trial_rng
 from prafd.config import ScenarioConfig
-from prafd.fp import (auxiliaries, auxiliary_pass, rate_of_sinrs, receive_gram,
+from prafd.fp import (auxiliary_pass, rate_of_sinrs, receive_gram,
                       received_powers, sinrs_of, surrogate_objective,
                       weighted_sum_rate)
-from prafd.oracles import (dual_transform_objective, fresh_surrogate,
-                            random_complex)
+from prafd.oracles import (auxiliaries_at, dual_transform_objective,
+                           fresh_surrogate, random_complex)
 from prafd.solver import initial_state, initialize_layout
 
 
@@ -180,7 +180,7 @@ class TestAuxiliaries:
             dual = dual_transform_objective(gamma, state.W_t, state.W_r,
                                             state.p, ch, cfg)
             for _ in range(10):
-                state.aux = auxiliaries(
+                state.aux = auxiliaries_at(
                     gamma, random_complex(rng, (cfg.K,), scale=10.0), cfg)
                 sur = fresh_surrogate(state, ch, cfg)
                 assert sur <= dual + 1e-9 * max(1.0, abs(dual))
@@ -285,3 +285,17 @@ class TestReceivedPowersUpdates:
         state.aux = aux
         assert surrogate_objective(state, ch, cfg, powers=pw) \
             == fresh_surrogate(state, ch, cfg)
+
+
+def test_beam_only_transmit_update_keeps_the_si_factor():
+    # The transmit beamformer block moves no antenna, so its update leaves
+    # V as it was and still brings the record up to a full pass exactly.
+    rng = np.random.default_rng(5)
+    for trial, cfg in enumerate(TestReceivedPowersUpdates.CASES):
+        _, _, ch, state = make_instance(cfg, trial, randomize=True)
+        pw = full_pass(state, ch, cfg)
+        V = pw.V
+        state.W_t = random_complex(rng, state.W_t.shape)
+        pw.transmit_beams_changed(state, ch)
+        assert pw.V is V
+        assert same_record(pw, full_pass(state, ch, cfg))

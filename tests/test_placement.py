@@ -7,9 +7,9 @@ from prafd.channel import build_channels, sample_realization, trial_rng, \
     AntennaLayout
 from prafd.config import ScenarioConfig
 from prafd import fp, placement
-from prafd.fp import auxiliaries, auxiliary_pass, received_powers
+from prafd.fp import auxiliary_pass, received_powers
 from prafd.geometry import layout_side_feasible
-from prafd.oracles import (central_difference_gradient,
+from prafd.oracles import (auxiliaries_at, central_difference_gradient,
                            central_difference_hessian, fresh_surrogate,
                            random_complex,
                            reference_antenna_bundle,
@@ -315,8 +315,8 @@ class TestObjective:
         cfg = ScenarioConfig(K_D=1, K_U=1, N_t=2, N_r=2)
         rlz, layout, ch, state, _, _ = make_contexts(cfg)
         state.W_t = np.zeros_like(state.W_t)
-        state.aux = auxiliaries(state.aux.gamma, np.zeros_like(state.aux.y),
-                                cfg)
+        state.aux = auxiliaries_at(state.aux.gamma,
+                                   np.zeros_like(state.aux.y), cfg)
         ctx = transmit_context(state, side_terms(rlz, cfg, True), layout.r)
         rng = np.random.default_rng(6)
         vals = [objective_at(ctx, rng.uniform(-1, 1, (2, 2)) * 0.01)
