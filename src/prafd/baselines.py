@@ -17,8 +17,9 @@ import numpy as np
 from .channel import ChannelRealization
 from .config import ConfigError, ScenarioConfig
 from .geometry import FeasibleRegionSpec, layout_side_feasible, nearest_feasible_point
-from .placement import (SurrogateContext, antenna_bundle, layout_fields,
-                        others_index, placement_gradient, placement_objective)
+from .placement import (SurrogateContext, antenna_bundle, channel_fields,
+                        layout_fields, others_index, placement_gradient,
+                        placement_objective)
 from .solver import AntennaLayout, TrialResult, alternating_optimize
 
 ALGORITHMS = ("fp-bsum", "fp-gd", "fpas", "hd")
@@ -70,7 +71,9 @@ def gradient_descent_positions(ctx: SurrogateContext, positions: np.ndarray,
     Armijo backtracking (sufficient decrease c=1e-4, halving), so the
     objective trace never increases.  The channel fields of each layout
     are built once and serve its objective and its joint gradient, one
-    `placement_gradient` call per step.  The per-antenna bundles are
+    `placement_gradient` call per step; those of the start are read off
+    the context's channel record (`channel_fields`), so `positions` must
+    be the layout `ctx.ch` was built for.  The per-antenna bundles are
     built once, before the first step: their largest curvature cap sets
     the first trial step 1 / cap, and a zero cap means the objective does
     not depend on the positions.
@@ -78,7 +81,7 @@ def gradient_descent_positions(ctx: SurrogateContext, positions: np.ndarray,
     half_width, d_min = ctx.terms.half_width, ctx.terms.d_min
     pos = np.array(positions, dtype=float, copy=True)
     others = others_index(len(pos))
-    fields = layout_fields(ctx, pos)
+    fields = channel_fields(ctx)
     f = placement_objective(ctx, fields)
     trace = [f]
     steps = 0

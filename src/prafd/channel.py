@@ -123,58 +123,76 @@ def trial_rng(seed: int, trial: int, stream: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial, stream)))
 
 
-def _user_channel(positions, dirs, prm, kappa) -> np.ndarray:
-    """Stack per-user columns sum_l prm[u,l] * exp(-j*kappa*n_{u,l}.pos_n).
+def _side_phasors(positions: np.ndarray, user_dirs: np.ndarray,
+                  si_dirs: np.ndarray, kappa: float) -> tuple:
+    """One side's user-path phasors exp(-j*kappa*n.pos), (N, K*L), and
+    SI-path phasors exp(j*kappa*n.pos), (N, L_SI)."""
+    return (field_response(positions, user_dirs.reshape(-1, 2), -kappa),
+            field_response(positions, si_dirs, kappa))
 
-    One exponential over all K*L paths and one contraction build the
-    whole (N, K) matrix.
+
+def _user_channel(e: np.ndarray, prm: np.ndarray) -> np.ndarray:
+    """Stack per-user columns sum_l prm[u,l] * e[n, (u, l)].
+
+    One contraction of the user-path phasors builds the whole (N, K)
+    matrix.
     """
-    k, l = prm.shape
-    e = field_response(positions, dirs.reshape(-1, 2), -kappa)
-    return np.einsum("nkl,kl->nk", e.reshape(len(e), k, l), prm)
-
-
-def build_downlink_channel(t_pos: np.ndarray, rlz: ChannelRealization,
-                           cfg: ScenarioConfig) -> np.ndarray:
-    """Downlink channel matrix H_D, shape (N_t, K_D); column k is user k."""
-    return _user_channel(np.atleast_2d(t_pos), rlz.dl_dirs, rlz.prm_dl,
-                         cfg.kappa)
-
-
-def build_uplink_channel(r_pos: np.ndarray, rlz: ChannelRealization,
-                         cfg: ScenarioConfig) -> np.ndarray:
-    """Uplink channel matrix H_U, shape (N_r, K_U)."""
-    return _user_channel(np.atleast_2d(r_pos), rlz.ul_dirs, rlz.prm_ul,
-                         cfg.kappa)
-
-
-def build_si_channel(t_pos: np.ndarray, r_pos: np.ndarray,
-                     rlz: ChannelRealization, cfg: ScenarioConfig) -> np.ndarray:
-    """Self-interference channel H_SI, shape (N_r, N_t).
-
-    H_SI[i, j] = sum_{p,q} exp(-j*kappa*mu_p.r_i) Sigma[p,q] exp(j*kappa*nu_q.t_j)
-    with receive arrivals mu and transmit departures nu.
-    """
-    er = field_response(np.atleast_2d(r_pos), rlz.si_r_dirs, cfg.kappa)
-    et = field_response(np.atleast_2d(t_pos), rlz.si_t_dirs, cfg.kappa)
-    return er.conj() @ rlz.sigma_si @ et.T
+    return np.einsum("nkl,kl->nk", e.reshape(len(e), *prm.shape), prm)
 
 
 @dataclass
 class Channels:
-    """All four channel matrices for one layout."""
+    """All four channel matrices for one layout, and the path phasors of
+    each side they are contracted from.
+
+    u_* are a side's user-path phasors (downlink paths on the transmit
+    side, uplink paths on the receive side), s_* its SI-path phasors; they
+    are the only place positions enter, so a record can be moved to a new
+    layout of one side without touching the other (`move_side`).  Column
+    k of H_D (H_U) is user k's channel; H_SI[i, j] =
+    sum_{p,q} exp(-j*kappa*mu_p.r_i) Sigma[p,q] exp(j*kappa*nu_q.t_j)
+    with receive arrivals mu and transmit departures nu.
+    """
 
     H_D: np.ndarray   # (N_t, K_D)
     H_U: np.ndarray   # (N_r, K_U)
-    H_SI: np.ndarray  # (N_r, N_t)
+    H_SI: np.ndarray  # (N_r, N_t) s_r^* Sigma s_t^T
     H_IUI: np.ndarray  # (K_D, K_U)
+    u_t: np.ndarray   # (N_t, K_D*L) exp(-j*kappa*n.t) per downlink path
+    s_t: np.ndarray   # (N_t, L_SI) exp(j*kappa*nu.t) per SI departure
+    u_r: np.ndarray   # (N_r, K_U*L) exp(-j*kappa*n.r) per uplink path
+    s_r: np.ndarray   # (N_r, L_SI) exp(j*kappa*mu.r) per SI arrival
 
 
 def build_channels(layout: AntennaLayout, rlz: ChannelRealization,
                    cfg: ScenarioConfig) -> Channels:
-    return Channels(
-        H_D=build_downlink_channel(layout.t, rlz, cfg),
-        H_U=build_uplink_channel(layout.r, rlz, cfg),
-        H_SI=build_si_channel(layout.t, layout.r, rlz, cfg),
-        H_IUI=rlz.h_iui,
-    )
+    """Channels of `layout`: each side's phasors taken once, every matrix
+    contracted from them."""
+    u_t, s_t = _side_phasors(layout.t, rlz.dl_dirs, rlz.si_t_dirs, cfg.kappa)
+    u_r, s_r = _side_phasors(layout.r, rlz.ul_dirs, rlz.si_r_dirs, cfg.kappa)
+    return Channels(H_D=_user_channel(u_t, rlz.prm_dl),
+                    H_U=_user_channel(u_r, rlz.prm_ul),
+                    H_SI=s_r.conj() @ rlz.sigma_si @ s_t.T, H_IUI=rlz.h_iui,
+                    u_t=u_t, s_t=s_t, u_r=u_r, s_r=s_r)
+
+
+def move_side(ch: Channels, side: str, positions: np.ndarray,
+              rlz: ChannelRealization, cfg: ScenarioConfig) -> Channels:
+    """`ch` with `side` ("t" or "r") moved to `positions`.
+
+    Only the moved side's two phasor arrays are taken again; its user
+    channel and H_SI are contracted as `build_channels` does, with the
+    other side's phasors read from `ch`, so the result equals
+    `build_channels` of the moved layout bit for bit.  `ch` is not
+    modified.
+    """
+    if side == "t":
+        u_t, s_t = _side_phasors(positions, rlz.dl_dirs, rlz.si_t_dirs,
+                                 cfg.kappa)
+        return replace(ch, H_D=_user_channel(u_t, rlz.prm_dl),
+                       H_SI=ch.s_r.conj() @ rlz.sigma_si @ s_t.T,
+                       u_t=u_t, s_t=s_t)
+    u_r, s_r = _side_phasors(positions, rlz.ul_dirs, rlz.si_r_dirs, cfg.kappa)
+    return replace(ch, H_U=_user_channel(u_r, rlz.prm_ul),
+                   H_SI=s_r.conj() @ rlz.sigma_si @ ch.s_t.T,
+                   u_r=u_r, s_r=s_r)

@@ -164,8 +164,8 @@ def _oracle_placement(rng, count, lines, fails):
         ch = build_channels(layout, rlz, cfg)
         state, _ = initial_state(ch, cfg)
         terms = side_terms(rlz, cfg, True), side_terms(rlz, cfg, False)
-        for ctx, pos in ((transmit_context(state, terms[0], layout.r), layout.t),
-                         (receive_context(state, terms[1], layout.t), layout.r)):
+        for ctx, pos in ((transmit_context(state, terms[0], ch), layout.t),
+                         (receive_context(state, terms[1], ch), layout.r)):
             fields = layout_fields(ctx, pos)
             joint = placement_gradient(ctx, fields)
             for n in range(len(pos)):
@@ -197,6 +197,8 @@ def _oracle_placement(rng, count, lines, fails):
 
 
 def _cmd_oracle(args) -> int:
+    if args.count < 1:
+        raise ConfigError(f"--count must be at least 1, got {args.count}")
     rng = np.random.default_rng(args.seed)
     lines: list = []
     fails: list = []

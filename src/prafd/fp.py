@@ -81,14 +81,15 @@ class ReceivedPowers:
     * `transmit_beams_changed` (W_t alone, the antennas where they were):
       C and S;
     * `transmit_changed` (W_t, or the transmit antennas): C, V and S;
-    * `receive_changed` (W_r, or the receive antennas): G, V, S and the
-      receive column norms;
-    * `power_changed` (p): only s1 and s2, from the cached squares.
+    * `receive_changed` (W_r, or the receive antennas): G, V, S, the
+      receive column norms and |G|^2 p;
+    * `power_changed` (p): only the p-weighted sums |H_IUI|^2 p and
+      |G|^2 p, from the cached squares.
 
-    Each updates the record in place.  H_IUI couples users only, so no
-    block changes |H_IUI|^2.  Every factor is the numpy expression of a
-    full pass on the same operands, so an updated record equals a fresh
-    pass bit for bit.
+    Each updates the record in place and re-adds s1 and s2 from the kept
+    parts.  H_IUI couples users only, so no block changes |H_IUI|^2.
+    Every factor is the numpy expression of a full pass on the same
+    operands, so an updated record equals a fresh pass bit for bit.
     """
 
     sigma2: float
@@ -100,6 +101,8 @@ class ReceivedPowers:
     S: np.ndarray         # (K_U, K_D) V @ W_t
     c_rows: np.ndarray    # row sums of |C|^2
     g2: np.ndarray        # |G|^2
+    iui_p: np.ndarray     # |H_IUI|^2 p, uplink leakage at each downlink user
+    g_p: np.ndarray       # |G|^2 p, uplink power after each receive beam
     s_rows: np.ndarray    # row sums of |S|^2
     wr_norm2: np.ndarray  # squared column norms of W_r
     noise: np.ndarray     # wr_norm2 * sigma2
@@ -110,6 +113,7 @@ class ReceivedPowers:
         self.sigma2 = sigma2
         self.iui2 = np.abs(ch.H_IUI) ** 2
         self.p = p
+        self.iui_p = self.iui2 @ p
         self._downlink(W_t, ch)
         self._uplink(W_r, ch)
         self._si(W_t)
@@ -133,6 +137,8 @@ class ReceivedPowers:
     def power_changed(self, state: SolverState, ch: Channels) -> None:
         """`ch` goes unused: p enters no channel product."""
         self.p = state.p
+        self.iui_p = self.iui2 @ self.p
+        self.g_p = self.g2 @ self.p
         self._totals()
 
     def _downlink(self, W_t, ch: Channels) -> None:
@@ -143,6 +149,7 @@ class ReceivedPowers:
         W_rh = W_r.conj().T
         self.G = W_rh @ ch.H_U
         self.g2 = np.abs(self.G) ** 2
+        self.g_p = self.g2 @ self.p
         self.wr_norm2 = (np.abs(W_r) ** 2).sum(axis=0)
         self.noise = self.wr_norm2 * self.sigma2
         self.V = W_rh @ ch.H_SI
@@ -152,8 +159,8 @@ class ReceivedPowers:
         self.s_rows = (np.abs(self.S) ** 2).sum(axis=1)
 
     def _totals(self) -> None:
-        self.s1 = self.c_rows + self.iui2 @ self.p + self.sigma2
-        self.s2 = self.g2 @ self.p + self.s_rows + self.noise
+        self.s1 = self.c_rows + self.iui_p + self.sigma2
+        self.s2 = self.g_p + self.s_rows + self.noise
 
 
 def received_powers(W_t, W_r, p, ch: Channels,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import Channels, _user_channel
+from .channel import Channels, _user_channel, field_response
 from .config import ScenarioConfig
 from .fp import (LN2, auxiliaries, receive_gram, received_powers,
                  surrogate_objective)
@@ -218,7 +218,8 @@ def reference_antenna_bundle(ctx, positions: np.ndarray, n: int):
     `ctx.terms` it reads only the raw directions, gains and kappa.
     """
     t = ctx.terms
-    H = _user_channel(positions, t.user_dirs, t.user_prm, t.kappa)
+    H = _user_channel(field_response(positions, t.user_dirs.reshape(-1, 2),
+                                     -t.kappa), t.user_prm)
     wn = ctx.W[n, :]
     D0 = ctx.W.conj().T @ H - np.outer(wn.conj(), H[n, :])
     gram_nn = float(np.real(ctx.own[n, n]))

@@ -19,16 +19,20 @@ Each quantity is built once at the level where it can change:
   paths, region and spacing, and from them every term's spatial
   frequency, squared norm and moments [u_x, u_y, u_x^2, u_x u_y, u_y^2]
   and the user path-pair products;
-* per context (one side's placement call): the SI mix and its product M,
-  conj(W) and its beam-weighted rows, and one row of coefficients per
-  antenna holding its user-pair and SI-pair terms;
+* per context (one side's placement call): the SI mix, from the other
+  side's SI phasors in the solve's channel record (`channel.Channels`),
+  and its product M, conj(W) and its beam-weighted rows, and one row of
+  coefficients per antenna holding its user-pair and SI-pair terms; a
+  context takes no exponential;
 * per layout state: the channel fields H, D = W^H H and the SI matrix X
   with the phasors they contract (`layout_fields`), and from them, with
   no exponential, the joint gradient (`placement_gradient`) projected
-  gradient descent reads per step.  A BSUM side call keeps a phasor
-  table, every term's phasor at every antenna, and re-derives the fields
-  from its user-linear and SI-linear columns after an accepted move; both
-  paths share one contraction;
+  gradient descent reads per step.  The fields of the layout a side
+  starts from are read off the channel record (`channel_fields`), so
+  GD scores its start with no exponential.  A BSUM side call keeps a
+  phasor table, every term's phasor at every antenna, and re-derives the
+  fields from its user-linear and SI-linear columns after an accepted
+  move; it and `layout_fields` share one contraction;
 * per visit: the antenna's bundle is its context row with the user-linear
   and SI-linear terms written in, evaluated once from its table row for
   value, gradient and the moment product `curvature_bound` reads; each
@@ -44,7 +48,8 @@ anchored at the region centre (spacing discs masked out) and moves the
 antenna to the best point when that raises the rate.  Grid phasors are
 separable (x phasor times y phasor), and a move changes one row or column
 of each channel, so every grid point costs a rank-1 update of the
-beamformed products C, G and S rather than a channel rebuild.
+beamformed products C, G and S rather than a channel rebuild; the other
+side's SI phasors those updates need are read from the channel record.
 """
 
 from __future__ import annotations
@@ -136,19 +141,19 @@ class SideTerms:
 
     Built once per side that serves users (`side_terms`), shared by every
     context of the solve and oriented for the side: `user_*` are its
-    users' paths, `si_dirs` its SI paths, `other_si_dirs` the other
-    side's and `sigma_si` has its SI paths as columns.  Terms run user
-    linear, user pairs, SI linear, SI pairs; `user_lin` and `si_lin`
-    select the linear terms, whose phasors are the user and SI paths'.
+    users' paths, `si_dirs` its SI paths and `sigma_si` has its SI paths
+    as columns.  Terms run user linear, user pairs, SI linear, SI pairs;
+    `user_lin` and `si_lin` select the linear terms, whose phasors are the
+    user and SI paths'.
     """
 
+    transmit: bool             # which side of a `Channels` record is this one
     kappa: float
     half_width: float
     d_min: float
     user_dirs: np.ndarray      # (K, L, 2)
     user_prm: np.ndarray       # (K, L)
     si_dirs: np.ndarray        # (L_SI, 2)
-    other_si_dirs: np.ndarray  # (L_SI, 2)
     sigma_si: np.ndarray       # (L_SI other, L_SI)
     dirs: np.ndarray     # (M, 2) spatial frequencies of every term
     norm2: np.ndarray    # (M,) their squared norms
@@ -165,10 +170,10 @@ def side_terms(rlz: ChannelRealization, cfg: ScenarioConfig,
     k = cfg.kappa
     if transmit:
         user_dirs, prm, si_dirs = rlz.dl_dirs, rlz.prm_dl, rlz.si_t_dirs
-        other_si_dirs, sigma = rlz.si_r_dirs, rlz.sigma_si
+        sigma = rlz.sigma_si
     else:
         user_dirs, prm, si_dirs = rlz.ul_dirs, rlz.prm_ul, rlz.si_r_dirs
-        other_si_dirs, sigma = rlz.si_t_dirs, rlz.sigma_si.conj().T
+        sigma = rlz.sigma_si.conj().T
     pair = prm[:, :, None] * prm.conj()[:, None, :]
     ddiff = k * (user_dirs[:, None, :, :] - user_dirs[:, :, None, :])
     sdiff = k * (si_dirs[None, :, :] - si_dirs[:, None, :])
@@ -176,9 +181,9 @@ def side_terms(rlz: ChannelRealization, cfg: ScenarioConfig,
                       k * si_dirs, sdiff.reshape(-1, 2)])
     n_user, n_si = prm.size, len(si_dirs)
     si_start = n_user + pair.size
-    return SideTerms(kappa=k, half_width=cfg.region_half_width,
-                     d_min=cfg.D_min, user_dirs=user_dirs, user_prm=prm,
-                     si_dirs=si_dirs, other_si_dirs=other_si_dirs,
+    return SideTerms(transmit=transmit, kappa=k,
+                     half_width=cfg.region_half_width, d_min=cfg.D_min,
+                     user_dirs=user_dirs, user_prm=prm, si_dirs=si_dirs,
                      sigma_si=sigma, dirs=dirs, norm2=(dirs ** 2).sum(axis=1),
                      moments=term_moments(dirs), pair=pair,
                      user_lin=slice(0, n_user),
@@ -190,14 +195,16 @@ class SurrogateContext:
     """What one side's placement call needs besides its positions.
 
     Valid while beamformers, powers, auxiliaries and the *other* side's
-    positions stay fixed, i.e. for one side's whole BSUM run.  Each side
-    sees the self-interference matrix with its own antennas as columns:
-    X = H_SI on the transmit side and X = H_SI^H on the receive side, so
-    the SI term is tr(own X^H other X) on both.  What the solve fixes is
-    read from `terms`; the rest is derived here, once, down to `rows`:
-    row n holds antenna n's coefficients in term order, its user-pair and
-    SI-pair blocks set and its linear blocks zero until `antenna_bundle`
-    writes them into a copy.
+    positions stay fixed, i.e. for one side's whole BSUM run.  `ch` is the
+    channel record of the layout the side starts from: the other side's
+    SI phasors are read from it, and GD's first fields (`channel_fields`).
+    Each side sees the self-interference matrix with its own antennas as
+    columns: X = H_SI on the transmit side and X = H_SI^H on the receive
+    side, so the SI term is tr(own X^H other X) on both.  What the solve
+    fixes is read from `terms`; the rest is derived here, once, down to
+    `rows`: row n holds antenna n's coefficients in term order, its
+    user-pair and SI-pair blocks set and its linear blocks zero until
+    `antenna_bundle` writes them into a copy.
     """
 
     lin: np.ndarray        # (K,) linear-term coefficients
@@ -206,7 +213,7 @@ class SurrogateContext:
     W: np.ndarray          # (N, K) this side's beamformer
     own: np.ndarray        # (N, N) this side's gram, sum_b beam_w_b w_b w_b^H
     other: np.ndarray      # the other side's gram
-    other_pos: np.ndarray  # (N_other, 2) the other side's positions
+    ch: Channels           # channels of the layout the side starts from
     terms: SideTerms
     # Derived in __post_init__:
     si_mix: np.ndarray = field(init=False, repr=False)  # X = si_mix @ e^T
@@ -216,8 +223,8 @@ class SurrogateContext:
 
     def __post_init__(self):
         t = self.terms
-        self.si_mix = field_response(self.other_pos, t.other_si_dirs,
-                                     t.kappa).conj() @ t.sigma_si
+        other_si = self.ch.s_r if t.transmit else self.ch.s_t
+        self.si_mix = other_si.conj() @ t.sigma_si
         self.Wc = self.W.conj()
         self.Wcb = self.beam_w * self.Wc
         M = self.si_mix.conj().T @ self.other @ self.si_mix
@@ -232,27 +239,26 @@ class SurrogateContext:
 
 
 def transmit_context(state: SolverState, terms: SideTerms,
-                     r_positions: np.ndarray) -> SurrogateContext:
+                     ch: Channels) -> SurrogateContext:
     """Transmit-side context; `terms` are the solve's
-    `side_terms(rlz, cfg, True)`."""
+    `side_terms(rlz, cfg, True)` and `ch` the current channels."""
     x = state.aux
     return SurrogateContext(lin=x.amp_dl * x.y_dl, chan_w=x.y2_dl,
                             beam_w=np.ones(len(x.y_dl)), W=state.W_t,
                             own=state.W_t @ state.W_t.conj().T,
-                            other=fp.receive_gram(state),
-                            other_pos=r_positions, terms=terms)
+                            other=fp.receive_gram(state), ch=ch, terms=terms)
 
 
 def receive_context(state: SolverState, terms: SideTerms,
-                    t_positions: np.ndarray) -> SurrogateContext:
+                    ch: Channels) -> SurrogateContext:
     """Receive-side context; `terms` are the solve's
-    `side_terms(rlz, cfg, False)`."""
+    `side_terms(rlz, cfg, False)` and `ch` the current channels."""
     x = state.aux
     return SurrogateContext(lin=x.amp_ul * np.sqrt(state.p) * x.y_ul,
                             chan_w=state.p.astype(float), beam_w=x.y2_ul,
                             W=state.W_r, own=fp.receive_gram(state),
                             other=state.W_t @ state.W_t.conj().T,
-                            other_pos=t_positions, terms=terms)
+                            ch=ch, terms=terms)
 
 
 def _fields(ctx: SurrogateContext, user_e: np.ndarray, si_e: np.ndarray):
@@ -274,6 +280,20 @@ def layout_fields(ctx: SurrogateContext, positions: np.ndarray):
     return _fields(ctx, field_response(positions, t.user_dirs.reshape(-1, 2),
                                        -t.kappa),
                    field_response(positions, t.si_dirs, t.kappa))
+
+
+def channel_fields(ctx: SurrogateContext):
+    """`layout_fields` of the layout `ctx.ch` holds, read off the record
+    with no exponential: H and the phasors are the record's, and X is
+    H_SI on the transmit side.  Each is the same product of the same
+    operands as in `layout_fields`, so the two agree bit for bit."""
+    ch = ctx.ch
+    if ctx.terms.transmit:
+        H, X, user_e, si_e = ch.H_D, ch.H_SI, ch.u_t, ch.s_t
+    else:
+        H, user_e, si_e = ch.H_U, ch.u_r, ch.s_r
+        X = ctx.si_mix @ si_e.T
+    return H, ctx.Wc.T @ H, X, user_e, si_e
 
 
 def _table_fields(ctx: SurrogateContext, table: np.ndarray):
@@ -475,17 +495,17 @@ class RateGrid:
         self.e_si_t = _grid_phasors(axis, rlz.si_t_dirs, k).T
         self.e_si_r = _grid_phasors(axis, rlz.si_r_dirs, -k).T
 
-    def rates(self, state: SolverState, layout: AntennaLayout, ch: Channels,
+    def rates(self, state: SolverState, ch: Channels,
               powers: fp.ReceivedPowers, side: str, n: int) -> np.ndarray:
         """Rate with antenna n of `side` ("t" or "r") at each grid point.
 
-        `ch` must be the channels of `layout` and `powers` the
-        `fp.ReceivedPowers` record of `state` on `ch`; the spacing
-        constraint is not applied here.  Those received powers are expanded
-        around the current layout, so no (points x users x users) array is
-        formed.
+        `ch` is the channel record of the current layout, whose SI phasors
+        are read here, and `powers` the `fp.ReceivedPowers` record of
+        `state` on `ch`; the spacing constraint is not applied here.  Those
+        received powers are expanded around the current layout, so no
+        (points x users x users) array is formed.
         """
-        cfg, rlz = self.cfg, self.rlz
+        cfg, sigma_si = self.cfg, self.rlz.sigma_si
         W_t, W_r, p = state.W_t, state.W_r, state.p
         s1, s2, C, G, S = powers.s1, powers.s2, powers.C, powers.G, powers.S
         sig1 = _abs2(C.diagonal())
@@ -496,8 +516,7 @@ class RateGrid:
             a = (self.h_dl - ch.H_D[n]).conj()
             s1 = s1 + 2.0 * np.real(a * (C.conj() @ w)) + _abs2(a) * ww
             sig1 = _abs2(C.diagonal() + a * w)
-            er = field_response(layout.r, rlz.si_r_dirs, cfg.kappa)
-            d = self.e_si_t @ (W_r.conj().T @ er.conj() @ rlz.sigma_si).T \
+            d = self.e_si_t @ (W_r.conj().T @ ch.s_r.conj() @ sigma_si).T \
                 - W_r.conj().T @ ch.H_SI[:, n]
             s2 = s2 + 2.0 * np.real(d * (S.conj() @ w)) + _abs2(d) * ww
             sig2 = p * _abs2(G.diagonal())
@@ -506,8 +525,7 @@ class RateGrid:
             v = W_r[n].conj()
             vv = _abs2(v)
             b = self.h_ul - ch.H_U[n]
-            et = field_response(layout.t, rlz.si_t_dirs, cfg.kappa)
-            e = self.e_si_r @ (rlz.sigma_si @ et.T @ W_t) - ch.H_SI[n] @ W_t
+            e = self.e_si_r @ (sigma_si @ ch.s_t.T @ W_t) - ch.H_SI[n] @ W_t
             s2 = s2 + 2.0 * np.real(v * (b @ (p * G.conj()).T
                                          + e @ S.conj().T)) \
                 + vv * (_abs2(b) @ p + _abs2(e).sum(axis=1))[:, None]
@@ -551,7 +569,7 @@ class RateGrid:
             region = FeasibleRegionSpec(
                 cfg.region_half_width,
                 np.delete(getattr(layout, side), n, axis=0), cfg.D_min)
-            vals = self.rates(state, layout, ch, powers, side, n)
+            vals = self.rates(state, ch, powers, side, n)
             vals[~is_feasible(self.points, region)] = -np.inf
             best = int(np.argmax(vals))
             bar = rate + GRID_MIN_GAIN * max(1.0, abs(rate))

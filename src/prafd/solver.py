@@ -26,6 +26,15 @@ record of its confirming pass.  So the only full passes of a run are the
 first one, plus the grid's confirmations and, with `eval_rlz`, one pass at
 the start and one per iteration on the evaluation channels.
 
+The channels of the current layout live in one record
+(`channel.Channels`), which also keeps each side's user-path and SI-path
+phasors, the only place positions enter.  `build_channels` takes them once
+per solve; after a placement side, `channel.move_side` re-takes only the
+moved side's two phasor arrays and rebuilds that side's user channel and
+H_SI, and a grid move hands over the channels its confirmation built.  The
+placement contexts, GD's first fields and the grid read their phasors from
+the record instead of taking them again.
+
 Each auxiliary pass replaces `state.aux`, the one record of (gamma, y) and
 every coefficient derived from them (`fp.Auxiliaries`); the blocks and
 surrogates up to the next pass read it, so nothing is re-derived per block.
@@ -44,7 +53,7 @@ import numpy as np
 
 from . import beamforming, fp, placement
 from .channel import (AntennaLayout, ChannelRealization, Channels,
-                      build_channels)
+                      build_channels, move_side)
 from .config import ConfigError, ScenarioConfig
 from .geometry import FeasibleRegionSpec, is_feasible, layout_side_feasible
 
@@ -218,11 +227,11 @@ def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
     # `placement.SideTerms` record is built here, once per solve.
     sides = []
     if optimizer and cfg.K_D > 0:
-        sides.append(("transmit placement", "t", "r", placement.transmit_context,
+        sides.append(("transmit placement", "t", placement.transmit_context,
                       placement.side_terms(rlz, cfg, True),
                       record.transmit_changed))
     if optimizer and cfg.K_U > 0:
-        sides.append(("receive placement", "r", "t", placement.receive_context,
+        sides.append(("receive placement", "r", placement.receive_context,
                       placement.side_terms(rlz, cfg, False),
                       record.receive_changed))
 
@@ -250,13 +259,13 @@ def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
             else:
                 grid = None
 
-        for tag, side, other, context, terms, changed in sides:
-            ctx = context(state, terms, getattr(layout, other))
+        for tag, side, context, terms, changed in sides:
+            ctx = context(state, terms, ch)
             pos, _, sw = optimizer(ctx, getattr(layout, side), rng,
                                    cfg.epsilon_bsum)
             setattr(layout, side, pos)
             bsum_sweeps += sw
-            ch = build_channels(layout, rlz, cfg)
+            ch = move_side(ch, side, pos, rlz, cfg)
             changed(powers, state, ch)
             p3 = monitor.check_block(p3, fp.surrogate_objective(
                 state, ch, cfg, powers=powers), tag)

@@ -157,9 +157,9 @@ class TestPlacementDerivatives:
             ch = build_channels(layout, rlz, cfg)
             state, _ = initial_state(ch, cfg)
             sides = ((transmit_context(state, side_terms(rlz, cfg, True),
-                                       layout.r), layout.t),
+                                       ch), layout.t),
                      (receive_context(state, side_terms(rlz, cfg, False),
-                                      layout.t), layout.r))
+                                      ch), layout.r))
             for ctx, pos in sides:
                 for n in range(pos.shape[0]):
                     if checked >= 1000:

@@ -50,7 +50,7 @@ class TestGradientDescent:
         ch = build_channels(layout, rlz, cfg)
         state, _ = initial_state(ch, cfg)
         return cfg, layout, transmit_context(
-            state, side_terms(rlz, cfg, True), layout.r)
+            state, side_terms(rlz, cfg, True), ch)
 
     def test_trace_monotone_and_feasible(self):
         for trial in range(10):

@@ -1,11 +1,12 @@
+import dataclasses
 from dataclasses import replace
 
 import numpy as np
 from numpy.testing import assert_allclose
 
-from prafd.channel import (AntennaLayout, build_channels, build_downlink_channel,
-                           build_si_channel, build_uplink_channel, field_response,
-                           sample_realization, trial_rng, wave_vector)
+from prafd.channel import (AntennaLayout, Channels, build_channels,
+                           field_response, move_side, sample_realization,
+                           trial_rng, wave_vector)
 from prafd.config import ScenarioConfig
 
 
@@ -13,6 +14,13 @@ def small_cfg(**kw):
     base = dict(K_D=2, K_U=2, N_t=3, N_r=2, L=4, L_SI=3)
     base.update(kw)
     return ScenarioConfig(**base)
+
+
+def channels_at(rlz, cfg, t_pos=None, r_pos=None):
+    """`build_channels` with a side left unset at the origin."""
+    return build_channels(AntennaLayout(
+        t=np.zeros((cfg.N_t, 2)) if t_pos is None else t_pos,
+        r=np.zeros((cfg.N_r, 2)) if r_pos is None else r_pos), rlz, cfg)
 
 
 class TestWaveVector:
@@ -132,7 +140,7 @@ class TestChannelBuilders:
         rng = np.random.default_rng(10)
         rlz = sample_realization(cfg, rng)
         t_pos = rng.uniform(-1, 1, (cfg.N_t, 2)) * cfg.wavelength
-        H = build_downlink_channel(t_pos, rlz, cfg)
+        H = channels_at(rlz, cfg, t_pos=t_pos).H_D
         kappa = 2 * np.pi / cfg.wavelength
         ref = np.zeros((cfg.N_t, cfg.K_D), dtype=complex)
         for n in range(cfg.N_t):
@@ -147,7 +155,7 @@ class TestChannelBuilders:
         rng = np.random.default_rng(11)
         rlz = sample_realization(cfg, rng)
         r_pos = rng.uniform(-1, 1, (cfg.N_r, 2)) * cfg.wavelength
-        H = build_uplink_channel(r_pos, rlz, cfg)
+        H = channels_at(rlz, cfg, r_pos=r_pos).H_U
         kappa = 2 * np.pi / cfg.wavelength
         ref = np.zeros((cfg.N_r, cfg.K_U), dtype=complex)
         for n in range(cfg.N_r):
@@ -163,7 +171,7 @@ class TestChannelBuilders:
         rlz = sample_realization(cfg, rng)
         t_pos = rng.uniform(-1, 1, (cfg.N_t, 2)) * cfg.wavelength
         r_pos = rng.uniform(-1, 1, (cfg.N_r, 2)) * cfg.wavelength
-        H = build_si_channel(t_pos, r_pos, rlz, cfg)
+        H = channels_at(rlz, cfg, t_pos, r_pos).H_SI
         kappa = 2 * np.pi / cfg.wavelength
         ref = np.zeros((cfg.N_r, cfg.N_t), dtype=complex)
         for i in range(cfg.N_r):
@@ -180,7 +188,7 @@ class TestChannelBuilders:
         rng = np.random.default_rng(13)
         rlz = sample_realization(cfg, rng)
         t_pos = rng.uniform(-1, 1, (cfg.N_t, 2)) * cfg.wavelength
-        H = build_downlink_channel(t_pos, rlz, cfg)
+        H = channels_at(rlz, cfg, t_pos=t_pos).H_D
         for k in range(cfg.K_D):
             assert_allclose(np.abs(H[:, k]), np.abs(rlz.prm_dl[k, 0]))
 
@@ -196,7 +204,38 @@ class TestChannelBuilders:
         assert ch.H_U.shape == (cfg.N_r, cfg.K_U)
         assert ch.H_SI.shape == (cfg.N_r, cfg.N_t)
         assert_allclose(ch.H_IUI, rlz.h_iui)
-        assert_allclose(ch.H_D, build_downlink_channel(layout.t, rlz, cfg))
+        k = cfg.kappa
+        for got, pos, dirs, sign in ((ch.u_t, layout.t, rlz.dl_dirs, -1),
+                                     (ch.s_t, layout.t, rlz.si_t_dirs, 1),
+                                     (ch.u_r, layout.r, rlz.ul_dirs, -1),
+                                     (ch.s_r, layout.r, rlz.si_r_dirs, 1)):
+            assert_allclose(got, field_response(pos, dirs.reshape(-1, 2),
+                                                sign * k))
+
+    def test_moved_side_equals_a_rebuild(self):
+        # Moving one side re-takes only its phasors and gives the record a
+        # full rebuild would, bit for bit; the input record is untouched.
+        cfg = small_cfg()
+        rng = np.random.default_rng(16)
+        rlz = sample_realization(cfg, rng)
+        layout = AntennaLayout(
+            t=rng.uniform(-1, 1, (cfg.N_t, 2)) * cfg.wavelength,
+            r=rng.uniform(-1, 1, (cfg.N_r, 2)) * cfg.wavelength)
+        ch = build_channels(layout, rlz, cfg)
+        before = {f.name: getattr(ch, f.name).copy()
+                  for f in dataclasses.fields(Channels)}
+        for side in ("t", "r"):
+            moved = layout.copy()
+            pos = rng.uniform(-1, 1, getattr(layout, side).shape) \
+                * cfg.wavelength
+            setattr(moved, side, pos)
+            got, ref = move_side(ch, side, pos, rlz, cfg), \
+                build_channels(moved, rlz, cfg)
+            for f in dataclasses.fields(Channels):
+                assert getattr(got, f.name).tobytes() \
+                    == getattr(ref, f.name).tobytes(), (side, f.name)
+        for name, value in before.items():
+            assert np.array_equal(getattr(ch, name), value)
 
     def test_perturbed_angles_recompute_directions(self):
         cfg = small_cfg()

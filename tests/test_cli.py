@@ -158,6 +158,13 @@ class TestOracle:
         assert main(["oracle", "--count", "20"]) == 0
         assert "placement Hessian vs differences" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_count_below_one_exits_with_usage_error(self, capsys, count):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--count", count])
+        assert exc.value.code == 2
+        assert "--count" in capsys.readouterr().err
+
     def test_runs_as_a_module(self):
         src = str(Path(prafd.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)

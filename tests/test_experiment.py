@@ -346,3 +346,23 @@ class TestPinnedRates:
         for algo, rates in self.PINNED.items():
             got = [r.rate for r in results if r.algorithm == algo]
             assert_allclose(got, rates, rtol=1e-9, err_msg=algo)
+
+
+class TestPinnedDefaultRates:
+    # Rates of a seeded experiment at the defaults (4+4 users, 4+4
+    # antennas), recorded before the channel record kept the path phasors;
+    # refactors must reproduce them.
+    PINNED = {
+        "fp-bsum": (5.8201323433130785, 5.250460389343094),
+        "fp-gd": (4.52197845431253, 5.34765384040488),
+        "fpas": (4.185135493910127, 4.001145545043342),
+    }
+
+    def test_default_scale_rates_unchanged(self):
+        spec = ExperimentSpec(base=ScenarioConfig(),
+                              algorithms=tuple(self.PINNED), trials=2, seed=7)
+        results = run_experiment(spec)
+        assert not any(r.failure for r in results)
+        for algo, rates in self.PINNED.items():
+            got = [r.rate for r in results if r.algorithm == algo]
+            assert_allclose(got, rates, rtol=1e-9, err_msg=algo)

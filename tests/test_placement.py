@@ -26,9 +26,10 @@ LN2 = np.log(2.0)
 
 def sides(state, rlz, layout, cfg):
     """(context, positions) of the transmit side, then the receive side."""
-    return ((transmit_context(state, side_terms(rlz, cfg, True), layout.r),
+    ch = build_channels(layout, rlz, cfg)
+    return ((transmit_context(state, side_terms(rlz, cfg, True), ch),
              layout.t),
-            (receive_context(state, side_terms(rlz, cfg, False), layout.t),
+            (receive_context(state, side_terms(rlz, cfg, False), ch),
              layout.r))
 
 
@@ -317,7 +318,7 @@ class TestObjective:
         state.W_t = np.zeros_like(state.W_t)
         state.aux = auxiliaries_at(state.aux.gamma,
                                    np.zeros_like(state.aux.y), cfg)
-        ctx = transmit_context(state, side_terms(rlz, cfg, True), layout.r)
+        ctx = transmit_context(state, side_terms(rlz, cfg, True), ch)
         rng = np.random.default_rng(6)
         vals = [objective_at(ctx, rng.uniform(-1, 1, (2, 2)) * 0.01)
                 for _ in range(5)]
@@ -387,7 +388,7 @@ class TestBsumSweep:
         state.p = np.zeros(cfg.K_U)
         state.aux = auxiliary_pass(
             received_powers(state.W_t, state.W_r, state.p, ch, cfg), cfg)
-        ctx = receive_context(state, side_terms(rlz, cfg, False), layout.t)
+        ctx = receive_context(state, side_terms(rlz, cfg, False), ch)
         out, trace, sweeps = bsum_optimize_side(ctx, layout.r,
                                                 np.random.default_rng(0),
                                                 eps=1e-3)
@@ -564,7 +565,7 @@ class TestRateGrid:
             powers = received_powers(state.W_t, state.W_r, state.p, ch, cfg)
             for side in ("t", "r"):
                 for n in range(len(getattr(layout, side))):
-                    vals = grid.rates(state, layout, ch, powers, side, n)
+                    vals = grid.rates(state, ch, powers, side, n)
                     ref = []
                     for q in grid.points:
                         moved = layout.copy()

@@ -1,12 +1,13 @@
+import dataclasses
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from prafd.channel import AntennaLayout, build_channels, sample_realization, \
-    trial_rng
-from prafd import beamforming, fp, placement, solver
+from prafd.channel import AntennaLayout, Channels, build_channels, \
+    sample_realization, trial_rng
+from prafd import baselines, beamforming, channel, fp, placement, solver
 from prafd.baselines import run_algorithm
 from prafd.config import ConfigError, ScenarioConfig, validate_config
 from prafd.geometry import layout_side_feasible
@@ -370,6 +371,192 @@ class TestSideTerms:
         assert len(used) == len(sides) * res.outer_iterations
         shared = [t for _, t in built]
         assert all(any(t is s for s in shared) for t in used)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+def after_each_side(monkeypatch, method, seen):
+    """Call `seen(ctx, out)` after every placement side of `method`."""
+    module, name = (placement, "bsum_optimize_side") if method == "bsum" \
+        else (baselines, "gradient_descent_positions")
+    real = getattr(module, name)
+
+    def side(ctx, positions, rng, eps):
+        out = real(ctx, positions, rng, eps)
+        seen(ctx, out)
+        return out
+
+    monkeypatch.setattr(module, name, side)
+
+
+def track_layout(monkeypatch, layout, method):
+    """Follow the solve's layout: the start, every grid block's result and
+    every placement side's positions.  Returns the followed layout."""
+    current = layout.copy()
+    real_place = placement.RateGrid.place
+
+    def place(self, *a):
+        out = real_place(self, *a)
+        current.t, current.r = out[0].t.copy(), out[0].r.copy()
+        return out
+
+    monkeypatch.setattr(placement.RateGrid, "place", place)
+    after_each_side(monkeypatch, method, lambda ctx, out: setattr(
+        current, "t" if ctx.terms.transmit else "r", out[0].copy()))
+    return current
+
+
+class TestChannelRecord:
+    """The solve keeps one channel record: built once, then moved one side
+    at a time, and always equal to a rebuild of the current layout."""
+
+    CFG = ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2, A=4.0)
+
+    @pytest.mark.parametrize("method", ["bsum", "gd"])
+    def test_equals_a_rebuild_after_every_block(self, monkeypatch, method):
+        cfg = self.CFG
+        seen = {}
+        for trial in range(2):
+            rlz = sample_realization(cfg, trial_rng(0, trial, 0))
+            rng = trial_rng(0, trial, 3)
+            layout = initialize_layout(cfg, rng)
+            with monkeypatch.context() as m:
+                current = track_layout(m, layout, method)
+                pending = []
+                real_surrogate = fp.surrogate_objective
+                real_check = _Monitor.check_block
+
+                def surrogate(state, ch, cfg_, *, powers):
+                    ref = build_channels(current, rlz, cfg)
+                    pending.append(all(
+                        same_bits(getattr(ch, f.name), getattr(ref, f.name))
+                        for f in dataclasses.fields(Channels)))
+                    return real_surrogate(state, ch, cfg_, powers=powers)
+
+                def check_block(self, before, after, tag):
+                    seen.setdefault(tag, []).append(pending[-1])
+                    return real_check(self, before, after, tag)
+
+                m.setattr(fp, "surrogate_objective", surrogate)
+                m.setattr(_Monitor, "check_block", check_block)
+                res = alternating_optimize(cfg, rlz, rng, layout, method)
+            assert all(pending)
+            assert same_bits(res.layout.t, current.t)
+            assert same_bits(res.layout.r, current.r)
+        blocks = {"transmit beamformer", "receive beamformer", "uplink power",
+                  "transmit placement", "receive placement"}
+        if method == "bsum":
+            blocks.add("grid placement")
+        assert set(seen) == blocks
+        assert all(all(v) for v in seen.values())
+
+    @pytest.mark.parametrize("method", ["bsum", "gd"])
+    def test_a_side_retakes_only_its_own_phasors(self, monkeypatch, method):
+        # Between a placement side's return and the surrogate that scores
+        # it, the solve takes exactly two channel exponentials: the moved
+        # side's user-path and SI-path phasors at its new positions.
+        cfg = self.CFG
+        rlz = sample_realization(cfg, trial_rng(0, 1, 0))
+        rng = trial_rng(0, 1, 3)
+        layout = initialize_layout(cfg, rng)
+        events = []
+        real_response = channel.field_response
+        real_surrogate = fp.surrogate_objective
+
+        def response(positions, dirs, kappa):
+            events.append(("exp", np.array(positions), dirs))
+            return real_response(positions, dirs, kappa)
+
+        def surrogate(*a, **kw):
+            events.append(("surrogate",))
+            return real_surrogate(*a, **kw)
+
+        monkeypatch.setattr(channel, "field_response", response)
+        after_each_side(monkeypatch, method, lambda ctx, out: events.append(
+            ("side", ctx.terms.transmit, out[0].copy())))
+        monkeypatch.setattr(fp, "surrogate_objective", surrogate)
+        alternating_optimize(cfg, rlz, rng, layout, method)
+        # The start's record: each side's two phasor arrays, once.
+        assert [e[0] for e in events[:5]] == ["exp"] * 4 + ["surrogate"]
+        sides = [i for i, e in enumerate(events) if e[0] == "side"]
+        assert len(sides) >= 4
+        for i in sides:
+            _, transmit, pos = events[i]
+            end = events.index(("surrogate",), i)
+            taken = events[i + 1:end]
+            user, si = (rlz.dl_dirs, rlz.si_t_dirs) if transmit \
+                else (rlz.ul_dirs, rlz.si_r_dirs)
+            assert [e[0] for e in taken] == ["exp", "exp"]
+            assert all(same_bits(e[1], pos) for e in taken)
+            assert same_bits(taken[0][2], user.reshape(-1, 2))
+            assert same_bits(taken[1][2], si)
+
+    def test_contexts_first_fields_and_grid_take_no_exponential(
+            self, monkeypatch):
+        # The contexts read the other side's SI phasors, GD's first fields
+        # and the grid's SI rows read the record: none of them takes an
+        # exponential, and the first fields equal `layout_fields` bit for
+        # bit.
+        cfg = ScenarioConfig(K_D=2, K_U=3, N_t=3, N_r=2, L=3, L_SI=2)
+        rlz = sample_realization(cfg, trial_rng(0, 2, 0))
+        layout = initialize_layout(cfg, trial_rng(0, 2, 3))
+        ch = build_channels(layout, rlz, cfg)
+        state, powers = initial_state(ch, cfg)
+        grid = placement.RateGrid(rlz, cfg)
+        terms = (placement.side_terms(rlz, cfg, True),
+                 placement.side_terms(rlz, cfg, False))
+
+        def forbidden(*a, **k):
+            raise AssertionError("an exponential was taken")
+
+        with monkeypatch.context() as m:
+            for mod in (channel, placement):
+                m.setattr(mod, "field_response", forbidden)
+            m.setattr(np, "exp", forbidden)
+            ctxs = (placement.transmit_context(state, terms[0], ch),
+                    placement.receive_context(state, terms[1], ch))
+            first = [placement.channel_fields(ctx) for ctx in ctxs]
+            for side, count in (("t", cfg.N_t), ("r", cfg.N_r)):
+                for n in range(count):
+                    grid.rates(state, ch, powers, side, n)
+        for ctx, fields, pos in zip(ctxs, first, (layout.t, layout.r)):
+            ref = placement.layout_fields(ctx, pos)
+            assert all(same_bits(a, b) for a, b in zip(fields, ref))
+
+    def test_gd_scores_its_start_from_the_record(self, monkeypatch):
+        # GD's first objective is scored before any exponential is taken.
+        cfg = self.CFG
+        rlz = sample_realization(cfg, trial_rng(0, 0, 0))
+        rng = trial_rng(0, 0, 3)
+        layout = initialize_layout(cfg, rng)
+        events = []
+        real_response = placement.field_response
+        real_objective = baselines.placement_objective
+        real_side = baselines.gradient_descent_positions
+
+        def response(*a):
+            events.append("exp")
+            return real_response(*a)
+
+        def objective(*a):
+            events.append("objective")
+            return real_objective(*a)
+
+        def side(*a):
+            events.append("side")
+            return real_side(*a)
+
+        monkeypatch.setattr(placement, "field_response", response)
+        monkeypatch.setattr(baselines, "placement_objective", objective)
+        monkeypatch.setattr(baselines, "gradient_descent_positions", side)
+        alternating_optimize(cfg, rlz, rng, layout, "gd")
+        starts = [i for i, e in enumerate(events) if e == "side"]
+        assert len(starts) >= 4
+        assert all(events[i + 1] == "objective" for i in starts)
 
 
 # The eight symmetries of the square region: each maps a feasible layout to
