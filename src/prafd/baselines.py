@@ -62,24 +62,24 @@ def _project_side(cand: np.ndarray, others: list, half_width: float,
     return proj
 
 
-def gradient_descent_positions(ctx: SurrogateContext, positions: np.ndarray,
+def gradient_descent_positions(ctx: SurrogateContext,
                                rng: np.random.Generator, eps: float):
     """Projected gradient descent on one side's placement objective.
 
     Same interface and monotonicity contract as the per-antenna majorizer
-    sweep; GD_MAX_STEPS caps gradient steps.  Step sizes come from
-    Armijo backtracking (sufficient decrease c=1e-4, halving), so the
+    sweep, from the context's positions; `rng` goes unused, as the steps
+    are deterministic.  GD_MAX_STEPS caps gradient steps.  Step sizes come
+    from Armijo backtracking (sufficient decrease c=1e-4, halving), so the
     objective trace never increases.  The channel fields of each layout
     are built once and serve its objective and its joint gradient, one
     `placement_gradient` call per step; those of the start are read off
-    the context's channel record (`channel_fields`), so `positions` must
-    be the layout `ctx.ch` was built for.  The per-antenna bundles are
-    built once, before the first step: their largest curvature cap sets
-    the first trial step 1 / cap, and a zero cap means the objective does
-    not depend on the positions.
+    the context's channel record (`channel_fields`).  The per-antenna
+    bundles are built once, before the first step: their largest
+    curvature cap sets the first trial step 1 / cap, and a zero cap means
+    the objective does not depend on the positions.
     """
     half_width, d_min = ctx.terms.half_width, ctx.terms.d_min
-    pos = np.array(positions, dtype=float, copy=True)
+    pos = np.array(ctx.positions, dtype=float, copy=True)
     others = others_index(len(pos))
     fields = channel_fields(ctx)
     f = placement_objective(ctx, fields)

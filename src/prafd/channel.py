@@ -123,15 +123,15 @@ def trial_rng(seed: int, trial: int, stream: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial, stream)))
 
 
-def _side_phasors(positions: np.ndarray, user_dirs: np.ndarray,
-                  si_dirs: np.ndarray, kappa: float) -> tuple:
+def side_phasors(positions: np.ndarray, user_dirs: np.ndarray,
+                 si_dirs: np.ndarray, kappa: float) -> tuple:
     """One side's user-path phasors exp(-j*kappa*n.pos), (N, K*L), and
     SI-path phasors exp(j*kappa*n.pos), (N, L_SI)."""
     return (field_response(positions, user_dirs.reshape(-1, 2), -kappa),
             field_response(positions, si_dirs, kappa))
 
 
-def _user_channel(e: np.ndarray, prm: np.ndarray) -> np.ndarray:
+def user_channel(e: np.ndarray, prm: np.ndarray) -> np.ndarray:
     """Stack per-user columns sum_l prm[u,l] * e[n, (u, l)].
 
     One contraction of the user-path phasors builds the whole (N, K)
@@ -142,8 +142,8 @@ def _user_channel(e: np.ndarray, prm: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Channels:
-    """All four channel matrices for one layout, and the path phasors of
-    each side they are contracted from.
+    """All four channel matrices for one layout, the layout, and the path
+    phasors of each side they are contracted from.
 
     u_* are a side's user-path phasors (downlink paths on the transmit
     side, uplink paths on the receive side), s_* its SI-path phasors; they
@@ -162,18 +162,19 @@ class Channels:
     s_t: np.ndarray   # (N_t, L_SI) exp(j*kappa*nu.t) per SI departure
     u_r: np.ndarray   # (N_r, K_U*L) exp(-j*kappa*n.r) per uplink path
     s_r: np.ndarray   # (N_r, L_SI) exp(j*kappa*mu.r) per SI arrival
+    layout: AntennaLayout  # where the phasors were taken; a solve's only copy
 
 
 def build_channels(layout: AntennaLayout, rlz: ChannelRealization,
                    cfg: ScenarioConfig) -> Channels:
-    """Channels of `layout`: each side's phasors taken once, every matrix
-    contracted from them."""
-    u_t, s_t = _side_phasors(layout.t, rlz.dl_dirs, rlz.si_t_dirs, cfg.kappa)
-    u_r, s_r = _side_phasors(layout.r, rlz.ul_dirs, rlz.si_r_dirs, cfg.kappa)
-    return Channels(H_D=_user_channel(u_t, rlz.prm_dl),
-                    H_U=_user_channel(u_r, rlz.prm_ul),
+    """Channels of `layout`, which the record keeps (not a copy): each
+    side's phasors taken once, every matrix contracted from them."""
+    u_t, s_t = side_phasors(layout.t, rlz.dl_dirs, rlz.si_t_dirs, cfg.kappa)
+    u_r, s_r = side_phasors(layout.r, rlz.ul_dirs, rlz.si_r_dirs, cfg.kappa)
+    return Channels(H_D=user_channel(u_t, rlz.prm_dl),
+                    H_U=user_channel(u_r, rlz.prm_ul),
                     H_SI=s_r.conj() @ rlz.sigma_si @ s_t.T, H_IUI=rlz.h_iui,
-                    u_t=u_t, s_t=s_t, u_r=u_r, s_r=s_r)
+                    u_t=u_t, s_t=s_t, u_r=u_r, s_r=s_r, layout=layout)
 
 
 def move_side(ch: Channels, side: str, positions: np.ndarray,
@@ -183,16 +184,16 @@ def move_side(ch: Channels, side: str, positions: np.ndarray,
     Only the moved side's two phasor arrays are taken again; its user
     channel and H_SI are contracted as `build_channels` does, with the
     other side's phasors read from `ch`, so the result equals
-    `build_channels` of the moved layout bit for bit.  `ch` is not
-    modified.
+    `build_channels` of the moved layout bit for bit, its layout holding
+    `positions` (not a copy) for `side`.  `ch` is not modified.
     """
     if side == "t":
-        u_t, s_t = _side_phasors(positions, rlz.dl_dirs, rlz.si_t_dirs,
-                                 cfg.kappa)
-        return replace(ch, H_D=_user_channel(u_t, rlz.prm_dl),
-                       H_SI=ch.s_r.conj() @ rlz.sigma_si @ s_t.T,
-                       u_t=u_t, s_t=s_t)
-    u_r, s_r = _side_phasors(positions, rlz.ul_dirs, rlz.si_r_dirs, cfg.kappa)
-    return replace(ch, H_U=_user_channel(u_r, rlz.prm_ul),
+        u_t, s_t = side_phasors(positions, rlz.dl_dirs, rlz.si_t_dirs,
+                                cfg.kappa)
+        return replace(ch, H_D=user_channel(u_t, rlz.prm_dl),
+                       H_SI=ch.s_r.conj() @ rlz.sigma_si @ s_t.T, u_t=u_t,
+                       s_t=s_t, layout=replace(ch.layout, t=positions))
+    u_r, s_r = side_phasors(positions, rlz.ul_dirs, rlz.si_r_dirs, cfg.kappa)
+    return replace(ch, H_U=user_channel(u_r, rlz.prm_ul),
                    H_SI=s_r.conj() @ rlz.sigma_si @ ch.s_t.T,
-                   u_r=u_r, s_r=s_r)
+                   u_r=u_r, s_r=s_r, layout=replace(ch.layout, r=positions))

@@ -160,12 +160,12 @@ def _oracle_placement(rng, count, lines, fails):
     worst = worst_joint = worst_hess = 0.0
     for _ in range(max(2, count // 25)):
         rlz = sample_realization(cfg, rng)
-        layout = initialize_layout(cfg, rng)
-        ch = build_channels(layout, rlz, cfg)
+        ch = build_channels(initialize_layout(cfg, rng), rlz, cfg)
         state, _ = initial_state(ch, cfg)
         terms = side_terms(rlz, cfg, True), side_terms(rlz, cfg, False)
-        for ctx, pos in ((transmit_context(state, terms[0], ch), layout.t),
-                         (receive_context(state, terms[1], ch), layout.r)):
+        for ctx in (transmit_context(state, terms[0], ch),
+                    receive_context(state, terms[1], ch)):
+            pos = ctx.positions
             fields = layout_fields(ctx, pos)
             joint = placement_gradient(ctx, fields)
             for n in range(len(pos)):

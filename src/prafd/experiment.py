@@ -65,6 +65,9 @@ class ExperimentSpec:
         for v in self.sweep_values:
             if self.sweep_values.count(v) > 1:
                 raise ConfigError(f"--sweep lists {v:g} twice")
+            if self.sweep_field in PERTURBATION_FIELDS and not 0.0 <= v < np.inf:
+                raise ConfigError(f"{self.sweep_field} must be finite and "
+                                  f"non-negative, got {v:g}")
         if self.trials < 1:
             raise ConfigError(f"--trials must be at least 1, got {self.trials}")
         if self.threads < 1:

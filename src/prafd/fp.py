@@ -240,11 +240,11 @@ def auxiliary_pass(powers: ReceivedPowers, cfg: ScenarioConfig) -> Auxiliaries:
     return auxiliaries(gamma, y, lift, amp, cfg)
 
 
-def surrogate_objective(state: SolverState, ch: Channels, cfg: ScenarioConfig,
+def surrogate_objective(state: SolverState, cfg: ScenarioConfig,
                         *, powers: ReceivedPowers) -> float:
     """Quadratic-transform surrogate at the state's own auxiliaries, in bits.
 
-    `powers` must be the received-power pass of `state` on `ch`.  Summed
+    `powers` must be a received-power pass of `state`.  Summed
     user by user in Python floats, which for a handful of users is about
     half the cost of the numpy expression (`oracles.reference_surrogate`)
     and agrees with it to rounding; the value feeds only the monitor.

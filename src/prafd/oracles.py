@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import Channels, _user_channel, field_response
+from .channel import Channels, side_phasors, user_channel
 from .config import ScenarioConfig
 from .fp import (LN2, auxiliaries, receive_gram, received_powers,
                  surrogate_objective)
@@ -153,7 +153,7 @@ def fresh_surrogate(state, ch: Channels, cfg: ScenarioConfig) -> float:
     """The surrogate at the state's own auxiliaries, scored from a fresh
     received-power pass."""
     powers = received_powers(state.W_t, state.W_r, state.p, ch, cfg)
-    return surrogate_objective(state, ch, cfg, powers=powers)
+    return surrogate_objective(state, cfg, powers=powers)
 
 
 def reference_surrogate(state, cfg: ScenarioConfig, powers) -> float:
@@ -218,8 +218,8 @@ def reference_antenna_bundle(ctx, positions: np.ndarray, n: int):
     `ctx.terms` it reads only the raw directions, gains and kappa.
     """
     t = ctx.terms
-    H = _user_channel(field_response(positions, t.user_dirs.reshape(-1, 2),
-                                     -t.kappa), t.user_prm)
+    user_e, si_e = side_phasors(positions, t.user_dirs, t.si_dirs, t.kappa)
+    H = user_channel(user_e, t.user_prm)
     wn = ctx.W[n, :]
     D0 = ctx.W.conj().T @ H - np.outer(wn.conj(), H[n, :])
     gram_nn = float(np.real(ctx.own[n, n]))
@@ -229,8 +229,7 @@ def reference_antenna_bundle(ctx, positions: np.ndarray, n: int):
     pair = t.user_prm[:, :, None] * t.user_prm.conj()[:, None, :]
     ddiff = t.kappa * (t.user_dirs[:, None, :, :]
                        - t.user_dirs[:, :, None, :])
-    e = np.exp(1j * t.kappa * (positions @ t.si_dirs.T))
-    X0 = ctx.si_mix @ e.T
+    X0 = ctx.si_mix @ si_e.T
     X0[:, n] = 0.0
     u_lin = ctx.other @ X0 @ ctx.own[:, n]
     M = ctx.si_mix.conj().T @ ctx.other @ ctx.si_mix

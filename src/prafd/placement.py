@@ -19,9 +19,9 @@ Each quantity is built once at the level where it can change:
   paths, region and spacing, and from them every term's spatial
   frequency, squared norm and moments [u_x, u_y, u_x^2, u_x u_y, u_y^2]
   and the user path-pair products;
-* per context (one side's placement call): the SI mix, from the other
-  side's SI phasors in the solve's channel record (`channel.Channels`),
-  and its product M, conj(W) and its beam-weighted rows, and one row of
+* per context (one side's placement call): its start positions and the
+  SI mix, read off the solve's channel record (`channel.Channels`), the
+  mix's product M, conj(W) and its beam-weighted rows, and one row of
   coefficients per antenna holding its user-pair and SI-pair terms; a
   context takes no exponential;
 * per layout state: the channel fields H, D = W^H H and the SI matrix X
@@ -48,8 +48,9 @@ anchored at the region centre (spacing discs masked out) and moves the
 antenna to the best point when that raises the rate.  Grid phasors are
 separable (x phasor times y phasor), and a move changes one row or column
 of each channel, so every grid point costs a rank-1 update of the
-beamformed products C, G and S rather than a channel rebuild; the other
-side's SI phasors those updates need are read from the channel record.
+beamformed products C, G and S rather than a channel rebuild; positions
+and the other side's SI phasors are read from the channel record, and a
+move is confirmed on the record moved one side (`channel.move_side`).
 """
 
 from __future__ import annotations
@@ -61,8 +62,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fp
-from .channel import (AntennaLayout, ChannelRealization, Channels,
-                      build_channels, field_response)
+from .channel import (ChannelRealization, Channels, move_side, side_phasors,
+                      user_channel)
 from .config import ScenarioConfig
 from .fp import SolverState
 from .geometry import FeasibleRegionSpec, is_feasible, nearest_feasible_point
@@ -192,12 +193,12 @@ def side_terms(rlz: ChannelRealization, cfg: ScenarioConfig,
 
 @dataclass
 class SurrogateContext:
-    """What one side's placement call needs besides its positions.
+    """What one side's placement call needs.
 
     Valid while beamformers, powers, auxiliaries and the *other* side's
     positions stay fixed, i.e. for one side's whole BSUM run.  `ch` is the
-    channel record of the layout the side starts from: the other side's
-    SI phasors are read from it, and GD's first fields (`channel_fields`).
+    channel record the side starts from: its positions, the other side's
+    SI phasors and GD's first fields (`channel_fields`) are read from it.
     Each side sees the self-interference matrix with its own antennas as
     columns: X = H_SI on the transmit side and X = H_SI^H on the receive
     side, so the SI term is tr(own X^H other X) on both.  What the solve
@@ -216,6 +217,7 @@ class SurrogateContext:
     ch: Channels           # channels of the layout the side starts from
     terms: SideTerms
     # Derived in __post_init__:
+    positions: np.ndarray = field(init=False, repr=False)  # (N, 2) start
     si_mix: np.ndarray = field(init=False, repr=False)  # X = si_mix @ e^T
     Wc: np.ndarray = field(init=False, repr=False)     # conj(W)
     Wcb: np.ndarray = field(init=False, repr=False)    # beam_w * conj(W)
@@ -223,6 +225,7 @@ class SurrogateContext:
 
     def __post_init__(self):
         t = self.terms
+        self.positions = self.ch.layout.t if t.transmit else self.ch.layout.r
         other_si = self.ch.s_r if t.transmit else self.ch.s_t
         self.si_mix = other_si.conj() @ t.sigma_si
         self.Wc = self.W.conj()
@@ -265,8 +268,7 @@ def _fields(ctx: SurrogateContext, user_e: np.ndarray, si_e: np.ndarray):
     """(H, D, X, user_e, si_e) from every antenna's user-path phasors
     (N, K*L) and SI-path phasors (N, L_SI); the one contraction behind
     both field builds."""
-    prm = ctx.terms.user_prm
-    H = np.einsum("nkl,kl->nk", user_e.reshape(len(user_e), *prm.shape), prm)
+    H = user_channel(user_e, ctx.terms.user_prm)
     return H, ctx.Wc.T @ H, ctx.si_mix @ si_e.T, user_e, si_e
 
 
@@ -277,9 +279,8 @@ def layout_fields(ctx: SurrogateContext, positions: np.ndarray):
     D[b, c] = w_b^H h_c; X is this side's SI matrix.
     """
     t = ctx.terms
-    return _fields(ctx, field_response(positions, t.user_dirs.reshape(-1, 2),
-                                       -t.kappa),
-                   field_response(positions, t.si_dirs, t.kappa))
+    return _fields(ctx, *side_phasors(positions, t.user_dirs, t.si_dirs,
+                                      t.kappa))
 
 
 def channel_fields(ctx: SurrogateContext):
@@ -387,12 +388,12 @@ def others_index(n_ant: int) -> np.ndarray:
                      for n in range(n_ant)], dtype=np.intp)
 
 
-def bsum_optimize_side(ctx: SurrogateContext, positions: np.ndarray,
-                       rng: np.random.Generator, eps: float):
+def bsum_optimize_side(ctx: SurrogateContext, rng: np.random.Generator,
+                       eps: float):
     """Sweep antennas in random order, each to its projected majorizer step.
 
-    Stops when a sweep changes the objective by less than `eps` relative,
-    or after MAX_BSUM_SWEEPS sweeps.
+    Starts at the context's positions; stops when a sweep changes the
+    objective by less than `eps` relative, or after MAX_BSUM_SWEEPS sweeps.
     Returns (positions, objective trace per sweep, sweeps used).  The trace
     is monotone non-increasing: a candidate move is only accepted when the
     per-antenna objective does not increase, and the curvature doubles until
@@ -405,7 +406,7 @@ def bsum_optimize_side(ctx: SurrogateContext, positions: np.ndarray,
     """
     t = ctx.terms
     half_width, d_min = t.half_width, t.d_min
-    pos = np.array(positions, dtype=float, copy=True)
+    pos = np.array(ctx.positions, dtype=float, copy=True)
     others = others_index(len(pos))
     table = np.exp(1j * (pos @ t.dirs.T))
     fields = _table_fields(ctx, table)
@@ -538,22 +539,22 @@ class RateGrid:
         sinr[:, cfg.K_D:] = sig2 / (s2 - sig2)
         return fp.rate_of_sinrs(sinr, cfg)
 
-    def place(self, state: SolverState, layout: AntennaLayout, ch: Channels,
-              rate: float, powers: fp.ReceivedPowers):
+    def place(self, state: SolverState, ch: Channels, rate: float,
+              powers: fp.ReceivedPowers):
         """Move antennas one at a time to their best feasible grid point.
 
         Grid points are masked by `is_feasible` against the side's other
-        antennas.  Cycles through the transmit then the receive antennas
-        and moves one only when its best grid point raises the true rate,
-        confirmed by a full received-power pass on rebuilt channels; an
-        accepted move's pass scores the next visit.  `rate` and `powers`
-        are the weighted sum-rate and the received-power record of `state`
-        on `ch`.  Stops once every antenna has been visited since the
-        last move, so that no single grid move raises the rate, or after
-        MAX_GRID_ROUNDS passes.  Sides without users are skipped.  Returns
-        (layout, channels, rate, powers, moves) with the rate and
-        received-power pass of `state` on the returned channels; the inputs
-        are not modified.
+        antennas in `ch.layout`.  Cycles through the transmit then the
+        receive antennas and moves one only when its best grid point raises
+        the true rate, confirmed by a full received-power pass on the
+        channels of the move (`move_side`); an accepted move's pass scores
+        the next visit.  `rate` and `powers` are the weighted sum-rate and
+        the received-power record of `state` on `ch`.  Stops once every
+        antenna has been visited since the last move, so that no single
+        grid move raises the rate, or after MAX_GRID_ROUNDS passes.  Sides
+        without users are skipped.  Returns (channels, rate, powers, moves)
+        with the rate and received-power pass of `state` on the returned
+        channels; the inputs are not modified.
         """
         cfg = self.cfg
         visits = [(side, n) for side, users, count in
@@ -566,23 +567,23 @@ class RateGrid:
             if settled == len(visits):
                 break
             settled += 1
+            pos = getattr(ch.layout, side)
             region = FeasibleRegionSpec(
-                cfg.region_half_width,
-                np.delete(getattr(layout, side), n, axis=0), cfg.D_min)
+                cfg.region_half_width, np.delete(pos, n, axis=0), cfg.D_min)
             vals = self.rates(state, ch, powers, side, n)
             vals[~is_feasible(self.points, region)] = -np.inf
             best = int(np.argmax(vals))
             bar = rate + GRID_MIN_GAIN * max(1.0, abs(rate))
             if not vals[best] > bar:
                 continue
-            cand = layout.copy()
-            getattr(cand, side)[n] = self.points[best]
-            cand_ch = build_channels(cand, self.rlz, cfg)
+            cand = pos.copy()
+            cand[n] = self.points[best]
+            cand_ch = move_side(ch, side, cand, self.rlz, cfg)
             cand_powers = fp.received_powers(state.W_t, state.W_r, state.p,
                                              cand_ch, cfg)
             cand_rate = fp.weighted_sum_rate(cand_powers, cfg)
             if cand_rate > bar:
-                layout, ch, rate, powers = cand, cand_ch, cand_rate, cand_powers
+                ch, rate, powers = cand_ch, cand_rate, cand_powers
                 moves += 1
                 settled = 1
-        return layout, ch, rate, powers, moves
+        return ch, rate, powers, moves

@@ -26,14 +26,14 @@ record of its confirming pass.  So the only full passes of a run are the
 first one, plus the grid's confirmations and, with `eval_rlz`, one pass at
 the start and one per iteration on the evaluation channels.
 
-The channels of the current layout live in one record
-(`channel.Channels`), which also keeps each side's user-path and SI-path
-phasors, the only place positions enter.  `build_channels` takes them once
-per solve; after a placement side, `channel.move_side` re-takes only the
-moved side's two phasor arrays and rebuilds that side's user channel and
-H_SI, and a grid move hands over the channels its confirmation built.  The
-placement contexts, GD's first fields and the grid read their phasors from
-the record instead of taking them again.
+The layout and its channels live in one record (`channel.Channels`),
+which also keeps each side's user-path and SI-path phasors, the only
+place positions enter; the solve holds no other positions.
+`build_channels` takes them once per solve; after a placement side, and
+for each grid confirmation, `channel.move_side` re-takes only the moved
+side's two phasor arrays and rebuilds that side's user channel and H_SI.
+The placement contexts, GD's first fields and the grid read positions
+and phasors from the record instead of taking them again.
 
 Each auxiliary pass replaces `state.aux`, the one record of (gamma, y) and
 every coefficient derived from them (`fp.Auxiliaries`); the blocks and
@@ -147,14 +147,14 @@ def _position_optimizer(method: str):
 
 
 class _Monitor:
-    """Checks surrogate monotonicity and the post-aux-pass sandwich gap."""
+    """Checks surrogate monotonicity and the sandwich gap; NaN fails both."""
 
     def __init__(self):
         self.sandwich_gap = 0.0
 
     def check_block(self, before: float, after: float, tag: str) -> float:
         """Raise if the surrogate fell in block `tag`; return `after`."""
-        if after < before - 1e-9 * max(1.0, abs(before)):
+        if not after >= before - 1e-9 * max(1.0, abs(before)):
             raise AssertionError(
                 f"surrogate decreased in {tag} block: {before!r} -> {after!r}")
         return after
@@ -162,20 +162,20 @@ class _Monitor:
     def check_sandwich(self, surrogate: float, rate: float) -> None:
         gap = abs(surrogate - rate) / max(1.0, abs(rate))
         self.sandwich_gap = max(self.sandwich_gap, gap)
-        if gap > 1e-9:
+        if not gap <= 1e-9:
             raise AssertionError(
                 f"surrogate {surrogate!r} does not match rate {rate!r}")
 
 
-def _reported(state: fp.SolverState, layout: AntennaLayout,
-              cfg: ScenarioConfig, eval_rlz: ChannelRealization | None,
+def _reported(state: fp.SolverState, ch: Channels, cfg: ScenarioConfig,
+              eval_rlz: ChannelRealization | None,
               rate: float) -> tuple[np.ndarray, float]:
     """SINR vector to report and its weighted sum-rate: the auxiliary
     pass's gamma, which `rate` was scored from, or with `eval_rlz` the
-    SINRs of a full pass on the evaluation channels."""
+    SINRs of a full pass on the evaluation channels of `ch`'s layout."""
     if eval_rlz is None:
         return state.aux.gamma, rate
-    eval_ch = build_channels(layout, eval_rlz, cfg)
+    eval_ch = build_channels(ch.layout, eval_rlz, cfg)
     sinr = fp.sinrs_of(fp.received_powers(state.W_t, state.W_r, state.p,
                                           eval_ch, cfg))
     return sinr, fp.rate_of_sinrs(sinr, cfg)
@@ -193,16 +193,14 @@ def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
     for a fixed generator state.
     """
     t_start = time.perf_counter()
-    layout = layout.copy()
     _check_layout(layout, cfg)
-
-    ch = build_channels(layout, rlz, cfg)
+    ch = build_channels(layout.copy(), rlz, cfg)
     # `powers` is the run's one full pass; every block updates it in place.
     state, powers = initial_state(ch, cfg)
     monitor = _Monitor()
     # Scores the start twice; perfbench traces it, the one call on fpas/fp-gd.
     rate = fp.weighted_sum_rate(powers, cfg)
-    sinr, eval_rate = _reported(state, layout, cfg, eval_rlz, rate)
+    sinr, eval_rate = _reported(state, ch, cfg, eval_rlz, rate)
     trace, eval_trace = [rate], [eval_rate]
     bsum_sweeps = 0
     converged = False
@@ -239,43 +237,41 @@ def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
         iterations = it
         # The auxiliaries were refreshed from `powers`, the pass `rate` was
         # scored on, so the surrogate must touch it.
-        p3 = fp.surrogate_objective(state, ch, cfg, powers=powers)
+        p3 = fp.surrogate_objective(state, cfg, powers=powers)
         monitor.check_sandwich(p3, rate)
 
         for tag, attr, update, changed in closed_form:
             setattr(state, attr, update(state, ch, cfg, powers))
             changed(powers, state, ch)
             p3 = monitor.check_block(p3, fp.surrogate_objective(
-                state, ch, cfg, powers=powers), tag)
+                state, cfg, powers=powers), tag)
 
         if grid is not None:
-            layout, ch, grid_rate, powers, moves = grid.place(
-                state, layout, ch, fp.weighted_sum_rate(powers, cfg), powers)
+            ch, grid_rate, powers, moves = grid.place(
+                state, ch, fp.weighted_sum_rate(powers, cfg), powers)
             if moves:
                 state.aux = fp.auxiliary_pass(powers, cfg)
-                p3_new = fp.surrogate_objective(state, ch, cfg, powers=powers)
+                p3_new = fp.surrogate_objective(state, cfg, powers=powers)
                 monitor.check_sandwich(p3_new, grid_rate)
                 p3 = monitor.check_block(p3, p3_new, "grid placement")
             else:
                 grid = None
 
         for tag, side, context, terms, changed in sides:
-            ctx = context(state, terms, ch)
-            pos, _, sw = optimizer(ctx, getattr(layout, side), rng,
+            pos, _, sw = optimizer(context(state, terms, ch), rng,
                                    cfg.epsilon_bsum)
-            setattr(layout, side, pos)
             bsum_sweeps += sw
             ch = move_side(ch, side, pos, rlz, cfg)
             changed(powers, state, ch)
             p3 = monitor.check_block(p3, fp.surrogate_objective(
-                state, ch, cfg, powers=powers), tag)
+                state, cfg, powers=powers), tag)
 
         # gamma is the SINR vector, so the pass that refreshes the
         # auxiliaries for the next iteration also scores this one; it
         # reuses the last block's record.
         state.aux = fp.auxiliary_pass(powers, cfg)
         new_rate = fp.rate_of_sinrs(state.aux.gamma, cfg)
-        sinr, eval_rate = _reported(state, layout, cfg, eval_rlz, new_rate)
+        sinr, eval_rate = _reported(state, ch, cfg, eval_rlz, new_rate)
         trace.append(new_rate)
         eval_trace.append(eval_rate)
         converged = abs(new_rate - rate) <= cfg.epsilon * max(abs(rate), 1e-12)
@@ -289,6 +285,6 @@ def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
         dl_rates=user_rates[:cfg.K_D], ul_rates=user_rates[cfg.K_D:],
         outer_iterations=iterations, bsum_sweeps=bsum_sweeps,
         wall_time=time.perf_counter() - t_start,
-        layout=layout, trace=trace, eval_trace=eval_trace,
+        layout=ch.layout, trace=trace, eval_trace=eval_trace,
         converged=converged, sandwich_gap=monitor.sandwich_gap,
     )

@@ -56,7 +56,7 @@ class TestGradientDescent:
         for trial in range(10):
             cfg, layout, ctx = self.make_ctx(trial)
             out, trace, _ = gradient_descent_positions(
-                ctx, layout.t, np.random.default_rng(trial), eps=1e-4)
+                ctx, np.random.default_rng(trial), eps=1e-4)
             assert np.all(np.diff(trace) <= 1e-12)
             assert layout_side_feasible(out, ctx.terms.half_width, ctx.terms.d_min)
             assert_allclose(placement_objective(ctx, layout_fields(ctx, out)),
@@ -66,7 +66,7 @@ class TestGradientDescent:
     def test_improves_objective(self):
         cfg, layout, ctx = self.make_ctx(3)
         _, trace, _ = gradient_descent_positions(
-            ctx, layout.t, np.random.default_rng(0), eps=1e-6)
+            ctx, np.random.default_rng(0), eps=1e-6)
         assert trace[-1] < trace[0]
 
     def test_one_projection_pass_restores_feasibility(self):
@@ -110,7 +110,7 @@ class TestGradientDescent:
             cfg, layout, ctx = self.make_ctx(trial)
             events.clear()
             _, _, steps = gradient_descent_positions(
-                ctx, layout.t, np.random.default_rng(0), eps=1e-6)
+                ctx, np.random.default_rng(0), eps=1e-6)
             assert steps >= 2
             n_bundles = events.count("bundle")
             assert n_bundles == cfg.N_t
@@ -121,7 +121,7 @@ class TestGradientDescent:
         _, layout, ctx = self.make_ctx(0)
         ctx = replace(ctx, W=np.zeros_like(ctx.W), own=np.zeros_like(ctx.own))
         out, trace, steps = gradient_descent_positions(
-            ctx, layout.t, np.random.default_rng(0), eps=1e-6)
+            ctx, np.random.default_rng(0), eps=1e-6)
         assert steps == 0 and len(trace) == 1
         assert np.array_equal(out, layout.t)
 
@@ -129,7 +129,7 @@ class TestGradientDescent:
         cfg, layout, ctx = self.make_ctx(3)
         monkeypatch.setattr(baselines, "GD_MAX_STEPS", 3)
         _, trace, steps = gradient_descent_positions(
-            ctx, layout.t, np.random.default_rng(0), eps=0.0)
+            ctx, np.random.default_rng(0), eps=0.0)
         assert steps == 3 and len(trace) == 4
 
 

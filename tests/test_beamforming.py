@@ -316,7 +316,7 @@ class TestRecordReadingForms:
 
     def test_surrogate_matches_the_reference(self):
         for _, cfg, ch, state, powers in record_instances():
-            sur = surrogate_objective(state, ch, cfg, powers=powers)
+            sur = surrogate_objective(state, cfg, powers=powers)
             ref = reference_surrogate(state, cfg, powers)
             assert type(sur) is float
             assert abs(sur - ref) <= 1e-13 * abs(ref)

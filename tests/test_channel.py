@@ -23,6 +23,14 @@ def channels_at(rlz, cfg, t_pos=None, r_pos=None):
         r=np.zeros((cfg.N_r, 2)) if r_pos is None else r_pos), rlz, cfg)
 
 
+def record_arrays(ch):
+    """Every array of a channel record by name, its layout's sides
+    included."""
+    return {**{f.name: getattr(ch, f.name)
+               for f in dataclasses.fields(Channels) if f.name != "layout"},
+            "layout.t": ch.layout.t, "layout.r": ch.layout.r}
+
+
 class TestWaveVector:
     def test_known_directions(self):
         assert_allclose(wave_vector(np.pi / 2, 0.0), [1.0, 0.0], atol=1e-15)
@@ -200,6 +208,7 @@ class TestChannelBuilders:
             t=rng.uniform(-1, 1, (cfg.N_t, 2)) * cfg.wavelength,
             r=rng.uniform(-1, 1, (cfg.N_r, 2)) * cfg.wavelength)
         ch = build_channels(layout, rlz, cfg)
+        assert ch.layout is layout
         assert ch.H_D.shape == (cfg.N_t, cfg.K_D)
         assert ch.H_U.shape == (cfg.N_r, cfg.K_U)
         assert ch.H_SI.shape == (cfg.N_r, cfg.N_t)
@@ -214,7 +223,8 @@ class TestChannelBuilders:
 
     def test_moved_side_equals_a_rebuild(self):
         # Moving one side re-takes only its phasors and gives the record a
-        # full rebuild would, bit for bit; the input record is untouched.
+        # full rebuild would, bit for bit, its layout included; the input
+        # record is untouched.
         cfg = small_cfg()
         rng = np.random.default_rng(16)
         rlz = sample_realization(cfg, rng)
@@ -222,8 +232,7 @@ class TestChannelBuilders:
             t=rng.uniform(-1, 1, (cfg.N_t, 2)) * cfg.wavelength,
             r=rng.uniform(-1, 1, (cfg.N_r, 2)) * cfg.wavelength)
         ch = build_channels(layout, rlz, cfg)
-        before = {f.name: getattr(ch, f.name).copy()
-                  for f in dataclasses.fields(Channels)}
+        before = {k: v.copy() for k, v in record_arrays(ch).items()}
         for side in ("t", "r"):
             moved = layout.copy()
             pos = rng.uniform(-1, 1, getattr(layout, side).shape) \
@@ -231,11 +240,12 @@ class TestChannelBuilders:
             setattr(moved, side, pos)
             got, ref = move_side(ch, side, pos, rlz, cfg), \
                 build_channels(moved, rlz, cfg)
-            for f in dataclasses.fields(Channels):
-                assert getattr(got, f.name).tobytes() \
-                    == getattr(ref, f.name).tobytes(), (side, f.name)
-        for name, value in before.items():
-            assert np.array_equal(getattr(ch, name), value)
+            assert getattr(got.layout, side) is pos
+            refs = record_arrays(ref)
+            for name, value in record_arrays(got).items():
+                assert value.tobytes() == refs[name].tobytes(), (side, name)
+        for name, value in record_arrays(ch).items():
+            assert np.array_equal(value, before[name])
 
     def test_perturbed_angles_recompute_directions(self):
         cfg = small_cfg()

@@ -55,6 +55,16 @@ class TestSpec:
         with pytest.raises(ConfigError, match="--sweep lists 2 twice"):
             small_spec(sweep_field="A", sweep_values=(2.0, 2.0))
 
+    @pytest.mark.parametrize("field, value", [
+        ("theta_m", -0.2), ("theta_m", float("nan")),
+        ("theta_m", float("inf")), ("sigma_e2", -0.1),
+    ])
+    def test_negative_or_non_finite_perturbation_rejected(self, field, value):
+        # Rejected before any trial runs, naming the field: not a numpy
+        # error, an uncaught overflow or a run on NaN channels.
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            small_spec(sweep_field=field, sweep_values=(0.1, value))
+
     @pytest.mark.parametrize("threads", [0, -3])
     def test_fewer_than_one_thread_rejected(self, threads):
         with pytest.raises(ConfigError, match="--threads"):

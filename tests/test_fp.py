@@ -283,7 +283,7 @@ class TestReceivedPowersUpdates:
         assert np.array_equal(aux.gamma, auxiliary_pass(fresh, cfg).gamma)
         assert weighted_sum_rate(pw, cfg) == weighted_sum_rate(fresh, cfg)
         state.aux = aux
-        assert surrogate_objective(state, ch, cfg, powers=pw) \
+        assert surrogate_objective(state, cfg, powers=pw) \
             == fresh_surrogate(state, ch, cfg)
 
 

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 from prafd.channel import build_channels, sample_realization, trial_rng, \
     AntennaLayout
 from prafd.config import ScenarioConfig
-from prafd import fp, placement
+from prafd import channel, fp, placement
 from prafd.fp import auxiliary_pass, received_powers
 from prafd.geometry import layout_side_feasible
 from prafd.oracles import (auxiliaries_at, central_difference_gradient,
@@ -245,7 +245,7 @@ class TestPlacementGradient:
 
     def test_takes_no_exponential(self, monkeypatch):
         # The joint gradient reads the phasors the fields contracted, so
-        # it needs neither np.exp nor field_response.
+        # it needs neither np.exp nor channel.field_response.
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=3, N_r=4, L=3, L_SI=3)
         rlz, layout, _, state, _, _ = make_contexts(cfg, 2)
 
@@ -258,7 +258,7 @@ class TestPlacementGradient:
                             for n in range(len(pos))])
             with monkeypatch.context() as m:
                 m.setattr(np, "exp", forbidden)
-                m.setattr(placement, "field_response", forbidden)
+                m.setattr(channel, "field_response", forbidden)
                 joint = placement_gradient(ctx, fields)
             assert np.linalg.norm(joint - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -354,8 +354,7 @@ class TestBsumSweep:
             _, layout, _, _, ctx_t, ctx_r = make_contexts(cfg, trial)
             rng = np.random.default_rng(trial)
             for ctx, pos in ((ctx_t, layout.t), (ctx_r, layout.r)):
-                out, trace, sweeps = bsum_optimize_side(ctx, pos, rng,
-                                                        eps=1e-3)
+                out, trace, sweeps = bsum_optimize_side(ctx, rng, eps=1e-3)
                 diffs = np.diff(trace)
                 assert np.all(diffs <= 1e-9 * np.maximum(1.0,
                                                          np.abs(trace[:-1])))
@@ -369,16 +368,16 @@ class TestBsumSweep:
         _, layout, _, _, ctx_t, _ = make_contexts(cfg)
         rng = np.random.default_rng(0)
         monkeypatch.setattr(placement, "MAX_BSUM_SWEEPS", 3)
-        _, trace, sweeps = bsum_optimize_side(ctx_t, layout.t, rng, eps=0.0)
+        _, trace, sweeps = bsum_optimize_side(ctx_t, rng, eps=0.0)
         assert sweeps == 3 and len(trace) == 4
 
     def test_deterministic_given_generator(self):
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=3, N_r=3)
         _, layout, _, _, ctx_t, _ = make_contexts(cfg)
-        a, _, _ = bsum_optimize_side(ctx_t, layout.t,
-                                     np.random.default_rng(9), eps=1e-4)
-        b, _, _ = bsum_optimize_side(ctx_t, layout.t,
-                                     np.random.default_rng(9), eps=1e-4)
+        a, _, _ = bsum_optimize_side(ctx_t, np.random.default_rng(9),
+                                     eps=1e-4)
+        b, _, _ = bsum_optimize_side(ctx_t, np.random.default_rng(9),
+                                     eps=1e-4)
         assert_allclose(a, b)
 
     def test_muted_side_stays_put(self):
@@ -389,8 +388,7 @@ class TestBsumSweep:
         state.aux = auxiliary_pass(
             received_powers(state.W_t, state.W_r, state.p, ch, cfg), cfg)
         ctx = receive_context(state, side_terms(rlz, cfg, False), ch)
-        out, trace, sweeps = bsum_optimize_side(ctx, layout.r,
-                                                np.random.default_rng(0),
+        out, trace, sweeps = bsum_optimize_side(ctx, np.random.default_rng(0),
                                                 eps=1e-3)
         assert_allclose(out, layout.r)
         assert_allclose(trace, [0.0, 0.0], atol=1e-30)
@@ -444,7 +442,7 @@ class TestBsumSweep:
             for ctx, pos in ((ctx_t, layout.t), (ctx_r, layout.r)):
                 seen.update(pos=pos.copy(), fields=None, moves=0)
                 out, _, _ = bsum_optimize_side(
-                    ctx, pos, np.random.default_rng(trial), eps=1e-4)
+                    ctx, np.random.default_rng(trial), eps=1e-4)
                 assert np.array_equal(seen["pos"], out)
                 moves += seen["moves"]
         assert moves > 20
@@ -481,7 +479,7 @@ class TestBsumSweep:
             for ctx, pos in ((ctx_t, layout.t), (ctx_r, layout.r)):
                 counts.update(visits=0, projections=0)
                 out, trace, _ = bsum_optimize_side(
-                    ctx, pos, np.random.default_rng(trial), eps=1e-3)
+                    ctx, np.random.default_rng(trial), eps=1e-3)
                 assert np.array_equal(out, pos)
                 assert np.all(np.diff(trace) <= 0.0)
                 assert counts["visits"] > 0
@@ -522,7 +520,7 @@ class TestBsumSweep:
                     m.setattr(np, "exp", exp)
                     m.setattr(placement, "nearest_feasible_point", project)
                     m.setattr(placement, "curvature_bound", tau)
-                    bsum_optimize_side(ctx, pos, np.random.default_rng(trial),
+                    bsum_optimize_side(ctx, np.random.default_rng(trial),
                                        eps=1e-3)
                 assert counts["visits"] > 0
                 assert counts["exp"] == 1 + counts["projections"]
@@ -581,8 +579,9 @@ class TestRateGrid:
         for trial in range(8):
             rlz, layout, ch, state = random_grid_case(cfg, trial)
             rate, powers = rate_and_powers(state, ch, cfg)
-            out, out_ch, out_rate, _, moves = RateGrid(rlz, cfg).place(
-                state, layout, ch, rate, powers)
+            out_ch, out_rate, _, moves = RateGrid(rlz, cfg).place(
+                state, ch, rate, powers)
+            out = out_ch.layout
             moved_trials += moves > 0
             assert out_rate >= rate
             assert (moves > 0) == (out_rate > rate)
@@ -595,33 +594,72 @@ class TestRateGrid:
 
     def test_one_received_power_pass_per_channel_state(self, monkeypatch):
         # The grid scores its first visit from the pass handed in with the
-        # rate.  Each candidate move costs one more pass, on its rebuilt
+        # rate.  Each candidate move costs one more pass, on its moved
         # channels, which confirms the move and, when it is accepted,
         # scores the next visit.
         counts = {"powers": 0, "confirm": 0}
-        real_powers, real_build = fp.received_powers, placement.build_channels
+        real_powers, real_move = fp.received_powers, placement.move_side
 
         def powers(*a):
             counts["powers"] += 1
             return real_powers(*a)
 
-        def build(*a):
+        def move(*a):
             counts["confirm"] += 1
-            return real_build(*a)
+            return real_move(*a)
 
         monkeypatch.setattr(fp, "received_powers", powers)
-        monkeypatch.setattr(placement, "build_channels", build)
+        monkeypatch.setattr(placement, "move_side", move)
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=3, N_r=3, L=3, L_SI=3, A=2.0)
         total_moves = 0
         for trial in range(4):
-            rlz, layout, ch, state = random_grid_case(cfg, trial)
+            rlz, _, ch, state = random_grid_case(cfg, trial)
             start, start_powers = rate_and_powers(state, ch, cfg)
             counts.update(powers=0, confirm=0)
-            _, _, _, _, moves = RateGrid(rlz, cfg).place(state, layout, ch,
-                                                         start, start_powers)
+            _, _, _, moves = RateGrid(rlz, cfg).place(state, ch, start,
+                                                      start_powers)
             assert counts["powers"] == counts["confirm"]
             total_moves += moves
         assert total_moves > 0
+
+    def test_a_confirmation_takes_only_the_moved_sides_phasors(
+            self, monkeypatch):
+        # A candidate's channels are the record with one side moved: its
+        # confirmation takes two channel exponentials, that side's
+        # user-path and SI-path phasors at the candidate positions, and the
+        # grid block takes no other.
+        taken, confirmed = [], []
+        real_response, real_move = channel.field_response, placement.move_side
+
+        def response(positions, dirs, kappa):
+            taken.append((np.array(positions), dirs))
+            return real_response(positions, dirs, kappa)
+
+        def move(ch, side, positions, rlz, cfg):
+            start = len(taken)
+            out = real_move(ch, side, positions, rlz, cfg)
+            confirmed.append((side, positions.copy(), taken[start:]))
+            return out
+
+        monkeypatch.setattr(channel, "field_response", response)
+        monkeypatch.setattr(placement, "move_side", move)
+        cfg = ScenarioConfig(K_D=2, K_U=2, N_t=3, N_r=3, L=3, L_SI=3, A=2.0)
+        moved = set()
+        for trial in range(4):
+            rlz, _, ch, state = random_grid_case(cfg, trial)
+            taken.clear()
+            confirmed.clear()
+            RateGrid(rlz, cfg).place(state, ch,
+                                     *rate_and_powers(state, ch, cfg))
+            assert len(taken) == 2 * len(confirmed)
+            for side, positions, exps in confirmed:
+                user, si = (rlz.dl_dirs, rlz.si_t_dirs) if side == "t" \
+                    else (rlz.ul_dirs, rlz.si_r_dirs)
+                assert all(np.array_equal(e[0], positions) for e in exps)
+                assert np.array_equal(exps[0][1], user.reshape(-1, 2))
+                assert np.array_equal(exps[1][1], si)
+                moved.add(side)
+        assert moved == {"t", "r"}
 
     def test_point_exactly_d_min_from_a_neighbour_is_eligible(self,
                                                               monkeypatch):
@@ -648,9 +686,10 @@ class TestRateGrid:
         # rate of -1 passed in, so antenna 0 lands on the goal only if the
         # goal is eligible.
         monkeypatch.setattr(RateGrid, "rates", rates)
-        out, _, _, _, moves = grid.place(
-            state, layout, ch, -1.0,
+        out_ch, _, _, moves = grid.place(
+            state, ch, -1.0,
             received_powers(state.W_t, state.W_r, state.p, ch, cfg))
+        out = out_ch.layout
         assert moves >= 1
         assert np.array_equal(out.t[0], goal)
         assert layout_side_feasible(out.t, cfg.region_half_width, cfg.D_min)
@@ -659,7 +698,7 @@ class TestRateGrid:
         # A move whose true gain is 5e-10 relative, far above rounding but
         # below the 1e-9 margin, is refused; one of 2e-9 is taken.  The
         # faked grid rates send every visit to one point; the confirming
-        # pass on rebuilt channels then sees the true rate `goal` there.
+        # pass on the moved channels then sees the true rate `goal` there.
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2, L=3, L_SI=3, A=2.0)
         rlz, layout, ch, _ = random_grid_case(cfg, 2)
         state, _ = initial_state(ch, cfg)
@@ -679,15 +718,15 @@ class TestRateGrid:
 
         monkeypatch.setattr(RateGrid, "rates", rates)
         powers = received_powers(state.W_t, state.W_r, state.p, ch, cfg)
-        out, _, out_rate, _, moves = grid.place(
-            state, layout, ch, goal / (1.0 + 5e-10), powers)
+        out_ch, out_rate, _, moves = grid.place(
+            state, ch, goal / (1.0 + 5e-10), powers)
         assert moves == 0
-        assert np.array_equal(out.t, layout.t)
+        assert np.array_equal(out_ch.layout.t, layout.t)
         assert out_rate == goal / (1.0 + 5e-10)
-        out, out_ch, out_rate, out_powers, moves = grid.place(
-            state, layout, ch, goal / (1.0 + 2e-9), powers)
+        out_ch, out_rate, out_powers, moves = grid.place(
+            state, ch, goal / (1.0 + 2e-9), powers)
         assert moves == 1
-        assert np.array_equal(out.t[0], grid.points[target])
+        assert np.array_equal(out_ch.layout.t[0], grid.points[target])
         assert out_rate == goal
         fresh = received_powers(state.W_t, state.W_r, state.p, out_ch, cfg)
         assert all(np.array_equal(v, getattr(fresh, k))
@@ -701,22 +740,21 @@ class TestRateGrid:
         silent, _ = initial_state(ch, cfg)
         silent.W_t = np.zeros_like(silent.W_t)
         silent.p = np.zeros(cfg.K_U)
-        out, _, out_rate, _, moves = grid.place(
-            silent, layout, ch, 0.0,
+        out_ch, out_rate, _, moves = grid.place(
+            silent, ch, 0.0,
             received_powers(silent.W_t, silent.W_r, silent.p, ch, cfg))
         assert moves == 0 and out_rate == 0.0
-        assert np.array_equal(out.t, layout.t)
-        assert np.array_equal(out.r, layout.r)
+        assert np.array_equal(out_ch.layout.t, layout.t)
+        assert np.array_equal(out_ch.layout.r, layout.r)
         # A layout no single grid move improves is returned unchanged.
         moves = 1
         while moves:
-            layout, ch, rate, _, moves = grid.place(
-                state, layout, ch, *rate_and_powers(state, ch, cfg))
-        again = grid.place(state, layout, ch,
-                           *rate_and_powers(state, ch, cfg))
-        assert again[4] == 0 and again[2] == rate
-        assert np.array_equal(again[0].t, layout.t)
-        assert np.array_equal(again[0].r, layout.r)
+            ch, rate, _, moves = grid.place(state, ch,
+                                            *rate_and_powers(state, ch, cfg))
+        again = grid.place(state, ch, *rate_and_powers(state, ch, cfg))
+        assert again[3] == 0 and again[1] == rate
+        assert np.array_equal(again[0].layout.t, ch.layout.t)
+        assert np.array_equal(again[0].layout.r, ch.layout.r)
 
     def test_smaller_region_grid_nested_in_larger(self):
         # The region-size sweep relies on this: growing an integer-A

@@ -256,12 +256,12 @@ class TestAlternatingOptimize:
 
     def test_one_received_power_pass_per_grid_block(self, monkeypatch):
         # The grid block starts from the record the uplink power block left;
-        # every full pass inside it confirms a candidate move on rebuilt
+        # every full pass inside it confirms a candidate move on moved
         # channels.
         counts = {"powers": 0, "confirm": 0}
         mark = {}
         blocks = []
-        real_powers, real_build = fp.received_powers, placement.build_channels
+        real_powers, real_move = fp.received_powers, placement.move_side
         real_surrogate, real_place = fp.surrogate_objective, \
             placement.RateGrid.place
 
@@ -269,9 +269,9 @@ class TestAlternatingOptimize:
             counts["powers"] += 1
             return real_powers(*a)
 
-        def build(*a):
+        def move(*a):
             counts["confirm"] += 1
-            return real_build(*a)
+            return real_move(*a)
 
         def surrogate(*a, **kw):
             out = real_surrogate(*a, **kw)
@@ -285,7 +285,7 @@ class TestAlternatingOptimize:
 
         monkeypatch.setattr(fp, "received_powers", powers)
         monkeypatch.setattr(fp, "surrogate_objective", surrogate)
-        monkeypatch.setattr(placement, "build_channels", build)
+        monkeypatch.setattr(placement, "move_side", move)
         monkeypatch.setattr(placement.RateGrid, "place", place)
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2, A=4.0)
         confirmed = 0
@@ -303,21 +303,23 @@ class TestAlternatingOptimize:
         # it updated; that record must equal a full pass on the current
         # state and channels exactly, or the monitor would check stale
         # factors.
-        pending, seen = [], {}
+        pending, seen, current = [], {}, {}
         real_surrogate = fp.surrogate_objective
         real_check = _Monitor.check_block
 
-        def surrogate(state, ch, cfg, *, powers):
-            fresh = fp.received_powers(state.W_t, state.W_r, state.p, ch, cfg)
+        def surrogate(state, cfg, *, powers):
+            fresh = fp.received_powers(state.W_t, state.W_r, state.p,
+                                       current["ch"], cfg)
             pending.append(vars(powers).keys() == vars(fresh).keys() and all(
                 np.array_equal(v, getattr(fresh, k))
                 for k, v in vars(powers).items()))
-            return real_surrogate(state, ch, cfg, powers=powers)
+            return real_surrogate(state, cfg, powers=powers)
 
         def check_block(self, before, after, tag):
             seen.setdefault(tag, []).append(pending[-1])
             return real_check(self, before, after, tag)
 
+        on_record(monkeypatch, lambda ch: current.update(ch=ch))
         monkeypatch.setattr(fp, "surrogate_objective", surrogate)
         monkeypatch.setattr(_Monitor, "check_block", check_block)
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2, A=4.0)
@@ -379,14 +381,44 @@ def same_bits(a, b):
         and a.tobytes() == b.tobytes()
 
 
+def same_record(a, b):
+    """Two channel records hold the same bits, their layouts' included."""
+    return all(same_bits(getattr(a, f.name), getattr(b, f.name))
+               for f in dataclasses.fields(Channels) if f.name != "layout") \
+        and same_bits(a.layout.t, b.layout.t) \
+        and same_bits(a.layout.r, b.layout.r)
+
+
+def on_record(monkeypatch, seen):
+    """Call `seen(ch)` with the solve's channel record at its start, at
+    every record update (`fp.ReceivedPowers.*_changed`) and at every grid
+    block's return."""
+    real_start, real_place = solver.initial_state, placement.RateGrid.place
+    monkeypatch.setattr(solver, "initial_state",
+                        lambda ch, cfg: seen(ch) or real_start(ch, cfg))
+    for name in ("transmit_beams_changed", "transmit_changed",
+                 "receive_changed", "power_changed"):
+        def changed(self, state, ch, real=getattr(fp.ReceivedPowers, name)):
+            seen(ch)
+            return real(self, state, ch)
+        monkeypatch.setattr(fp.ReceivedPowers, name, changed)
+
+    def place(self, *a):
+        out = real_place(self, *a)
+        seen(out[0])
+        return out
+
+    monkeypatch.setattr(placement.RateGrid, "place", place)
+
+
 def after_each_side(monkeypatch, method, seen):
     """Call `seen(ctx, out)` after every placement side of `method`."""
     module, name = (placement, "bsum_optimize_side") if method == "bsum" \
         else (baselines, "gradient_descent_positions")
     real = getattr(module, name)
 
-    def side(ctx, positions, rng, eps):
-        out = real(ctx, positions, rng, eps)
+    def side(ctx, rng, eps):
+        out = real(ctx, rng, eps)
         seen(ctx, out)
         return out
 
@@ -394,16 +426,29 @@ def after_each_side(monkeypatch, method, seen):
 
 
 def track_layout(monkeypatch, layout, method):
-    """Follow the solve's layout: the start, every grid block's result and
-    every placement side's positions.  Returns the followed layout."""
+    """Follow the solve's layout from what the blocks return, not from the
+    channel record: the start, every placement side's positions and every
+    candidate the grid confirmed (`placement.move_side`) and kept, that is
+    whose channels it returned or moved again.  Returns the followed
+    layout."""
     current = layout.copy()
-    real_place = placement.RateGrid.place
+    candidates = []     # (channels moved from, moved to, side, positions)
+    real_move, real_place = placement.move_side, placement.RateGrid.place
 
-    def place(self, *a):
-        out = real_place(self, *a)
-        current.t, current.r = out[0].t.copy(), out[0].r.copy()
+    def move(ch, side, positions, rlz, cfg):
+        out = real_move(ch, side, positions, rlz, cfg)
+        candidates.append((ch, out, side, positions.copy()))
         return out
 
+    def place(self, *a):
+        candidates.clear()
+        out = real_place(self, *a)
+        for _, moved, side, positions in candidates:
+            if moved is out[0] or any(c[0] is moved for c in candidates):
+                setattr(current, side, positions)
+        return out
+
+    monkeypatch.setattr(placement, "move_side", move)
     monkeypatch.setattr(placement.RateGrid, "place", place)
     after_each_side(monkeypatch, method, lambda ctx, out: setattr(
         current, "t" if ctx.terms.transmit else "r", out[0].copy()))
@@ -412,7 +457,8 @@ def track_layout(monkeypatch, layout, method):
 
 class TestChannelRecord:
     """The solve keeps one channel record: built once, then moved one side
-    at a time, and always equal to a rebuild of the current layout."""
+    at a time, and always equal to a rebuild of the current layout, which
+    it holds."""
 
     CFG = ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2, A=4.0)
 
@@ -427,24 +473,19 @@ class TestChannelRecord:
             with monkeypatch.context() as m:
                 current = track_layout(m, layout, method)
                 pending = []
-                real_surrogate = fp.surrogate_objective
                 real_check = _Monitor.check_block
-
-                def surrogate(state, ch, cfg_, *, powers):
-                    ref = build_channels(current, rlz, cfg)
-                    pending.append(all(
-                        same_bits(getattr(ch, f.name), getattr(ref, f.name))
-                        for f in dataclasses.fields(Channels)))
-                    return real_surrogate(state, ch, cfg_, powers=powers)
 
                 def check_block(self, before, after, tag):
                     seen.setdefault(tag, []).append(pending[-1])
                     return real_check(self, before, after, tag)
 
-                m.setattr(fp, "surrogate_objective", surrogate)
+                # The rebuild's layout is the followed one, so the record's
+                # layout is compared with it too.
+                on_record(m, lambda ch: pending.append(same_record(
+                    ch, build_channels(current, rlz, cfg))))
                 m.setattr(_Monitor, "check_block", check_block)
                 res = alternating_optimize(cfg, rlz, rng, layout, method)
-            assert all(pending)
+            assert len(pending) > 1 and all(pending)
             assert same_bits(res.layout.t, current.t)
             assert same_bits(res.layout.r, current.r)
         blocks = {"transmit beamformer", "receive beamformer", "uplink power",
@@ -497,10 +538,10 @@ class TestChannelRecord:
 
     def test_contexts_first_fields_and_grid_take_no_exponential(
             self, monkeypatch):
-        # The contexts read the other side's SI phasors, GD's first fields
-        # and the grid's SI rows read the record: none of them takes an
-        # exponential, and the first fields equal `layout_fields` bit for
-        # bit.
+        # The contexts read their positions and the other side's SI
+        # phasors, GD's first fields and the grid's SI rows read the record:
+        # none of them takes an exponential, and the first fields equal
+        # `layout_fields` bit for bit.
         cfg = ScenarioConfig(K_D=2, K_U=3, N_t=3, N_r=2, L=3, L_SI=2)
         rlz = sample_realization(cfg, trial_rng(0, 2, 0))
         layout = initialize_layout(cfg, trial_rng(0, 2, 3))
@@ -514,8 +555,7 @@ class TestChannelRecord:
             raise AssertionError("an exponential was taken")
 
         with monkeypatch.context() as m:
-            for mod in (channel, placement):
-                m.setattr(mod, "field_response", forbidden)
+            m.setattr(channel, "field_response", forbidden)
             m.setattr(np, "exp", forbidden)
             ctxs = (placement.transmit_context(state, terms[0], ch),
                     placement.receive_context(state, terms[1], ch))
@@ -524,6 +564,7 @@ class TestChannelRecord:
                 for n in range(count):
                     grid.rates(state, ch, powers, side, n)
         for ctx, fields, pos in zip(ctxs, first, (layout.t, layout.r)):
+            assert ctx.positions is pos
             ref = placement.layout_fields(ctx, pos)
             assert all(same_bits(a, b) for a, b in zip(fields, ref))
 
@@ -534,7 +575,7 @@ class TestChannelRecord:
         rng = trial_rng(0, 0, 3)
         layout = initialize_layout(cfg, rng)
         events = []
-        real_response = placement.field_response
+        real_response = channel.field_response
         real_objective = baselines.placement_objective
         real_side = baselines.gradient_descent_positions
 
@@ -550,7 +591,7 @@ class TestChannelRecord:
             events.append("side")
             return real_side(*a)
 
-        monkeypatch.setattr(placement, "field_response", response)
+        monkeypatch.setattr(channel, "field_response", response)
         monkeypatch.setattr(baselines, "placement_objective", objective)
         monkeypatch.setattr(baselines, "gradient_descent_positions", side)
         alternating_optimize(cfg, rlz, rng, layout, "gd")
@@ -605,17 +646,17 @@ class TestMonitorEndToEnd:
             spoiled.append(real_context(*a))
             return spoiled[-1]
 
-        def side(ctx, positions, rng, eps):
+        def side(ctx, rng, eps):
             if not (spoiled and ctx is spoiled[-1]):
-                return real_side(ctx, positions, rng, eps)
+                return real_side(ctx, rng, eps)
 
             # Moves the side to the symmetric layout of highest placement
             # objective, i.e. of lowest surrogate.
             def objective(pos):
                 return placement.placement_objective(
                     ctx, placement.layout_fields(ctx, pos))
-            start = objective(positions)
-            worst = max((positions @ m for m in SQUARE_SYMMETRIES),
+            start = objective(ctx.positions)
+            worst = max((ctx.positions @ m for m in SQUARE_SYMMETRIES),
                         key=objective)
             assert objective(worst) > start + 1e-6 * (1.0 + abs(start))
             return worst, [start, objective(worst)], 1
@@ -626,6 +667,23 @@ class TestMonitorEndToEnd:
         with pytest.raises(AssertionError,
                            match=f"surrogate decreased in {tag} block"):
             solve(cfg, 0)
+
+
+    @pytest.mark.parametrize("method", ["none", "bsum", "gd"])
+    @pytest.mark.parametrize("gain", ["prm_dl", "prm_ul", "sigma_si",
+                                      "h_iui"])
+    def test_nan_path_gain(self, gain, method):
+        # One NaN path gain makes every rate and surrogate NaN.  The
+        # sandwich check must fail on the first one, not let the run go on
+        # to a NaN trace or to an error in the placement blocks.  numpy's
+        # warnings on the NaN arithmetic are expected here.
+        cfg = ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2)
+        rlz = sample_realization(cfg, trial_rng(0, 0, 0))
+        getattr(rlz, gain)[0, 0] = np.nan
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(AssertionError,
+                              match="surrogate nan does not match rate nan"):
+            solve_drawn(cfg, rlz, trial_rng(0, 0, 3), method)
 
 
 class TestMismatchedEvaluation:
@@ -694,3 +752,15 @@ class TestMonitor:
         with pytest.raises(AssertionError, match="does not match"):
             m.check_sandwich(5.0 + 1e-7, 5.0)
         assert m.sandwich_gap > 1e-9
+
+    @pytest.mark.parametrize("before, after", [
+        (2.0, np.nan), (np.nan, 2.0), (np.nan, np.nan)])
+    def test_check_block_raises_on_nan(self, before, after):
+        with pytest.raises(AssertionError, match="surrogate decreased"):
+            _Monitor().check_block(before, after, "transmit beamformer")
+
+    @pytest.mark.parametrize("surrogate, rate", [
+        (5.0, np.nan), (np.nan, 5.0), (np.nan, np.nan)])
+    def test_check_sandwich_raises_on_nan(self, surrogate, rate):
+        with pytest.raises(AssertionError, match="does not match"):
+            _Monitor().check_sandwich(surrogate, rate)
