@@ -6,12 +6,12 @@ safeguarded Newton iteration on the multiplier's secular equation), an
 unconstrained receive quadratic program (plain linear solve), and per-user
 scalar uplink power problems.
 
-Every block update takes `(state, ch, cfg, powers)`, where `powers` is
-the solver's received-power record (`fp.ReceivedPowers`) of `state` on
-`ch`, and reads from it what the record already holds: the transmit form's
+Every block update takes `(state, cfg)` and reads the channels
+(`state.ch`) and the received-power record (`state.powers`) from the
+state, taking from the record what it already holds: the transmit form's
 SI part is built from its V = W_r^H H_SI, and the power coefficients from
 its G = W_r^H H_U, |G|^2 and |H_IUI|^2.  The receive form holds no W_r
-product, so that block reads nothing of the record.  `oracles` keeps the
+product, so that block reads only the channels.  `oracles` keeps the
 forms built from the channels alone, as test references.
 """
 
@@ -21,23 +21,20 @@ import math
 
 import numpy as np
 
-from .channel import Channels
 from .config import ScenarioConfig
-from .fp import ReceivedPowers, SolverState
+from .fp import SolverState
 
 QP_TOL = 1e-13
 QP_MAX_ITER = 200
 
 
-def transmit_subproblem_matrices(state: SolverState, ch: Channels,
-                                 powers: ReceivedPowers):
+def transmit_subproblem_matrices(state: SolverState):
     """Quadratic form H_t and linear term Hbar_D of the transmit block.
 
     The SI part H_SI^H W_r |Y_U|^2 W_r^H H_SI is V^H |Y_U|^2 V with the
     record's V = W_r^H H_SI.
     """
-    x = state.aux
-    V = powers.V
+    x, ch, V = state.aux, state.ch, state.powers.V
     H_t = (ch.H_D * x.y2_dl) @ ch.H_D.conj().T + (V.conj().T * x.y2_ul) @ V
     Hbar = ch.H_D * (x.y_dl * x.amp_dl)
     return H_t, Hbar
@@ -118,20 +115,19 @@ def solve_transmit_qp(H_t: np.ndarray, Hbar: np.ndarray, p_max: float):
     return build(mu), mu, it
 
 
-def update_transmit_beamformer(state: SolverState, ch: Channels,
-                               cfg: ScenarioConfig,
-                               powers: ReceivedPowers) -> np.ndarray:
-    H_t, Hbar = transmit_subproblem_matrices(state, ch, powers)
+def update_transmit_beamformer(state: SolverState,
+                               cfg: ScenarioConfig) -> np.ndarray:
+    H_t, Hbar = transmit_subproblem_matrices(state)
     W, _, _ = solve_transmit_qp(H_t, Hbar, cfg.p_D_max)
     return W
 
 
-def receive_subproblem_matrices(state: SolverState, ch: Channels,
-                                cfg: ScenarioConfig):
+def receive_subproblem_matrices(state: SolverState, cfg: ScenarioConfig):
     """Quadratic form H_r and linear term Hbar_U of the receive block.
 
     The SI part is F F^H with F = H_SI W_t.
     """
+    ch = state.ch
     F = ch.H_SI @ state.W_t
     H_r = (ch.H_U * state.p) @ ch.H_U.conj().T + F @ F.conj().T
     # H_r is a fresh contiguous sum, so ravel() is a view of it.
@@ -140,15 +136,14 @@ def receive_subproblem_matrices(state: SolverState, ch: Channels,
     return H_r, Hbar
 
 
-def update_receive_beamformer(state: SolverState, ch: Channels,
-                              cfg: ScenarioConfig,
-                              powers: ReceivedPowers) -> np.ndarray:
+def update_receive_beamformer(state: SolverState,
+                              cfg: ScenarioConfig) -> np.ndarray:
     """Unconstrained receive block: W_r = H_r^{-1} Hbar_U Y_U^{-H}.
 
     Columns whose y auxiliary is zero have a flat subproblem and keep their
-    previous value.  `powers` goes unused: H_r holds no W_r product.
+    previous value.
     """
-    H_r, Hbar = receive_subproblem_matrices(state, ch, cfg)
+    H_r, Hbar = receive_subproblem_matrices(state, cfg)
     y_ul = state.aux.y_ul
     live = y_ul != 0.0
     if live.all():
@@ -160,14 +155,14 @@ def update_receive_beamformer(state: SolverState, ch: Channels,
     return W
 
 
-def uplink_power_coefficients(state: SolverState, powers: ReceivedPowers):
+def uplink_power_coefficients(state: SolverState):
     """Per-user coefficients of the scalar power objective c1*sqrt(p) - c2*p.
 
     c1 collects the user's own matched-filter reward; c2 collects the damage
     its power does through every receive beamformer and every downlink user.
-    Both read G, |G|^2 and |H_IUI|^2 from `powers`.
+    Both read G, |G|^2 and |H_IUI|^2 from the state's record.
     """
-    x = state.aux
+    x, powers = state.aux, state.powers
     c1 = 2.0 * x.amp_ul * np.real(x.y_ul * powers.G.diagonal())
     c2 = x.y2_dl @ powers.iui2 + x.y2_ul @ powers.g2
     return c1, c2
@@ -182,10 +177,9 @@ def optimal_scalar_power(c1: float, c2: float, p_max: float) -> float:
     return min(p_max, (c1 / (2.0 * c2)) ** 2)
 
 
-def update_uplink_power(state: SolverState, ch: Channels,
-                        cfg: ScenarioConfig,
-                        powers: ReceivedPowers) -> np.ndarray:
+def update_uplink_power(state: SolverState,
+                        cfg: ScenarioConfig) -> np.ndarray:
     """Exact maximizer of each scalar power problem on [0, p_U_max]."""
-    c1, c2 = uplink_power_coefficients(state, powers)
+    c1, c2 = uplink_power_coefficients(state)
     return np.array([optimal_scalar_power(c1[u], c2[u], cfg.p_U_max)
                      for u in range(cfg.K_U)])

@@ -71,8 +71,6 @@ def _cmd_experiment(args) -> int:
             raise ConfigError("--sweep expects FIELD=V1,V2,...")
         sweep_field = name.strip()
         sweep_values = tuple(float(v) for v in rest.replace(",", " ").split())
-        if not sweep_values:
-            raise ConfigError("--sweep lists no values")
     spec = ExperimentSpec(
         base=cfg,
         algorithms=tuple(s.strip() for s in args.algos.split(",") if s.strip()),
@@ -160,11 +158,10 @@ def _oracle_placement(rng, count, lines, fails):
     worst = worst_joint = worst_hess = 0.0
     for _ in range(max(2, count // 25)):
         rlz = sample_realization(cfg, rng)
-        ch = build_channels(initialize_layout(cfg, rng), rlz, cfg)
-        state, _ = initial_state(ch, cfg)
-        terms = side_terms(rlz, cfg, True), side_terms(rlz, cfg, False)
-        for ctx in (transmit_context(state, terms[0], ch),
-                    receive_context(state, terms[1], ch)):
+        state = initial_state(
+            build_channels(initialize_layout(cfg, rng), rlz, cfg), cfg)
+        for ctx in (transmit_context(state, side_terms(rlz, cfg, True)),
+                    receive_context(state, side_terms(rlz, cfg, False))):
             pos = ctx.positions
             fields = layout_fields(ctx, pos)
             joint = placement_gradient(ctx, fields)

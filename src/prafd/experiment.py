@@ -62,12 +62,17 @@ class ExperimentSpec:
                 raise ConfigError(f"unknown algorithm {a!r}")
             if self.algorithms.count(a) > 1:
                 raise ConfigError(f"--algos names {a!r} twice")
+        if self.sweep_field is None and self.sweep_values:
+            raise ConfigError("--sweep lists values but names no field")
+        if self.sweep_field is not None and not self.sweep_values:
+            raise ConfigError("--sweep lists no values")
         for v in self.sweep_values:
             if self.sweep_values.count(v) > 1:
                 raise ConfigError(f"--sweep lists {v:g} twice")
             if self.sweep_field in PERTURBATION_FIELDS and not 0.0 <= v < np.inf:
                 raise ConfigError(f"{self.sweep_field} must be finite and "
                                   f"non-negative, got {v:g}")
+            apply_sweep(self.base, self.sweep_field, v)
         if self.trials < 1:
             raise ConfigError(f"--trials must be at least 1, got {self.trials}")
         if self.threads < 1:
@@ -158,7 +163,10 @@ def run_trial(spec: ExperimentSpec, sweep_value, trial: int) -> list[TrialResult
         else:
             solver_rlz = perturb_prm(rlz, sweep_value, prng)
         eval_rlz = rlz
-    layout = initialize_layout(cfg, trial_rng(spec.seed, trial, _STREAM_LAYOUT))
+    # fpas starts from fixed arrays; skipping the layout's own stream moves
+    # no other draw.
+    layout = None if set(spec.algorithms) == {"fpas"} else initialize_layout(
+        cfg, trial_rng(spec.seed, trial, _STREAM_LAYOUT))
     out = []
     for algo in spec.algorithms:
         try:

@@ -9,10 +9,10 @@ the true rate exactly; each block update afterwards can only push it up.
 Rates are in bits (log2).  The surrogates are computed in nats and scaled
 by 1/ln 2, which leaves every closed-form maximizer unchanged.
 
-Every score here is read from a `ReceivedPowers` record the caller holds:
-the rate, the auxiliary pass and the surrogate make no received-power pass
-of their own, so a full pass happens only where `received_powers` is
-called.
+The rate is scored from an SINR vector, and the auxiliary pass and the
+surrogate from a `ReceivedPowers` record, making no pass of their own: a
+full pass happens only where `received_powers` is called.  A solve keeps
+one record in its state (`SolverState.powers`) and updates it per block.
 
 (gamma, y) and every coefficient the blocks read from them live in one
 immutable `Auxiliaries` record, made only by `auxiliaries`: each auxiliary
@@ -56,12 +56,15 @@ class Auxiliaries(NamedTuple):
 
 @dataclass
 class SolverState:
-    """Designed variables plus the record of the FP auxiliaries they are
-    scored against; a new pass replaces `aux` whole."""
+    """Designed variables, their channels and received-power record, from
+    which every block reads, and the FP auxiliaries they are scored
+    against; a new pass replaces `aux` whole."""
 
-    W_t: np.ndarray   # (N_t, K_D) transmit beamformers
-    W_r: np.ndarray   # (N_r, K_U) receive beamformers
-    p: np.ndarray     # (K_U,) uplink transmit powers
+    W_t: np.ndarray           # (N_t, K_D) transmit beamformers
+    W_r: np.ndarray           # (N_r, K_U) receive beamformers
+    p: np.ndarray             # (K_U,) uplink transmit powers
+    ch: Channels              # channels of the current layout
+    powers: ReceivedPowers    # the pass of (W_t, W_r, p) on `ch`
     aux: Auxiliaries
 
 
@@ -86,7 +89,8 @@ class ReceivedPowers:
     * `power_changed` (p): only the p-weighted sums |H_IUI|^2 p and
       |G|^2 p, from the cached squares.
 
-    Each updates the record in place and re-adds s1 and s2 from the kept
+    Each reads the new variables and channels from the state (`state.ch`)
+    and updates the record in place, re-adding s1 and s2 from the kept
     parts.  H_IUI couples users only, so no block changes |H_IUI|^2.
     Every factor is the numpy expression of a full pass on the same
     operands, so an updated record equals a fresh pass bit for bit.
@@ -119,23 +123,21 @@ class ReceivedPowers:
         self._si(W_t)
         self._totals()
 
-    def transmit_beams_changed(self, state: SolverState,
-                               ch: Channels) -> None:
-        self._downlink(state.W_t, ch)
+    def transmit_beams_changed(self, state: SolverState) -> None:
+        self._downlink(state.W_t, state.ch)
         self._si(state.W_t)
         self._totals()
 
-    def transmit_changed(self, state: SolverState, ch: Channels) -> None:
-        self.V = state.W_r.conj().T @ ch.H_SI
-        self.transmit_beams_changed(state, ch)
+    def transmit_changed(self, state: SolverState) -> None:
+        self.V = state.W_r.conj().T @ state.ch.H_SI
+        self.transmit_beams_changed(state)
 
-    def receive_changed(self, state: SolverState, ch: Channels) -> None:
-        self._uplink(state.W_r, ch)
+    def receive_changed(self, state: SolverState) -> None:
+        self._uplink(state.W_r, state.ch)
         self._si(state.W_t)
         self._totals()
 
-    def power_changed(self, state: SolverState, ch: Channels) -> None:
-        """`ch` goes unused: p enters no channel product."""
+    def power_changed(self, state: SolverState) -> None:
         self.p = state.p
         self.iui_p = self.iui2 @ self.p
         self.g_p = self.g2 @ self.p
@@ -179,20 +181,14 @@ def sinrs_of(powers: ReceivedPowers) -> np.ndarray:
                            sig_ul / (powers.s2 - sig_ul)])
 
 
-def rate_of_sinrs(sinr: np.ndarray, cfg: ScenarioConfig):
-    """sum_i a_i log2(1 + SINR_i) for DL-then-UL SINR vectors.
+def weighted_sum_rate(sinr: np.ndarray, cfg: ScenarioConfig):
+    """Objective: sum_i a_i log2(1 + SINR_i) of a DL-then-UL SINR vector.
 
     A vector gives a float; a stack of vectors (users last) gives one rate
     per vector.
     """
     rate = np.log2(1.0 + sinr) @ cfg.weights
     return rate if np.ndim(rate) else float(rate)
-
-
-def weighted_sum_rate(powers: ReceivedPowers, cfg: ScenarioConfig) -> float:
-    """Objective: sum_i a_i log2(1 + SINR_i) over DL then UL users, of one
-    received-power pass."""
-    return rate_of_sinrs(sinrs_of(powers), cfg)
 
 
 def auxiliaries(gamma: np.ndarray, y: np.ndarray, lift: np.ndarray,
@@ -240,16 +236,16 @@ def auxiliary_pass(powers: ReceivedPowers, cfg: ScenarioConfig) -> Auxiliaries:
     return auxiliaries(gamma, y, lift, amp, cfg)
 
 
-def surrogate_objective(state: SolverState, cfg: ScenarioConfig,
-                        *, powers: ReceivedPowers) -> float:
-    """Quadratic-transform surrogate at the state's own auxiliaries, in bits.
+def surrogate_objective(state: SolverState, cfg: ScenarioConfig) -> float:
+    """Quadratic-transform surrogate at the state's own auxiliaries, in bits,
+    read from the state's received-power record.
 
-    `powers` must be a received-power pass of `state`.  Summed
-    user by user in Python floats, which for a handful of users is about
-    half the cost of the numpy expression (`oracles.reference_surrogate`)
-    and agrees with it to rounding; the value feeds only the monitor.
+    Summed user by user in Python floats, which for a handful of users is
+    about half the cost of the numpy expression
+    (`oracles.reference_surrogate`) and agrees with it to rounding; the
+    value feeds only the monitor.
     """
-    x = state.aux
+    x, powers = state.aux, state.powers
     total = float(x.base)
     for amp, y, y2, c, s1 in zip(x.amp_dl.tolist(), x.y_dl.tolist(),
                                  x.y2_dl.tolist(), powers.C.diagonal().tolist(),

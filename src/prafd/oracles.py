@@ -11,6 +11,8 @@ compares the fast paths against these oracles on randomized instances; the
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .channel import Channels, side_phasors, user_channel
@@ -149,17 +151,18 @@ def auxiliaries_at(gamma, y, cfg: ScenarioConfig):
     return auxiliaries(gamma, y, lift, np.sqrt(cfg.weights * lift), cfg)
 
 
-def fresh_surrogate(state, ch: Channels, cfg: ScenarioConfig) -> float:
+def fresh_surrogate(state, cfg: ScenarioConfig) -> float:
     """The surrogate at the state's own auxiliaries, scored from a fresh
-    received-power pass."""
-    powers = received_powers(state.W_t, state.W_r, state.p, ch, cfg)
-    return surrogate_objective(state, cfg, powers=powers)
+    received-power pass on the state's channels."""
+    powers = received_powers(state.W_t, state.W_r, state.p, state.ch, cfg)
+    return surrogate_objective(replace(state, powers=powers), cfg)
 
 
-def reference_surrogate(state, cfg: ScenarioConfig, powers) -> float:
+def reference_surrogate(state, cfg: ScenarioConfig) -> float:
     """The surrogate of `fp.surrogate_objective` as one numpy expression
-    over the user vectors, from the record `powers` of `state`."""
+    over the user vectors, from a fresh pass on the state's channels."""
     x = state.aux
+    powers = received_powers(state.W_t, state.W_r, state.p, state.ch, cfg)
     t1 = 2.0 * x.amp_dl @ (x.y_dl.conj() * powers.C.diagonal()).real \
         - x.y2_dl @ powers.s1
     t2 = 2.0 * np.sqrt(cfg.weights[cfg.K_D:] * state.p * x.lift_ul) \
@@ -176,28 +179,29 @@ def receive_objective_value(H_r: np.ndarray, Hbar: np.ndarray) -> float:
 # closed-form blocks: forms built from the channels alone
 
 
-def reference_transmit_matrices(state, ch: Channels):
+def reference_transmit_matrices(state):
     """H_t and Hbar_D of the transmit block, the SI part as
-    H_SI^H (W_r |Y_U|^2 W_r^H) H_SI from the channels."""
-    x = state.aux
+    H_SI^H (W_r |Y_U|^2 W_r^H) H_SI from the state's channels."""
+    x, ch = state.aux, state.ch
     H_t = (ch.H_D * x.y2_dl) @ ch.H_D.conj().T \
         + ch.H_SI.conj().T @ receive_gram(state) @ ch.H_SI
     return H_t, ch.H_D * (x.y_dl * x.amp_dl)
 
 
-def reference_receive_matrices(state, ch: Channels, cfg: ScenarioConfig):
+def reference_receive_matrices(state, cfg: ScenarioConfig):
     """H_r and Hbar_U of the receive block, the SI part as the chain
     H_SI W_t W_t^H H_SI^H and the noise as sigma2 times an identity."""
+    ch = state.ch
     H_r = (ch.H_U * state.p) @ ch.H_U.conj().T \
         + ch.H_SI @ state.W_t @ state.W_t.conj().T @ ch.H_SI.conj().T \
         + cfg.sigma2 * np.eye(ch.H_U.shape[0])
     return H_r, ch.H_U * (state.aux.amp_ul * np.sqrt(state.p))
 
 
-def reference_power_coefficients(state, ch: Channels):
+def reference_power_coefficients(state):
     """(c1, c2) of the uplink power block with G = W_r^H H_U and |H_IUI|^2
-    formed from the channels."""
-    x = state.aux
+    formed from the state's channels."""
+    x, ch = state.aux, state.ch
     G = state.W_r.conj().T @ ch.H_U
     c1 = 2.0 * x.amp_ul * np.real(x.y_ul * G.diagonal())
     c2 = x.y2_dl @ (np.abs(ch.H_IUI) ** 2) + x.y2_ul @ (np.abs(G) ** 2)

@@ -20,7 +20,7 @@ Each quantity is built once at the level where it can change:
   frequency, squared norm and moments [u_x, u_y, u_x^2, u_x u_y, u_y^2]
   and the user path-pair products;
 * per context (one side's placement call): its start positions and the
-  SI mix, read off the solve's channel record (`channel.Channels`), the
+  SI mix, read off the state's channel record (`channel.Channels`), the
   mix's product M, conj(W) and its beam-weighted rows, and one row of
   coefficients per antenna holding its user-pair and SI-pair terms; a
   context takes no exponential;
@@ -28,11 +28,11 @@ Each quantity is built once at the level where it can change:
   with the phasors they contract (`layout_fields`), and from them, with
   no exponential, the joint gradient (`placement_gradient`) projected
   gradient descent reads per step.  The fields of the layout a side
-  starts from are read off the channel record (`channel_fields`), so
-  GD scores its start with no exponential.  A BSUM side call keeps a
-  phasor table, every term's phasor at every antenna, and re-derives the
-  fields from its user-linear and SI-linear columns after an accepted
-  move; it and `layout_fields` share one contraction;
+  starts from are contracted from the channel record's phasors
+  (`channel_fields`), so GD scores its start with no exponential.  A
+  BSUM side call keeps a phasor table, every term's phasor at every
+  antenna, and re-derives the fields from its user-linear and SI-linear
+  columns after an accepted move; all three share one contraction;
 * per visit: the antenna's bundle is its context row with the user-linear
   and SI-linear terms written in, evaluated once from its table row for
   value, gradient and the moment product `curvature_bound` reads; each
@@ -48,9 +48,11 @@ anchored at the region centre (spacing discs masked out) and moves the
 antenna to the best point when that raises the rate.  Grid phasors are
 separable (x phasor times y phasor), and a move changes one row or column
 of each channel, so every grid point costs a rank-1 update of the
-beamformed products C, G and S rather than a channel rebuild; positions
-and the other side's SI phasors are read from the channel record, and a
-move is confirmed on the record moved one side (`channel.move_side`).
+beamformed products C, G and S rather than a channel rebuild.  The grid
+reads only the solver state: positions and the other side's SI phasors
+come from its channel record and the expansion from its received-power
+record, and an accepted move, confirmed on the record moved one side
+(`channel.move_side`), replaces both in the state.
 """
 
 from __future__ import annotations
@@ -241,27 +243,26 @@ class SurrogateContext:
             (gram[:, None, None] * M).reshape(n_ant, -1)
 
 
-def transmit_context(state: SolverState, terms: SideTerms,
-                     ch: Channels) -> SurrogateContext:
-    """Transmit-side context; `terms` are the solve's
-    `side_terms(rlz, cfg, True)` and `ch` the current channels."""
+def transmit_context(state: SolverState, terms: SideTerms) -> SurrogateContext:
+    """Transmit-side context on the state's channels; `terms` are the
+    solve's `side_terms(rlz, cfg, True)`."""
     x = state.aux
     return SurrogateContext(lin=x.amp_dl * x.y_dl, chan_w=x.y2_dl,
                             beam_w=np.ones(len(x.y_dl)), W=state.W_t,
                             own=state.W_t @ state.W_t.conj().T,
-                            other=fp.receive_gram(state), ch=ch, terms=terms)
+                            other=fp.receive_gram(state), ch=state.ch,
+                            terms=terms)
 
 
-def receive_context(state: SolverState, terms: SideTerms,
-                    ch: Channels) -> SurrogateContext:
-    """Receive-side context; `terms` are the solve's
-    `side_terms(rlz, cfg, False)` and `ch` the current channels."""
+def receive_context(state: SolverState, terms: SideTerms) -> SurrogateContext:
+    """Receive-side context on the state's channels; `terms` are the
+    solve's `side_terms(rlz, cfg, False)`."""
     x = state.aux
     return SurrogateContext(lin=x.amp_ul * np.sqrt(state.p) * x.y_ul,
                             chan_w=state.p.astype(float), beam_w=x.y2_ul,
                             W=state.W_r, own=fp.receive_gram(state),
                             other=state.W_t @ state.W_t.conj().T,
-                            ch=ch, terms=terms)
+                            ch=state.ch, terms=terms)
 
 
 def _fields(ctx: SurrogateContext, user_e: np.ndarray, si_e: np.ndarray):
@@ -284,17 +285,13 @@ def layout_fields(ctx: SurrogateContext, positions: np.ndarray):
 
 
 def channel_fields(ctx: SurrogateContext):
-    """`layout_fields` of the layout `ctx.ch` holds, read off the record
-    with no exponential: H and the phasors are the record's, and X is
-    H_SI on the transmit side.  Each is the same product of the same
-    operands as in `layout_fields`, so the two agree bit for bit."""
+    """`layout_fields` of the layout `ctx.ch` holds, contracted from the
+    record's phasors with no exponential; the same products of the same
+    operands, so the two agree bit for bit."""
     ch = ctx.ch
     if ctx.terms.transmit:
-        H, X, user_e, si_e = ch.H_D, ch.H_SI, ch.u_t, ch.s_t
-    else:
-        H, user_e, si_e = ch.H_U, ch.u_r, ch.s_r
-        X = ctx.si_mix @ si_e.T
-    return H, ctx.Wc.T @ H, X, user_e, si_e
+        return _fields(ctx, ch.u_t, ch.s_t)
+    return _fields(ctx, ch.u_r, ch.s_r)
 
 
 def _table_fields(ctx: SurrogateContext, table: np.ndarray):
@@ -496,19 +493,17 @@ class RateGrid:
         self.e_si_t = _grid_phasors(axis, rlz.si_t_dirs, k).T
         self.e_si_r = _grid_phasors(axis, rlz.si_r_dirs, -k).T
 
-    def rates(self, state: SolverState, ch: Channels,
-              powers: fp.ReceivedPowers, side: str, n: int) -> np.ndarray:
+    def rates(self, state: SolverState, side: str, n: int) -> np.ndarray:
         """Rate with antenna n of `side` ("t" or "r") at each grid point.
 
-        `ch` is the channel record of the current layout, whose SI phasors
-        are read here, and `powers` the `fp.ReceivedPowers` record of
-        `state` on `ch`; the spacing constraint is not applied here.  Those
-        received powers are expanded around the current layout, so no
-        (points x users x users) array is formed.
+        The state's received-power record is expanded around its channels'
+        layout, so no (points x users x users) array is formed; the spacing
+        constraint is not applied here.
         """
         cfg, sigma_si = self.cfg, self.rlz.sigma_si
-        W_t, W_r, p = state.W_t, state.W_r, state.p
-        s1, s2, C, G, S = powers.s1, powers.s2, powers.C, powers.G, powers.S
+        W_t, W_r, p, ch = state.W_t, state.W_r, state.p, state.ch
+        pw = state.powers
+        s1, s2, C, G, S = pw.s1, pw.s2, pw.C, pw.G, pw.S
         sig1 = _abs2(C.diagonal())
         if side == "t":
             # Row n of H_D and column n of H_SI move: C += a w^T, S += d w^T.
@@ -537,26 +532,25 @@ class RateGrid:
         sinr = np.empty((cfg.K, len(self.points))).T
         sinr[:, :cfg.K_D] = sig1 / (s1 - sig1)
         sinr[:, cfg.K_D:] = sig2 / (s2 - sig2)
-        return fp.rate_of_sinrs(sinr, cfg)
+        return fp.weighted_sum_rate(sinr, cfg)
 
-    def place(self, state: SolverState, ch: Channels, rate: float,
-              powers: fp.ReceivedPowers):
+    def place(self, state: SolverState) -> int:
         """Move antennas one at a time to their best feasible grid point.
 
         Grid points are masked by `is_feasible` against the side's other
-        antennas in `ch.layout`.  Cycles through the transmit then the
-        receive antennas and moves one only when its best grid point raises
-        the true rate, confirmed by a full received-power pass on the
-        channels of the move (`move_side`); an accepted move's pass scores
-        the next visit.  `rate` and `powers` are the weighted sum-rate and
-        the received-power record of `state` on `ch`.  Stops once every
-        antenna has been visited since the last move, so that no single
-        grid move raises the rate, or after MAX_GRID_ROUNDS passes.  Sides
-        without users are skipped.  Returns (channels, rate, powers, moves)
-        with the rate and received-power pass of `state` on the returned
-        channels; the inputs are not modified.
+        antennas in the state's layout.  Cycles through the transmit then
+        the receive antennas and moves one only when its best grid point
+        raises the true rate, confirmed by a full received-power pass on
+        the channels of the move (`move_side`); an accepted move sets
+        `state.ch` and `state.powers` to those channels and that pass,
+        which scores the next visit.  The entry rate is scored from the
+        state's record.  Stops once every antenna has been visited since
+        the last move, so that no single grid move raises the rate, or
+        after MAX_GRID_ROUNDS passes.  Sides without users are skipped.
+        Returns the number of moves.
         """
         cfg = self.cfg
+        rate = fp.weighted_sum_rate(fp.sinrs_of(state.powers), cfg)
         visits = [(side, n) for side, users, count in
                   (("t", cfg.K_D, cfg.N_t), ("r", cfg.K_U, cfg.N_r))
                   if users > 0 for n in range(count)]
@@ -567,10 +561,10 @@ class RateGrid:
             if settled == len(visits):
                 break
             settled += 1
-            pos = getattr(ch.layout, side)
+            pos = getattr(state.ch.layout, side)
             region = FeasibleRegionSpec(
                 cfg.region_half_width, np.delete(pos, n, axis=0), cfg.D_min)
-            vals = self.rates(state, ch, powers, side, n)
+            vals = self.rates(state, side, n)
             vals[~is_feasible(self.points, region)] = -np.inf
             best = int(np.argmax(vals))
             bar = rate + GRID_MIN_GAIN * max(1.0, abs(rate))
@@ -578,12 +572,12 @@ class RateGrid:
                 continue
             cand = pos.copy()
             cand[n] = self.points[best]
-            cand_ch = move_side(ch, side, cand, self.rlz, cfg)
+            cand_ch = move_side(state.ch, side, cand, self.rlz, cfg)
             cand_powers = fp.received_powers(state.W_t, state.W_r, state.p,
                                              cand_ch, cfg)
-            cand_rate = fp.weighted_sum_rate(cand_powers, cfg)
+            cand_rate = fp.weighted_sum_rate(fp.sinrs_of(cand_powers), cfg)
             if cand_rate > bar:
-                ch, rate, powers = cand_ch, cand_rate, cand_powers
+                state.ch, state.powers, rate = cand_ch, cand_powers, cand_rate
                 moves += 1
                 settled = 1
-        return ch, rate, powers, moves
+        return moves

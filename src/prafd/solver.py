@@ -16,24 +16,23 @@ rate before the jump, which is at most the rate after it, so the surrogate
 still never decreases.  The first time the block moves no antenna it is
 retired for the rest of the run; from there on the loop is plain BSUM.
 
-One received-power record (`fp.ReceivedPowers`) of the current state and
-channels is kept through the run.  `initial_state` makes its first full
-pass and returns the starting state already scored, with the auxiliaries
-of that pass.  A block updates only the factors its variable enters; the
-closed-form blocks, the rate, the surrogate after each block and the
-auxiliary passes read the updated record, and a grid move hands over the
-record of its confirming pass.  So the only full passes of a run are the
+The solve keeps one state (`fp.SolverState`): the variables, the
+channels of the current layout (`state.ch`), their received-power record
+on those channels (`state.powers`) and the auxiliaries; every block reads
+its channels and received powers from it.  `initial_state` makes the
+first full pass and returns the starting state with the auxiliaries of
+that pass, whose gamma scores the start.  A block updates only the
+factors its variable enters; the surrogate after each block and the
+auxiliary passes read the updated record, and a grid move sets the
+state's channels and record to those of its confirming pass.  So the only full passes of a run are the
 first one, plus the grid's confirmations and, with `eval_rlz`, one pass at
 the start and one per iteration on the evaluation channels.
 
-The layout and its channels live in one record (`channel.Channels`),
-which also keeps each side's user-path and SI-path phasors, the only
-place positions enter; the solve holds no other positions.
+The channel record (`channel.Channels`) holds the layout and each side's
+user-path and SI-path phasors, the only place positions enter.
 `build_channels` takes them once per solve; after a placement side, and
 for each grid confirmation, `channel.move_side` re-takes only the moved
 side's two phasor arrays and rebuilds that side's user channel and H_SI.
-The placement contexts, GD's first fields and the grid read positions
-and phasors from the record instead of taking them again.
 
 Each auxiliary pass replaces `state.aux`, the one record of (gamma, y) and
 every coefficient derived from them (`fp.Auxiliaries`); the blocks and
@@ -109,13 +108,9 @@ def initialize_layout(cfg: ScenarioConfig, rng: np.random.Generator) -> AntennaL
     )
 
 
-def initial_state(ch: Channels,
-                  cfg: ScenarioConfig) -> tuple[fp.SolverState, fp.ReceivedPowers]:
-    """Matched-filter beamformers at full power budgets, scored.
-
-    Returns the state, with the auxiliaries of its first received-power
-    pass, and that pass.
-    """
+def initial_state(ch: Channels, cfg: ScenarioConfig) -> fp.SolverState:
+    """Matched-filter beamformers at full power budgets on `ch`, scored:
+    the state holds its first received-power pass and its auxiliaries."""
     g = float(np.sum(np.abs(ch.H_D) ** 2))
     W_t = ch.H_D * np.sqrt(cfg.p_D_max / g) if g > 0 else np.zeros_like(ch.H_D)
     W_r = ch.H_U.copy()
@@ -125,7 +120,8 @@ def initial_state(ch: Channels,
             W_r[0, u] = 1.0
     p = np.full(cfg.K_U, cfg.p_U_max)
     powers = fp.received_powers(W_t, W_r, p, ch, cfg)
-    return fp.SolverState(W_t, W_r, p, fp.auxiliary_pass(powers, cfg)), powers
+    return fp.SolverState(W_t, W_r, p, ch, powers,
+                          fp.auxiliary_pass(powers, cfg))
 
 
 def _check_layout(layout: AntennaLayout, cfg: ScenarioConfig) -> None:
@@ -167,18 +163,19 @@ class _Monitor:
                 f"surrogate {surrogate!r} does not match rate {rate!r}")
 
 
-def _reported(state: fp.SolverState, ch: Channels, cfg: ScenarioConfig,
+def _reported(state: fp.SolverState, cfg: ScenarioConfig,
               eval_rlz: ChannelRealization | None,
               rate: float) -> tuple[np.ndarray, float]:
     """SINR vector to report and its weighted sum-rate: the auxiliary
     pass's gamma, which `rate` was scored from, or with `eval_rlz` the
-    SINRs of a full pass on the evaluation channels of `ch`'s layout."""
+    SINRs of a full pass on the evaluation channels of the state's
+    layout."""
     if eval_rlz is None:
         return state.aux.gamma, rate
-    eval_ch = build_channels(ch.layout, eval_rlz, cfg)
+    eval_ch = build_channels(state.ch.layout, eval_rlz, cfg)
     sinr = fp.sinrs_of(fp.received_powers(state.W_t, state.W_r, state.p,
                                           eval_ch, cfg))
-    return sinr, fp.rate_of_sinrs(sinr, cfg)
+    return sinr, fp.weighted_sum_rate(sinr, cfg)
 
 
 def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
@@ -194,13 +191,10 @@ def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
     """
     t_start = time.perf_counter()
     _check_layout(layout, cfg)
-    ch = build_channels(layout.copy(), rlz, cfg)
-    # `powers` is the run's one full pass; every block updates it in place.
-    state, powers = initial_state(ch, cfg)
+    state = initial_state(build_channels(layout.copy(), rlz, cfg), cfg)
     monitor = _Monitor()
-    # Scores the start twice; perfbench traces it, the one call on fpas/fp-gd.
-    rate = fp.weighted_sum_rate(powers, cfg)
-    sinr, eval_rate = _reported(state, ch, cfg, eval_rlz, rate)
+    rate = fp.weighted_sum_rate(state.aux.gamma, cfg)
+    sinr, eval_rate = _reported(state, cfg, eval_rlz, rate)
     trace, eval_trace = [rate], [eval_rate]
     bsum_sweeps = 0
     converged = False
@@ -235,43 +229,42 @@ def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
 
     for it in range(1, MAX_OUTER + 1):
         iterations = it
-        # The auxiliaries were refreshed from `powers`, the pass `rate` was
-        # scored on, so the surrogate must touch it.
-        p3 = fp.surrogate_objective(state, cfg, powers=powers)
+        # The auxiliaries were refreshed from the state's record, the pass
+        # `rate` was scored on, so the surrogate must touch it.
+        p3 = fp.surrogate_objective(state, cfg)
         monitor.check_sandwich(p3, rate)
 
         for tag, attr, update, changed in closed_form:
-            setattr(state, attr, update(state, ch, cfg, powers))
-            changed(powers, state, ch)
-            p3 = monitor.check_block(p3, fp.surrogate_objective(
-                state, cfg, powers=powers), tag)
+            setattr(state, attr, update(state, cfg))
+            changed(state.powers, state)
+            p3 = monitor.check_block(p3, fp.surrogate_objective(state, cfg),
+                                     tag)
 
         if grid is not None:
-            ch, grid_rate, powers, moves = grid.place(
-                state, ch, fp.weighted_sum_rate(powers, cfg), powers)
-            if moves:
-                state.aux = fp.auxiliary_pass(powers, cfg)
-                p3_new = fp.surrogate_objective(state, cfg, powers=powers)
-                monitor.check_sandwich(p3_new, grid_rate)
+            if grid.place(state):
+                state.aux = fp.auxiliary_pass(state.powers, cfg)
+                p3_new = fp.surrogate_objective(state, cfg)
+                monitor.check_sandwich(
+                    p3_new, fp.weighted_sum_rate(state.aux.gamma, cfg))
                 p3 = monitor.check_block(p3, p3_new, "grid placement")
             else:
                 grid = None
 
         for tag, side, context, terms, changed in sides:
-            pos, _, sw = optimizer(context(state, terms, ch), rng,
+            pos, _, sw = optimizer(context(state, terms), rng,
                                    cfg.epsilon_bsum)
             bsum_sweeps += sw
-            ch = move_side(ch, side, pos, rlz, cfg)
-            changed(powers, state, ch)
-            p3 = monitor.check_block(p3, fp.surrogate_objective(
-                state, cfg, powers=powers), tag)
+            state.ch = move_side(state.ch, side, pos, rlz, cfg)
+            changed(state.powers, state)
+            p3 = monitor.check_block(p3, fp.surrogate_objective(state, cfg),
+                                     tag)
 
         # gamma is the SINR vector, so the pass that refreshes the
         # auxiliaries for the next iteration also scores this one; it
         # reuses the last block's record.
-        state.aux = fp.auxiliary_pass(powers, cfg)
-        new_rate = fp.rate_of_sinrs(state.aux.gamma, cfg)
-        sinr, eval_rate = _reported(state, ch, cfg, eval_rlz, new_rate)
+        state.aux = fp.auxiliary_pass(state.powers, cfg)
+        new_rate = fp.weighted_sum_rate(state.aux.gamma, cfg)
+        sinr, eval_rate = _reported(state, cfg, eval_rlz, new_rate)
         trace.append(new_rate)
         eval_trace.append(eval_rate)
         converged = abs(new_rate - rate) <= cfg.epsilon * max(abs(rate), 1e-12)
@@ -285,6 +278,6 @@ def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
         dl_rates=user_rates[:cfg.K_D], ul_rates=user_rates[cfg.K_D:],
         outer_iterations=iterations, bsum_sweeps=bsum_sweeps,
         wall_time=time.perf_counter() - t_start,
-        layout=ch.layout, trace=trace, eval_trace=eval_trace,
+        layout=state.ch.layout, trace=trace, eval_trace=eval_trace,
         converged=converged, sandwich_gap=monitor.sandwich_gap,
     )

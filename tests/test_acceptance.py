@@ -17,7 +17,7 @@ from prafd.beamforming import optimal_scalar_power, solve_transmit_qp
 from prafd.channel import build_channels, sample_realization, trial_rng
 from prafd.config import ScenarioConfig
 from prafd.experiment import ExperimentSpec, emit_csv, run_experiment
-from prafd.fp import received_powers, weighted_sum_rate
+from prafd.fp import received_powers, sinrs_of, weighted_sum_rate
 from prafd.geometry import (FeasibleRegionSpec, is_feasible,
                             nearest_feasible_point)
 from prafd.oracles import (central_difference_gradient,
@@ -154,12 +154,11 @@ class TestPlacementDerivatives:
             trial += 1
             rlz = sample_realization(cfg, rng)
             layout = initialize_layout(cfg, rng)
-            ch = build_channels(layout, rlz, cfg)
-            state, _ = initial_state(ch, cfg)
-            sides = ((transmit_context(state, side_terms(rlz, cfg, True),
-                                       ch), layout.t),
-                     (receive_context(state, side_terms(rlz, cfg, False),
-                                      ch), layout.r))
+            state = initial_state(build_channels(layout, rlz, cfg), cfg)
+            sides = ((transmit_context(state, side_terms(rlz, cfg, True)),
+                      layout.t),
+                     (receive_context(state, side_terms(rlz, cfg, False)),
+                      layout.r))
             for ctx, pos in sides:
                 for n in range(pos.shape[0]):
                     if checked >= 1000:
@@ -210,16 +209,16 @@ class TestReceiveScaleInvariance:
             rlz = sample_realization(cfg, rng)
             layout = initialize_layout(cfg, rng)
             ch = build_channels(layout, rlz, cfg)
-            state, _ = initial_state(ch, cfg)
+            state = initial_state(ch, cfg)
             state.W_r = random_complex(rng, state.W_r.shape)
-            base = weighted_sum_rate(received_powers(
-                state.W_t, state.W_r, state.p, ch, cfg), cfg)
+            base = weighted_sum_rate(sinrs_of(received_powers(
+                state.W_t, state.W_r, state.p, ch, cfg)), cfg)
             u = int(rng.integers(0, cfg.K_U))
             scale = rng.uniform(0.1, 10.0)
             W2 = state.W_r.copy()
             W2[:, u] *= scale
-            scaled = weighted_sum_rate(received_powers(
-                state.W_t, W2, state.p, ch, cfg), cfg)
+            scaled = weighted_sum_rate(sinrs_of(received_powers(
+                state.W_t, W2, state.p, ch, cfg)), cfg)
             assert abs(scaled - base) < 1e-9 * max(1.0, abs(base))
 
 

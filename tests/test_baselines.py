@@ -47,10 +47,9 @@ class TestGradientDescent:
         rng = trial_rng(0, trial, 0)
         rlz = sample_realization(cfg, rng)
         layout = initialize_layout(cfg, rng)
-        ch = build_channels(layout, rlz, cfg)
-        state, _ = initial_state(ch, cfg)
-        return cfg, layout, transmit_context(
-            state, side_terms(rlz, cfg, True), ch)
+        state = initial_state(build_channels(layout, rlz, cfg), cfg)
+        return cfg, layout, transmit_context(state,
+                                             side_terms(rlz, cfg, True))
 
     def test_trace_monotone_and_feasible(self):
         for trial in range(10):

@@ -136,6 +136,8 @@ class TestExperiment:
         (["--algos", "fpas,fpas"], "--algos"),
         (["--threads", "0"], "--threads"),
         (["--algos", "fpas", "--sweep", "A=2,2"], "--sweep"),
+        (["--algos", "fpas", "--sweep", "bandwidth=1,2"], "bandwidth"),
+        (["--algos", "fpas", "--sweep", "N=1.5"], "integral"),
     ])
     def test_bad_spec_exits_before_writing(self, tmp_path, capsys, args,
                                            field):

@@ -65,6 +65,22 @@ class TestSpec:
         with pytest.raises(ConfigError, match=f"{field} must be finite"):
             small_spec(sweep_field=field, sweep_values=(0.1, value))
 
+    @pytest.mark.parametrize("kw, match", [
+        (dict(sweep_field="A"), "--sweep lists no values"),
+        (dict(sweep_values=(1.0, 2.0)), "--sweep lists values but names no"),
+        (dict(sweep_field="bandwidth", sweep_values=(1.0, 2.0)),
+         "unknown sweep field 'bandwidth'"),
+        (dict(sweep_field="N", sweep_values=(2.0, 1.5)),
+         "N takes integral values only"),
+        (dict(sweep_field="A", sweep_values=(1.0, 0.0)),
+         "region side A must be positive"),
+    ])
+    def test_every_sweep_point_checked_when_built(self, kw, match):
+        # A field with no values, values with no field and a point that
+        # `apply_sweep` rejects all stop the spec, before any trial runs.
+        with pytest.raises(ConfigError, match=match):
+            small_spec(**kw)
+
     @pytest.mark.parametrize("threads", [0, -3])
     def test_fewer_than_one_thread_rejected(self, threads):
         with pytest.raises(ConfigError, match="--threads"):
@@ -228,6 +244,26 @@ class TestRunTrial:
             assert r.failure is None
             assert r.rate == 0.0
             assert not r.dl_rates.any() and not r.ul_rates.any()
+
+    def test_fixed_arrays_alone_draw_no_layout(self, monkeypatch):
+        # Five antennas do not fit a lambda x lambda square at lambda/2
+        # spacing by rejection sampling, but fpas starts from its 3 x 3
+        # fixed array, which does; a trial of fpas alone draws no layout.
+        monkeypatch.setattr(experiment, "initialize_layout", None)
+        spec = small_spec(base=ScenarioConfig(N_t=5, A=1.0),
+                          algorithms=("fpas",), trials=2)
+        out = run_experiment(spec)
+        assert [r.failure for r in out] == [None, None]
+        assert all(r.rate > 0.0 for r in out)
+
+    def test_fixed_arrays_share_the_trial_with_a_drawn_layout(self):
+        # Listed with an algorithm that starts from the drawn layout, the
+        # draw still happens once per trial, and a draw that fails stops
+        # the trial as before.
+        spec = small_spec(base=ScenarioConfig(N_t=5, A=1.0),
+                          algorithms=("fp-bsum", "fpas"), trials=1)
+        with pytest.raises(ConfigError, match="could not place 5 antennas"):
+            run_trial(spec, float("nan"), 0)
 
     def test_zero_perturbation_matches_plain_run(self):
         spec = small_spec(sweep_field="theta_m", sweep_values=(0.0,))

@@ -12,11 +12,6 @@ MODULES = sorted((ROOT / "src" / "prafd").glob("*.py"))
 UNREAD = {
     # a placement side, called as (ctx, rng, eps); GD draws nothing
     ("baselines.py", "gradient_descent_positions", "rng"),
-    # closed-form blocks, called as (state, ch, cfg, powers)
-    ("beamforming.py", "update_receive_beamformer", "powers"),
-    ("beamforming.py", "update_uplink_power", "ch"),
-    # record updates, called as (powers, state, ch); p enters no channel
-    ("fp.py", "ReceivedPowers.power_changed", "ch"),
 }
 
 

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 from numpy.testing import assert_allclose
@@ -7,7 +8,8 @@ from prafd.channel import build_channels, sample_realization, trial_rng, \
     AntennaLayout
 from prafd.config import ScenarioConfig
 from prafd import channel, fp, placement
-from prafd.fp import auxiliary_pass, received_powers
+from prafd.fp import (auxiliary_pass, received_powers, sinrs_of,
+                      weighted_sum_rate)
 from prafd.geometry import layout_side_feasible
 from prafd.oracles import (auxiliaries_at, central_difference_gradient,
                            central_difference_hessian, fresh_surrogate,
@@ -24,23 +26,21 @@ from prafd.solver import initial_state, initialize_layout
 LN2 = np.log(2.0)
 
 
-def sides(state, rlz, layout, cfg):
-    """(context, positions) of the transmit side, then the receive side."""
-    ch = build_channels(layout, rlz, cfg)
-    return ((transmit_context(state, side_terms(rlz, cfg, True), ch),
-             layout.t),
-            (receive_context(state, side_terms(rlz, cfg, False), ch),
-             layout.r))
+def sides(state, rlz, cfg):
+    """(context, positions) of the transmit side, then the receive side,
+    on the state's channels."""
+    layout = state.ch.layout
+    return ((transmit_context(state, side_terms(rlz, cfg, True)), layout.t),
+            (receive_context(state, side_terms(rlz, cfg, False)), layout.r))
 
 
 def make_contexts(cfg, trial=0):
     rng = trial_rng(0, trial, 0)
     rlz = sample_realization(cfg, rng)
     layout = initialize_layout(cfg, rng)
-    ch = build_channels(layout, rlz, cfg)
-    state, _ = initial_state(ch, cfg)
-    (ctx_t, _), (ctx_r, _) = sides(state, rlz, layout, cfg)
-    return rlz, layout, ch, state, ctx_t, ctx_r
+    state = initial_state(build_channels(layout, rlz, cfg), cfg)
+    (ctx_t, _), (ctx_r, _) = sides(state, rlz, cfg)
+    return rlz, layout, state.ch, state, ctx_t, ctx_r
 
 
 def objective_at(ctx, pos):
@@ -154,7 +154,7 @@ class TestBundleReference:
             rlz, layout, _, state, _, _ = make_contexts(cfg, trial)
             state.W_t = random_complex(rng, state.W_t.shape, 0.1)
             state.W_r = random_complex(rng, state.W_r.shape)
-            for ctx, pos0 in sides(state, rlz, layout, cfg):
+            for ctx, pos0 in sides(state, rlz, cfg):
                 pos = pos0.copy()
                 # Revisit antennas after moves, so the parts kept per
                 # antenna are reused against new layouts.
@@ -172,7 +172,7 @@ class TestBundleReference:
         rng = np.random.default_rng(16)
         rlz, layout, _, state, _, _ = make_contexts(cfg, 1)
         state.W_t = random_complex(rng, state.W_t.shape, 0.1)
-        for ctx, pos0 in sides(state, rlz, layout, cfg):
+        for ctx, pos0 in sides(state, rlz, cfg):
             rows = ctx.rows.copy()
             pos1 = pos0.copy()
             pos1[2] += 0.1 * cfg.wavelength
@@ -225,7 +225,7 @@ class TestPlacementGradient:
             rlz, layout, _, state, _, _ = make_contexts(cfg, trial)
             state.W_t = random_complex(rng, state.W_t.shape, 0.1)
             state.W_r = random_complex(rng, state.W_r.shape)
-            for ctx, pos in sides(state, rlz, layout, cfg):
+            for ctx, pos in sides(state, rlz, cfg):
                 fields = layout_fields(ctx, pos)
                 ref = np.stack([antenna_bundle(ctx, fields, n).gradient(pos[n])
                                 for n in range(len(pos))])
@@ -239,7 +239,7 @@ class TestPlacementGradient:
         rlz, layout, _, state, _, _ = make_contexts(cfg)
         state.W_t = np.zeros_like(state.W_t)
         state.W_r = np.zeros_like(state.W_r)
-        for ctx, pos in sides(state, rlz, layout, cfg):
+        for ctx, pos in sides(state, rlz, cfg):
             grad = placement_gradient(ctx, layout_fields(ctx, pos))
             assert np.all(grad == 0.0)
 
@@ -252,7 +252,7 @@ class TestPlacementGradient:
         def forbidden(*a, **k):
             raise AssertionError("placement_gradient took an exponential")
 
-        for ctx, pos in sides(state, rlz, layout, cfg):
+        for ctx, pos in sides(state, rlz, cfg):
             fields = layout_fields(ctx, pos)
             ref = np.stack([antenna_bundle(ctx, fields, n).gradient(pos[n])
                             for n in range(len(pos))])
@@ -284,19 +284,19 @@ class TestObjective:
         # Moving transmit antennas changes the surrogate by -delta(f)/ln2.
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=3, N_r=3, L=3, L_SI=3)
         rng = np.random.default_rng(5)
-        rlz, layout, ch, state, ctx_t, ctx_r = make_contexts(cfg)
-        sur0 = fresh_surrogate(state, ch, cfg)
+        rlz, layout, _, state, ctx_t, ctx_r = make_contexts(cfg)
+        sur0 = fresh_surrogate(state, cfg)
         f0_t = objective_at(ctx_t, layout.t)
         f0_r = objective_at(ctx_r, layout.r)
         for _ in range(10):
             t_new = layout.t + rng.uniform(-1, 1, (3, 2)) * cfg.wavelength
             ch_new = build_channels(AntennaLayout(t=t_new, r=layout.r), rlz, cfg)
-            d_sur = fresh_surrogate(state, ch_new, cfg) - sur0
+            d_sur = fresh_surrogate(replace(state, ch=ch_new), cfg) - sur0
             d_f = objective_at(ctx_t, t_new) - f0_t
             assert_allclose(d_sur, -d_f / LN2, rtol=1e-9, atol=1e-12)
             r_new = layout.r + rng.uniform(-1, 1, (3, 2)) * cfg.wavelength
             ch_new = build_channels(AntennaLayout(t=layout.t, r=r_new), rlz, cfg)
-            d_sur = fresh_surrogate(state, ch_new, cfg) - sur0
+            d_sur = fresh_surrogate(replace(state, ch=ch_new), cfg) - sur0
             d_f = objective_at(ctx_r, r_new) - f0_r
             assert_allclose(d_sur, -d_f / LN2, rtol=1e-9, atol=1e-12)
 
@@ -314,11 +314,11 @@ class TestObjective:
 
     def test_zero_beamformers_flatten_objective(self):
         cfg = ScenarioConfig(K_D=1, K_U=1, N_t=2, N_r=2)
-        rlz, layout, ch, state, _, _ = make_contexts(cfg)
+        rlz, layout, _, state, _, _ = make_contexts(cfg)
         state.W_t = np.zeros_like(state.W_t)
         state.aux = auxiliaries_at(state.aux.gamma,
                                    np.zeros_like(state.aux.y), cfg)
-        ctx = transmit_context(state, side_terms(rlz, cfg, True), ch)
+        ctx = transmit_context(state, side_terms(rlz, cfg, True))
         rng = np.random.default_rng(6)
         vals = [objective_at(ctx, rng.uniform(-1, 1, (2, 2)) * 0.01)
                 for _ in range(5)]
@@ -385,9 +385,9 @@ class TestBsumSweep:
         cfg = ScenarioConfig(K_D=1, K_U=1, N_t=2, N_r=2)
         rlz, layout, ch, state, _, _ = make_contexts(cfg)
         state.p = np.zeros(cfg.K_U)
-        state.aux = auxiliary_pass(
-            received_powers(state.W_t, state.W_r, state.p, ch, cfg), cfg)
-        ctx = receive_context(state, side_terms(rlz, cfg, False), ch)
+        state.powers = received_powers(state.W_t, state.W_r, state.p, ch, cfg)
+        state.aux = auxiliary_pass(state.powers, cfg)
+        ctx = receive_context(state, side_terms(rlz, cfg, False))
         out, trace, sweeps = bsum_optimize_side(ctx, np.random.default_rng(0),
                                                 eps=1e-3)
         assert_allclose(out, layout.r)
@@ -528,24 +528,54 @@ class TestBsumSweep:
                     assert counts["projections"] > counts["visits"]
 
 
-def rate_and_powers(state, ch, cfg):
-    """The rate and full received-power pass of `state` on `ch`, as
-    `RateGrid.place` starts from."""
-    powers = fp.received_powers(state.W_t, state.W_r, state.p, ch, cfg)
-    return fp.weighted_sum_rate(powers, cfg), powers
+def full_pass(state, ch, cfg):
+    """A full received-power pass of `state`'s variables on `ch`."""
+    return fp.received_powers(state.W_t, state.W_r, state.p, ch, cfg)
+
+
+def rate_on(state, ch, cfg):
+    """The weighted sum-rate of `state`'s variables on `ch`."""
+    return weighted_sum_rate(sinrs_of(full_pass(state, ch, cfg)), cfg)
+
+
+def record_rate(state, cfg):
+    """The weighted sum-rate the state's record scores, as `RateGrid.place`
+    enters with."""
+    return weighted_sum_rate(sinrs_of(state.powers), cfg)
+
+
+def same_record(a, b) -> bool:
+    """Every factor of two received-power records equal, bit for bit."""
+    return vars(a).keys() == vars(b).keys() and all(
+        np.array_equal(v, getattr(b, k)) for k, v in vars(a).items())
+
+
+def enter_at(monkeypatch, rate):
+    """Make `RateGrid.place` enter at `rate`: the first weighted sum-rate
+    it takes, the score of the state's record, returns `rate`; the
+    confirming passes are scored as they are."""
+    real, calls = fp.weighted_sum_rate, []
+
+    def wsr(sinr, cfg):
+        calls.append(sinr)
+        return rate if len(calls) == 1 else real(sinr, cfg)
+
+    monkeypatch.setattr(fp, "weighted_sum_rate", wsr)
 
 
 def random_grid_case(cfg, trial):
-    """Realization, feasible layout, its channels and a random state."""
+    """Realization, feasible layout, its channels and a random state whose
+    record is a full pass on them."""
     rng = trial_rng(21, trial, 0)
     rlz = sample_realization(cfg, rng)
     layout = initialize_layout(cfg, rng)
     ch = build_channels(layout, rlz, cfg)
-    state, _ = initial_state(ch, cfg)
+    state = initial_state(ch, cfg)
     W_t = random_complex(rng, state.W_t.shape)
     state.W_t = W_t * np.sqrt(cfg.p_D_max) / np.linalg.norm(W_t)
     state.W_r = random_complex(rng, state.W_r.shape)
     state.p = rng.uniform(0.0, cfg.p_U_max, cfg.K_U)
+    state.powers = full_pass(state, ch, cfg)
     return rlz, layout, ch, state
 
 
@@ -560,16 +590,15 @@ class TestRateGrid:
         for trial, cfg in enumerate(cases):
             rlz, layout, ch, state = random_grid_case(cfg, trial)
             grid = RateGrid(rlz, cfg)
-            powers = received_powers(state.W_t, state.W_r, state.p, ch, cfg)
             for side in ("t", "r"):
                 for n in range(len(getattr(layout, side))):
-                    vals = grid.rates(state, ch, powers, side, n)
+                    vals = grid.rates(state, side, n)
                     ref = []
                     for q in grid.points:
                         moved = layout.copy()
                         getattr(moved, side)[n] = q
-                        ref.append(rate_and_powers(
-                            state, build_channels(moved, rlz, cfg), cfg)[0])
+                        ref.append(rate_on(
+                            state, build_channels(moved, rlz, cfg), cfg))
                     assert_allclose(vals, ref, rtol=1e-12, atol=0.0)
 
     def test_place_raises_rate_and_stays_feasible(self):
@@ -578,25 +607,48 @@ class TestRateGrid:
         moved_trials = 0
         for trial in range(8):
             rlz, layout, ch, state = random_grid_case(cfg, trial)
-            rate, powers = rate_and_powers(state, ch, cfg)
-            out_ch, out_rate, _, moves = RateGrid(rlz, cfg).place(
-                state, ch, rate, powers)
+            rate = record_rate(state, cfg)
+            moves = RateGrid(rlz, cfg).place(state)
+            out_ch, out_rate = state.ch, record_rate(state, cfg)
             out = out_ch.layout
             moved_trials += moves > 0
             assert out_rate >= rate
             assert (moves > 0) == (out_rate > rate)
-            assert out_rate == rate_and_powers(
-                state, build_channels(out, rlz, cfg), cfg)[0]
+            assert out_rate == rate_on(state, build_channels(out, rlz, cfg),
+                                       cfg)
             assert_allclose(out_ch.H_D, build_channels(out, rlz, cfg).H_D)
             for side in (out.t, out.r):
                 assert layout_side_feasible(side, hw, cfg.D_min)
         assert moved_trials >= 4
 
+    def test_place_leaves_the_record_of_its_moved_channels(self):
+        # After the grid block the state's record is a full pass of its
+        # variables on its channels, and those channels are the rebuild of
+        # their layout, bit for bit; with no move both are the inputs.
+        cfg = ScenarioConfig(K_D=2, K_U=2, N_t=3, N_r=3, L=3, L_SI=3, A=2.0)
+        total_moves = 0
+        for trial in range(4):
+            rlz, _, _, state = random_grid_case(cfg, trial)
+            grid, moves = RateGrid(rlz, cfg), 1
+            while moves:    # until the block retires, as in a solve
+                ch, powers = state.ch, state.powers
+                moves = grid.place(state)
+                total_moves += moves
+                assert same_record(state.powers,
+                                   full_pass(state, state.ch, cfg))
+                rebuilt = build_channels(state.ch.layout, rlz, cfg)
+                assert all(np.array_equal(getattr(state.ch, k),
+                                          getattr(rebuilt, k))
+                           for k in ("H_D", "H_U", "H_SI", "H_IUI", "u_t",
+                                     "s_t", "u_r", "s_r"))
+            assert state.ch is ch and state.powers is powers
+        assert total_moves > 0
+
     def test_one_received_power_pass_per_channel_state(self, monkeypatch):
-        # The grid scores its first visit from the pass handed in with the
-        # rate.  Each candidate move costs one more pass, on its moved
-        # channels, which confirms the move and, when it is accepted,
-        # scores the next visit.
+        # The grid scores its first visit from the state's record.  Each
+        # candidate move costs one more pass, on its moved channels, which
+        # confirms the move and, when it is accepted, scores the next
+        # visit.
         counts = {"powers": 0, "confirm": 0}
         real_powers, real_move = fp.received_powers, placement.move_side
 
@@ -614,10 +666,8 @@ class TestRateGrid:
         total_moves = 0
         for trial in range(4):
             rlz, _, ch, state = random_grid_case(cfg, trial)
-            start, start_powers = rate_and_powers(state, ch, cfg)
             counts.update(powers=0, confirm=0)
-            _, _, _, moves = RateGrid(rlz, cfg).place(state, ch, start,
-                                                      start_powers)
+            moves = RateGrid(rlz, cfg).place(state)
             assert counts["powers"] == counts["confirm"]
             total_moves += moves
         assert total_moves > 0
@@ -649,8 +699,7 @@ class TestRateGrid:
             rlz, _, ch, state = random_grid_case(cfg, trial)
             taken.clear()
             confirmed.clear()
-            RateGrid(rlz, cfg).place(state, ch,
-                                     *rate_and_powers(state, ch, cfg))
+            RateGrid(rlz, cfg).place(state)
             assert len(taken) == 2 * len(confirmed)
             for side, positions, exps in confirmed:
                 user, si = (rlz.dl_dirs, rlz.si_t_dirs) if side == "t" \
@@ -675,7 +724,8 @@ class TestRateGrid:
         goal = np.array([axis[16], axis[5]])
         assert np.hypot(*(goal - neighbour)) < cfg.D_min
         layout.t = np.array([[axis[30], axis[30]], neighbour])
-        ch = build_channels(layout, rlz, cfg)
+        state.ch = build_channels(layout, rlz, cfg)
+        state.powers = full_pass(state, state.ch, cfg)
         target = 16 * len(axis) + 5
         assert np.array_equal(grid.points[target], goal)
 
@@ -683,13 +733,12 @@ class TestRateGrid:
             return np.where(np.arange(len(self.points)) == target, 1.0, 0.0)
 
         # Every grid point but the goal scores 0 and any point beats the
-        # rate of -1 passed in, so antenna 0 lands on the goal only if the
-        # goal is eligible.
+        # entry rate of -1, so antenna 0 lands on the goal only if the goal
+        # is eligible.
         monkeypatch.setattr(RateGrid, "rates", rates)
-        out_ch, _, _, moves = grid.place(
-            state, ch, -1.0,
-            received_powers(state.W_t, state.W_r, state.p, ch, cfg))
-        out = out_ch.layout
+        enter_at(monkeypatch, -1.0)
+        moves = grid.place(state)
+        out = state.ch.layout
         assert moves >= 1
         assert np.array_equal(out.t[0], goal)
         assert layout_side_feasible(out.t, cfg.region_half_width, cfg.D_min)
@@ -701,7 +750,8 @@ class TestRateGrid:
         # pass on the moved channels then sees the true rate `goal` there.
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2, L=3, L_SI=3, A=2.0)
         rlz, layout, ch, _ = random_grid_case(cfg, 2)
-        state, _ = initial_state(ch, cfg)
+        state = initial_state(ch, cfg)
+        powers = state.powers
         grid = RateGrid(rlz, cfg)
         region = placement.FeasibleRegionSpec(
             cfg.region_half_width, layout.t[1:], cfg.D_min)
@@ -709,7 +759,7 @@ class TestRateGrid:
             placement.is_feasible(grid.points, region))[0])
         moved = layout.copy()
         moved.t[0] = grid.points[target]
-        goal, _ = rate_and_powers(state, build_channels(moved, rlz, cfg), cfg)
+        goal = rate_on(state, build_channels(moved, rlz, cfg), cfg)
         assert goal > 1.0   # so the margin is relative
 
         def rates(self, *args):
@@ -717,44 +767,42 @@ class TestRateGrid:
                             -np.inf)
 
         monkeypatch.setattr(RateGrid, "rates", rates)
-        powers = received_powers(state.W_t, state.W_r, state.p, ch, cfg)
-        out_ch, out_rate, _, moves = grid.place(
-            state, ch, goal / (1.0 + 5e-10), powers)
+        with monkeypatch.context() as m:
+            enter_at(m, goal / (1.0 + 5e-10))
+            moves = grid.place(state)
         assert moves == 0
-        assert np.array_equal(out_ch.layout.t, layout.t)
-        assert out_rate == goal / (1.0 + 5e-10)
-        out_ch, out_rate, out_powers, moves = grid.place(
-            state, ch, goal / (1.0 + 2e-9), powers)
+        assert state.ch is ch and state.powers is powers
+        assert np.array_equal(state.ch.layout.t, layout.t)
+        with monkeypatch.context() as m:
+            enter_at(m, goal / (1.0 + 2e-9))
+            moves = grid.place(state)
         assert moves == 1
-        assert np.array_equal(out_ch.layout.t[0], grid.points[target])
-        assert out_rate == goal
-        fresh = received_powers(state.W_t, state.W_r, state.p, out_ch, cfg)
-        assert all(np.array_equal(v, getattr(fresh, k))
-                   for k, v in vars(out_powers).items())
+        assert np.array_equal(state.ch.layout.t[0], grid.points[target])
+        assert record_rate(state, cfg) == goal
+        assert same_record(state.powers, full_pass(state, state.ch, cfg))
 
     def test_positions_kept_without_gain(self):
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2, L=3, L_SI=3, A=2.0)
         rlz, layout, ch, state = random_grid_case(cfg, 0)
         grid = RateGrid(rlz, cfg)
         # Silent transmitters: every rate is zero wherever antennas sit.
-        silent, _ = initial_state(ch, cfg)
+        silent = initial_state(ch, cfg)
         silent.W_t = np.zeros_like(silent.W_t)
         silent.p = np.zeros(cfg.K_U)
-        out_ch, out_rate, _, moves = grid.place(
-            silent, ch, 0.0,
-            received_powers(silent.W_t, silent.W_r, silent.p, ch, cfg))
-        assert moves == 0 and out_rate == 0.0
-        assert np.array_equal(out_ch.layout.t, layout.t)
-        assert np.array_equal(out_ch.layout.r, layout.r)
-        # A layout no single grid move improves is returned unchanged.
-        moves = 1
-        while moves:
-            ch, rate, _, moves = grid.place(state, ch,
-                                            *rate_and_powers(state, ch, cfg))
-        again = grid.place(state, ch, *rate_and_powers(state, ch, cfg))
-        assert again[3] == 0 and again[1] == rate
-        assert np.array_equal(again[0].layout.t, ch.layout.t)
-        assert np.array_equal(again[0].layout.r, ch.layout.r)
+        silent.powers = full_pass(silent, ch, cfg)
+        moves = grid.place(silent)
+        assert moves == 0 and record_rate(silent, cfg) == 0.0
+        assert silent.ch is ch
+        assert np.array_equal(silent.ch.layout.t, layout.t)
+        assert np.array_equal(silent.ch.layout.r, layout.r)
+        # A layout no single grid move improves is left unchanged.
+        while grid.place(state):
+            pass
+        ch, powers, rate = state.ch, state.powers, record_rate(state, cfg)
+        assert grid.place(state) == 0 and record_rate(state, cfg) == rate
+        assert state.ch is ch and state.powers is powers
+        assert np.array_equal(state.ch.layout.t, ch.layout.t)
+        assert np.array_equal(state.ch.layout.r, ch.layout.r)
 
     def test_smaller_region_grid_nested_in_larger(self):
         # The region-size sweep relies on this: growing an integer-A

@@ -65,23 +65,24 @@ class TestInitialization:
         rng = trial_rng(0, 0, 0)
         rlz = sample_realization(cfg, rng)
         ch = build_channels(initialize_layout(cfg, rng), rlz, cfg)
-        state, _ = initial_state(ch, cfg)
+        state = initial_state(ch, cfg)
         assert_allclose(np.real(np.trace(state.W_t.conj().T @ state.W_t)),
                         cfg.p_D_max, rtol=1e-12)
         assert_allclose(state.p, np.full(cfg.K_U, cfg.p_U_max))
         assert np.all(np.linalg.norm(state.W_r, axis=0) > 0)
 
     def test_initial_state_is_scored_by_its_pass(self):
-        # The state comes with the full received-power pass it was scored
-        # on and the auxiliaries of that pass.
+        # The state holds its channels, the full received-power pass it
+        # was scored on and the auxiliaries of that pass.
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=3, N_r=3)
         rng = trial_rng(0, 1, 0)
         rlz = sample_realization(cfg, rng)
         ch = build_channels(initialize_layout(cfg, rng), rlz, cfg)
-        state, powers = initial_state(ch, cfg)
+        state = initial_state(ch, cfg)
+        assert state.ch is ch
         fresh = fp.received_powers(state.W_t, state.W_r, state.p, ch, cfg)
         assert all(np.array_equal(v, getattr(fresh, k))
-                   for k, v in vars(powers).items())
+                   for k, v in vars(state.powers).items())
         ref = fp.auxiliary_pass(fresh, cfg)
         assert all(np.array_equal(a, b) for a, b in zip(state.aux, ref))
 
@@ -93,13 +94,13 @@ class TestInitialization:
         rng = trial_rng(0, 0, 0)
         rlz = sample_realization(cfg, rng)
         ch = build_channels(initialize_layout(cfg, rng), rlz, cfg)
-        state, powers = initial_state(ch, cfg)
+        state = initial_state(ch, cfg)
         assert not state.W_t.any()
         e0 = np.zeros((cfg.N_r, cfg.K_U))
         e0[0] = 1.0
         assert np.array_equal(state.W_r, e0)
         assert not state.aux.gamma.any() and not state.aux.y.any()
-        assert fp.weighted_sum_rate(powers, cfg) == 0.0
+        assert fp.weighted_sum_rate(fp.sinrs_of(state.powers), cfg) == 0.0
 
 
 class TestAlternatingOptimize:
@@ -243,11 +244,12 @@ class TestAlternatingOptimize:
 
     def test_one_rate_per_iteration_without_evaluation_channels(
             self, monkeypatch):
-        # Without evaluation channels an iteration's rate is scored once,
-        # from the auxiliary pass's gamma, and `eval_trace` reuses it.
+        # Without evaluation channels the start and each iteration are
+        # scored once, from the auxiliary pass's gamma, and `eval_trace`
+        # reuses the rate.
         calls = []
-        real = fp.rate_of_sinrs
-        monkeypatch.setattr(fp, "rate_of_sinrs",
+        real = fp.weighted_sum_rate
+        monkeypatch.setattr(fp, "weighted_sum_rate",
                             lambda *a: calls.append(1) or real(*a))
         res = solve(ScenarioConfig(), 0, position_method="none")
         assert res.outer_iterations >= 5
@@ -299,37 +301,25 @@ class TestAlternatingOptimize:
         assert confirmed > 0
 
     def test_updated_record_equals_a_full_pass(self, monkeypatch):
-        # After every block the solver scores the surrogate from the record
-        # it updated; that record must equal a full pass on the current
-        # state and channels exactly, or the monitor would check stale
-        # factors.
-        pending, seen, current = [], {}, {}
-        real_surrogate = fp.surrogate_objective
-        real_check = _Monitor.check_block
-
-        def surrogate(state, cfg, *, powers):
-            fresh = fp.received_powers(state.W_t, state.W_r, state.p,
-                                       current["ch"], cfg)
-            pending.append(vars(powers).keys() == vars(fresh).keys() and all(
-                np.array_equal(v, getattr(fresh, k))
-                for k, v in vars(powers).items()))
-            return real_surrogate(state, cfg, powers=powers)
-
-        def check_block(self, before, after, tag):
-            seen.setdefault(tag, []).append(pending[-1])
-            return real_check(self, before, after, tag)
-
-        on_record(monkeypatch, lambda ch: current.update(ch=ch))
-        monkeypatch.setattr(fp, "surrogate_objective", surrogate)
-        monkeypatch.setattr(_Monitor, "check_block", check_block)
+        # After every block the solver scores the surrogate from the
+        # state's record; that record must equal a full pass on the state's
+        # channels exactly, and those channels a rebuild of their layout,
+        # or the monitor would check stale factors.
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2, A=4.0)
-        for trial in range(2):
-            solve(cfg, trial)
-        assert set(seen) == {"transmit beamformer", "receive beamformer",
-                             "uplink power", "grid placement",
-                             "transmit placement", "receive placement"}
-        assert all(pending)
-        assert all(all(v) for v in seen.values())
+        tags = set()
+        for method in ("bsum", "gd", "none"):
+            for trial in range(2):
+                rlz = sample_realization(cfg, trial_rng(0, trial, 0))
+                with monkeypatch.context() as m:
+                    results, by_block = state_checks(
+                        m, lambda state: is_current(state, rlz, cfg))
+                    solve_drawn(cfg, rlz, trial_rng(0, trial, 3), method)
+                assert len(results) > 1 and all(results)
+                assert all(all(v) for v in by_block.values())
+                tags |= set(by_block)
+        assert tags == {"transmit beamformer", "receive beamformer",
+                        "uplink power", "grid placement",
+                        "transmit placement", "receive placement"}
 
 
 class TestSideTerms:
@@ -389,26 +379,41 @@ def same_record(a, b):
         and same_bits(a.layout.r, b.layout.r)
 
 
-def on_record(monkeypatch, seen):
-    """Call `seen(ch)` with the solve's channel record at its start, at
-    every record update (`fp.ReceivedPowers.*_changed`) and at every grid
-    block's return."""
-    real_start, real_place = solver.initial_state, placement.RateGrid.place
-    monkeypatch.setattr(solver, "initial_state",
-                        lambda ch, cfg: seen(ch) or real_start(ch, cfg))
-    for name in ("transmit_beams_changed", "transmit_changed",
-                 "receive_changed", "power_changed"):
-        def changed(self, state, ch, real=getattr(fp.ReceivedPowers, name)):
-            seen(ch)
-            return real(self, state, ch)
-        monkeypatch.setattr(fp.ReceivedPowers, name, changed)
+def same_powers(a, b):
+    """Every factor of two received-power records equal, bit for bit."""
+    return vars(a).keys() == vars(b).keys() and all(
+        same_bits(v, getattr(b, k)) for k, v in vars(a).items())
 
-    def place(self, *a):
-        out = real_place(self, *a)
-        seen(out[0])
-        return out
 
-    monkeypatch.setattr(placement.RateGrid, "place", place)
+def is_current(state, rlz, cfg, layout=None):
+    """The state's record is a full pass on its channels, and the channels
+    are a rebuild of their own layout, or of `layout` when given, bit for
+    bit."""
+    fresh = fp.received_powers(state.W_t, state.W_r, state.p, state.ch, cfg)
+    layout = state.ch.layout if layout is None else layout
+    return same_powers(state.powers, fresh) \
+        and same_record(state.ch, build_channels(layout, rlz, cfg))
+
+
+def state_checks(monkeypatch, check):
+    """Call `check(state)` wherever the solve scores the surrogate: at the
+    start of each iteration and after every block.  Returns every result
+    and, by block tag, the result of the surrogate each monitor block check
+    compared."""
+    results, by_block = [], {}
+    real_surrogate, real_check = fp.surrogate_objective, _Monitor.check_block
+
+    def surrogate(state, cfg):
+        results.append(check(state))
+        return real_surrogate(state, cfg)
+
+    def check_block(self, before, after, tag):
+        by_block.setdefault(tag, []).append(results[-1])
+        return real_check(self, before, after, tag)
+
+    monkeypatch.setattr(fp, "surrogate_objective", surrogate)
+    monkeypatch.setattr(_Monitor, "check_block", check_block)
+    return results, by_block
 
 
 def after_each_side(monkeypatch, method, seen):
@@ -429,8 +434,8 @@ def track_layout(monkeypatch, layout, method):
     """Follow the solve's layout from what the blocks return, not from the
     channel record: the start, every placement side's positions and every
     candidate the grid confirmed (`placement.move_side`) and kept, that is
-    whose channels it returned or moved again.  Returns the followed
-    layout."""
+    whose channels it left in the state or moved again.  Returns the
+    followed layout."""
     current = layout.copy()
     candidates = []     # (channels moved from, moved to, side, positions)
     real_move, real_place = placement.move_side, placement.RateGrid.place
@@ -440,13 +445,13 @@ def track_layout(monkeypatch, layout, method):
         candidates.append((ch, out, side, positions.copy()))
         return out
 
-    def place(self, *a):
+    def place(self, state):
         candidates.clear()
-        out = real_place(self, *a)
+        moves = real_place(self, state)
         for _, moved, side, positions in candidates:
-            if moved is out[0] or any(c[0] is moved for c in candidates):
+            if moved is state.ch or any(c[0] is moved for c in candidates):
                 setattr(current, side, positions)
-        return out
+        return moves
 
     monkeypatch.setattr(placement, "move_side", move)
     monkeypatch.setattr(placement.RateGrid, "place", place)
@@ -462,38 +467,32 @@ class TestChannelRecord:
 
     CFG = ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2, A=4.0)
 
-    @pytest.mark.parametrize("method", ["bsum", "gd"])
+    @pytest.mark.parametrize("method", ["bsum", "gd", "none"])
     def test_equals_a_rebuild_after_every_block(self, monkeypatch, method):
         cfg = self.CFG
-        seen = {}
+        tags = set()
         for trial in range(2):
             rlz = sample_realization(cfg, trial_rng(0, trial, 0))
             rng = trial_rng(0, trial, 3)
             layout = initialize_layout(cfg, rng)
             with monkeypatch.context() as m:
                 current = track_layout(m, layout, method)
-                pending = []
-                real_check = _Monitor.check_block
-
-                def check_block(self, before, after, tag):
-                    seen.setdefault(tag, []).append(pending[-1])
-                    return real_check(self, before, after, tag)
-
                 # The rebuild's layout is the followed one, so the record's
                 # layout is compared with it too.
-                on_record(m, lambda ch: pending.append(same_record(
-                    ch, build_channels(current, rlz, cfg))))
-                m.setattr(_Monitor, "check_block", check_block)
+                results, by_block = state_checks(
+                    m, lambda state: is_current(state, rlz, cfg, current))
                 res = alternating_optimize(cfg, rlz, rng, layout, method)
-            assert len(pending) > 1 and all(pending)
+            assert len(results) > 1 and all(results)
+            assert all(all(v) for v in by_block.values())
+            tags |= set(by_block)
             assert same_bits(res.layout.t, current.t)
             assert same_bits(res.layout.r, current.r)
-        blocks = {"transmit beamformer", "receive beamformer", "uplink power",
-                  "transmit placement", "receive placement"}
+        blocks = {"transmit beamformer", "receive beamformer", "uplink power"}
+        if method != "none":
+            blocks |= {"transmit placement", "receive placement"}
         if method == "bsum":
             blocks.add("grid placement")
-        assert set(seen) == blocks
-        assert all(all(v) for v in seen.values())
+        assert tags == blocks
 
     @pytest.mark.parametrize("method", ["bsum", "gd"])
     def test_a_side_retakes_only_its_own_phasors(self, monkeypatch, method):
@@ -545,8 +544,7 @@ class TestChannelRecord:
         cfg = ScenarioConfig(K_D=2, K_U=3, N_t=3, N_r=2, L=3, L_SI=2)
         rlz = sample_realization(cfg, trial_rng(0, 2, 0))
         layout = initialize_layout(cfg, trial_rng(0, 2, 3))
-        ch = build_channels(layout, rlz, cfg)
-        state, powers = initial_state(ch, cfg)
+        state = initial_state(build_channels(layout, rlz, cfg), cfg)
         grid = placement.RateGrid(rlz, cfg)
         terms = (placement.side_terms(rlz, cfg, True),
                  placement.side_terms(rlz, cfg, False))
@@ -557,12 +555,12 @@ class TestChannelRecord:
         with monkeypatch.context() as m:
             m.setattr(channel, "field_response", forbidden)
             m.setattr(np, "exp", forbidden)
-            ctxs = (placement.transmit_context(state, terms[0], ch),
-                    placement.receive_context(state, terms[1], ch))
+            ctxs = (placement.transmit_context(state, terms[0]),
+                    placement.receive_context(state, terms[1]))
             first = [placement.channel_fields(ctx) for ctx in ctxs]
             for side, count in (("t", cfg.N_t), ("r", cfg.N_r)):
                 for n in range(count):
-                    grid.rates(state, ch, powers, side, n)
+                    grid.rates(state, side, n)
         for ctx, fields, pos in zip(ctxs, first, (layout.t, layout.r)):
             assert ctx.positions is pos
             ref = placement.layout_fields(ctx, pos)
