@@ -85,7 +85,7 @@ def gradient_descent_positions(ctx: SurrogateContext,
     f = placement_objective(ctx, fields)
     trace = [f]
     steps = 0
-    cap = max(antenna_bundle(ctx, fields, n).curvature_cap()
+    cap = max(antenna_bundle(ctx, fields[0], fields[4], n).curvature_cap()
               for n in range(len(pos)))
     if cap == 0.0:
         return pos, trace, steps

@@ -132,12 +132,10 @@ def side_phasors(positions: np.ndarray, user_dirs: np.ndarray,
 
 
 def user_channel(e: np.ndarray, prm: np.ndarray) -> np.ndarray:
-    """Stack per-user columns sum_l prm[u,l] * e[n, (u, l)].
-
-    One contraction of the user-path phasors builds the whole (N, K)
-    matrix.
-    """
-    return np.einsum("nkl,kl->nk", e.reshape(len(e), *prm.shape), prm)
+    """Stack per-user columns sum_l prm[u,l] * e[n, (u, l)]: one contraction
+    builds the (N, K) matrix, or one antenna's row bit for bit."""
+    return np.einsum("...kl,kl->...k", e.reshape(*e.shape[:-1], *prm.shape),
+                     prm)
 
 
 @dataclass

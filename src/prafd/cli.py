@@ -155,7 +155,7 @@ def _oracle_placement(rng, count, lines, fails):
     cfg = ScenarioConfig(K_D=2, K_U=2, N_t=3, N_r=3, L=3, L_SI=3)
     step = 1e-6 * cfg.wavelength
     hess_step = 3e-5 * cfg.wavelength
-    worst = worst_joint = worst_hess = 0.0
+    worst = worst_joint = worst_hess = worst_offset = 0.0
     for _ in range(max(2, count // 25)):
         rlz = sample_realization(cfg, rng)
         state = initial_state(
@@ -166,7 +166,7 @@ def _oracle_placement(rng, count, lines, fails):
             fields = layout_fields(ctx, pos)
             joint = placement_gradient(ctx, fields)
             for n in range(len(pos)):
-                bundle = antenna_bundle(ctx, fields, n)
+                bundle = antenna_bundle(ctx, fields[0], fields[4], n)
                 grad = bundle.gradient(pos[n])
 
                 def obj(q, n=n, ctx=ctx, pos=pos):
@@ -184,6 +184,12 @@ def _oracle_placement(rng, count, lines, fails):
                 worst_hess = max(worst_hess,
                                  np.linalg.norm(bundle.hessian(pos[n]) - ref)
                                  / max(1.0, np.linalg.norm(ref)))
+                # The bundle differs from the objective by a constant:
+                # compare differences between two antennas' positions.
+                a, b = pos[n], pos[n - 1]
+                ref = obj(a) - obj(b)
+                err = abs(bundle.value(a) - bundle.value(b) - ref)
+                worst_offset = max(worst_offset, err / max(1.0, abs(ref)))
     _report("placement gradient vs differences", worst, 1e-4, lines, fails)
     _report("joint placement gradient vs differences", worst_joint, 1e-4,
             lines, fails)
@@ -191,6 +197,8 @@ def _oracle_placement(rng, count, lines, fails):
     # differences' truncation and rounding set that floor.
     _report("placement Hessian vs differences", worst_hess, 1e-5, lines,
             fails)
+    # Measured worst 1.1e-13 over seeds 0-9 at count 500 and 10-14 at 2500.
+    _report("bundle offset vs objective", worst_offset, 1e-12, lines, fails)
 
 
 def _cmd_oracle(args) -> int:

@@ -163,13 +163,22 @@ def run_trial(spec: ExperimentSpec, sweep_value, trial: int) -> list[TrialResult
         else:
             solver_rlz = perturb_prm(rlz, sweep_value, prng)
         eval_rlz = rlz
-    # fpas starts from fixed arrays; skipping the layout's own stream moves
-    # no other draw.
-    layout = None if set(spec.algorithms) == {"fpas"} else initialize_layout(
-        cfg, trial_rng(spec.seed, trial, _STREAM_LAYOUT))
+    # Drawn on first use from its own stream, so fpas alone draws none; a
+    # failed draw is kept and fails each algorithm that needs the layout.
+    drawn = layout = None
     out = []
     for algo in spec.algorithms:
         try:
+            if algo != "fpas":
+                if drawn is None:
+                    try:
+                        drawn = initialize_layout(cfg, trial_rng(
+                            spec.seed, trial, _STREAM_LAYOUT))
+                    except ConfigError as exc:
+                        drawn = exc
+                if isinstance(drawn, ConfigError):
+                    raise drawn
+                layout = drawn
             res = run_algorithm(
                 algo, cfg, solver_rlz,
                 trial_rng(spec.seed, trial, _STREAM_SOLVER), layout,

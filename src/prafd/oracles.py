@@ -217,33 +217,32 @@ def reference_antenna_bundle(ctx, positions: np.ndarray, n: int):
     every term rebuilt from the context and the positions on each call.
 
     Same arithmetic, in the same order, as `placement.antenna_bundle`,
-    which keeps the position-free parts per context and takes the channel
-    fields per layout state; the two must agree bit for bit.  Of
-    `ctx.terms` it reads only the raw directions, gains and kappa.
+    which keeps the position-free parts per context and takes the user
+    channel and SI phasors per layout state; the two must agree bit for
+    bit.  Of `ctx.terms` it reads only the raw directions, gains and kappa.
     """
     t = ctx.terms
     user_e, si_e = side_phasors(positions, t.user_dirs, t.si_dirs, t.kappa)
     H = user_channel(user_e, t.user_prm)
-    wn = ctx.W[n, :]
-    D0 = ctx.W.conj().T @ H - np.outer(wn.conj(), H[n, :])
+    G0 = (ctx.beam_w * ctx.W.conj()) @ ctx.W.T
+    np.fill_diagonal(G0, 0.0)
+    own0 = ctx.own.copy()
+    np.fill_diagonal(own0, 0.0)
     gram_nn = float(np.real(ctx.own[n, n]))
-    d = ctx.chan_w * (ctx.beam_w * wn.conj() @ D0.conj())
-    lin_coef = 2.0 * (d - ctx.lin * wn.conj())
+    lin_coef = 2.0 * (ctx.chan_w * (G0[n] @ H.conj())
+                      - ctx.lin * ctx.W[n].conj())
     omega = ctx.chan_w * gram_nn
     pair = t.user_prm[:, :, None] * t.user_prm.conj()[:, None, :]
     ddiff = t.kappa * (t.user_dirs[:, None, :, :]
                        - t.user_dirs[:, :, None, :])
-    X0 = ctx.si_mix @ si_e.T
-    X0[:, n] = 0.0
-    u_lin = ctx.other @ X0 @ ctx.own[:, n]
     M = ctx.si_mix.conj().T @ ctx.other @ ctx.si_mix
     sdiff = t.kappa * (t.si_dirs[None, :, :] - t.si_dirs[:, None, :])
     coefs = np.concatenate([(lin_coef[:, None] * t.user_prm).ravel(),
+                            2.0 * ((own0[:, n] @ si_e).conj() @ M),
                             (omega[:, None, None] * pair).ravel(),
-                            2.0 * (u_lin.conj() @ ctx.si_mix),
                             (gram_nn * M).ravel()])
     dirs = np.vstack([(-t.kappa * t.user_dirs).reshape(-1, 2),
-                      ddiff.reshape(-1, 2), t.kappa * t.si_dirs,
+                      t.kappa * t.si_dirs, ddiff.reshape(-1, 2),
                       sdiff.reshape(-1, 2)])
     return coefs, dirs
 

@@ -21,23 +21,22 @@ Each quantity is built once at the level where it can change:
   and the user path-pair products;
 * per context (one side's placement call): its start positions and the
   SI mix, read off the state's channel record (`channel.Channels`), the
-  mix's product M, conj(W) and its beam-weighted rows, and one row of
-  coefficients per antenna holding its user-pair and SI-pair terms; a
-  context takes no exponential;
+  mix's product M, conj(W) and its beam-weighted rows, the linear
+  terms' factors G0 and own0, and one row of coefficients per antenna
+  holding its user-pair and SI-pair terms with its pair cap, their share
+  of the curvature cap; a context takes no exponential;
 * per layout state: the channel fields H, D = W^H H and the SI matrix X
-  with the phasors they contract (`layout_fields`), and from them, with
-  no exponential, the joint gradient (`placement_gradient`) projected
-  gradient descent reads per step.  The fields of the layout a side
-  starts from are contracted from the channel record's phasors
-  (`channel_fields`), so GD scores its start with no exponential.  A
-  BSUM side call keeps a phasor table, every term's phasor at every
-  antenna, and re-derives the fields from its user-linear and SI-linear
-  columns after an accepted move; all three share one contraction;
-* per visit: the antenna's bundle is its context row with the user-linear
-  and SI-linear terms written in, evaluated once from its table row for
-  value, gradient and the moment product `curvature_bound` reads; each
-  candidate then costs one exponential and one product with the
-  coefficients.
+  with the phasors they contract (`layout_fields`, or `channel_fields`
+  from the channel record), and from them, with no exponential, the
+  joint gradient (`placement_gradient`) projected gradient descent
+  reads per step.  A BSUM side call keeps a phasor table, every term's
+  phasor at every antenna, and H, whose row an accepted move contracts
+  again; D and X are contracted only for the objective, once per sweep;
+* per visit, with no field rebuild: the antenna's bundle is its context
+  row with the linear terms written in from H, the SI phasors and the
+  factors, evaluated once from its table row for value, gradient and the
+  moment product `curvature_bound` reads; each candidate then costs one
+  exponential and one product with the coefficients.
 
 That step only looks near the current layout: the quadratic-transform
 auxiliaries anchor the surrogate at the present channel, so one antenna's
@@ -99,12 +98,11 @@ class ExpSum:
     """
 
     def __init__(self, coefs: np.ndarray, dirs: np.ndarray,
-                 norm2: np.ndarray, moments: np.ndarray):
+                 moments: np.ndarray, cap: float):
         self.coefs = coefs      # (M,) complex
         self.dirs = dirs        # (M, 2), spatial frequencies (kappa absorbed)
-        self.norm2 = norm2      # (M,) squared norms of dirs
         self.moments = moments  # (M, 5) `term_moments(dirs)`
-        self._cap = None
+        self._cap = cap         # sum |c| ||u||^2 over the terms
 
     def phasors(self, t: np.ndarray) -> np.ndarray:
         return np.exp(1j * (self.dirs @ t))
@@ -133,8 +131,6 @@ class ExpSum:
 
     def curvature_cap(self) -> float:
         """Global bound on the Hessian spectral norm: sum |c| ||u||^2."""
-        if self._cap is None:
-            self._cap = float((np.abs(self.coefs) * self.norm2).sum())
         return self._cap
 
 
@@ -145,7 +141,7 @@ class SideTerms:
     Built once per side that serves users (`side_terms`), shared by every
     context of the solve and oriented for the side: `user_*` are its
     users' paths, `si_dirs` its SI paths and `sigma_si` has its SI paths
-    as columns.  Terms run user linear, user pairs, SI linear, SI pairs;
+    as columns.  Terms run user linear, SI linear, user pairs, SI pairs;
     `user_lin` and `si_lin` select the linear terms, whose phasors are the
     user and SI paths'.
     """
@@ -180,17 +176,15 @@ def side_terms(rlz: ChannelRealization, cfg: ScenarioConfig,
     pair = prm[:, :, None] * prm.conj()[:, None, :]
     ddiff = k * (user_dirs[:, None, :, :] - user_dirs[:, :, None, :])
     sdiff = k * (si_dirs[None, :, :] - si_dirs[:, None, :])
-    dirs = np.vstack([(-k * user_dirs).reshape(-1, 2), ddiff.reshape(-1, 2),
-                      k * si_dirs, sdiff.reshape(-1, 2)])
-    n_user, n_si = prm.size, len(si_dirs)
-    si_start = n_user + pair.size
+    dirs = np.vstack([(-k * user_dirs).reshape(-1, 2), k * si_dirs,
+                      ddiff.reshape(-1, 2), sdiff.reshape(-1, 2)])
+    n_user, n_lin = prm.size, prm.size + len(si_dirs)
     return SideTerms(transmit=transmit, kappa=k,
                      half_width=cfg.region_half_width, d_min=cfg.D_min,
                      user_dirs=user_dirs, user_prm=prm, si_dirs=si_dirs,
                      sigma_si=sigma, dirs=dirs, norm2=(dirs ** 2).sum(axis=1),
                      moments=term_moments(dirs), pair=pair,
-                     user_lin=slice(0, n_user),
-                     si_lin=slice(si_start, si_start + n_si))
+                     user_lin=slice(0, n_user), si_lin=slice(n_user, n_lin))
 
 
 @dataclass
@@ -223,7 +217,12 @@ class SurrogateContext:
     si_mix: np.ndarray = field(init=False, repr=False)  # X = si_mix @ e^T
     Wc: np.ndarray = field(init=False, repr=False)     # conj(W)
     Wcb: np.ndarray = field(init=False, repr=False)    # beam_w * conj(W)
+    M: np.ndarray = field(init=False, repr=False)      # si_mix^H other si_mix
+    G0: np.ndarray = field(init=False, repr=False)     # 2 Wcb W^T, 0 diagonal
+    own0: np.ndarray = field(init=False, repr=False)   # 2 own, 0 diagonal
+    lin_w: np.ndarray = field(init=False, repr=False)  # 2 lin conj(W)
     rows: np.ndarray = field(init=False, repr=False)   # (N, M) coefficients
+    pair_cap: np.ndarray = field(init=False, repr=False)  # rows' cap share
 
     def __post_init__(self):
         t = self.terms
@@ -232,15 +231,19 @@ class SurrogateContext:
         self.si_mix = other_si.conj() @ t.sigma_si
         self.Wc = self.W.conj()
         self.Wcb = self.beam_w * self.Wc
-        M = self.si_mix.conj().T @ self.other @ self.si_mix
+        self.M = self.si_mix.conj().T @ self.other @ self.si_mix
         gram = np.real(np.diag(self.own))
-        omega = gram[:, None] * self.chan_w
         n_ant = len(gram)
+        twice_off = 2.0 - 2.0 * np.eye(n_ant)
+        self.G0 = twice_off * (self.Wcb @ self.W.T)
+        self.own0 = twice_off * self.own
+        self.lin_w = 2.0 * (self.lin * self.Wc)
+        omega = gram[:, None] * self.chan_w
         self.rows = np.zeros((n_ant, len(t.dirs)), dtype=complex)
-        self.rows[:, t.user_lin.stop:t.si_lin.start] = \
-            (omega[:, :, None, None] * t.pair).reshape(n_ant, -1)
-        self.rows[:, t.si_lin.stop:] = \
-            (gram[:, None, None] * M).reshape(n_ant, -1)
+        self.rows[:, t.si_lin.stop:] = np.hstack([
+            (omega[:, :, None, None] * t.pair).reshape(n_ant, -1),
+            (gram[:, None, None] * self.M).reshape(n_ant, -1)])
+        self.pair_cap = np.abs(self.rows) @ t.norm2
 
 
 def transmit_context(state: SolverState, terms: SideTerms) -> SurrogateContext:
@@ -265,11 +268,11 @@ def receive_context(state: SolverState, terms: SideTerms) -> SurrogateContext:
                             ch=state.ch, terms=terms)
 
 
-def _fields(ctx: SurrogateContext, user_e: np.ndarray, si_e: np.ndarray):
-    """(H, D, X, user_e, si_e) from every antenna's user-path phasors
-    (N, K*L) and SI-path phasors (N, L_SI); the one contraction behind
-    both field builds."""
-    H = user_channel(user_e, ctx.terms.user_prm)
+def _fields(ctx: SurrogateContext, H: np.ndarray, user_e: np.ndarray,
+            si_e: np.ndarray):
+    """(H, D, X, user_e, si_e) from the user channel H (N, K) and every
+    antenna's user-path phasors (N, K*L) and SI-path phasors (N, L_SI);
+    the one contraction of D and X behind every field build."""
     return H, ctx.Wc.T @ H, ctx.si_mix @ si_e.T, user_e, si_e
 
 
@@ -280,25 +283,18 @@ def layout_fields(ctx: SurrogateContext, positions: np.ndarray):
     D[b, c] = w_b^H h_c; X is this side's SI matrix.
     """
     t = ctx.terms
-    return _fields(ctx, *side_phasors(positions, t.user_dirs, t.si_dirs,
-                                      t.kappa))
+    user_e, si_e = side_phasors(positions, t.user_dirs, t.si_dirs, t.kappa)
+    return _fields(ctx, user_channel(user_e, t.user_prm), user_e, si_e)
 
 
 def channel_fields(ctx: SurrogateContext):
     """`layout_fields` of the layout `ctx.ch` holds, contracted from the
-    record's phasors with no exponential; the same products of the same
-    operands, so the two agree bit for bit."""
+    record's user channel and phasors with no exponential; the same
+    products of the same operands, so the two agree bit for bit."""
     ch = ctx.ch
     if ctx.terms.transmit:
-        return _fields(ctx, ch.u_t, ch.s_t)
-    return _fields(ctx, ch.u_r, ch.s_r)
-
-
-def _table_fields(ctx: SurrogateContext, table: np.ndarray):
-    """`layout_fields` read off a phasor table (N, M) of the layout, up to
-    the rounding of the phases; the phasors are views of the table."""
-    t = ctx.terms
-    return _fields(ctx, table[:, t.user_lin], table[:, t.si_lin])
+        return _fields(ctx, ch.H_D, ch.u_t, ch.s_t)
+    return _fields(ctx, ch.H_U, ch.u_r, ch.s_r)
 
 
 def placement_objective(ctx: SurrogateContext, fields: tuple) -> float:
@@ -321,7 +317,7 @@ def placement_gradient(ctx: SurrogateContext, fields: tuple) -> np.ndarray:
     A = chan_w (conj(W) beam_w) conj(D) - lin conj(W) and Z = other X own,
     row n is 2 Re sum_c A[n, c] dH[n, c]/dt_n + 2 Re sum_i conj(Z[i, n])
     dX[i, n]/dt_n: one evaluation for the whole side, equal up to rounding
-    to the stacked `antenna_bundle(ctx, fields, n).gradient(positions[n])`.
+    to the stacked `antenna_bundle(ctx, H, si_e, n).gradient(positions[n])`.
     """
     _, D, X, user_e, si_e = fields
     t = ctx.terms
@@ -336,33 +332,27 @@ def placement_gradient(ctx: SurrogateContext, fields: tuple) -> np.ndarray:
                               - si.imag @ t.si_dirs)
 
 
-def antenna_bundle(ctx: SurrogateContext, fields: tuple, n: int) -> ExpSum:
+def antenna_bundle(ctx: SurrogateContext, H: np.ndarray, si_e: np.ndarray,
+                   n: int) -> ExpSum:
     """Exact exponential-sum form of the objective in antenna n's position.
 
     The returned ExpSum differs from placement_objective by a constant
     (everything not involving antenna n), so values are only meaningful as
-    differences; gradients and Hessians are exact.  `fields` are the
-    `layout_fields` of the current positions.  The coefficients are a copy
-    of the context's row n with the linear terms written in.
+    differences; gradients and Hessians are exact.  `H` and `si_e` are the
+    user channel and the SI phasors of the current positions.  The
+    coefficients are a copy of the context's row n with the linear terms
+    written in; its curvature cap adds theirs to the row's `pair_cap`.
     """
-    H, D, X, _, _ = fields
     t = ctx.terms
-    wn = ctx.Wc[n]
-    # Inner products with antenna n's own contribution removed.  np.outer,
-    # not a broadcast product: numpy may round the two differently.
-    D0 = D - np.outer(wn, H[n, :])
-    # Channel terms.  d_c aggregates how the moving antenna's phasor beats
-    # against the rest of the array through every beamformer column.
-    d = ctx.chan_w * (ctx.Wcb[n] @ D0.conj())
-    lin_coef = 2.0 * (d - ctx.lin * wn)
-    # Self-interference terms; antenna n is column n of X.
-    X0 = X.copy()
-    X0[:, n] = 0.0
-    u_lin = ctx.other @ X0 @ ctx.own[:, n]
+    # Channel terms: antenna n beats against the others' channels via G0.
+    lin_coef = ctx.chan_w * (ctx.G0[n] @ H.conj()) - ctx.lin_w[n]
     coefs = ctx.rows[n].copy()
     coefs[t.user_lin] = (lin_coef[:, None] * t.user_prm).ravel()
-    coefs[t.si_lin] = 2.0 * (u_lin.conj() @ ctx.si_mix)
-    return ExpSum(coefs, t.dirs, t.norm2, t.moments)
+    # Self-interference terms: the other antennas' SI phasors through M.
+    coefs[t.si_lin] = (ctx.own0[:, n] @ si_e).conj() @ ctx.M
+    lin = slice(t.si_lin.stop)     # the linear terms come first
+    cap = ctx.pair_cap[n] + np.abs(coefs[lin]) @ t.norm2[lin]
+    return ExpSum(coefs, t.dirs, t.moments, float(cap))
 
 
 def curvature_bound(bundle: ExpSum, mp: np.ndarray) -> float:
@@ -399,21 +389,22 @@ def bsum_optimize_side(ctx: SurrogateContext, rng: np.random.Generator,
     The phasors of every term at every antenna are kept in one table.  A
     visit evaluates its bundle once, from the antenna's row, and takes one
     exponential per candidate; an accepted candidate's phasors replace the
-    row, and the fields are re-derived from the table.
+    row and re-contract the antenna's row of the user channel H, which the
+    bundles read.  D and X are contracted for the objective, once a sweep.
     """
     t = ctx.terms
-    half_width, d_min = t.half_width, t.d_min
     pos = np.array(ctx.positions, dtype=float, copy=True)
     others = others_index(len(pos))
     table = np.exp(1j * (pos @ t.dirs.T))
-    fields = _table_fields(ctx, table)
-    f = placement_objective(ctx, fields)
+    user_e, si_e = table[:, t.user_lin], table[:, t.si_lin]
+    H = user_channel(user_e, t.user_prm)
+    f = placement_objective(ctx, _fields(ctx, H, user_e, si_e))
     trace = [f]
     sweeps = 0
     for _ in range(MAX_BSUM_SWEEPS):
         sweeps += 1
         for n in rng.permutation(len(pos)):
-            bundle = antenna_bundle(ctx, fields, n)
+            bundle = antenna_bundle(ctx, H, si_e, n)
             if bundle.curvature_cap() == 0.0:
                 continue  # objective does not depend on this antenna
             f_here, mp = bundle.evaluate(table[n])
@@ -421,7 +412,7 @@ def bsum_optimize_side(ctx: SurrogateContext, rng: np.random.Generator,
             # The gradient is -mp[1, :2]; the step pos[n] - g / tau is taken
             # in Python floats, which round as numpy would.
             (mx, my), (x, y) = mp[1, :2].tolist(), pos[n].tolist()
-            region = FeasibleRegionSpec(half_width, pos[others[n]], d_min)
+            region = FeasibleRegionSpec(t.half_width, pos[others[n]], t.d_min)
             bar = f_here + 1e-12 * (1.0 + abs(f_here))
             for _ in range(MAX_TAU_DOUBLINGS + 1):
                 cand = nearest_feasible_point(
@@ -430,10 +421,10 @@ def bsum_optimize_side(ctx: SurrogateContext, rng: np.random.Generator,
                 if bundle.score(e) <= bar:
                     pos[n] = cand
                     table[n] = e
-                    fields = _table_fields(ctx, table)
+                    H[n] = user_channel(user_e[n], t.user_prm)
                     break
                 tau *= 2.0
-        f_new = placement_objective(ctx, fields)
+        f_new = placement_objective(ctx, _fields(ctx, H, user_e, si_e))
         trace.append(f_new)
         rel = abs(f - f_new) / max(abs(f), 1e-12)
         f = f_new

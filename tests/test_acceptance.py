@@ -163,7 +163,8 @@ class TestPlacementDerivatives:
                 for n in range(pos.shape[0]):
                     if checked >= 1000:
                         break
-                    bundle = antenna_bundle(ctx, layout_fields(ctx, pos), n)
+                    H, _, _, _, si_e = layout_fields(ctx, pos)
+                    bundle = antenna_bundle(ctx, H, si_e, n)
                     grad = bundle.gradient(pos[n])
                     fd = central_difference_gradient(bundle.value, pos[n],
                                                      grad_step)

@@ -160,6 +160,10 @@ class TestOracle:
         assert main(["oracle", "--count", "20"]) == 0
         assert "placement Hessian vs differences" in capsys.readouterr().out
 
+    def test_reports_the_bundle_offset_check(self, capsys):
+        assert main(["oracle", "--count", "20"]) == 0
+        assert "bundle offset vs objective" in capsys.readouterr().out
+
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_count_below_one_exits_with_usage_error(self, capsys, count):
         with pytest.raises(SystemExit) as exc:

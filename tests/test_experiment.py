@@ -256,14 +256,28 @@ class TestRunTrial:
         assert [r.failure for r in out] == [None, None]
         assert all(r.rate > 0.0 for r in out)
 
-    def test_fixed_arrays_share_the_trial_with_a_drawn_layout(self):
-        # Listed with an algorithm that starts from the drawn layout, the
-        # draw still happens once per trial, and a draw that fails stops
-        # the trial as before.
+    def test_failed_draw_fails_only_the_algorithms_that_need_it(
+            self, monkeypatch):
+        # Listed with algorithms that start from the drawn layout, fpas
+        # still solves; the draw that fails is made once and fails each
+        # of the others' rows.
+        draws = []
+        real = experiment.initialize_layout
+
+        def counted(*a):
+            draws.append(a)
+            return real(*a)
+
+        monkeypatch.setattr(experiment, "initialize_layout", counted)
         spec = small_spec(base=ScenarioConfig(N_t=5, A=1.0),
-                          algorithms=("fp-bsum", "fpas"), trials=1)
-        with pytest.raises(ConfigError, match="could not place 5 antennas"):
-            run_trial(spec, float("nan"), 0)
+                          algorithms=("fp-bsum", "fpas", "fp-gd"), trials=1)
+        bsum, fpas, gd = run_trial(spec, float("nan"), 0)
+        assert len(draws) == 1
+        for res in (bsum, gd):
+            assert "could not place 5 antennas" in res.failure
+            assert res.failure.startswith("ConfigError")
+            assert np.isnan(res.rate) and res.layout is None
+        assert fpas.failure is None and fpas.rate > 0.0
 
     def test_zero_perturbation_matches_plain_run(self):
         spec = small_spec(sweep_field="theta_m", sweep_values=(0.0,))

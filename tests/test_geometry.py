@@ -124,7 +124,7 @@ class TestSinglePoint:
                         [np.inf, -np.inf], [0.3, -0.7]])
         for hw in (1.0, 0.25, 0.7):
             for p in pts:
-                out = clamp_to_square(p, hw)
+                out = np.array(clamp_to_square(p, hw))
                 assert out.tobytes() == np.clip(p, -hw, hw).tobytes()
 
 
@@ -235,6 +235,30 @@ class TestNearestFeasible:
             assert is_feasible(out, spec)
             g = grid_nearest_feasible(sp, spec, step)
             assert np.linalg.norm(out - sp) <= np.linalg.norm(g - sp) + 1e-12
+
+    def test_clamp_fast_path_matches_clamp_then_check(self):
+        # A target whose square clamp is feasible projects to that clamp,
+        # bit for bit, whether it lies inside the square, outside it, on
+        # its edges, on a disc rim or at -0.0; the rest go to the family.
+        hw = 1.0
+        spec = region(hw, [[0.0, 0.0], [0.6, -0.6]], radius=0.25)
+        rim = 0.25 * np.array([np.cos(0.3), np.sin(0.3)])
+        targets = [[0.4, -0.2], [5.0, 0.1], [-3.0, 7.0], [hw, 0.5],
+                   [-hw, -hw], [0.5, -hw], [1.0 + 1e-17, -0.3],
+                   [0.25, 0.0], [0.0, -0.25], rim, 0.999 * rim,
+                   [-0.0, 0.5], [0.5, -0.0], [-0.0, 3.0], [-2.0, -0.0],
+                   [-0.0, -0.0], [0.0, -0.0], [0.6, -0.35]]
+        clamped = 0
+        for sp in np.array(targets, dtype=float):
+            out = nearest_feasible_point(sp, spec)
+            ref = np.clip(sp, -hw, hw)
+            if is_feasible(ref, spec):
+                clamped += 1
+                assert out.tobytes() == ref.tobytes()
+            else:
+                assert not np.array_equal(out, ref)
+                assert is_feasible(out, spec)
+        assert 0 < clamped < len(targets)
 
     def test_empty_region_raises(self):
         # One disc covers the whole square, so no point is feasible.

@@ -48,15 +48,16 @@ def objective_at(ctx, pos):
 
 
 def bundle_at(ctx, pos, n):
-    return antenna_bundle(ctx, layout_fields(ctx, pos), n)
+    H, _, _, _, si_e = layout_fields(ctx, pos)
+    return antenna_bundle(ctx, H, si_e, n)
 
 
 def random_exp_sum(rng, n_terms=12, kappa=500.0):
     coefs = random_complex(rng, (n_terms,))
     ang = rng.uniform(0, 2 * np.pi, n_terms)
     dirs = kappa * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    return ExpSum(coefs=coefs, dirs=dirs, norm2=(dirs ** 2).sum(axis=1),
-                  moments=term_moments(dirs))
+    cap = float((np.abs(coefs) * (dirs ** 2).sum(axis=1)).sum())
+    return ExpSum(coefs=coefs, dirs=dirs, moments=term_moments(dirs), cap=cap)
 
 
 class TestExpSum:
@@ -107,8 +108,8 @@ class TestExpSum:
         def same(t):
             kept.append((t.copy(), es.phasors(t)))
             for at, e in kept:
-                fresh = ExpSum(coefs=es.coefs, dirs=es.dirs, norm2=es.norm2,
-                               moments=es.moments)
+                fresh = ExpSum(coefs=es.coefs, dirs=es.dirs,
+                               moments=es.moments, cap=es.curvature_cap())
                 value, mp = es.evaluate(e)
                 assert value == es.score(e) == fresh.value(at)
                 assert np.array_equal(-mp[1, :2], fresh.gradient(at))
@@ -186,6 +187,54 @@ class TestBundleReference:
             assert np.array_equal(ctx.rows, rows)
 
 
+def deflated_linear_terms(ctx, fields, n):
+    """Antenna n's linear coefficients (user, SI) from the fields with its
+    own contribution removed: D0 = D - outer(conj(w_n), H[n]) and X with
+    column n zeroed.  An independent reference for the factored bundle,
+    which reads neither D nor X."""
+    H, D, X, _, _ = fields
+    wn = ctx.W[n].conj()
+    D0 = D - np.outer(wn, H[n, :])
+    d = ctx.chan_w * ((ctx.beam_w * wn) @ D0.conj())
+    user = (2.0 * (d - ctx.lin * wn))[:, None] * ctx.terms.user_prm
+    X0 = X.copy()
+    X0[:, n] = 0.0
+    u_lin = ctx.other @ X0 @ ctx.own[:, n]
+    return user.ravel(), 2.0 * (u_lin.conj() @ ctx.si_mix)
+
+
+class TestBundleAgainstDeflatedFields:
+    def test_both_sides_with_revisits(self):
+        # The factored linear terms agree with the deflated-field form to
+        # rounding, the pair terms are the context's rows, and the
+        # curvature cap, the rows' pair share plus the linear terms', is
+        # the sum over all terms.
+        cfgs = (ScenarioConfig(K_D=2, K_U=2, N_t=3, N_r=4, L=3, L_SI=3),
+                ScenarioConfig(K_D=3, K_U=1, N_t=3, N_r=2, L=8, L_SI=3))
+        rng = np.random.default_rng(21)
+        for cfg, trial in itertools.product(cfgs, range(4)):
+            rlz, layout, _, state, _, _ = make_contexts(cfg, trial)
+            state.W_t = random_complex(rng, state.W_t.shape, 0.1)
+            state.W_r = random_complex(rng, state.W_r.shape)
+            for ctx, pos0 in sides(state, rlz, cfg):
+                t, pos = ctx.terms, pos0.copy()
+                for n in list(range(len(pos))) + [len(pos) - 1, 0]:
+                    fields = layout_fields(ctx, pos)
+                    bundle = antenna_bundle(ctx, fields[0], fields[4], n)
+                    user, si = deflated_linear_terms(ctx, fields, n)
+                    scale = np.abs(bundle.coefs).max()
+                    assert scale > 0.0
+                    assert np.abs(bundle.coefs[t.user_lin] - user).max() \
+                        <= 1e-12 * scale
+                    assert np.abs(bundle.coefs[t.si_lin] - si).max() \
+                        <= 1e-12 * scale
+                    assert np.array_equal(bundle.coefs[t.si_lin.stop:],
+                                          ctx.rows[n, t.si_lin.stop:])
+                    cap = float((np.abs(bundle.coefs) * t.norm2).sum())
+                    assert abs(bundle.curvature_cap() - cap) <= 1e-12 * cap
+                    pos[n] += rng.uniform(-0.1, 0.1, 2) * cfg.wavelength
+
+
 class TestMomentProduct:
     def test_cached_evaluation_matches_the_pair_term_reference(self):
         # Value, gradient and Hessian read one evaluation each, the
@@ -210,7 +259,7 @@ class TestMomentProduct:
                             <= 1e-12 * mag.sum()
                         assert np.abs(bundle.gradient(t)
                                       + w.imag @ bundle.dirs).max() \
-                            <= 1e-12 * (mag @ np.sqrt(bundle.norm2))
+                            <= 1e-12 * (mag @ np.sqrt(ctx.terms.norm2))
                         assert np.abs(bundle.hessian(t) - hess).max() \
                             <= 1e-12 * cap
 
@@ -227,8 +276,9 @@ class TestPlacementGradient:
             state.W_r = random_complex(rng, state.W_r.shape)
             for ctx, pos in sides(state, rlz, cfg):
                 fields = layout_fields(ctx, pos)
-                ref = np.stack([antenna_bundle(ctx, fields, n).gradient(pos[n])
-                                for n in range(len(pos))])
+                ref = np.stack([
+                    antenna_bundle(ctx, fields[0], fields[4], n).gradient(pos[n])
+                    for n in range(len(pos))])
                 joint = placement_gradient(ctx, fields)
                 assert joint.shape == pos.shape
                 assert np.linalg.norm(joint - ref) \
@@ -254,8 +304,9 @@ class TestPlacementGradient:
 
         for ctx, pos in sides(state, rlz, cfg):
             fields = layout_fields(ctx, pos)
-            ref = np.stack([antenna_bundle(ctx, fields, n).gradient(pos[n])
-                            for n in range(len(pos))])
+            ref = np.stack([
+                antenna_bundle(ctx, fields[0], fields[4], n).gradient(pos[n])
+                for n in range(len(pos))])
             with monkeypatch.context() as m:
                 m.setattr(np, "exp", forbidden)
                 m.setattr(channel, "field_response", forbidden)
@@ -396,10 +447,11 @@ class TestBsumSweep:
 
     def test_phasor_table_fields_track_the_layout(self, monkeypatch):
         # The side never rebuilds the fields from positions.  Every bundle
-        # and objective call receives the fields read off its phasor
-        # table; they must match layout_fields of the positions reached,
-        # which are followed here from the projections: a new fields
-        # object means the visit's last candidate was accepted.
+        # call receives the user channel and SI phasors kept with its
+        # phasor table, and every objective call the fields contracted
+        # from it; they must match layout_fields of the positions reached,
+        # which are followed here from the projections: a changed row of
+        # the last visited antenna means its last candidate was accepted.
         real_fields = placement.layout_fields
         real_bundle = placement.antenna_bundle
         real_objective = placement.placement_objective
@@ -409,22 +461,26 @@ class TestBsumSweep:
         def no_rebuild(*a):
             raise AssertionError("bsum_optimize_side called layout_fields")
 
-        def check(ctx, fields):
-            if seen["fields"] is not None and fields is not seen["fields"]:
-                seen["pos"][seen["n"]] = seen["cand"]
+        def check(ctx, got):
+            n = seen["n"]
+            if n is not None and not (np.array_equal(got[0][n], seen["H_n"])
+                                      and np.array_equal(got[4][n],
+                                                         seen["si_n"])):
+                seen["pos"][n] = seen["cand"]
                 seen["moves"] += 1
-            seen["fields"] = fields
-            for got, ref in zip(fields, real_fields(ctx, seen["pos"])):
-                assert np.linalg.norm(got - ref) \
-                    <= 1e-13 * np.linalg.norm(ref)
+            ref = real_fields(ctx, seen["pos"])
+            for i, arr in got.items():
+                assert np.linalg.norm(arr - ref[i]) \
+                    <= 1e-13 * np.linalg.norm(ref[i])
 
-        def bundle(ctx, fields, n):
-            check(ctx, fields)
-            seen["n"] = n
-            return real_bundle(ctx, fields, n)
+        def bundle(ctx, H, si_e, n):
+            check(ctx, {0: H, 4: si_e})
+            seen.update(n=n, H_n=H[n].copy(), si_n=si_e[n].copy())
+            return real_bundle(ctx, H, si_e, n)
 
         def objective(ctx, fields):
-            check(ctx, fields)
+            check(ctx, dict(enumerate(fields)))
+            seen["n"] = None
             return real_objective(ctx, fields)
 
         def project(*a):
@@ -440,12 +496,44 @@ class TestBsumSweep:
         for trial in range(4):
             _, layout, _, _, ctx_t, ctx_r = make_contexts(cfg, trial)
             for ctx, pos in ((ctx_t, layout.t), (ctx_r, layout.r)):
-                seen.update(pos=pos.copy(), fields=None, moves=0)
+                seen.update(pos=pos.copy(), n=None, moves=0)
                 out, _, _ = bsum_optimize_side(
                     ctx, np.random.default_rng(trial), eps=1e-4)
                 assert np.array_equal(seen["pos"], out)
                 moves += seen["moves"]
         assert moves > 20
+
+    def test_fields_contracted_at_the_start_and_once_per_sweep(
+            self, monkeypatch):
+        # An accepted move re-contracts only the antenna's row of H; D and
+        # X are contracted for the objective alone, at the start and at
+        # the end of each sweep, however many visits a sweep makes.
+        counts = {"fields": 0, "visits": 0}
+        real_fields = placement._fields
+        real_bundle = placement.antenna_bundle
+
+        def fields(*a):
+            counts["fields"] += 1
+            return real_fields(*a)
+
+        def bundle(*a):
+            counts["visits"] += 1
+            return real_bundle(*a)
+
+        monkeypatch.setattr(placement, "_fields", fields)
+        monkeypatch.setattr(placement, "antenna_bundle", bundle)
+        cfg = ScenarioConfig(K_D=2, K_U=2, N_t=3, N_r=3, L=3, L_SI=3)
+        visits = total_sweeps = 0
+        for trial in range(3):
+            _, _, _, _, ctx_t, ctx_r = make_contexts(cfg, trial)
+            for ctx in (ctx_t, ctx_r):
+                counts.update(fields=0, visits=0)
+                _, trace, sweeps = bsum_optimize_side(
+                    ctx, np.random.default_rng(trial), eps=1e-4)
+                assert counts["fields"] == 1 + sweeps == len(trace)
+                visits += counts["visits"]
+                total_sweeps += sweeps
+        assert visits >= 3 * total_sweeps
 
     def test_tau_doublings_running_out_leave_the_antenna_put(self,
                                                             monkeypatch):
