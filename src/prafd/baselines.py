@@ -27,6 +27,7 @@ ALGORITHMS = ("fp-bsum", "fp-gd", "fpas", "hd")
 ARMIJO_C = 1e-4
 GD_MAX_HALVINGS = 40
 GD_MAX_STEPS = 200
+GD_EPSILON = 1e-3
 
 
 def upa_layout(n: int, spacing: float, half_width: float) -> np.ndarray:
@@ -63,20 +64,21 @@ def _project_side(cand: np.ndarray, others: list, half_width: float,
 
 
 def gradient_descent_positions(ctx: SurrogateContext,
-                               rng: np.random.Generator, eps: float):
+                               rng: np.random.Generator):
     """Projected gradient descent on one side's placement objective.
 
     Same interface and monotonicity contract as the per-antenna majorizer
     sweep, from the context's positions; `rng` goes unused, as the steps
-    are deterministic.  GD_MAX_STEPS caps gradient steps.  Step sizes come
+    are deterministic.  Stops when a step changes the objective by less
+    than GD_EPSILON relative, or after GD_MAX_STEPS steps.  Step sizes come
     from Armijo backtracking (sufficient decrease c=1e-4, halving), so the
-    objective trace never increases.  The channel fields of each layout
-    are built once and serve its objective and its joint gradient, one
+    objective trace never increases.  The channel fields of each layout are
+    built once and serve its objective and its joint gradient, one
     `placement_gradient` call per step; those of the start are read off
     the context's channel record (`channel_fields`).  The per-antenna
-    bundles are built once, before the first step: their largest
-    curvature cap sets the first trial step 1 / cap, and a zero cap means
-    the objective does not depend on the positions.
+    bundles are built once, before the first step: their largest curvature
+    cap sets the first trial step 1 / cap, and a zero cap means the
+    objective does not depend on the positions.
     """
     half_width, d_min = ctx.terms.half_width, ctx.terms.d_min
     pos = np.array(ctx.positions, dtype=float, copy=True)
@@ -114,7 +116,7 @@ def gradient_descent_positions(ctx: SurrogateContext,
         trace.append(f_new)
         rel = abs(f - f_new) / max(abs(f), 1e-12)
         f = f_new
-        if rel < eps:
+        if rel < GD_EPSILON:
             break
     return pos, trace, steps
 

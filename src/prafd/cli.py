@@ -4,6 +4,7 @@ oracle self-checks of the closed-form updates."""
 from __future__ import annotations
 
 import argparse
+import os
 import time
 
 import numpy as np
@@ -38,8 +39,7 @@ def _cmd_solve(args) -> int:
     cfg = _config_from_args(args)
     if args.trial < 0:
         raise ConfigError(f"--trial must be non-negative, got {args.trial}")
-    spec = ExperimentSpec(base=cfg, algorithms=(args.algo,),
-                          seed=cfg.seed if args.seed is None else args.seed,
+    spec = ExperimentSpec(base=cfg, algorithms=(args.algo,), seed=args.seed,
                           duplex_factor=args.duplex_factor)
     (res,) = run_trial(spec, float("nan"), args.trial)
     print(f"algorithm        {args.algo}")
@@ -74,13 +74,13 @@ def _cmd_experiment(args) -> int:
     spec = ExperimentSpec(
         base=cfg,
         algorithms=tuple(s.strip() for s in args.algos.split(",") if s.strip()),
-        trials=args.trials,
-        seed=cfg.seed if args.seed is None else args.seed,
+        trials=args.trials, seed=args.seed,
         sweep_field=sweep_field,
         sweep_values=sweep_values,
         duplex_factor=args.duplex_factor,
         threads=args.threads,
     )
+    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     t0 = time.perf_counter()
     results = run_experiment(spec)
     elapsed = time.perf_counter() - t0
@@ -204,6 +204,8 @@ def _oracle_placement(rng, count, lines, fails):
 def _cmd_oracle(args) -> int:
     if args.count < 1:
         raise ConfigError(f"--count must be at least 1, got {args.count}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     lines: list = []
     fails: list = []
@@ -230,8 +232,8 @@ def main(argv=None) -> int:
     common.add_argument("--config", help="path to a 'key = value' config file")
     common.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override one config field (repeatable)")
-    common.add_argument("--seed", type=int, default=None,
-                        help="override the config seed")
+    common.add_argument("--seed", type=int, default=0,
+                        help="master seed of the trials' random streams")
 
     ps = sub.add_parser("solve", parents=[common],
                         help="run one algorithm on one channel draw")

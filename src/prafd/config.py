@@ -1,4 +1,4 @@
-"""Scenario configuration: system sizes, propagation constants, solver knobs.
+"""Scenario configuration: system sizes, propagation constants, power budgets.
 
 All internal quantities are linear (watts, meters, dimensionless gains).
 dB / dBm values are accepted only at the config-file boundary through keys
@@ -26,10 +26,9 @@ _DB_KEYS = {
     "p_U_max_dbm": ("p_U_max", lambda v: 10.0 ** ((v - 30.0) / 10.0)),
 }
 
-_INT_FIELDS = {"K_D", "K_U", "N_t", "N_r", "L", "L_SI", "seed"}
+INT_FIELDS = ("K_D", "K_U", "N_t", "N_r", "L", "L_SI")
 _FLOAT_FIELDS = ("A", "D_min", "rho_0", "alpha", "rho_SI", "rho_IUI",
-                 "sigma2", "p_D_max", "p_U_max", "d_near", "d_far",
-                 "epsilon", "epsilon_bsum")
+                 "sigma2", "p_D_max", "p_U_max", "d_near", "d_far")
 
 
 @dataclass
@@ -60,9 +59,6 @@ class ScenarioConfig:
     d_near: float = 20.0    # min user distance [m]
     d_far: float = 100.0    # max user distance [m]
     weights: np.ndarray | None = None  # rate weights, DL users then UL users
-    epsilon: float = 1e-3       # outer-loop relative convergence threshold
-    epsilon_bsum: float = 1e-3  # placement-sweep relative convergence threshold
-    seed: int = 0
 
     def __post_init__(self):
         if self.D_min is None:
@@ -135,7 +131,7 @@ def validate_config(cfg: ScenarioConfig) -> None:
     for name in ("rho_0", "rho_SI", "rho_IUI"):
         if getattr(cfg, name) < 0:
             raise ConfigError(f"{name} must be non-negative")
-    for name in ("sigma2", "p_D_max", "p_U_max", "epsilon", "epsilon_bsum"):
+    for name in ("sigma2", "p_D_max", "p_U_max"):
         if getattr(cfg, name) <= 0:
             raise ConfigError(f"{name} must be strictly positive")
     if not (0 < cfg.d_near <= cfg.d_far):
@@ -168,7 +164,7 @@ def _parse_value(key: str, raw: str):
     raw = raw.strip()
     if key == "weights":
         return np.array([float(x) for x in raw.replace(",", " ").split()])
-    if key in _INT_FIELDS:
+    if key in INT_FIELDS:
         return int(raw)
     return float(raw)
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .baselines import ALGORITHMS, run_algorithm
 from .channel import ChannelRealization, sample_realization, trial_rng
-from .config import ConfigError, ScenarioConfig, validate_config
+from .config import INT_FIELDS, ConfigError, ScenarioConfig, validate_config
 from .solver import TrialResult, initialize_layout
 
 # Stream ids for per-trial generators.
@@ -28,8 +28,6 @@ _STREAM_SOLVER = 3
 
 # Perturbation sweep fields (imperfect CSI levels, not config fields).
 PERTURBATION_FIELDS = ("theta_m", "sigma_e2")
-# Sweep fields that count something; "N" sets both antenna counts.
-INTEGER_SWEEP_FIELDS = ("N", "K_D", "K_U", "N_t", "N_r", "L", "L_SI")
 
 RAW_COLUMNS = ("algorithm", "sweep_field", "sweep_value", "trial", "rate",
                "dl_rates", "ul_rates", "outer_iterations", "bsum_sweeps",
@@ -75,6 +73,8 @@ class ExperimentSpec:
             apply_sweep(self.base, self.sweep_field, v)
         if self.trials < 1:
             raise ConfigError(f"--trials must be at least 1, got {self.trials}")
+        if self.seed < 0:
+            raise ConfigError(f"--seed must be non-negative, got {self.seed}")
         if self.threads < 1:
             raise ConfigError(f"--threads must be at least 1, got {self.threads}")
         if not 0.0 < self.duplex_factor <= 1.0:
@@ -120,12 +120,11 @@ def apply_sweep(cfg: ScenarioConfig, field_name: str | None,
     """Config for one sweep point; perturbation fields leave it unchanged."""
     if field_name is None or field_name in PERTURBATION_FIELDS:
         return cfg
-    if field_name == "seed":
-        # Trials draw from the spec's seed, never the config's.
-        raise ConfigError("seed is not a sweep field; run once per --seed")
     if field_name != "N" and field_name not in {f.name for f in fields(cfg)}:
-        raise ConfigError(f"unknown sweep field {field_name!r}")
-    if field_name in INTEGER_SWEEP_FIELDS:
+        # Every trial draws from the spec's seed, which is not swept.
+        hint = "; run once per --seed instead" if field_name == "seed" else ""
+        raise ConfigError(f"unknown sweep field {field_name!r}{hint}")
+    if field_name == "N" or field_name in INT_FIELDS:
         if not float(value).is_integer():
             raise ConfigError(
                 f"{field_name} takes integral values only, got {value!r}")
@@ -140,7 +139,7 @@ def apply_sweep(cfg: ScenarioConfig, field_name: str | None,
                 f"a {field_name} sweep needs equal weights; weights were "
                 f"set to {cfg.weights.tolist()}")
         out = cfg.replace(**{field_name: value}, weights=None)
-    elif field_name in INTEGER_SWEEP_FIELDS:
+    elif field_name in INT_FIELDS:
         out = cfg.replace(**{field_name: value})
     elif field_name == "f_c" and cfg.D_min == 0.5 * cfg.wavelength:
         # A D_min left at lambda/2 follows each point's own wavelength.

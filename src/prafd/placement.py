@@ -72,6 +72,7 @@ from .geometry import FeasibleRegionSpec, is_feasible, nearest_feasible_point
 TAU_MIN_FACTOR = 1e-6
 MAX_TAU_DOUBLINGS = 20
 MAX_BSUM_SWEEPS = 50
+BSUM_EPSILON = 1e-3
 GRID_STEP_WAVELENGTHS = 0.125
 MAX_GRID_ROUNDS = 5
 # Relative rate rise a grid move must beat: well above the rounding of a
@@ -375,12 +376,11 @@ def others_index(n_ant: int) -> np.ndarray:
                      for n in range(n_ant)], dtype=np.intp)
 
 
-def bsum_optimize_side(ctx: SurrogateContext, rng: np.random.Generator,
-                       eps: float):
+def bsum_optimize_side(ctx: SurrogateContext, rng: np.random.Generator):
     """Sweep antennas in random order, each to its projected majorizer step.
 
-    Starts at the context's positions; stops when a sweep changes the
-    objective by less than `eps` relative, or after MAX_BSUM_SWEEPS sweeps.
+    Starts at the context's positions; stops after MAX_BSUM_SWEEPS sweeps,
+    or once a sweep changes the objective by less than BSUM_EPSILON relative.
     Returns (positions, objective trace per sweep, sweeps used).  The trace
     is monotone non-increasing: a candidate move is only accepted when the
     per-antenna objective does not increase, and the curvature doubles until
@@ -428,7 +428,7 @@ def bsum_optimize_side(ctx: SurrogateContext, rng: np.random.Generator,
         trace.append(f_new)
         rel = abs(f - f_new) / max(abs(f), 1e-12)
         f = f_new
-        if rel < eps:
+        if rel < BSUM_EPSILON:
             break
     return pos, trace, sweeps
 

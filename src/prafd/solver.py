@@ -58,6 +58,7 @@ from .geometry import FeasibleRegionSpec, is_feasible, layout_side_feasible
 
 INIT_REJECTION_CAP = 100_000
 MAX_OUTER = 100
+EPSILON = 1e-3  # relative rate change that ends the outer loop
 
 
 @dataclass
@@ -251,8 +252,7 @@ def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
                 grid = None
 
         for tag, side, context, terms, changed in sides:
-            pos, _, sw = optimizer(context(state, terms), rng,
-                                   cfg.epsilon_bsum)
+            pos, _, sw = optimizer(context(state, terms), rng)
             bsum_sweeps += sw
             state.ch = move_side(state.ch, side, pos, rlz, cfg)
             changed(state.powers, state)
@@ -267,7 +267,7 @@ def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
         sinr, eval_rate = _reported(state, cfg, eval_rlz, new_rate)
         trace.append(new_rate)
         eval_trace.append(eval_rate)
-        converged = abs(new_rate - rate) <= cfg.epsilon * max(abs(rate), 1e-12)
+        converged = abs(new_rate - rate) <= EPSILON * max(abs(rate), 1e-12)
         rate = new_rate
         if converged:
             break

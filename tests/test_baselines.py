@@ -51,21 +51,23 @@ class TestGradientDescent:
         return cfg, layout, transmit_context(state,
                                              side_terms(rlz, cfg, True))
 
-    def test_trace_monotone_and_feasible(self):
+    def test_trace_monotone_and_feasible(self, monkeypatch):
+        monkeypatch.setattr(baselines, "GD_EPSILON", 1e-4)
         for trial in range(10):
             cfg, layout, ctx = self.make_ctx(trial)
             out, trace, _ = gradient_descent_positions(
-                ctx, np.random.default_rng(trial), eps=1e-4)
+                ctx, np.random.default_rng(trial))
             assert np.all(np.diff(trace) <= 1e-12)
             assert layout_side_feasible(out, ctx.terms.half_width, ctx.terms.d_min)
             assert_allclose(placement_objective(ctx, layout_fields(ctx, out)),
                             trace[-1],
                             rtol=1e-12)
 
-    def test_improves_objective(self):
+    def test_improves_objective(self, monkeypatch):
         cfg, layout, ctx = self.make_ctx(3)
+        monkeypatch.setattr(baselines, "GD_EPSILON", 1e-6)
         _, trace, _ = gradient_descent_positions(
-            ctx, np.random.default_rng(0), eps=1e-6)
+            ctx, np.random.default_rng(0))
         assert trace[-1] < trace[0]
 
     def test_one_projection_pass_restores_feasibility(self):
@@ -105,30 +107,33 @@ class TestGradientDescent:
 
         monkeypatch.setattr(baselines, "antenna_bundle", counting_bundle)
         monkeypatch.setattr(baselines, "_project_side", counting_project)
+        monkeypatch.setattr(baselines, "GD_EPSILON", 1e-6)
         for trial in range(4):
             cfg, layout, ctx = self.make_ctx(trial)
             events.clear()
             _, _, steps = gradient_descent_positions(
-                ctx, np.random.default_rng(0), eps=1e-6)
+                ctx, np.random.default_rng(0))
             assert steps >= 2
             n_bundles = events.count("bundle")
             assert n_bundles == cfg.N_t
             assert events[:n_bundles] == ["bundle"] * n_bundles
 
-    def test_zero_beamformers_leave_positions_put(self):
+    def test_zero_beamformers_leave_positions_put(self, monkeypatch):
         # A zero transmit beamformer zeroes W and its gram Q = W W^H.
         _, layout, ctx = self.make_ctx(0)
         ctx = replace(ctx, W=np.zeros_like(ctx.W), own=np.zeros_like(ctx.own))
+        monkeypatch.setattr(baselines, "GD_EPSILON", 1e-6)
         out, trace, steps = gradient_descent_positions(
-            ctx, np.random.default_rng(0), eps=1e-6)
+            ctx, np.random.default_rng(0))
         assert steps == 0 and len(trace) == 1
         assert np.array_equal(out, layout.t)
 
     def test_respects_step_cap(self, monkeypatch):
         cfg, layout, ctx = self.make_ctx(3)
         monkeypatch.setattr(baselines, "GD_MAX_STEPS", 3)
+        monkeypatch.setattr(baselines, "GD_EPSILON", 0.0)
         _, trace, steps = gradient_descent_positions(
-            ctx, np.random.default_rng(0), eps=0.0)
+            ctx, np.random.default_rng(0))
         assert steps == 3 and len(trace) == 4
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import prafd
-from prafd import experiment
+from prafd import cli, experiment
 from prafd.cli import main
 
 
@@ -148,6 +148,29 @@ class TestExperiment:
         assert field in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    def test_missing_out_directories_are_made(self, tmp_path):
+        out = tmp_path / "new" / "nested" / "run"
+        rc = main(["experiment", "--trials", "1", "--algos", "fpas",
+                   "--out", str(out),
+                   "--set", "K_D=1", "--set", "K_U=1",
+                   "--set", "N_t=1", "--set", "N_r=1"])
+        assert rc == 0
+        assert sorted(p.name for p in out.parent.iterdir()) == [
+            "run_agg.csv", "run_raw.csv"]
+
+    def test_uncreatable_out_directory_exits_before_any_trial(
+            self, tmp_path, monkeypatch):
+        def never(spec):
+            raise AssertionError("run_experiment called")
+
+        monkeypatch.setattr(cli, "run_experiment", never)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "--trials", "1", "--algos", "fpas",
+                  "--out", str(blocker / "sub" / "run")])
+        assert exc.value.code == 2
+
 
 class TestOracle:
     def test_reduced_counts_pass(self, capsys):
@@ -170,6 +193,12 @@ class TestOracle:
             main(["oracle", "--count", count])
         assert exc.value.code == 2
         assert "--count" in capsys.readouterr().err
+
+    def test_negative_seed_exits_with_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--seed", "-1", "--count", "1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
     def test_runs_as_a_module(self):
         src = str(Path(prafd.__file__).resolve().parents[1])

@@ -60,7 +60,7 @@ class TestValidation:
         dict(A=0.0),
         dict(L=0),
         dict(p_D_max=0.0),
-        dict(epsilon=0.0),
+        dict(p_U_max=0.0),
         dict(d_near=30.0, d_far=20.0),
         dict(alpha=0.0),
         dict(L_SI=0),
@@ -128,6 +128,13 @@ class TestParseSetting:
         with pytest.raises(ConfigError):
             parse_setting("bandwidth", "1.0")
 
+    @pytest.mark.parametrize("key", ["seed", "epsilon", "epsilon_bsum"])
+    def test_seed_and_stop_thresholds_are_not_config_keys(self, key):
+        # The seed is the experiment's (--seed) and the stop thresholds
+        # are solver constants.
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            parse_setting(key, "1")
+
 
 class TestLoadConfig:
     def test_round_trip(self, tmp_path):
@@ -161,6 +168,14 @@ class TestLoadConfig:
         path = tmp_path / "bad.cfg"
         path.write_text("carrier = 30\n")
         with pytest.raises(ConfigError):
+            load_config(str(path))
+
+    @pytest.mark.parametrize("key", ["seed", "epsilon", "epsilon_bsum"])
+    def test_seed_and_stop_thresholds_rejected(self, tmp_path, key):
+        path = tmp_path / "old.cfg"
+        path.write_text(f"A = 2.0\n{key} = 1\n")
+        with pytest.raises(ConfigError,
+                           match=f":2: unknown config key '{key}'"):
             load_config(str(path))
 
     def test_overrides_win(self, tmp_path):

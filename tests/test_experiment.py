@@ -43,6 +43,12 @@ class TestSpec:
         with pytest.raises(ConfigError, match="--trials"):
             small_spec(trials=trials)
 
+    def test_negative_seed_rejected(self):
+        # Named before any trial runs, not left to the generator's own
+        # error in a worker process.
+        with pytest.raises(ConfigError, match="--seed must be non-negative"):
+            small_spec(seed=-1)
+
     @pytest.mark.parametrize("algorithms, match", [
         ((), "--algos names no algorithm"),
         (("fpas", "fpas"), "--algos names 'fpas' twice"),

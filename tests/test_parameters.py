@@ -10,7 +10,7 @@ MODULES = sorted((ROOT / "src" / "prafd").glob("*.py"))
 # The solver's block tables call each entry with one signature, so these
 # functions take an argument they have no use for.
 UNREAD = {
-    # a placement side, called as (ctx, rng, eps); GD draws nothing
+    # a placement side, called as (ctx, rng); GD draws nothing
     ("baselines.py", "gradient_descent_positions", "rng"),
 }
 

@@ -405,7 +405,7 @@ class TestBsumSweep:
             _, layout, _, _, ctx_t, ctx_r = make_contexts(cfg, trial)
             rng = np.random.default_rng(trial)
             for ctx, pos in ((ctx_t, layout.t), (ctx_r, layout.r)):
-                out, trace, sweeps = bsum_optimize_side(ctx, rng, eps=1e-3)
+                out, trace, sweeps = bsum_optimize_side(ctx, rng)
                 diffs = np.diff(trace)
                 assert np.all(diffs <= 1e-9 * np.maximum(1.0,
                                                          np.abs(trace[:-1])))
@@ -419,16 +419,16 @@ class TestBsumSweep:
         _, layout, _, _, ctx_t, _ = make_contexts(cfg)
         rng = np.random.default_rng(0)
         monkeypatch.setattr(placement, "MAX_BSUM_SWEEPS", 3)
-        _, trace, sweeps = bsum_optimize_side(ctx_t, rng, eps=0.0)
+        monkeypatch.setattr(placement, "BSUM_EPSILON", 0.0)
+        _, trace, sweeps = bsum_optimize_side(ctx_t, rng)
         assert sweeps == 3 and len(trace) == 4
 
-    def test_deterministic_given_generator(self):
+    def test_deterministic_given_generator(self, monkeypatch):
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=3, N_r=3)
         _, layout, _, _, ctx_t, _ = make_contexts(cfg)
-        a, _, _ = bsum_optimize_side(ctx_t, np.random.default_rng(9),
-                                     eps=1e-4)
-        b, _, _ = bsum_optimize_side(ctx_t, np.random.default_rng(9),
-                                     eps=1e-4)
+        monkeypatch.setattr(placement, "BSUM_EPSILON", 1e-4)
+        a, _, _ = bsum_optimize_side(ctx_t, np.random.default_rng(9))
+        b, _, _ = bsum_optimize_side(ctx_t, np.random.default_rng(9))
         assert_allclose(a, b)
 
     def test_muted_side_stays_put(self):
@@ -439,8 +439,7 @@ class TestBsumSweep:
         state.powers = received_powers(state.W_t, state.W_r, state.p, ch, cfg)
         state.aux = auxiliary_pass(state.powers, cfg)
         ctx = receive_context(state, side_terms(rlz, cfg, False))
-        out, trace, sweeps = bsum_optimize_side(ctx, np.random.default_rng(0),
-                                                eps=1e-3)
+        out, trace, sweeps = bsum_optimize_side(ctx, np.random.default_rng(0))
         assert_allclose(out, layout.r)
         assert_allclose(trace, [0.0, 0.0], atol=1e-30)
 
@@ -491,6 +490,7 @@ class TestBsumSweep:
         monkeypatch.setattr(placement, "antenna_bundle", bundle)
         monkeypatch.setattr(placement, "placement_objective", objective)
         monkeypatch.setattr(placement, "nearest_feasible_point", project)
+        monkeypatch.setattr(placement, "BSUM_EPSILON", 1e-4)
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=3, N_r=3, L=3, L_SI=3)
         moves = 0
         for trial in range(4):
@@ -498,7 +498,7 @@ class TestBsumSweep:
             for ctx, pos in ((ctx_t, layout.t), (ctx_r, layout.r)):
                 seen.update(pos=pos.copy(), n=None, moves=0)
                 out, _, _ = bsum_optimize_side(
-                    ctx, np.random.default_rng(trial), eps=1e-4)
+                    ctx, np.random.default_rng(trial))
                 assert np.array_equal(seen["pos"], out)
                 moves += seen["moves"]
         assert moves > 20
@@ -522,6 +522,7 @@ class TestBsumSweep:
 
         monkeypatch.setattr(placement, "_fields", fields)
         monkeypatch.setattr(placement, "antenna_bundle", bundle)
+        monkeypatch.setattr(placement, "BSUM_EPSILON", 1e-4)
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=3, N_r=3, L=3, L_SI=3)
         visits = total_sweeps = 0
         for trial in range(3):
@@ -529,7 +530,7 @@ class TestBsumSweep:
             for ctx in (ctx_t, ctx_r):
                 counts.update(fields=0, visits=0)
                 _, trace, sweeps = bsum_optimize_side(
-                    ctx, np.random.default_rng(trial), eps=1e-4)
+                    ctx, np.random.default_rng(trial))
                 assert counts["fields"] == 1 + sweeps == len(trace)
                 visits += counts["visits"]
                 total_sweeps += sweeps
@@ -567,7 +568,7 @@ class TestBsumSweep:
             for ctx, pos in ((ctx_t, layout.t), (ctx_r, layout.r)):
                 counts.update(visits=0, projections=0)
                 out, trace, _ = bsum_optimize_side(
-                    ctx, np.random.default_rng(trial), eps=1e-3)
+                    ctx, np.random.default_rng(trial))
                 assert np.array_equal(out, pos)
                 assert np.all(np.diff(trace) <= 0.0)
                 assert counts["visits"] > 0
@@ -608,8 +609,7 @@ class TestBsumSweep:
                     m.setattr(np, "exp", exp)
                     m.setattr(placement, "nearest_feasible_point", project)
                     m.setattr(placement, "curvature_bound", tau)
-                    bsum_optimize_side(ctx, np.random.default_rng(trial),
-                                       eps=1e-3)
+                    bsum_optimize_side(ctx, np.random.default_rng(trial))
                 assert counts["visits"] > 0
                 assert counts["exp"] == 1 + counts["projections"]
                 if tau is floor:

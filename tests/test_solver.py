@@ -157,7 +157,8 @@ class TestAlternatingOptimize:
 
     def test_iteration_cap_reported(self, monkeypatch):
         monkeypatch.setattr(solver, "MAX_OUTER", 3)
-        cfg = ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2, epsilon=0.0)
+        monkeypatch.setattr(solver, "EPSILON", 0.0)
+        cfg = ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2)
         res = solve(cfg, 0)
         assert not res.converged
         assert res.outer_iterations == 3
@@ -329,12 +330,14 @@ class TestSideTerms:
         ("fp-bsum", ScenarioConfig(K_D=2, K_U=0, N_t=2, N_r=2), [True]),
         ("hd", ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2), [True]),
         ("fpas", ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2), []),
+        ("fp-bsum", ScenarioConfig(K_D=0, K_U=2, N_t=2, N_r=2), [False]),
+        ("fp-gd", ScenarioConfig(K_D=0, K_U=2, N_t=2, N_r=2), [False]),
     ])
     def test_built_once_per_solve_for_each_side_with_users(
             self, monkeypatch, algo, cfg, sides):
         # Every context of a solve shares the side's terms, built once; a
-        # side without users (the receive side of hd or of K_U = 0) gets
-        # none, and fixed arrays need none.
+        # side without users (the receive side of hd or of K_U = 0, the
+        # transmit side of K_D = 0) gets none, and fixed arrays need none.
         built, used = [], []
         real_terms = placement.side_terms
         real_contexts = placement.transmit_context, placement.receive_context
@@ -422,8 +425,8 @@ def after_each_side(monkeypatch, method, seen):
         else (baselines, "gradient_descent_positions")
     real = getattr(module, name)
 
-    def side(ctx, rng, eps):
-        out = real(ctx, rng, eps)
+    def side(ctx, rng):
+        out = real(ctx, rng)
         seen(ctx, out)
         return out
 
@@ -644,9 +647,9 @@ class TestMonitorEndToEnd:
             spoiled.append(real_context(*a))
             return spoiled[-1]
 
-        def side(ctx, rng, eps):
+        def side(ctx, rng):
             if not (spoiled and ctx is spoiled[-1]):
-                return real_side(ctx, rng, eps)
+                return real_side(ctx, rng)
 
             # Moves the side to the symmetric layout of highest placement
             # objective, i.e. of lowest surrogate.
