@@ -10,7 +10,6 @@ realization while rates are always evaluated against the true one.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -207,6 +206,8 @@ def run_experiment(spec: ExperimentSpec) -> list[TrialResult]:
     """Execute all (sweep point, trial) cells; deterministic result order."""
     tasks = [(spec, v, t) for v in spec.points() for t in range(spec.trials)]
     if spec.threads > 1:
+        # Here, so a one-process run never imports multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=spec.threads) as pool:
             chunks = list(pool.map(_run_point, tasks, chunksize=1))
     else:

@@ -31,7 +31,7 @@ Each quantity is built once at the level where it can change:
   joint gradient (`placement_gradient`) projected gradient descent
   reads per step.  A BSUM side call keeps a phasor table, every term's
   phasor at every antenna, and H, whose row an accepted move contracts
-  again; D and X are contracted only for the objective, once per sweep;
+  again; D and X are contracted once, for the start's objective;
 * per visit, with no field rebuild: the antenna's bundle is its context
   row with the linear terms written in from H, the SI phasors and the
   factors, evaluated once from its table row for value, gradient and the
@@ -390,7 +390,7 @@ def bsum_optimize_side(ctx: SurrogateContext, rng: np.random.Generator):
     visit evaluates its bundle once, from the antenna's row, and takes one
     exponential per candidate; an accepted candidate's phasors replace the
     row and re-contract the antenna's row of the user channel H, which the
-    bundles read.  D and X are contracted for the objective, once a sweep.
+    bundles read.  A sweep's objective adds its moves' bundle decreases.
     """
     t = ctx.terms
     pos = np.array(ctx.positions, dtype=float, copy=True)
@@ -400,9 +400,8 @@ def bsum_optimize_side(ctx: SurrogateContext, rng: np.random.Generator):
     H = user_channel(user_e, t.user_prm)
     f = placement_objective(ctx, _fields(ctx, H, user_e, si_e))
     trace = [f]
-    sweeps = 0
     for _ in range(MAX_BSUM_SWEEPS):
-        sweeps += 1
+        f_new = f
         for n in rng.permutation(len(pos)):
             bundle = antenna_bundle(ctx, H, si_e, n)
             if bundle.curvature_cap() == 0.0:
@@ -418,19 +417,19 @@ def bsum_optimize_side(ctx: SurrogateContext, rng: np.random.Generator):
                 cand = nearest_feasible_point(
                     np.array([x + mx / tau, y + my / tau]), region)
                 e = bundle.phasors(cand)
-                if bundle.score(e) <= bar:
+                f_cand = bundle.score(e)
+                if f_cand <= bar:
                     pos[n] = cand
                     table[n] = e
                     H[n] = user_channel(user_e[n], t.user_prm)
+                    f_new += f_cand - f_here
                     break
                 tau *= 2.0
-        f_new = placement_objective(ctx, _fields(ctx, H, user_e, si_e))
         trace.append(f_new)
-        rel = abs(f - f_new) / max(abs(f), 1e-12)
-        f = f_new
-        if rel < BSUM_EPSILON:
+        if abs(f - f_new) / max(abs(f), 1e-12) < BSUM_EPSILON:
             break
-    return pos, trace, sweeps
+        f = f_new
+    return pos, trace, len(trace) - 1
 
 
 def grid_axis(half_width: float, step: float) -> np.ndarray:

@@ -1,6 +1,10 @@
 """Every imported name is used: a name bound by an import statement must
-appear elsewhere in its module or, in a package `__init__`, in `__all__`."""
+appear elsewhere in its module or, in a package `__init__`, in `__all__`.
+Importing the package loads no process pool."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -44,3 +48,15 @@ def test_no_unused_imports():
              for line, name in unused_imports(path.read_text(encoding="utf-8"),
                                               path.name == "__init__.py")]
     assert not found, f"unused imports: {found}"
+
+
+def test_import_loads_no_process_pool():
+    # The pool's module pulls in multiprocessing, socket and subprocess;
+    # only a run with more than one thread imports it.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = ("import sys, prafd; "
+            "print('concurrent.futures.process' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

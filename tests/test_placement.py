@@ -398,7 +398,74 @@ class TestCurvature:
             >= 1e-6 * bundle.curvature_cap() - 1e-30
 
 
+def reference_bsum_side(ctx, rng):
+    """`bsum_optimize_side` with every sweep scored by re-contracting D
+    and X for `placement_objective`: the reference the summed visit
+    decreases are checked against."""
+    t = ctx.terms
+    pos = np.array(ctx.positions, dtype=float, copy=True)
+    others = placement.others_index(len(pos))
+    table = np.exp(1j * (pos @ t.dirs.T))
+    user_e, si_e = table[:, t.user_lin], table[:, t.si_lin]
+    H = channel.user_channel(user_e, t.user_prm)
+    f = placement_objective(ctx, placement._fields(ctx, H, user_e, si_e))
+    trace = [f]
+    sweeps = 0
+    for _ in range(placement.MAX_BSUM_SWEEPS):
+        sweeps += 1
+        for n in rng.permutation(len(pos)):
+            bundle = antenna_bundle(ctx, H, si_e, n)
+            if bundle.curvature_cap() == 0.0:
+                continue
+            f_here, mp = bundle.evaluate(table[n])
+            tau = curvature_bound(bundle, mp)
+            (mx, my), (x, y) = mp[1, :2].tolist(), pos[n].tolist()
+            region = placement.FeasibleRegionSpec(t.half_width,
+                                                  pos[others[n]], t.d_min)
+            bar = f_here + 1e-12 * (1.0 + abs(f_here))
+            for _ in range(placement.MAX_TAU_DOUBLINGS + 1):
+                cand = placement.nearest_feasible_point(
+                    np.array([x + mx / tau, y + my / tau]), region)
+                e = bundle.phasors(cand)
+                if bundle.score(e) <= bar:
+                    pos[n] = cand
+                    table[n] = e
+                    H[n] = channel.user_channel(user_e[n], t.user_prm)
+                    break
+                tau *= 2.0
+        f_new = placement_objective(ctx, placement._fields(ctx, H, user_e,
+                                                           si_e))
+        trace.append(f_new)
+        rel = abs(f - f_new) / max(abs(f), 1e-12)
+        f = f_new
+        if rel < placement.BSUM_EPSILON:
+            break
+    return pos, trace, sweeps
+
+
 class TestBsumSweep:
+    def test_summed_decreases_match_the_rescored_sweeps(self):
+        # Each sweep's objective is the start's plus its accepted visits'
+        # bundle decreases, not a re-contraction of D and X.  Positions
+        # come from the visits alone, so they and the sweep counts equal
+        # the reference's bit for bit; the trace agrees to rounding.
+        contexts = 0
+        for cfg in (ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2),
+                    ScenarioConfig()):
+            for trial in range(10):
+                _, _, _, _, ctx_t, ctx_r = make_contexts(cfg, trial)
+                for ctx in (ctx_t, ctx_r):
+                    out, trace, sweeps = bsum_optimize_side(
+                        ctx, np.random.default_rng(trial))
+                    ref, ref_trace, ref_sweeps = reference_bsum_side(
+                        ctx, np.random.default_rng(trial))
+                    assert np.array_equal(out, ref)
+                    assert sweeps == ref_sweeps
+                    assert trace[0] == ref_trace[0]
+                    assert_allclose(trace, ref_trace, rtol=1e-12, atol=0.0)
+                    contexts += 1
+        assert contexts >= 40
+
     def test_trace_monotone_and_feasible(self):
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=3, N_r=3, L=3, L_SI=3)
         for trial in range(15):
@@ -447,10 +514,12 @@ class TestBsumSweep:
     def test_phasor_table_fields_track_the_layout(self, monkeypatch):
         # The side never rebuilds the fields from positions.  Every bundle
         # call receives the user channel and SI phasors kept with its
-        # phasor table, and every objective call the fields contracted
-        # from it; they must match layout_fields of the positions reached,
-        # which are followed here from the projections: a changed row of
-        # the last visited antenna means its last candidate was accepted.
+        # phasor table, and the start's objective call the fields
+        # contracted from it; they must match layout_fields of the
+        # positions reached, which are followed here from the projections:
+        # a changed row of the last visited antenna means its last
+        # candidate was accepted.  The side call's last visit is settled
+        # from the layout it returns.
         real_fields = placement.layout_fields
         real_bundle = placement.antenna_bundle
         real_objective = placement.placement_objective
@@ -499,28 +568,39 @@ class TestBsumSweep:
                 seen.update(pos=pos.copy(), n=None, moves=0)
                 out, _, _ = bsum_optimize_side(
                     ctx, np.random.default_rng(trial))
+                n = seen["n"]
+                if n is not None and not np.array_equal(out[n],
+                                                        seen["pos"][n]):
+                    seen["pos"][n] = seen["cand"]
+                    seen["moves"] += 1
                 assert np.array_equal(seen["pos"], out)
                 moves += seen["moves"]
         assert moves > 20
 
-    def test_fields_contracted_at_the_start_and_once_per_sweep(
-            self, monkeypatch):
+    def test_fields_contracted_only_at_the_start(self, monkeypatch):
         # An accepted move re-contracts only the antenna's row of H; D and
-        # X are contracted for the objective alone, at the start and at
-        # the end of each sweep, however many visits a sweep makes.
-        counts = {"fields": 0, "visits": 0}
+        # X are contracted once, for the start's objective, however many
+        # sweeps and visits follow: a sweep's objective adds up the
+        # decreases its visits' acceptance tests computed.
+        counts = {"fields": 0, "objective": 0, "visits": 0}
         real_fields = placement._fields
+        real_objective = placement.placement_objective
         real_bundle = placement.antenna_bundle
 
         def fields(*a):
             counts["fields"] += 1
             return real_fields(*a)
 
+        def objective(*a):
+            counts["objective"] += 1
+            return real_objective(*a)
+
         def bundle(*a):
             counts["visits"] += 1
             return real_bundle(*a)
 
         monkeypatch.setattr(placement, "_fields", fields)
+        monkeypatch.setattr(placement, "placement_objective", objective)
         monkeypatch.setattr(placement, "antenna_bundle", bundle)
         monkeypatch.setattr(placement, "BSUM_EPSILON", 1e-4)
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=3, N_r=3, L=3, L_SI=3)
@@ -528,10 +608,11 @@ class TestBsumSweep:
         for trial in range(3):
             _, _, _, _, ctx_t, ctx_r = make_contexts(cfg, trial)
             for ctx in (ctx_t, ctx_r):
-                counts.update(fields=0, visits=0)
+                counts.update(fields=0, objective=0, visits=0)
                 _, trace, sweeps = bsum_optimize_side(
                     ctx, np.random.default_rng(trial))
-                assert counts["fields"] == 1 + sweeps == len(trace)
+                assert counts["fields"] == counts["objective"] == 1
+                assert len(trace) == 1 + sweeps
                 visits += counts["visits"]
                 total_sweeps += sweeps
         assert visits >= 3 * total_sweeps
