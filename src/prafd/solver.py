@@ -1,52 +1,44 @@
 """Alternating optimizer over beamformers, uplink powers and positions.
 
-Each outer iteration solves the transmit, receive, power, grid-placement,
-transmit-placement and receive-placement blocks in that order, then
-refreshes the FP auxiliaries (as is also done once before the first
-iteration).  The refresh pins the surrogate to the true weighted sum-rate,
-and its gamma is the SINR vector, so it also scores the iteration.  Every
-block maximizes the same surrogate exactly or monotonically, so the true
-rate trace is non-decreasing and convergence is declared on its relative
-change.
+Each outer iteration runs the entries of one block table (`block_table`)
+in order, then refreshes the FP auxiliaries, as is also done once before
+the first.  The refresh pins the surrogate to the true weighted sum-rate,
+and its gamma, the SINR vector, scores the iteration.  That vector is the
+only source of what the run reports: each `eval_trace` entry is its
+weighted sum-rate and the per-user rates are those of the last one.  Every
+block raises the same surrogate, exactly or monotonically, so the rate
+trace is non-decreasing; convergence is declared on its relative change.
 
-The grid-placement block runs with BSUM placement only.  It moves antennas
-to grid points of higher *true* rate (`placement.RateGrid`) and, if any
-moved, refreshes the auxiliaries again: the stale surrogate is at most the
-rate before the jump, which is at most the rate after it, so the surrogate
-still never decreases.  The first time the block moves no antenna it is
-retired for the rest of the run; from there on the loop is plain BSUM.
+Every table holds the transmit beamformer, receive beamformer and uplink
+power; "bsum" adds grid placement, and "bsum" and "gd" add transmit and
+receive placement for each side that serves users.  An entry (`_Block`)
+is a monitor name and a step that updates the state and its record in
+place and returns a count: a placement side's sweeps, which add to
+`bsum_sweeps`, the grid's moves, or 0.  The loop scores the surrogate
+after each step and the monitor checks that it did not fall.  Only the
+grid sets the two flags: its moves raise the *true* rate, so they are
+scored after an auxiliary refresh (`refresh`; the stale surrogate is at
+most the rate before a jump, which is at most the rate after it), and its
+first step that moves nothing leaves the table unscored (`retire`).
 
-The solve keeps one state (`fp.SolverState`): the variables, the
-channels of the current layout (`state.ch`), their received-power record
-on those channels (`state.powers`) and the auxiliaries; every block reads
-its channels and received powers from it.  `initial_state` makes the
-first full pass and returns the starting state with the auxiliaries of
-that pass, whose gamma scores the start.  A block updates only the
-factors its variable enters; the surrogate after each block and the
-auxiliary passes read the updated record, and a grid move sets the
-state's channels and record to those of its confirming pass.  So the only full passes of a run are the
-first one, plus the grid's confirmations and, with `eval_rlz`, one pass at
-the start and one per iteration on the evaluation channels.
-
-The channel record (`channel.Channels`) holds the layout and each side's
-user-path and SI-path phasors, the only place positions enter.
-`build_channels` takes them once per solve; after a placement side, and
-for each grid confirmation, `channel.move_side` re-takes only the moved
-side's two phasor arrays and rebuilds that side's user channel and H_SI.
-
-Each auxiliary pass replaces `state.aux`, the one record of (gamma, y) and
-every coefficient derived from them (`fp.Auxiliaries`); the blocks and
-surrogates up to the next pass read it, so nothing is re-derived per block.
-
-The SINR vector that scores an iteration is the only source of what the
-run reports: each `eval_trace` entry is its weighted sum-rate and the
-per-user rates are those of the last one.
+The solve keeps one state (`fp.SolverState`), from which every block
+reads: the variables, the channels of the current layout (`state.ch`),
+their received-power record (`state.powers`) and the auxiliaries
+(`state.aux`, replaced whole by each pass).  `initial_state` makes the
+first full pass and scores the start with its auxiliaries.  A block
+updates only the factors its variable enters, so the only other full
+passes are the grid's confirmations and, with `eval_rlz`, one at the
+start and one per iteration on the evaluation channels.  The channels
+are built once per solve (`build_channels`); a placement side and each
+grid confirmation re-take only the moved side's phasors
+(`channel.move_side`).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -134,15 +126,6 @@ def _check_layout(layout: AntennaLayout, cfg: ScenarioConfig) -> None:
             raise ValueError(f"infeasible {tag} layout")
 
 
-def _position_optimizer(method: str):
-    if method == "bsum":
-        return placement.bsum_optimize_side
-    if method == "gd":
-        from .baselines import gradient_descent_positions
-        return gradient_descent_positions
-    raise ValueError(f"unknown position method {method!r}")
-
-
 class _Monitor:
     """Checks surrogate monotonicity and the sandwich gap; NaN fails both."""
 
@@ -164,19 +147,76 @@ class _Monitor:
                 f"surrogate {surrogate!r} does not match rate {rate!r}")
 
 
-def _reported(state: fp.SolverState, cfg: ScenarioConfig,
-              eval_rlz: ChannelRealization | None,
-              rate: float) -> tuple[np.ndarray, float]:
-    """SINR vector to report and its weighted sum-rate: the auxiliary
-    pass's gamma, which `rate` was scored from, or with `eval_rlz` the
-    SINRs of a full pass on the evaluation channels of the state's
-    layout."""
+def _scored(state: fp.SolverState, cfg: ScenarioConfig,
+            eval_rlz: ChannelRealization | None) -> tuple:
+    """The rate scored from the state's gamma, and the SINR vector to report
+    with its weighted sum-rate: that gamma and rate, or with `eval_rlz` the
+    SINRs of a full pass on the evaluation channels of the state's layout."""
+    rate = fp.weighted_sum_rate(state.aux.gamma, cfg)
     if eval_rlz is None:
-        return state.aux.gamma, rate
+        return rate, state.aux.gamma, rate
     eval_ch = build_channels(state.ch.layout, eval_rlz, cfg)
     sinr = fp.sinrs_of(fp.received_powers(state.W_t, state.W_r, state.p,
                                           eval_ch, cfg))
-    return sinr, fp.weighted_sum_rate(sinr, cfg)
+    return rate, sinr, fp.weighted_sum_rate(sinr, cfg)
+
+
+class _Block(NamedTuple):
+    """One entry of a solve's block table; see the module docstring."""
+    tag: str                    # the monitor's name for the block
+    step: Callable[[fp.SolverState], int]   # sweeps, grid moves or 0
+    refresh: bool = False       # a nonzero count is scored after a refresh
+    retire: bool = False        # the first zero count drops the entry
+
+
+def block_table(cfg: ScenarioConfig, rlz: ChannelRealization,
+                rng: np.random.Generator, position_method: str) -> list:
+    """One solve's entries in run order; `position_method` is checked first.
+    Built per solve, not at import: the functions are looked up on their
+    modules, so wrappers installed there at run time are honoured."""
+    from . import baselines     # baselines imports this module
+    optimizers = {"bsum": placement.bsum_optimize_side,
+                  "gd": baselines.gradient_descent_positions, "none": None}
+    if position_method not in optimizers:
+        raise ValueError(f"unknown position method {position_method!r}")
+    optimizer, record = optimizers[position_method], fp.ReceivedPowers
+
+    def closed_form(tag, attr, update, changed):
+        def step(state):
+            setattr(state, attr, update(state, cfg))
+            changed(state.powers, state)
+            return 0
+        return _Block(tag, step)
+
+    def placement_side(tag, side, context, changed):
+        terms = placement.side_terms(rlz, cfg, side == "t")  # once per solve
+        def step(state):
+            pos, _, sweeps = optimizer(context(state, terms), rng)
+            state.ch = move_side(state.ch, side, pos, rlz, cfg)
+            changed(state.powers, state)
+            return sweeps
+        return _Block(tag, step)
+
+    blocks = [closed_form("transmit beamformer", "W_t",
+                          beamforming.update_transmit_beamformer,
+                          record.transmit_beams_changed),
+              closed_form("receive beamformer", "W_r",
+                          beamforming.update_receive_beamformer,
+                          record.receive_changed),
+              closed_form("uplink power", "p", beamforming.update_uplink_power,
+                          record.power_changed)]
+    if position_method == "bsum":
+        blocks.append(_Block("grid placement", placement.RateGrid(rlz, cfg).place,
+                             refresh=True, retire=True))
+    if optimizer and cfg.K_D > 0:
+        blocks.append(placement_side("transmit placement", "t",
+                                     placement.transmit_context,
+                                     record.transmit_changed))
+    if optimizer and cfg.K_U > 0:
+        blocks.append(placement_side("receive placement", "r",
+                                     placement.receive_context,
+                                     record.receive_changed))
+    return blocks
 
 
 def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
@@ -192,79 +232,38 @@ def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
     """
     t_start = time.perf_counter()
     _check_layout(layout, cfg)
+    blocks = block_table(cfg, rlz, rng, position_method)
     state = initial_state(build_channels(layout.copy(), rlz, cfg), cfg)
     monitor = _Monitor()
-    rate = fp.weighted_sum_rate(state.aux.gamma, cfg)
-    sinr, eval_rate = _reported(state, cfg, eval_rlz, rate)
+    rate, sinr, eval_rate = _scored(state, cfg, eval_rlz)
     trace, eval_trace = [rate], [eval_rate]
     bsum_sweeps = 0
     converged = False
     iterations = 0
 
-    optimizer = None if position_method == "none" \
-        else _position_optimizer(position_method)
-    grid = placement.RateGrid(rlz, cfg) \
-        if position_method == "bsum" else None
-    # Built per call, not at import: the functions are looked up on their
-    # modules, so wrappers installed there at run time are honoured.
-    record = fp.ReceivedPowers
-    closed_form = (
-        ("transmit beamformer", "W_t", beamforming.update_transmit_beamformer,
-         record.transmit_beams_changed),
-        ("receive beamformer", "W_r", beamforming.update_receive_beamformer,
-         record.receive_changed),
-        ("uplink power", "p", beamforming.update_uplink_power,
-         record.power_changed),
-    )
-    # Placement blocks, only for sides that serve users; each side's
-    # `placement.SideTerms` record is built here, once per solve.
-    sides = []
-    if optimizer and cfg.K_D > 0:
-        sides.append(("transmit placement", "t", placement.transmit_context,
-                      placement.side_terms(rlz, cfg, True),
-                      record.transmit_changed))
-    if optimizer and cfg.K_U > 0:
-        sides.append(("receive placement", "r", placement.receive_context,
-                      placement.side_terms(rlz, cfg, False),
-                      record.receive_changed))
-
-    for it in range(1, MAX_OUTER + 1):
-        iterations = it
+    for iterations in range(1, MAX_OUTER + 1):
         # The auxiliaries were refreshed from the state's record, the pass
         # `rate` was scored on, so the surrogate must touch it.
         p3 = fp.surrogate_objective(state, cfg)
         monitor.check_sandwich(p3, rate)
-
-        for tag, attr, update, changed in closed_form:
-            setattr(state, attr, update(state, cfg))
-            changed(state.powers, state)
-            p3 = monitor.check_block(p3, fp.surrogate_objective(state, cfg),
-                                     tag)
-
-        if grid is not None:
-            if grid.place(state):
+        for tag, step, refresh, retire in blocks:
+            count = step(state)
+            if retire and not count:
+                # The sweep over `blocks` in progress keeps the old list.
+                blocks = [b for b in blocks if b.step is not step]
+                continue
+            if refresh:
                 state.aux = fp.auxiliary_pass(state.powers, cfg)
-                p3_new = fp.surrogate_objective(state, cfg)
+                after = fp.surrogate_objective(state, cfg)
                 monitor.check_sandwich(
-                    p3_new, fp.weighted_sum_rate(state.aux.gamma, cfg))
-                p3 = monitor.check_block(p3, p3_new, "grid placement")
+                    after, fp.weighted_sum_rate(state.aux.gamma, cfg))
             else:
-                grid = None
-
-        for tag, side, context, terms, changed in sides:
-            pos, _, sw = optimizer(context(state, terms), rng)
-            bsum_sweeps += sw
-            state.ch = move_side(state.ch, side, pos, rlz, cfg)
-            changed(state.powers, state)
-            p3 = monitor.check_block(p3, fp.surrogate_objective(state, cfg),
-                                     tag)
-
-        # gamma is the SINR vector, so the pass that refreshes the
-        # auxiliaries for the next iteration also scores this one; it
-        # reuses the last block's record.
+                bsum_sweeps += count
+                after = fp.surrogate_objective(state, cfg)
+            p3 = monitor.check_block(p3, after, tag)
+        # Refreshed for the next iteration, gamma also scores this one.
         state.aux = fp.auxiliary_pass(state.powers, cfg)
-        new_rate = fp.weighted_sum_rate(state.aux.gamma, cfg)
-        sinr, eval_rate = _reported(state, cfg, eval_rlz, new_rate)
+        new_rate, sinr, eval_rate = _scored(state, cfg, eval_rlz)
         trace.append(new_rate)
         eval_trace.append(eval_rate)
         converged = abs(new_rate - rate) <= EPSILON * max(abs(rate), 1e-12)

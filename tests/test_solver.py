@@ -10,7 +10,8 @@ from prafd.channel import AntennaLayout, Channels, build_channels, \
 from prafd import baselines, beamforming, channel, fp, placement, solver
 from prafd.baselines import run_algorithm
 from prafd.config import ConfigError, ScenarioConfig, validate_config
-from prafd.geometry import layout_side_feasible
+from prafd.geometry import FeasibleRegionSpec, is_feasible, \
+    layout_side_feasible
 from prafd.solver import (_Monitor, alternating_optimize, initial_state,
                           initialize_layout)
 
@@ -196,6 +197,16 @@ class TestAlternatingOptimize:
         with pytest.raises(ValueError):
             alternating_optimize(cfg, rlz, trial_rng(0, 0, 3), bad, "bsum")
 
+    def test_unknown_position_method_rejected_before_any_work(
+            self, monkeypatch):
+        def forbidden(*a):
+            raise AssertionError("a received-power pass was made")
+
+        monkeypatch.setattr(fp, "received_powers", forbidden)
+        cfg = ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2)
+        with pytest.raises(ValueError,
+                           match="unknown position method 'BSUM'"):
+            solve(cfg, 0, position_method="BSUM")
 
     def test_one_received_power_pass_per_block(self, monkeypatch):
         # One full pass at the start scores the initial rate and feeds the
@@ -669,6 +680,33 @@ class TestMonitorEndToEnd:
                            match=f"surrogate decreased in {tag} block"):
             solve(cfg, 0)
 
+    def test_grid_placement(self, monkeypatch):
+        def place(self, state):
+            # Moves transmit antenna 0 to its feasible grid point of lowest
+            # true rate, with the channels and the full pass of the move.
+            cfg = self.cfg
+            pos = state.ch.layout.t
+            region = FeasibleRegionSpec(cfg.region_half_width,
+                                        np.delete(pos, 0, axis=0), cfg.D_min)
+            vals = self.rates(state, "t", 0)
+            vals[~is_feasible(self.points, region)] = np.inf
+            cand = pos.copy()
+            cand[0] = self.points[np.argmin(vals)]
+            rate = fp.weighted_sum_rate(fp.sinrs_of(state.powers), cfg)
+            state.ch = placement.move_side(state.ch, "t", cand, self.rlz, cfg)
+            state.powers = fp.received_powers(state.W_t, state.W_r, state.p,
+                                              state.ch, cfg)
+            spoiled.append(fp.weighted_sum_rate(fp.sinrs_of(state.powers),
+                                                cfg) < rate)
+            return 1
+
+        spoiled = []
+        monkeypatch.setattr(placement.RateGrid, "place", place)
+        cfg = ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2)
+        with pytest.raises(AssertionError,
+                           match="surrogate decreased in grid placement block"):
+            solve(cfg, 0)
+        assert spoiled == [True]
 
     @pytest.mark.parametrize("method", ["none", "bsum", "gd"])
     @pytest.mark.parametrize("gain", ["prm_dl", "prm_ul", "sigma_si",
@@ -685,6 +723,53 @@ class TestMonitorEndToEnd:
                 pytest.raises(AssertionError,
                               match="surrogate nan does not match rate nan"):
             solve_drawn(cfg, rlz, trial_rng(0, 0, 3), method)
+
+
+class TestBlockTable:
+    """Each iteration runs the table's entries in order; the grid retires
+    the first time it moves nothing."""
+
+    @pytest.mark.parametrize("method", ["bsum", "gd", "none"])
+    def test_order_and_grid_retirement(self, monkeypatch, method):
+        events = []
+        real_place, real_check = placement.RateGrid.place, \
+            _Monitor.check_block
+
+        def place(self, state):
+            moves = real_place(self, state)
+            events.append(("place", moves))
+            return moves
+
+        def check_block(self, before, after, tag):
+            events.append(tag)
+            return real_check(self, before, after, tag)
+
+        monkeypatch.setattr(placement.RateGrid, "place", place)
+        monkeypatch.setattr(_Monitor, "check_block", check_block)
+        cfg = ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2)
+        retired = 0
+        for trial in range(4):
+            events.clear()
+            res = solve(cfg, trial, position_method=method)
+            # The grid's returns, in order, decide when it retires; the
+            # rest of each iteration is fixed by the method.
+            moves = iter([e[1] for e in events if isinstance(e, tuple)])
+            expected, grid = [], method == "bsum"
+            for _ in range(res.outer_iterations):
+                expected += ["transmit beamformer", "receive beamformer",
+                             "uplink power"]
+                if grid:
+                    n = next(moves)
+                    expected.append(("place", n))
+                    if n:
+                        expected.append("grid placement")
+                    grid = bool(n)
+                    retired += not n
+                if method != "none":
+                    expected += ["transmit placement", "receive placement"]
+            assert events == expected
+        # The rule is seen to retire the grid before the run converges.
+        assert (retired > 0) == (method == "bsum")
 
 
 class TestMismatchedEvaluation:
