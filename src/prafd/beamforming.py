@@ -11,8 +11,8 @@ Every block update takes `(state, cfg)` and reads the channels
 state, taking from the record what it already holds: the transmit form's
 SI part is built from its V = W_r^H H_SI, and the power coefficients from
 its G = W_r^H H_U, |G|^2 and |H_IUI|^2.  The receive form holds no W_r
-product, so that block reads only the channels.  `oracles` keeps the
-forms built from the channels alone, as test references.
+product, so that block reads only the channels.  The tests' references
+build the same forms from the channels alone.
 """
 
 from __future__ import annotations

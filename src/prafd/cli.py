@@ -1,5 +1,4 @@
-"""Command line entry points: single solves, Monte Carlo experiments, and
-oracle self-checks of the closed-form updates."""
+"""Command line entry points: single solves and Monte Carlo experiments."""
 
 from __future__ import annotations
 
@@ -7,19 +6,9 @@ import argparse
 import os
 import time
 
-import numpy as np
-
-from . import oracles
 from .baselines import ALGORITHMS
-from .beamforming import optimal_scalar_power, solve_transmit_qp
-from .channel import build_channels, sample_realization
 from .config import ConfigError, ScenarioConfig, load_config, parse_setting
 from .experiment import ExperimentSpec, emit_csv, run_experiment, run_trial
-from .geometry import FeasibleRegionSpec, is_feasible, nearest_feasible_point
-from .placement import (antenna_bundle, layout_fields, placement_gradient,
-                        placement_objective, receive_context, side_terms,
-                        transmit_context)
-from .solver import initial_state, initialize_layout
 
 
 def _config_from_args(args) -> ScenarioConfig:
@@ -96,131 +85,6 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _report(name: str, worst: float, limit: float, lines: list, fails: list):
-    ok = worst <= limit
-    lines.append(f"{name:<40} worst {worst: .3e}  limit {limit:.1e}  "
-                 + ("ok" if ok else "FAIL"))
-    if not ok:
-        fails.append(name)
-
-
-def _oracle_transmit(rng, count, lines, fails):
-    n, k = 4, 4
-    H_t = np.stack([oracles.random_psd(rng, n) for _ in range(count)])
-    Hbar = np.stack([oracles.random_complex(rng, (n, k), 0.5)
-                     for _ in range(count)])
-    p_max = rng.uniform(0.5, 4.0, count)
-    ref = oracles.transmit_qp_pgd(H_t, Hbar, p_max)
-    f_ref = oracles.transmit_qp_value(H_t, Hbar, ref)
-    worst = 0.0
-    for i in range(count):
-        W, _, _ = solve_transmit_qp(H_t[i], Hbar[i], float(p_max[i]))
-        f_cf = oracles.transmit_qp_value(H_t[i], Hbar[i], W)
-        worst = max(worst, abs(f_cf - f_ref[i]) / max(1.0, abs(f_cf)))
-    _report("transmit qp vs projected gradient", worst, 1e-4, lines, fails)
-
-
-def _oracle_power(rng, count, lines, fails):
-    worst = 0.0
-    for _ in range(count):
-        c1 = rng.uniform(-1.0, 2.0)
-        c2 = rng.uniform(0.0, 1.5)
-        p_max = 10.0 ** rng.uniform(-2.0, 0.5)
-        p_cf = optimal_scalar_power(c1, c2, p_max)
-        p_grid = oracles.power_grid_search(c1, c2, p_max)
-        worst = max(worst, abs(p_cf - p_grid) / (p_max / 9999.0))
-    _report("uplink power vs grid (cells)", worst, 1.0 + 1e-9, lines, fails)
-
-
-def _oracle_projection(rng, count, lines, fails):
-    hw, radius = 2.0, 0.35
-    step = hw / 100.0
-    worst = 0.0
-    for _ in range(count):
-        n_obs = int(rng.integers(0, 7))
-        spec = FeasibleRegionSpec(hw, rng.uniform(-hw, hw, (n_obs, 2)), radius)
-        sp = rng.uniform(-1.2 * hw, 1.2 * hw, 2)
-        t = nearest_feasible_point(sp, spec)
-        if not is_feasible(t, spec):
-            worst = np.inf
-            continue
-        g = oracles.grid_nearest_feasible(sp, spec, step)
-        if g is None:
-            continue
-        worst = max(worst, float(np.linalg.norm(t - sp) - np.linalg.norm(g - sp)))
-    _report("projection vs dense grid", worst, np.sqrt(2.0) * step, lines, fails)
-
-
-def _oracle_placement(rng, count, lines, fails):
-    cfg = ScenarioConfig(K_D=2, K_U=2, N_t=3, N_r=3, L=3, L_SI=3)
-    step = 1e-6 * cfg.wavelength
-    hess_step = 3e-5 * cfg.wavelength
-    worst = worst_joint = worst_hess = worst_offset = 0.0
-    for _ in range(max(2, count // 25)):
-        rlz = sample_realization(cfg, rng)
-        state = initial_state(
-            build_channels(initialize_layout(cfg, rng), rlz, cfg), cfg)
-        for ctx in (transmit_context(state, side_terms(rlz, cfg, True)),
-                    receive_context(state, side_terms(rlz, cfg, False))):
-            pos = ctx.positions
-            fields = layout_fields(ctx, pos)
-            joint = placement_gradient(ctx, fields)
-            for n in range(len(pos)):
-                bundle = antenna_bundle(ctx, fields[0], fields[4], n)
-                grad = bundle.gradient(pos[n])
-
-                def obj(q, n=n, ctx=ctx, pos=pos):
-                    trial = pos.copy()
-                    trial[n] = q
-                    return placement_objective(ctx, layout_fields(ctx, trial))
-
-                ref = oracles.central_difference_gradient(obj, pos[n], step)
-                scale = max(1.0, np.linalg.norm(ref))
-                worst = max(worst, np.linalg.norm(grad - ref) / scale)
-                worst_joint = max(worst_joint,
-                                  np.linalg.norm(joint[n] - ref) / scale)
-                ref = oracles.central_difference_hessian(obj, pos[n],
-                                                         hess_step)
-                worst_hess = max(worst_hess,
-                                 np.linalg.norm(bundle.hessian(pos[n]) - ref)
-                                 / max(1.0, np.linalg.norm(ref)))
-                # The bundle differs from the objective by a constant:
-                # compare differences between two antennas' positions.
-                a, b = pos[n], pos[n - 1]
-                ref = obj(a) - obj(b)
-                err = abs(bundle.value(a) - bundle.value(b) - ref)
-                worst_offset = max(worst_offset, err / max(1.0, abs(ref)))
-    _report("placement gradient vs differences", worst, 1e-4, lines, fails)
-    _report("joint placement gradient vs differences", worst_joint, 1e-4,
-            lines, fails)
-    # Measured worst 4.4e-7 over seeds 0-3 and 7 at the default count; the
-    # differences' truncation and rounding set that floor.
-    _report("placement Hessian vs differences", worst_hess, 1e-5, lines,
-            fails)
-    # Measured worst 1.1e-13 over seeds 0-9 at count 500 and 10-14 at 2500.
-    _report("bundle offset vs objective", worst_offset, 1e-12, lines, fails)
-
-
-def _cmd_oracle(args) -> int:
-    if args.count < 1:
-        raise ConfigError(f"--count must be at least 1, got {args.count}")
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
-    rng = np.random.default_rng(args.seed)
-    lines: list = []
-    fails: list = []
-    _oracle_transmit(rng, args.count, lines, fails)
-    _oracle_power(rng, args.count, lines, fails)
-    _oracle_projection(rng, args.count, lines, fails)
-    _oracle_placement(rng, args.count, lines, fails)
-    print("\n".join(lines))
-    if fails:
-        print(f"{len(fails)} check(s) failed")
-        return 1
-    print("all checks passed")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="prafd",
@@ -257,13 +121,6 @@ def main(argv=None) -> int:
     pe.add_argument("--threads", type=int, default=1,
                     help="worker processes for sweep points")
     pe.set_defaults(func=_cmd_experiment)
-
-    po = sub.add_parser("oracle",
-                        help="cross-check closed forms against slow references")
-    po.add_argument("--seed", type=int, default=0)
-    po.add_argument("--count", type=int, default=100,
-                    help="instances per check")
-    po.set_defaults(func=_cmd_oracle)
 
     args = parser.parse_args(argv)
     try:

@@ -241,9 +241,9 @@ def surrogate_objective(state: SolverState, cfg: ScenarioConfig) -> float:
     read from the state's received-power record.
 
     Summed user by user in Python floats, which for a handful of users is
-    about half the cost of the numpy expression
-    (`oracles.reference_surrogate`) and agrees with it to rounding; the
-    value feeds only the monitor.
+    about half the cost of the numpy expression the tests keep as its
+    reference and agrees with it to rounding; the value feeds only the
+    monitor.
     """
     x, powers = state.aux, state.powers
     total = float(x.base)

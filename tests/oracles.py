@@ -5,8 +5,7 @@ Everything here trades speed for obviousness: projected gradient ascent in
 place of the eigenbasis water-filling solution, plain bisection in place of
 the Newton multiplier search, dense grids in place of KKT reasoning, and
 central differences in place of analytic derivatives.  The test suite
-compares the fast paths against these oracles on randomized instances; the
-``oracle`` CLI subcommand runs a small batch on demand.
+compares the fast paths against these oracles on randomized instances.
 """
 
 from __future__ import annotations
@@ -15,11 +14,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from .channel import Channels, side_phasors, user_channel
-from .config import ScenarioConfig
-from .fp import (LN2, auxiliaries, receive_gram, received_powers,
+from prafd.channel import Channels, side_phasors, user_channel
+from prafd.config import ScenarioConfig
+from prafd.fp import (LN2, auxiliaries, receive_gram, received_powers,
                  surrogate_objective)
-from .geometry import FeasibleRegionSpec
+from prafd.geometry import FeasibleRegionSpec
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,14 @@ from prafd.experiment import ExperimentSpec, emit_csv, run_experiment
 from prafd.fp import received_powers, sinrs_of, weighted_sum_rate
 from prafd.geometry import (FeasibleRegionSpec, is_feasible,
                             nearest_feasible_point)
-from prafd.oracles import (central_difference_gradient,
+from oracles import (central_difference_gradient,
                            central_difference_hessian, grid_nearest_feasible,
                            power_grid_search, random_complex, random_psd,
                            receive_objective_value, transmit_qp_pgd,
                            transmit_qp_value)
 from prafd.placement import antenna_bundle, curvature_bound, layout_fields, \
-    receive_context, side_terms, transmit_context
+    placement_gradient, placement_objective, receive_context, side_terms, \
+    transmit_context
 from prafd.solver import initial_state, initialize_layout
 
 DESK = dict(K_D=2, K_U=2, N_t=2, N_r=2)
@@ -160,17 +161,39 @@ class TestPlacementDerivatives:
                      (receive_context(state, side_terms(rlz, cfg, False)),
                       layout.r))
             for ctx, pos in sides:
+                fields = layout_fields(ctx, pos)
+                joint = placement_gradient(ctx, fields)
                 for n in range(pos.shape[0]):
                     if checked >= 1000:
                         break
-                    H, _, _, _, si_e = layout_fields(ctx, pos)
-                    bundle = antenna_bundle(ctx, H, si_e, n)
+                    bundle = antenna_bundle(ctx, fields[0], fields[4], n)
                     grad = bundle.gradient(pos[n])
                     fd = central_difference_gradient(bundle.value, pos[n],
                                                      grad_step)
                     err = np.linalg.norm(fd - grad) \
                         / max(1.0, np.linalg.norm(fd))
                     assert err < 1e-4
+
+                    # Against the placement objective itself, antenna n
+                    # moved and the others held.
+                    def obj(q, ctx=ctx, pos=pos, n=n):
+                        moved = pos.copy()
+                        moved[n] = q
+                        return placement_objective(ctx,
+                                                   layout_fields(ctx, moved))
+
+                    ref = central_difference_gradient(obj, pos[n], grad_step)
+                    scale = max(1.0, np.linalg.norm(ref))
+                    assert np.linalg.norm(grad - ref) / scale <= 1e-4
+                    assert np.linalg.norm(joint[n] - ref) / scale <= 1e-4
+                    ref = central_difference_hessian(obj, pos[n], hess_step)
+                    assert np.linalg.norm(bundle.hessian(pos[n]) - ref) \
+                        / max(1.0, np.linalg.norm(ref)) <= 1e-5
+                    # The bundle differs from the objective by a constant:
+                    # compare differences between two antennas' positions.
+                    ref = obj(pos[n]) - obj(pos[n - 1])
+                    err = bundle.value(pos[n]) - bundle.value(pos[n - 1]) - ref
+                    assert abs(err) / max(1.0, abs(ref)) <= 1e-12
                     H_fd = central_difference_hessian(bundle.value, pos[n],
                                                       hess_step)
                     tau = curvature_bound(bundle,

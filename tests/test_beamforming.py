@@ -11,7 +11,7 @@ from prafd.beamforming import (optimal_scalar_power,
 from prafd.channel import build_channels, sample_realization, trial_rng
 from prafd.config import ScenarioConfig
 from prafd.fp import auxiliary_pass, received_powers, surrogate_objective
-from prafd.oracles import (auxiliaries_at, fresh_surrogate, power_grid_search,
+from oracles import (auxiliaries_at, fresh_surrogate, power_grid_search,
                            random_complex, random_psd, receive_objective_value,
                            reference_power_coefficients,
                            reference_receive_matrices, reference_surrogate,

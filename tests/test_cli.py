@@ -172,39 +172,14 @@ class TestExperiment:
         assert exc.value.code == 2
 
 
-class TestOracle:
-    def test_reduced_counts_pass(self, capsys):
-        rc = main(["oracle", "--count", "20"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "all checks passed" in out
-
-    def test_reports_the_placement_hessian_check(self, capsys):
-        assert main(["oracle", "--count", "20"]) == 0
-        assert "placement Hessian vs differences" in capsys.readouterr().out
-
-    def test_reports_the_bundle_offset_check(self, capsys):
-        assert main(["oracle", "--count", "20"]) == 0
-        assert "bundle offset vs objective" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("count", ["0", "-3"])
-    def test_count_below_one_exits_with_usage_error(self, capsys, count):
-        with pytest.raises(SystemExit) as exc:
-            main(["oracle", "--count", count])
-        assert exc.value.code == 2
-        assert "--count" in capsys.readouterr().err
-
-    def test_negative_seed_exits_with_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["oracle", "--seed", "-1", "--count", "1"])
-        assert exc.value.code == 2
-        assert "--seed" in capsys.readouterr().err
-
+class TestMain:
     def test_runs_as_a_module(self):
         src = str(Path(prafd.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run([sys.executable, "-m", "prafd", "oracle",
-                              "--count", "5"], env=env, capture_output=True,
-                             text=True, timeout=120)
+        out = subprocess.run([sys.executable, "-m", "prafd", "solve",
+                              "--set", "K_D=2", "--set", "K_U=2",
+                              "--set", "N_t=2", "--set", "N_r=2"],
+                             env=env, capture_output=True, text=True,
+                             timeout=120)
         assert out.returncode == 0, out.stderr
-        assert "all checks passed" in out.stdout
+        assert "weighted rate" in out.stdout

@@ -6,7 +6,7 @@ from prafd.channel import build_channels, sample_realization, trial_rng
 from prafd.config import ScenarioConfig
 from prafd.fp import (auxiliary_pass, receive_gram, received_powers,
                       sinrs_of, surrogate_objective, weighted_sum_rate)
-from prafd.oracles import (auxiliaries_at, dual_transform_objective,
+from oracles import (auxiliaries_at, dual_transform_objective,
                            fresh_surrogate, random_complex)
 from prafd.solver import initial_state, initialize_layout
 

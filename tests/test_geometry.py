@@ -9,7 +9,7 @@ from prafd.geometry import (FeasibleRegionSpec, circle_circle_intersections,
                             is_feasible, layout_side_feasible,
                             min_pairwise_distance, nearest_feasible_point,
                             ray_circle_exit)
-from prafd.oracles import grid_nearest_feasible
+from oracles import grid_nearest_feasible
 
 
 def region(hw=1.0, obstacles=(), radius=0.25):

@@ -11,7 +11,7 @@ from prafd import channel, fp, placement
 from prafd.fp import (auxiliary_pass, received_powers, sinrs_of,
                       weighted_sum_rate)
 from prafd.geometry import layout_side_feasible
-from prafd.oracles import (auxiliaries_at, central_difference_gradient,
+from oracles import (auxiliaries_at, central_difference_gradient,
                            central_difference_hessian, fresh_surrogate,
                            random_complex,
                            reference_antenna_bundle,
