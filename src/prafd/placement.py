@@ -7,11 +7,15 @@ path phasors, and the objective is (at most) quadratic in channel entries,
 so products of phasors just add their spatial frequencies.  That gives the
 exact gradient and Hessian of the per-antenna objective in closed form.
 
-Each antenna is then moved to the minimizer of the standard quadratic
-majorizer built from its gradient and a curvature bound tau, projected onto
-the feasible region; tau doubles on the rare occasions the projected step
-fails to descend (the term-wise bound sum(|c|*||u||^2) majorizes the Hessian
-everywhere, so finitely many doublings always restore descent).
+Each antenna is then moved to a candidate projected onto the feasible
+region, and only when that does not raise its objective.  The first
+candidate is the Newton step of the antenna's own quadratic expansion, tried
+when its Hessian is positive definite above the curvature floor; on an
+ill-conditioned Hessian it follows the flat direction that an isotropic step
+crawls along.  Then come the minimizers of the standard quadratic majorizer
+built from the gradient and a curvature bound tau, tau doubling until the
+projected step descends (the term-wise bound sum(|c|*||u||^2) majorizes the
+Hessian everywhere, so finitely many doublings always restore descent).
 
 Each quantity is built once at the level where it can change:
 
@@ -35,8 +39,8 @@ Each quantity is built once at the level where it can change:
 * per visit, with no field rebuild: the antenna's bundle is its context
   row with the linear terms written in from H, the SI phasors and the
   factors, evaluated once from its table row for value, gradient and the
-  moment product `curvature_bound` reads; each candidate then costs one
-  exponential and one product with the coefficients.
+  moment product `newton_step` and `curvature_bound` read; each candidate
+  then costs one exponential and one product with the coefficients.
 
 That step only looks near the current layout: the quadratic-transform
 auxiliaries anchor the surrogate at the present channel, so one antenna's
@@ -370,6 +374,29 @@ def curvature_bound(bundle: ExpSum, mp: np.ndarray) -> float:
     return max(lam, TAU_MIN_FACTOR * bundle.curvature_cap())
 
 
+def newton_step(bundle: ExpSum, mp: np.ndarray):
+    """Newton step H^-1 (-g) of the bundle at a point, as (dx, dy), or None.
+
+    `mp` is the bundle's moment product at the point, which holds the
+    gradient g and Hessian H; the bundle's curvature cap must be positive.
+    The step is given only when H's smallest eigenvalue is at least the
+    floor `curvature_bound` applies, so that the model it minimizes is
+    convex and the solve well posed.
+    """
+    mxx, mxy, myy = mp[0, 2:].tolist()
+    mx, my = mp[1, :2].tolist()
+    # H / cap = [[a, b], [b, c]] and -g = (mx, my).  The cap bounds H's
+    # norm, so the scaled entries are at most 1 and, above the floor, the
+    # determinant at least TAU_MIN_FACTOR**2: it cannot underflow on a
+    # bundle of tiny coefficients (a faded user's).
+    cap = bundle.curvature_cap()
+    a, b, c = -mxx / cap, -mxy / cap, -myy / cap
+    if not 0.5 * (a + c - math.hypot(a - c, 2.0 * b)) >= TAU_MIN_FACTOR:
+        return None
+    det = a * c - b * b
+    return (c * mx - b * my) / cap / det, (a * my - b * mx) / cap / det
+
+
 def others_index(n_ant: int) -> np.ndarray:
     """(N, N - 1) array whose row n indexes the other antennas of a side."""
     return np.array([[m for m in range(n_ant) if m != n]
@@ -377,14 +404,17 @@ def others_index(n_ant: int) -> np.ndarray:
 
 
 def bsum_optimize_side(ctx: SurrogateContext, rng: np.random.Generator):
-    """Sweep antennas in random order, each to its projected majorizer step.
+    """Sweep antennas in random order, each to its first descending step.
 
     Starts at the context's positions; stops after MAX_BSUM_SWEEPS sweeps,
     or once a sweep changes the objective by less than BSUM_EPSILON relative.
-    Returns (positions, objective trace per sweep, sweeps used).  The trace
-    is monotone non-increasing: a candidate move is only accepted when the
-    per-antenna objective does not increase, and the curvature doubles until
-    that holds (or the antenna stays put).
+    Returns (positions, objective trace per sweep, sweeps used).  A visit
+    projects its candidates in turn and moves the antenna to the first that
+    does not raise its objective: the Newton step (`newton_step`) when the
+    Hessian admits one, then the majorizer steps g / tau, tau starting at
+    `curvature_bound` and doubling up to MAX_TAU_DOUBLINGS times.  When none
+    is accepted the antenna stays put, so the trace is monotone
+    non-increasing.
 
     The phasors of every term at every antenna are kept in one table.  A
     visit evaluates its bundle once, from the antenna's row, and takes one
@@ -408,23 +438,25 @@ def bsum_optimize_side(ctx: SurrogateContext, rng: np.random.Generator):
                 continue  # objective does not depend on this antenna
             f_here, mp = bundle.evaluate(table[n])
             tau = curvature_bound(bundle, mp)
-            # The gradient is -mp[1, :2]; the step pos[n] - g / tau is taken
-            # in Python floats, which round as numpy would.
+            newton = newton_step(bundle, mp)
+            # The gradient is -mp[1, :2]; steps are taken in Python floats,
+            # which round as numpy would, and tau * 2**i is exact.
             (mx, my), (x, y) = mp[1, :2].tolist(), pos[n].tolist()
+            ladder = ((mx / (tau * 2.0 ** i), my / (tau * 2.0 ** i))
+                      for i in range(MAX_TAU_DOUBLINGS + 1))
             region = FeasibleRegionSpec(t.half_width, pos[others[n]], t.d_min)
-            bar = f_here + 1e-12 * (1.0 + abs(f_here))
-            for _ in range(MAX_TAU_DOUBLINGS + 1):
-                cand = nearest_feasible_point(
-                    np.array([x + mx / tau, y + my / tau]), region)
+            for dx, dy in itertools.chain(() if newton is None else (newton,),
+                                          ladder):
+                cand = nearest_feasible_point(np.array([x + dx, y + dy]),
+                                              region)
                 e = bundle.phasors(cand)
                 f_cand = bundle.score(e)
-                if f_cand <= bar:
+                if f_cand <= f_here:
                     pos[n] = cand
                     table[n] = e
                     H[n] = user_channel(user_e[n], t.user_prm)
                     f_new += f_cand - f_here
                     break
-                tau *= 2.0
         trace.append(f_new)
         if abs(f - f_new) / max(abs(f), 1e-12) < BSUM_EPSILON:
             break

@@ -420,19 +420,22 @@ def reference_bsum_side(ctx, rng):
             f_here, mp = bundle.evaluate(table[n])
             tau = curvature_bound(bundle, mp)
             (mx, my), (x, y) = mp[1, :2].tolist(), pos[n].tolist()
+            steps = [(mx / (tau * 2.0 ** i), my / (tau * 2.0 ** i))
+                     for i in range(placement.MAX_TAU_DOUBLINGS + 1)]
+            newton = placement.newton_step(bundle, mp)
+            if newton is not None:
+                steps.insert(0, newton)
             region = placement.FeasibleRegionSpec(t.half_width,
                                                   pos[others[n]], t.d_min)
-            bar = f_here + 1e-12 * (1.0 + abs(f_here))
-            for _ in range(placement.MAX_TAU_DOUBLINGS + 1):
+            for dx, dy in steps:
                 cand = placement.nearest_feasible_point(
-                    np.array([x + mx / tau, y + my / tau]), region)
+                    np.array([x + dx, y + dy]), region)
                 e = bundle.phasors(cand)
-                if bundle.score(e) <= bar:
+                if bundle.score(e) <= f_here:
                     pos[n] = cand
                     table[n] = e
                     H[n] = channel.user_channel(user_e[n], t.user_prm)
                     break
-                tau *= 2.0
         f_new = placement_objective(ctx, placement._fields(ctx, H, user_e,
                                                            si_e))
         trace.append(f_new)
@@ -625,8 +628,9 @@ class TestBsumSweep:
         # it one, so each visit projects MAX_TAU_DOUBLINGS + 1 candidates,
         # rejects them all and falls out of the loop.  One antenna per side
         # keeps the feasible region convex, so the projection keeps the
-        # ascent.
+        # ascent.  The Newton candidate is switched off: this is the ladder.
         monkeypatch.setattr(placement, "MAX_TAU_DOUBLINGS", 2)
+        monkeypatch.setattr(placement, "newton_step", lambda bundle, mp: None)
         monkeypatch.setattr(placement, "curvature_bound",
                             lambda bundle, mp: -bundle.curvature_cap())
         counts = {"visits": 0, "projections": 0}
@@ -659,7 +663,8 @@ class TestBsumSweep:
         # A side call takes one exponential for its phasor table and one
         # per projected candidate; a visit reads the antenna's own point
         # off the table.  With the curvature at its floor most first
-        # steps are too long, so tau doubles.
+        # steps are too long, so tau doubles; the Newton candidate is
+        # switched off, so every visit runs the ladder.
         counts = dict.fromkeys(("exp", "projections", "visits"), 0)
         real_exp = np.exp
         real_project = placement.nearest_feasible_point
@@ -690,11 +695,243 @@ class TestBsumSweep:
                     m.setattr(np, "exp", exp)
                     m.setattr(placement, "nearest_feasible_point", project)
                     m.setattr(placement, "curvature_bound", tau)
+                    m.setattr(placement, "newton_step",
+                              lambda bundle, mp: None)
                     bsum_optimize_side(ctx, np.random.default_rng(trial))
                 assert counts["visits"] > 0
                 assert counts["exp"] == 1 + counts["projections"]
                 if tau is floor:
                     assert counts["projections"] > counts["visits"]
+
+    def test_a_rise_within_rounding_slack_is_rejected(self, monkeypatch):
+        # Every candidate scores f_here + delta with delta inside the slack
+        # 1e-12 * (1 + |f_here|) a looser test would forgive: no antenna
+        # moves and the trace stays flat.
+        class Raised(ExpSum):
+            def evaluate(self, e):
+                self.f_here, mp = super().evaluate(e)
+                return self.f_here, mp
+
+            def score(self, e):
+                delta = 0.5e-12 * (1.0 + abs(self.f_here))
+                assert self.f_here + delta > self.f_here
+                return self.f_here + delta
+
+        real_bundle = placement.antenna_bundle
+
+        def bundle(*a):
+            b = real_bundle(*a)
+            return Raised(b.coefs, b.dirs, b.moments, b.curvature_cap())
+
+        monkeypatch.setattr(placement, "antenna_bundle", bundle)
+        for cfg in (ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2),
+                    ScenarioConfig()):
+            for trial in range(3):
+                _, layout, _, _, ctx_t, ctx_r = make_contexts(cfg, trial)
+                for ctx, pos in ((ctx_t, layout.t), (ctx_r, layout.r)):
+                    out, trace, _ = bsum_optimize_side(
+                        ctx, np.random.default_rng(trial))
+                    assert np.array_equal(out, pos)
+                    assert trace == [trace[0]] * len(trace)
+
+    def test_every_accepted_candidate_does_not_rise(self, monkeypatch):
+        # A visit's accepted candidate is the one whose SI phasors the
+        # antenna's table row holds at the next visit; its score must not
+        # exceed the antenna's objective at the start of its visit.  The
+        # last visit of a call is not seen again and is left out.
+        class Recorded(ExpSum):
+            def evaluate(self, e):
+                self.f_here, mp = super().evaluate(e)
+                self.scores = []
+                return self.f_here, mp
+
+            def score(self, e):
+                f = super().score(e)
+                self.scores.append((e.copy(), f))
+                return f
+
+        real_bundle = placement.antenna_bundle
+        seen = {"last": None, "accepted": 0}
+
+        def settle(si_e):
+            if seen["last"] is None:
+                return
+            n, row, b = seen["last"]
+            if np.array_equal(si_e[n], row):
+                return
+            scores = [f for e, f in b.scores
+                      if np.array_equal(e[b.si_lin], si_e[n])]
+            assert scores and all(f <= b.f_here for f in scores)
+            seen["accepted"] += 1
+
+        def bundle(ctx, H, si_e, n):
+            settle(si_e)
+            b = real_bundle(ctx, H, si_e, n)
+            b = Recorded(b.coefs, b.dirs, b.moments, b.curvature_cap())
+            b.si_lin = ctx.terms.si_lin
+            seen["last"] = (n, si_e[n].copy(), b)
+            return b
+
+        monkeypatch.setattr(placement, "antenna_bundle", bundle)
+        cfg = ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2)
+        for trial in range(10):
+            _, _, _, _, ctx_t, ctx_r = make_contexts(cfg, trial)
+            for ctx in (ctx_t, ctx_r):
+                seen["last"] = None
+                bsum_optimize_side(ctx, np.random.default_rng(trial))
+        assert seen["accepted"] > 50
+
+
+def first_visit(monkeypatch, ctx, seed):
+    """(n, bundle, moment product, tau, newton step, projected targets) of
+    the first visit of a side call, whose antenna sits at its start."""
+    real_bundle = placement.antenna_bundle
+    real_bound = placement.curvature_bound
+    real_newton = placement.newton_step
+    real_project = placement.nearest_feasible_point
+    seen = {"visits": 0, "targets": []}
+
+    def bundle(ctx, H, si_e, n):
+        seen["visits"] += 1
+        b = real_bundle(ctx, H, si_e, n)
+        if seen["visits"] == 1:
+            seen.update(n=n, bundle=b)
+        return b
+
+    def bound(b, mp):
+        tau = real_bound(b, mp)
+        if seen["visits"] == 1:
+            seen.update(mp=mp, tau=tau)
+        return tau
+
+    def newton(b, mp):
+        step = real_newton(b, mp)
+        if seen["visits"] == 1:
+            seen["newton"] = step
+        return step
+
+    def project(target, region):
+        if seen["visits"] == 1:
+            seen["targets"].append(target.copy())
+        return real_project(target, region)
+
+    with monkeypatch.context() as m:
+        m.setattr(placement, "antenna_bundle", bundle)
+        m.setattr(placement, "curvature_bound", bound)
+        m.setattr(placement, "newton_step", newton)
+        m.setattr(placement, "nearest_feasible_point", project)
+        bsum_optimize_side(ctx, np.random.default_rng(seed))
+    return (seen["n"], seen["bundle"], seen["mp"], seen["tau"],
+            seen["newton"], seen["targets"])
+
+
+def ladder_targets(pos, mp, tau):
+    """The majorizer targets pos - g / tau, tau doubling, as a visit takes
+    them in Python floats."""
+    (mx, my), (x, y) = mp[1, :2].tolist(), pos.tolist()
+    return [np.array([x + mx / (tau * 2.0 ** i), y + my / (tau * 2.0 ** i)])
+            for i in range(placement.MAX_TAU_DOUBLINGS + 1)]
+
+
+class TestNewtonCandidate:
+    def test_step_solves_the_hessian_system(self):
+        rng = np.random.default_rng(5)
+        solved = declined = 0
+        for _ in range(200):
+            es = random_exp_sum(rng)
+            t = rng.uniform(-0.05, 0.05, 2)
+            step = placement.newton_step(es, es.moment_product(t))
+            hess = es.hessian(t)
+            floor = placement.TAU_MIN_FACTOR * es.curvature_cap()
+            if np.linalg.eigvalsh(hess)[0] < floor:
+                assert step is None
+                declined += 1
+                continue
+            ref = np.linalg.solve(hess, -es.gradient(t))
+            assert np.linalg.norm(np.subtract(step, ref)) \
+                <= 1e-10 * np.linalg.norm(ref)
+            solved += 1
+        assert solved >= 20 and declined >= 20
+
+    def test_declined_just_below_the_floor(self):
+        # H = diag(lam, 2 lam) read off a hand-made moment product: the
+        # step is given just above the floor and declined just below it.
+        es = random_exp_sum(np.random.default_rng(1))
+        floor = placement.TAU_MIN_FACTOR * es.curvature_cap()
+        for lam, given in ((floor * (1 + 1e-12), True),
+                           (floor * (1 - 1e-12), False)):
+            mp = np.zeros((2, 5))
+            mp[0, 2:] = -lam, 0.0, -2.0 * lam
+            mp[1, :2] = lam, 4.0 * lam
+            step = placement.newton_step(es, mp)
+            if given:
+                assert_allclose(step, (1.0, 2.0), rtol=1e-12)
+            else:
+                assert step is None
+
+    def test_tiny_coefficients_give_the_same_step(self):
+        # A faded user's terms can carry coefficients near 1e-165, whose
+        # Hessian determinant underflows; the step is scale-free.
+        rng = np.random.default_rng(2)
+        compared = 0
+        while compared < 10:
+            es = random_exp_sum(rng)
+            t = rng.uniform(-0.05, 0.05, 2)
+            step = placement.newton_step(es, es.moment_product(t))
+            if step is None:
+                continue
+            tiny = ExpSum(es.coefs * 1e-165, es.dirs, es.moments,
+                          es.curvature_cap() * 1e-165)
+            assert_allclose(placement.newton_step(tiny,
+                                                  tiny.moment_product(t)),
+                            step, rtol=1e-12)
+            compared += 1
+
+    def test_first_target_is_the_newton_step(self, monkeypatch):
+        newton = ladder = 0
+        for cfg in (ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2),
+                    ScenarioConfig()):
+            for trial in range(10):
+                _, layout, _, _, ctx_t, ctx_r = make_contexts(cfg, trial)
+                for ctx, pos in ((ctx_t, layout.t), (ctx_r, layout.r)):
+                    n, bundle, mp, tau, step, targets = first_visit(
+                        monkeypatch, ctx, trial)
+                    hess = bundle.hessian(pos[n])
+                    floor = placement.TAU_MIN_FACTOR * bundle.curvature_cap()
+                    if step is None:
+                        # Below the floor: exactly the ladder, bit for bit.
+                        assert np.linalg.eigvalsh(hess)[0] \
+                            < floor + 1e-12 * np.abs(hess).max()
+                        ladder += 1
+                        expect = ladder_targets(pos[n], mp, tau)
+                    else:
+                        ref = np.linalg.solve(hess, -bundle.gradient(pos[n]))
+                        assert np.linalg.norm(targets[0] - pos[n] - ref) \
+                            <= 1e-10 * np.linalg.norm(ref)
+                        newton += 1
+                        expect = [targets[0]] + ladder_targets(pos[n], mp,
+                                                               tau)
+                    assert len(targets) <= len(expect)
+                    for got, want in zip(targets, expect):
+                        assert np.array_equal(got, want)
+        assert newton >= 10 and ladder >= 5
+
+    def test_no_newton_step_runs_the_ladder(self, monkeypatch):
+        monkeypatch.setattr(placement, "newton_step", lambda bundle, mp: None)
+        visits = 0
+        cfg = ScenarioConfig(K_D=2, K_U=2, N_t=3, N_r=3, L=3, L_SI=3)
+        for trial in range(6):
+            _, layout, _, _, ctx_t, ctx_r = make_contexts(cfg, trial)
+            for ctx, pos in ((ctx_t, layout.t), (ctx_r, layout.r)):
+                n, _, mp, tau, step, targets = first_visit(
+                    monkeypatch, ctx, trial)
+                assert step is None
+                expect = ladder_targets(pos[n], mp, tau)
+                assert 1 <= len(targets) <= len(expect)
+                for got, want in zip(targets, expect):
+                    assert np.array_equal(got, want)
+                visits += 1
+        assert visits == 12
 
 
 def full_pass(state, ch, cfg):
