@@ -38,9 +38,10 @@ Each quantity is built once at the level where it can change:
   again; D and X are contracted once, for the start's objective;
 * per visit, with no field rebuild: the antenna's bundle is its context
   row with the linear terms written in from H, the SI phasors and the
-  factors, evaluated once from its table row for value, gradient and the
-  moment product `newton_step` and `curvature_bound` read; each candidate
-  then costs one exponential and one product with the coefficients.
+  factors, evaluated once from its table row for its value, gradient and
+  Hessian entries, which `newton_step`, `curvature_bound` and the ladder
+  read; each candidate then costs one exponential and one product with
+  the coefficients.
 
 That step only looks near the current layout: the quadratic-transform
 auxiliaries anchor the surrogate at the present channel, so one antenna's
@@ -95,11 +96,8 @@ class ExpSum:
 
     Nothing is kept between points.  `evaluate` takes one point's phasors
     exp(j dirs.t), from `phasors(t)` or from a table the caller keeps, and
-    returns the value and the (2, 5) product of the phased coefficients
-    w = coefs * phasors (as a (2, M) real view) with the moment table:
-    -row 1 [:2] is the gradient and -row 0 [2:] the Hessian entries
-    (xx, xy, yy), which `curvature_bound` reads.  `score` is the value
-    alone; `value`, `gradient` and `hessian` take their own exponential.
+    returns the value, gradient and Hessian entries there as Python
+    floats; `score` is the value alone.
     """
 
     def __init__(self, coefs: np.ndarray, dirs: np.ndarray,
@@ -117,22 +115,13 @@ class ExpSum:
         return float((self.coefs * e).real.sum())
 
     def evaluate(self, e: np.ndarray) -> tuple:
-        """(value, moment product) at the point whose phasors are e."""
+        """(value, (gx, gy), (hxx, hxy, hyy)) at the point whose phasors
+        are e, from one product of w = coefs * e (a (2, M) real view) with
+        the moment table: -Im(w)'s first and -Re(w)'s second moments."""
         w = self.coefs * e
-        return float(w.real.sum()), w.view(float).reshape(-1, 2).T @ self.moments
-
-    def moment_product(self, t: np.ndarray) -> np.ndarray:
-        return self.evaluate(self.phasors(t))[1]
-
-    def value(self, t: np.ndarray) -> float:
-        return self.score(self.phasors(t))
-
-    def gradient(self, t: np.ndarray) -> np.ndarray:
-        return -self.moment_product(t)[1, :2]
-
-    def hessian(self, t: np.ndarray) -> np.ndarray:
-        mxx, mxy, myy = self.moment_product(t)[0, 2:]
-        return -np.array([[mxx, mxy], [mxy, myy]])
+        _, _, rxx, rxy, ryy, ix, iy, _, _, _ = \
+            (w.view(float).reshape(-1, 2).T @ self.moments).ravel().tolist()
+        return float(w.real.sum()), (-ix, -iy), (-rxx, -rxy, -ryy)
 
     def curvature_cap(self) -> float:
         """Global bound on the Hessian spectral norm: sum |c| ||u||^2."""
@@ -213,11 +202,11 @@ class SurrogateContext:
     chan_w: np.ndarray     # (K,) weight of ||.||^2 per user channel
     beam_w: np.ndarray     # (K,) weight per beamformer column
     W: np.ndarray          # (N, K) this side's beamformer
-    own: np.ndarray        # (N, N) this side's gram, sum_b beam_w_b w_b w_b^H
     other: np.ndarray      # the other side's gram
     ch: Channels           # channels of the layout the side starts from
     terms: SideTerms
     # Derived in __post_init__:
+    own: np.ndarray = field(init=False, repr=False)  # (N, N) gram W beam_w W^H
     positions: np.ndarray = field(init=False, repr=False)  # (N, 2) start
     si_mix: np.ndarray = field(init=False, repr=False)  # X = si_mix @ e^T
     Wc: np.ndarray = field(init=False, repr=False)     # conj(W)
@@ -234,6 +223,7 @@ class SurrogateContext:
         self.positions = self.ch.layout.t if t.transmit else self.ch.layout.r
         other_si = self.ch.s_r if t.transmit else self.ch.s_t
         self.si_mix = other_si.conj() @ t.sigma_si
+        self.own = (self.W * self.beam_w) @ self.W.conj().T
         self.Wc = self.W.conj()
         self.Wcb = self.beam_w * self.Wc
         self.M = self.si_mix.conj().T @ self.other @ self.si_mix
@@ -257,7 +247,6 @@ def transmit_context(state: SolverState, terms: SideTerms) -> SurrogateContext:
     x = state.aux
     return SurrogateContext(lin=x.amp_dl * x.y_dl, chan_w=x.y2_dl,
                             beam_w=np.ones(len(x.y_dl)), W=state.W_t,
-                            own=state.W_t @ state.W_t.conj().T,
                             other=fp.receive_gram(state), ch=state.ch,
                             terms=terms)
 
@@ -268,8 +257,7 @@ def receive_context(state: SolverState, terms: SideTerms) -> SurrogateContext:
     x = state.aux
     return SurrogateContext(lin=x.amp_ul * np.sqrt(state.p) * x.y_ul,
                             chan_w=state.p.astype(float), beam_w=x.y2_ul,
-                            W=state.W_r, own=fp.receive_gram(state),
-                            other=state.W_t @ state.W_t.conj().T,
+                            W=state.W_r, other=state.W_t @ state.W_t.conj().T,
                             ch=state.ch, terms=terms)
 
 
@@ -322,7 +310,8 @@ def placement_gradient(ctx: SurrogateContext, fields: tuple) -> np.ndarray:
     A = chan_w (conj(W) beam_w) conj(D) - lin conj(W) and Z = other X own,
     row n is 2 Re sum_c A[n, c] dH[n, c]/dt_n + 2 Re sum_i conj(Z[i, n])
     dX[i, n]/dt_n: one evaluation for the whole side, equal up to rounding
-    to the stacked `antenna_bundle(ctx, H, si_e, n).gradient(positions[n])`.
+    to the stacked gradients of `antenna_bundle(ctx, H, si_e, n)` at
+    `positions[n]`.
     """
     _, D, X, user_e, si_e = fields
     t = ctx.terms
@@ -360,41 +349,38 @@ def antenna_bundle(ctx: SurrogateContext, H: np.ndarray, si_e: np.ndarray,
     return ExpSum(coefs, t.dirs, t.moments, float(cap))
 
 
-def curvature_bound(bundle: ExpSum, mp: np.ndarray) -> float:
+def curvature_bound(bundle: ExpSum, hess: tuple) -> float:
     """Majorizer curvature at a point: local Hessian top eigenvalue, floored.
 
-    `mp` is the bundle's moment product at the point, which holds the
-    Hessian entries.  The floor scales with the term-wise global curvature
-    cap so it carries the right units (kappa^2 times coefficient
-    magnitude).
+    `hess` is the bundle's Hessian entries (xx, xy, yy) at the point.  The
+    floor scales with the term-wise global curvature cap so it carries the
+    right units (kappa^2 times coefficient magnitude).
     """
-    mxx, mxy, myy = mp[0, 2:].tolist()
-    # Top eigenvalue of -[[mxx, mxy], [mxy, myy]].
-    lam = 0.5 * (-mxx - myy + math.hypot(mxx - myy, 2.0 * mxy))
+    hxx, hxy, hyy = hess
+    lam = 0.5 * (hxx + hyy + math.hypot(hxx - hyy, 2.0 * hxy))
     return max(lam, TAU_MIN_FACTOR * bundle.curvature_cap())
 
 
-def newton_step(bundle: ExpSum, mp: np.ndarray):
+def newton_step(bundle: ExpSum, grad: tuple, hess: tuple):
     """Newton step H^-1 (-g) of the bundle at a point, as (dx, dy), or None.
 
-    `mp` is the bundle's moment product at the point, which holds the
-    gradient g and Hessian H; the bundle's curvature cap must be positive.
-    The step is given only when H's smallest eigenvalue is at least the
-    floor `curvature_bound` applies, so that the model it minimizes is
-    convex and the solve well posed.
+    `grad` and `hess` are the bundle's gradient g and Hessian entries H at
+    the point; the bundle's curvature cap must be positive.  The step is
+    given only when H's smallest eigenvalue is at least the floor
+    `curvature_bound` applies, so that the model it minimizes is convex
+    and the solve well posed.
     """
-    mxx, mxy, myy = mp[0, 2:].tolist()
-    mx, my = mp[1, :2].tolist()
-    # H / cap = [[a, b], [b, c]] and -g = (mx, my).  The cap bounds H's
-    # norm, so the scaled entries are at most 1 and, above the floor, the
-    # determinant at least TAU_MIN_FACTOR**2: it cannot underflow on a
-    # bundle of tiny coefficients (a faded user's).
+    (gx, gy), (hxx, hxy, hyy) = grad, hess
+    # H / cap = [[a, b], [b, c]].  The cap bounds H's norm, so the scaled
+    # entries are at most 1 and, above the floor, the determinant at least
+    # TAU_MIN_FACTOR**2: it cannot underflow on a bundle of tiny
+    # coefficients (a faded user's).
     cap = bundle.curvature_cap()
-    a, b, c = -mxx / cap, -mxy / cap, -myy / cap
+    a, b, c = hxx / cap, hxy / cap, hyy / cap
     if not 0.5 * (a + c - math.hypot(a - c, 2.0 * b)) >= TAU_MIN_FACTOR:
         return None
     det = a * c - b * b
-    return (c * mx - b * my) / cap / det, (a * my - b * mx) / cap / det
+    return (b * gy - c * gx) / cap / det, (b * gx - a * gy) / cap / det
 
 
 def others_index(n_ant: int) -> np.ndarray:
@@ -436,13 +422,13 @@ def bsum_optimize_side(ctx: SurrogateContext, rng: np.random.Generator):
             bundle = antenna_bundle(ctx, H, si_e, n)
             if bundle.curvature_cap() == 0.0:
                 continue  # objective does not depend on this antenna
-            f_here, mp = bundle.evaluate(table[n])
-            tau = curvature_bound(bundle, mp)
-            newton = newton_step(bundle, mp)
-            # The gradient is -mp[1, :2]; steps are taken in Python floats,
-            # which round as numpy would, and tau * 2**i is exact.
-            (mx, my), (x, y) = mp[1, :2].tolist(), pos[n].tolist()
-            ladder = ((mx / (tau * 2.0 ** i), my / (tau * 2.0 ** i))
+            f_here, grad, hess = bundle.evaluate(table[n])
+            tau = curvature_bound(bundle, hess)
+            newton = newton_step(bundle, grad, hess)
+            # Steps are taken in Python floats, which round as numpy would,
+            # and tau * 2**i is exact.
+            (gx, gy), (x, y) = grad, pos[n].tolist()
+            ladder = ((-gx / (tau * 2.0 ** i), -gy / (tau * 2.0 ** i))
                       for i in range(MAX_TAU_DOUBLINGS + 1))
             region = FeasibleRegionSpec(t.half_width, pos[others[n]], t.d_min)
             for dx, dy in itertools.chain(() if newton is None else (newton,),

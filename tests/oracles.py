@@ -208,6 +208,29 @@ def reference_power_coefficients(state):
 
 
 # ---------------------------------------------------------------------------
+# placement: an exponential sum evaluated at a position
+
+
+def bundle_evaluation(bundle, t: np.ndarray) -> tuple:
+    """`ExpSum.evaluate` at the position t: (value, gradient, Hessian
+    entries), from the phasors `ExpSum.phasors` takes there."""
+    return bundle.evaluate(bundle.phasors(t))
+
+
+def bundle_value(bundle, t: np.ndarray) -> float:
+    return bundle_evaluation(bundle, t)[0]
+
+
+def bundle_gradient(bundle, t: np.ndarray) -> np.ndarray:
+    return np.array(bundle_evaluation(bundle, t)[1])
+
+
+def bundle_hessian(bundle, t: np.ndarray) -> np.ndarray:
+    hxx, hxy, hyy = bundle_evaluation(bundle, t)[2]
+    return np.array([[hxx, hxy], [hxy, hyy]])
+
+
+# ---------------------------------------------------------------------------
 # placement: the antenna bundle built from scratch
 
 

@@ -121,7 +121,7 @@ class TestGradientDescent:
     def test_zero_beamformers_leave_positions_put(self, monkeypatch):
         # A zero transmit beamformer zeroes W and its gram Q = W W^H.
         _, layout, ctx = self.make_ctx(0)
-        ctx = replace(ctx, W=np.zeros_like(ctx.W), own=np.zeros_like(ctx.own))
+        ctx = replace(ctx, W=np.zeros_like(ctx.W))
         monkeypatch.setattr(baselines, "GD_EPSILON", 1e-6)
         out, trace, steps = gradient_descent_positions(
             ctx, np.random.default_rng(0))

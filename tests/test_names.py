@@ -1,15 +1,16 @@
 """Every definition is used: a top-level function, class or constant of
-`src/prafd` must be referenced outside its own definition, in its module,
-elsewhere in the package, in the tests or in perfbench.  A reference is a
-name, an attribute, an imported name or a string that spells the name (a
-monkeypatched or traced attribute), so a test-only helper counts as used."""
+`src/prafd`, or a method of one of its top-level classes, must be
+referenced outside its own definition, in its module, elsewhere in the
+package or in perfbench.  A reference is a name, an attribute, an
+imported name or a string that spells the name (a traced attribute).  The
+tests do not count as readers, so a name only they call is unused: a
+test-only helper belongs in the tests."""
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "prafd").glob("*.py"))
-READERS = sorted([*(ROOT / "tests").glob("*.py"),
-                  *(ROOT / "perfbench").glob("*.py")])
+READERS = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def references(tree, skip=None) -> set:
@@ -33,10 +34,15 @@ def references(tree, skip=None) -> set:
 
 
 def definitions(tree) -> list:
-    """(node, name) for each top-level function, class and assigned name;
-    dunder names are left out."""
+    """(node, name) for each top-level function, class and assigned name
+    and each method of a top-level class; dunder names are left out."""
     out = []
     for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            out.extend((m, m.name) for m in node.body
+                       if isinstance(m, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef))
+                       and not m.name.startswith("__"))
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
             names = [node.name]
@@ -74,12 +80,16 @@ def test_check_finds_an_unused_definition():
     package = {
         "a": "X = 1\nY: int = 2\n__all__ = []\n"
              "def f():\n    return f()\n"
-             "def g():\n    return X\nclass C:\n    pass\n",
-        "b": "from .a import g\n",
+             "def g():\n    return X\nclass C:\n"
+             "    def __init__(self):\n        pass\n"
+             "    def m(self):\n        return self.m()\n"
+             "    def n(self):\n        return 0\n",
+        "b": "from .a import g\nprint(g().n)\n",
     }
     readers = ["setattr(obj, 'C', None)\n"]
     assert unused_definitions(package, readers) == [("a", 2, "Y"),
-                                                     ("a", 4, "f")]
+                                                     ("a", 4, "f"),
+                                                     ("a", 11, "m")]
 
 
 def test_no_unused_definitions():

@@ -1,5 +1,6 @@
 import itertools
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 from numpy.testing import assert_allclose
@@ -11,7 +12,9 @@ from prafd import channel, fp, placement
 from prafd.fp import (auxiliary_pass, received_powers, sinrs_of,
                       weighted_sum_rate)
 from prafd.geometry import layout_side_feasible
-from oracles import (auxiliaries_at, central_difference_gradient,
+from oracles import (auxiliaries_at, bundle_evaluation, bundle_gradient,
+                           bundle_hessian, bundle_value,
+                           central_difference_gradient,
                            central_difference_hessian, fresh_surrogate,
                            random_complex,
                            reference_antenna_bundle,
@@ -66,21 +69,23 @@ class TestExpSum:
         for _ in range(50):
             es = random_exp_sum(rng)
             t = rng.uniform(-0.01, 0.01, 2)
-            fd = central_difference_gradient(es.value, t, 1e-8)
-            assert_allclose(es.gradient(t), fd, rtol=1e-5, atol=1e-8)
+            fd = central_difference_gradient(partial(bundle_value, es), t,
+                                             1e-8)
+            assert_allclose(bundle_gradient(es, t), fd, rtol=1e-5, atol=1e-8)
 
     def test_hessian_matches_differences(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             es = random_exp_sum(rng)
             t = rng.uniform(-0.01, 0.01, 2)
-            fd = central_difference_hessian(es.value, t, 1e-6)
-            assert_allclose(es.hessian(t), fd, rtol=1e-3, atol=1e-2)
+            fd = central_difference_hessian(partial(bundle_value, es), t,
+                                            1e-6)
+            assert_allclose(bundle_hessian(es, t), fd, rtol=1e-3, atol=1e-2)
 
     def test_hessian_symmetric(self):
         rng = np.random.default_rng(2)
         es = random_exp_sum(rng)
-        h = es.hessian(rng.uniform(-0.01, 0.01, 2))
+        h = bundle_hessian(es, rng.uniform(-0.01, 0.01, 2))
         assert_allclose(h[0, 1], h[1, 0])
 
     def test_curvature_cap_dominates_hessian_everywhere(self):
@@ -90,7 +95,7 @@ class TestExpSum:
             cap = es.curvature_cap()
             for _ in range(50):
                 t = rng.uniform(-0.02, 0.02, 2)
-                lams = np.linalg.eigvalsh(es.hessian(t))
+                lams = np.linalg.eigvalsh(bundle_hessian(es, t))
                 assert np.max(np.abs(lams)) <= cap * (1 + 1e-12)
 
     def test_kept_phasors_match_a_fresh_sum(self):
@@ -110,12 +115,9 @@ class TestExpSum:
             for at, e in kept:
                 fresh = ExpSum(coefs=es.coefs, dirs=es.dirs,
                                moments=es.moments, cap=es.curvature_cap())
-                value, mp = es.evaluate(e)
-                assert value == es.score(e) == fresh.value(at)
-                assert np.array_equal(-mp[1, :2], fresh.gradient(at))
-                assert np.array_equal(
-                    -mp[0, [[2, 3], [3, 4]]], fresh.hessian(at))
-                assert np.array_equal(mp, fresh.moment_product(at))
+                out = es.evaluate(e)
+                assert out[0] == es.score(e)
+                assert out == bundle_evaluation(fresh, at)
 
         same(point)
         same(t2)
@@ -130,7 +132,7 @@ class TestExpSum:
 class TestBundleReference:
     """The bundle built from per-solve, per-context, per-layout and
     per-point parts equals the from-scratch reference bit for bit; its
-    curvature bound, taken from the moment product rather than the
+    curvature bound, taken from the bundle's evaluation rather than the
     reference's einsum, agrees to 1e-12 relative."""
 
     @staticmethod
@@ -140,7 +142,7 @@ class TestBundleReference:
         assert np.array_equal(bundle.dirs, ref_dirs)
         ref = reference_curvature_bound(ref_coefs, ref_dirs, pos[n],
                                         placement.TAU_MIN_FACTOR)
-        tau = curvature_bound(bundle, bundle.moment_product(pos[n]))
+        tau = curvature_bound(bundle, bundle_evaluation(bundle, pos[n])[2])
         assert abs(tau - ref) <= 1e-12 * abs(ref)
 
     def test_both_sides(self):
@@ -237,8 +239,8 @@ class TestBundleAgainstDeflatedFields:
 
 class TestMomentProduct:
     def test_cached_evaluation_matches_the_pair_term_reference(self):
-        # Value, gradient and Hessian read one evaluation each, the
-        # derivatives through the moment product; the reference forms
+        # Value, gradient and Hessian come from one evaluation each,
+        # `ExpSum.evaluate` at the point's phasors; the reference forms
         # each from the phased coefficients term by term, the Hessian by
         # the three-operand einsum.  Points range over the whole region.
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=3, N_r=3, L=3, L_SI=3)
@@ -255,13 +257,13 @@ class TestMomentProduct:
                         w = bundle.coefs * np.exp(1j * (bundle.dirs @ t))
                         hess = -np.einsum("m,mi,mj->ij", w.real, bundle.dirs,
                                           bundle.dirs)
-                        assert abs(bundle.value(t) - w.real.sum()) \
+                        assert abs(bundle_value(bundle, t) - w.real.sum()) \
                             <= 1e-12 * mag.sum()
-                        assert np.abs(bundle.gradient(t)
+                        assert np.abs(bundle_gradient(bundle, t)
                                       + w.imag @ bundle.dirs).max() \
                             <= 1e-12 * (mag @ np.sqrt(ctx.terms.norm2))
-                        assert np.abs(bundle.hessian(t) - hess).max() \
-                            <= 1e-12 * cap
+                        assert np.abs(bundle_hessian(bundle, t)
+                                      - hess).max() <= 1e-12 * cap
 
 
 class TestPlacementGradient:
@@ -277,7 +279,8 @@ class TestPlacementGradient:
             for ctx, pos in sides(state, rlz, cfg):
                 fields = layout_fields(ctx, pos)
                 ref = np.stack([
-                    antenna_bundle(ctx, fields[0], fields[4], n).gradient(pos[n])
+                    bundle_gradient(
+                        antenna_bundle(ctx, fields[0], fields[4], n), pos[n])
                     for n in range(len(pos))])
                 joint = placement_gradient(ctx, fields)
                 assert joint.shape == pos.shape
@@ -305,7 +308,8 @@ class TestPlacementGradient:
         for ctx, pos in sides(state, rlz, cfg):
             fields = layout_fields(ctx, pos)
             ref = np.stack([
-                antenna_bundle(ctx, fields[0], fields[4], n).gradient(pos[n])
+                bundle_gradient(
+                    antenna_bundle(ctx, fields[0], fields[4], n), pos[n])
                 for n in range(len(pos))])
             with monkeypatch.context() as m:
                 m.setattr(np, "exp", forbidden)
@@ -323,12 +327,12 @@ class TestObjective:
             for n in range(3):
                 bundle = bundle_at(ctx, pos0, n)
                 f0 = objective_at(ctx, pos0)
-                b0 = bundle.value(pos0[n])
+                b0 = bundle_value(bundle, pos0[n])
                 for _ in range(10):
                     pos = pos0.copy()
                     pos[n] += rng.uniform(-1, 1, 2) * cfg.wavelength
                     df = objective_at(ctx, pos) - f0
-                    db = bundle.value(pos[n]) - b0
+                    db = bundle_value(bundle, pos[n]) - b0
                     assert_allclose(df, db, rtol=1e-9, atol=1e-12 * abs(f0))
 
     def test_objective_change_mirrors_surrogate(self):
@@ -358,9 +362,10 @@ class TestObjective:
             for ctx, pos in ((ctx_t, layout.t), (ctx_r, layout.r)):
                 for n in range(3):
                     bundle = bundle_at(ctx, pos, n)
-                    g = bundle.gradient(pos[n])
-                    fd = central_difference_gradient(bundle.value, pos[n],
-                                                     1e-6 * cfg.wavelength)
+                    g = bundle_gradient(bundle, pos[n])
+                    fd = central_difference_gradient(
+                        partial(bundle_value, bundle), pos[n],
+                        1e-6 * cfg.wavelength)
                     assert_allclose(g, fd, rtol=1e-5, atol=1e-10)
 
     def test_zero_beamformers_flatten_objective(self):
@@ -384,9 +389,9 @@ class TestCurvature:
             for ctx, pos in ((ctx_t, layout.t), (ctx_r, layout.r)):
                 for n in range(3):
                     bundle = bundle_at(ctx, pos, n)
-                    tau = curvature_bound(bundle,
-                                          bundle.moment_product(pos[n]))
-                    lams = np.linalg.eigvalsh(bundle.hessian(pos[n]))
+                    hess = bundle_evaluation(bundle, pos[n])[2]
+                    tau = curvature_bound(bundle, hess)
+                    lams = np.linalg.eigvalsh(bundle_hessian(bundle, pos[n]))
                     assert tau >= lams[-1] - 1e-9 * max(1.0, abs(lams[-1]))
                     assert tau > 0.0
 
@@ -394,7 +399,8 @@ class TestCurvature:
         cfg = ScenarioConfig(K_D=1, K_U=1, N_t=2, N_r=2)
         _, layout, _, _, ctx_t, _ = make_contexts(cfg)
         bundle = bundle_at(ctx_t, layout.t, 0)
-        assert curvature_bound(bundle, bundle.moment_product(layout.t[0])) \
+        hess = bundle_evaluation(bundle, layout.t[0])[2]
+        assert curvature_bound(bundle, hess) \
             >= 1e-6 * bundle.curvature_cap() - 1e-30
 
 
@@ -417,12 +423,12 @@ def reference_bsum_side(ctx, rng):
             bundle = antenna_bundle(ctx, H, si_e, n)
             if bundle.curvature_cap() == 0.0:
                 continue
-            f_here, mp = bundle.evaluate(table[n])
-            tau = curvature_bound(bundle, mp)
-            (mx, my), (x, y) = mp[1, :2].tolist(), pos[n].tolist()
-            steps = [(mx / (tau * 2.0 ** i), my / (tau * 2.0 ** i))
+            f_here, grad, hess = bundle.evaluate(table[n])
+            tau = curvature_bound(bundle, hess)
+            (gx, gy), (x, y) = grad, pos[n].tolist()
+            steps = [(-gx / (tau * 2.0 ** i), -gy / (tau * 2.0 ** i))
                      for i in range(placement.MAX_TAU_DOUBLINGS + 1)]
-            newton = placement.newton_step(bundle, mp)
+            newton = placement.newton_step(bundle, grad, hess)
             if newton is not None:
                 steps.insert(0, newton)
             region = placement.FeasibleRegionSpec(t.half_width,
@@ -630,9 +636,10 @@ class TestBsumSweep:
         # keeps the feasible region convex, so the projection keeps the
         # ascent.  The Newton candidate is switched off: this is the ladder.
         monkeypatch.setattr(placement, "MAX_TAU_DOUBLINGS", 2)
-        monkeypatch.setattr(placement, "newton_step", lambda bundle, mp: None)
+        monkeypatch.setattr(placement, "newton_step",
+                            lambda bundle, grad, hess: None)
         monkeypatch.setattr(placement, "curvature_bound",
-                            lambda bundle, mp: -bundle.curvature_cap())
+                            lambda bundle, hess: -bundle.curvature_cap())
         counts = {"visits": 0, "projections": 0}
         real_bundle = placement.antenna_bundle
         real_project = placement.nearest_feasible_point
@@ -678,13 +685,13 @@ class TestBsumSweep:
             counts["projections"] += 1
             return real_project(*a)
 
-        def floor(bundle, mp):
+        def floor(bundle, hess):
             counts["visits"] += 1
             return placement.TAU_MIN_FACTOR * bundle.curvature_cap()
 
-        def bound(bundle, mp):
+        def bound(bundle, hess):
             counts["visits"] += 1
-            return real_bound(bundle, mp)
+            return real_bound(bundle, hess)
 
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=3, N_r=3, L=3, L_SI=3)
         for trial, tau in itertools.product(range(3), (bound, floor)):
@@ -696,7 +703,7 @@ class TestBsumSweep:
                     m.setattr(placement, "nearest_feasible_point", project)
                     m.setattr(placement, "curvature_bound", tau)
                     m.setattr(placement, "newton_step",
-                              lambda bundle, mp: None)
+                              lambda bundle, grad, hess: None)
                     bsum_optimize_side(ctx, np.random.default_rng(trial))
                 assert counts["visits"] > 0
                 assert counts["exp"] == 1 + counts["projections"]
@@ -709,8 +716,9 @@ class TestBsumSweep:
         # moves and the trace stays flat.
         class Raised(ExpSum):
             def evaluate(self, e):
-                self.f_here, mp = super().evaluate(e)
-                return self.f_here, mp
+                out = super().evaluate(e)
+                self.f_here = out[0]
+                return out
 
             def score(self, e):
                 delta = 0.5e-12 * (1.0 + abs(self.f_here))
@@ -741,9 +749,10 @@ class TestBsumSweep:
         # last visit of a call is not seen again and is left out.
         class Recorded(ExpSum):
             def evaluate(self, e):
-                self.f_here, mp = super().evaluate(e)
+                out = super().evaluate(e)
+                self.f_here = out[0]
                 self.scores = []
-                return self.f_here, mp
+                return out
 
             def score(self, e):
                 f = super().score(e)
@@ -783,8 +792,8 @@ class TestBsumSweep:
 
 
 def first_visit(monkeypatch, ctx, seed):
-    """(n, bundle, moment product, tau, newton step, projected targets) of
-    the first visit of a side call, whose antenna sits at its start."""
+    """(n, bundle, gradient, tau, newton step, projected targets) of the
+    first visit of a side call, whose antenna sits at its start."""
     real_bundle = placement.antenna_bundle
     real_bound = placement.curvature_bound
     real_newton = placement.newton_step
@@ -798,16 +807,16 @@ def first_visit(monkeypatch, ctx, seed):
             seen.update(n=n, bundle=b)
         return b
 
-    def bound(b, mp):
-        tau = real_bound(b, mp)
+    def bound(b, hess):
+        tau = real_bound(b, hess)
         if seen["visits"] == 1:
-            seen.update(mp=mp, tau=tau)
+            seen["tau"] = tau
         return tau
 
-    def newton(b, mp):
-        step = real_newton(b, mp)
+    def newton(b, grad, hess):
+        step = real_newton(b, grad, hess)
         if seen["visits"] == 1:
-            seen["newton"] = step
+            seen.update(grad=grad, newton=step)
         return step
 
     def project(target, region):
@@ -821,15 +830,15 @@ def first_visit(monkeypatch, ctx, seed):
         m.setattr(placement, "newton_step", newton)
         m.setattr(placement, "nearest_feasible_point", project)
         bsum_optimize_side(ctx, np.random.default_rng(seed))
-    return (seen["n"], seen["bundle"], seen["mp"], seen["tau"],
+    return (seen["n"], seen["bundle"], seen["grad"], seen["tau"],
             seen["newton"], seen["targets"])
 
 
-def ladder_targets(pos, mp, tau):
+def ladder_targets(pos, grad, tau):
     """The majorizer targets pos - g / tau, tau doubling, as a visit takes
     them in Python floats."""
-    (mx, my), (x, y) = mp[1, :2].tolist(), pos.tolist()
-    return [np.array([x + mx / (tau * 2.0 ** i), y + my / (tau * 2.0 ** i)])
+    (gx, gy), (x, y) = grad, pos.tolist()
+    return [np.array([x - gx / (tau * 2.0 ** i), y - gy / (tau * 2.0 ** i)])
             for i in range(placement.MAX_TAU_DOUBLINGS + 1)]
 
 
@@ -840,30 +849,28 @@ class TestNewtonCandidate:
         for _ in range(200):
             es = random_exp_sum(rng)
             t = rng.uniform(-0.05, 0.05, 2)
-            step = placement.newton_step(es, es.moment_product(t))
-            hess = es.hessian(t)
+            step = placement.newton_step(es, *bundle_evaluation(es, t)[1:])
+            hess = bundle_hessian(es, t)
             floor = placement.TAU_MIN_FACTOR * es.curvature_cap()
             if np.linalg.eigvalsh(hess)[0] < floor:
                 assert step is None
                 declined += 1
                 continue
-            ref = np.linalg.solve(hess, -es.gradient(t))
+            ref = np.linalg.solve(hess, -bundle_gradient(es, t))
             assert np.linalg.norm(np.subtract(step, ref)) \
                 <= 1e-10 * np.linalg.norm(ref)
             solved += 1
         assert solved >= 20 and declined >= 20
 
     def test_declined_just_below_the_floor(self):
-        # H = diag(lam, 2 lam) read off a hand-made moment product: the
+        # H = diag(lam, 2 lam) and g = -(lam, 4 lam), made by hand: the
         # step is given just above the floor and declined just below it.
         es = random_exp_sum(np.random.default_rng(1))
         floor = placement.TAU_MIN_FACTOR * es.curvature_cap()
         for lam, given in ((floor * (1 + 1e-12), True),
                            (floor * (1 - 1e-12), False)):
-            mp = np.zeros((2, 5))
-            mp[0, 2:] = -lam, 0.0, -2.0 * lam
-            mp[1, :2] = lam, 4.0 * lam
-            step = placement.newton_step(es, mp)
+            step = placement.newton_step(es, (-lam, -4.0 * lam),
+                                         (lam, 0.0, 2.0 * lam))
             if given:
                 assert_allclose(step, (1.0, 2.0), rtol=1e-12)
             else:
@@ -877,14 +884,13 @@ class TestNewtonCandidate:
         while compared < 10:
             es = random_exp_sum(rng)
             t = rng.uniform(-0.05, 0.05, 2)
-            step = placement.newton_step(es, es.moment_product(t))
+            step = placement.newton_step(es, *bundle_evaluation(es, t)[1:])
             if step is None:
                 continue
             tiny = ExpSum(es.coefs * 1e-165, es.dirs, es.moments,
                           es.curvature_cap() * 1e-165)
-            assert_allclose(placement.newton_step(tiny,
-                                                  tiny.moment_product(t)),
-                            step, rtol=1e-12)
+            assert_allclose(placement.newton_step(
+                tiny, *bundle_evaluation(tiny, t)[1:]), step, rtol=1e-12)
             compared += 1
 
     def test_first_target_is_the_newton_step(self, monkeypatch):
@@ -894,22 +900,23 @@ class TestNewtonCandidate:
             for trial in range(10):
                 _, layout, _, _, ctx_t, ctx_r = make_contexts(cfg, trial)
                 for ctx, pos in ((ctx_t, layout.t), (ctx_r, layout.r)):
-                    n, bundle, mp, tau, step, targets = first_visit(
+                    n, bundle, grad, tau, step, targets = first_visit(
                         monkeypatch, ctx, trial)
-                    hess = bundle.hessian(pos[n])
+                    hess = bundle_hessian(bundle, pos[n])
                     floor = placement.TAU_MIN_FACTOR * bundle.curvature_cap()
                     if step is None:
                         # Below the floor: exactly the ladder, bit for bit.
                         assert np.linalg.eigvalsh(hess)[0] \
                             < floor + 1e-12 * np.abs(hess).max()
                         ladder += 1
-                        expect = ladder_targets(pos[n], mp, tau)
+                        expect = ladder_targets(pos[n], grad, tau)
                     else:
-                        ref = np.linalg.solve(hess, -bundle.gradient(pos[n]))
+                        ref = np.linalg.solve(
+                            hess, -bundle_gradient(bundle, pos[n]))
                         assert np.linalg.norm(targets[0] - pos[n] - ref) \
                             <= 1e-10 * np.linalg.norm(ref)
                         newton += 1
-                        expect = [targets[0]] + ladder_targets(pos[n], mp,
+                        expect = [targets[0]] + ladder_targets(pos[n], grad,
                                                                tau)
                     assert len(targets) <= len(expect)
                     for got, want in zip(targets, expect):
@@ -917,16 +924,17 @@ class TestNewtonCandidate:
         assert newton >= 10 and ladder >= 5
 
     def test_no_newton_step_runs_the_ladder(self, monkeypatch):
-        monkeypatch.setattr(placement, "newton_step", lambda bundle, mp: None)
+        monkeypatch.setattr(placement, "newton_step",
+                            lambda bundle, grad, hess: None)
         visits = 0
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=3, N_r=3, L=3, L_SI=3)
         for trial in range(6):
             _, layout, _, _, ctx_t, ctx_r = make_contexts(cfg, trial)
             for ctx, pos in ((ctx_t, layout.t), (ctx_r, layout.r)):
-                n, _, mp, tau, step, targets = first_visit(
+                n, _, grad, tau, step, targets = first_visit(
                     monkeypatch, ctx, trial)
                 assert step is None
-                expect = ladder_targets(pos[n], mp, tau)
+                expect = ladder_targets(pos[n], grad, tau)
                 assert 1 <= len(targets) <= len(expect)
                 for got, want in zip(targets, expect):
                     assert np.array_equal(got, want)
