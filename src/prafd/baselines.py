@@ -1,6 +1,7 @@
 """Reference schemes the position-optimizing solver is compared against.
 
-* fpas: fixed uniform planar arrays (`fpas_layout`), beamforming/power only.
+* fpas: beamforming/power only, so the antennas stay where they start: in
+  an experiment, at the fixed uniform planar arrays of `fpas_layout`.
 * fp-gd: same alternating scheme but positions move by projected gradient
   descent with Armijo backtracking instead of per-antenna majorization;
   each step moves the whole side along one joint gradient
@@ -22,7 +23,9 @@ from .placement import (SurrogateContext, antenna_bundle, channel_fields,
                         placement_objective)
 from .solver import AntennaLayout, TrialResult, alternating_optimize
 
-ALGORITHMS = ("fp-bsum", "fp-gd", "fpas", "hd")
+# The full-duplex algorithms and the position method each solves with.
+POSITION_METHODS = {"fp-bsum": "bsum", "fp-gd": "gd", "fpas": "none"}
+ALGORITHMS = (*POSITION_METHODS, "hd")
 
 ARMIJO_C = 1e-4
 GD_MAX_HALVINGS = 40
@@ -134,43 +137,30 @@ def fpas_layout(cfg: ScenarioConfig) -> AntennaLayout:
     )
 
 
-def solve_half_duplex(cfg: ScenarioConfig, rlz: ChannelRealization,
-                      rng: np.random.Generator, layout: AntennaLayout,
-                      duplex_factor: float,
-                      eval_rlz: ChannelRealization | None = None) -> TrialResult:
-    """Downlink-only operation with the same placement-aware optimizer.
+def run_algorithm(name: str, cfg: ScenarioConfig, rlz: ChannelRealization,
+                  rng: np.random.Generator, layout: AntennaLayout,
+                  eval_rlz: ChannelRealization | None = None,
+                  duplex_factor: float = 0.5) -> TrialResult:
+    """Solve one named algorithm from a copy of `layout`.
 
-    No uplink means no self-interference and no uplink-to-downlink coupling
-    anywhere in the problem.  The reported rates are the downlink weighted
-    sum scaled by the duplex factor (the share of time the downlink runs);
-    absolute values therefore depend on that factor, not on the solver.
+    hd is fp-bsum on the downlink only: no uplink means no
+    self-interference and no uplink-to-downlink coupling.  Its rates are
+    scaled by `duplex_factor`, the share of time the downlink runs, so
+    their absolute values depend on that factor, not on the solver.
     """
+    if name in POSITION_METHODS:
+        return alternating_optimize(cfg, rlz, rng, layout,
+                                    POSITION_METHODS[name], eval_rlz)
+    if name != "hd":
+        raise ValueError(
+            f"unknown algorithm {name!r}; choose from {ALGORITHMS}")
     if not 0.0 < duplex_factor <= 1.0:
         raise ValueError(
             f"duplex factor must be in (0, 1], got {duplex_factor:g}")
     eval_dl = None if eval_rlz is None else eval_rlz.downlink_only()
     res = alternating_optimize(cfg.downlink_only(), rlz.downlink_only(), rng,
                                layout, "bsum", eval_dl)
-    res.rate *= duplex_factor
     res.dl_rates = res.dl_rates * duplex_factor
     res.trace = [duplex_factor * v for v in res.trace]
     res.eval_trace = [duplex_factor * v for v in res.eval_trace]
     return res
-
-
-def run_algorithm(name: str, cfg: ScenarioConfig, rlz: ChannelRealization,
-                  rng: np.random.Generator, layout: AntennaLayout,
-                  eval_rlz: ChannelRealization | None = None,
-                  duplex_factor: float = 0.5) -> TrialResult:
-    """Dispatch one named algorithm; fpas starts from `fpas_layout`."""
-    if name == "fp-bsum":
-        return alternating_optimize(cfg, rlz, rng, layout, "bsum", eval_rlz)
-    if name == "fp-gd":
-        return alternating_optimize(cfg, rlz, rng, layout, "gd", eval_rlz)
-    if name == "fpas":
-        return alternating_optimize(cfg, rlz, rng, fpas_layout(cfg), "none",
-                                    eval_rlz)
-    if name == "hd":
-        return solve_half_duplex(cfg, rlz, rng, layout, duplex_factor,
-                                 eval_rlz)
-    raise ValueError(f"unknown algorithm {name!r}; choose from {ALGORITHMS}")

@@ -98,13 +98,14 @@ def main(argv=None) -> int:
                         help="override one config field (repeatable)")
     common.add_argument("--seed", type=int, default=0,
                         help="master seed of the trials' random streams")
+    common.add_argument("--duplex-factor", type=float, default=0.5,
+                        help="share of time hd's downlink runs, in (0, 1]")
 
     ps = sub.add_parser("solve", parents=[common],
                         help="run one algorithm on one channel draw")
     ps.add_argument("--algo", default="fp-bsum", choices=ALGORITHMS)
     ps.add_argument("--trial", type=int, default=0,
                     help="trial index feeding the random streams")
-    ps.add_argument("--duplex-factor", type=float, default=0.5)
     ps.add_argument("--positions", action="store_true",
                     help="print the optimized antenna positions")
     ps.set_defaults(func=_cmd_solve)
@@ -117,7 +118,6 @@ def main(argv=None) -> int:
     pe.add_argument("--sweep", metavar="FIELD=V1,V2,...",
                     help="sweep one config field or perturbation level")
     pe.add_argument("--out", default="results", help="output path prefix")
-    pe.add_argument("--duplex-factor", type=float, default=0.5)
     pe.add_argument("--threads", type=int, default=1,
                     help="worker processes for sweep points")
     pe.set_defaults(func=_cmd_experiment)

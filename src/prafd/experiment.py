@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .baselines import ALGORITHMS, run_algorithm
+from .baselines import ALGORITHMS, fpas_layout, run_algorithm
 from .channel import ChannelRealization, sample_realization, trial_rng
 from .config import INT_FIELDS, ConfigError, ScenarioConfig, validate_config
 from .solver import TrialResult, initialize_layout
@@ -24,9 +24,6 @@ _STREAM_CHANNEL = 0
 _STREAM_LAYOUT = 1
 _STREAM_PERTURB = 2
 _STREAM_SOLVER = 3
-
-# Perturbation sweep fields (imperfect CSI levels, not config fields).
-PERTURBATION_FIELDS = ("theta_m", "sigma_e2")
 
 RAW_COLUMNS = ("algorithm", "sweep_field", "sweep_value", "trial", "rate",
                "dl_rates", "ul_rates", "outer_iterations", "bsum_sweeps",
@@ -66,7 +63,7 @@ class ExperimentSpec:
         for v in self.sweep_values:
             if self.sweep_values.count(v) > 1:
                 raise ConfigError(f"--sweep lists {v:g} twice")
-            if self.sweep_field in PERTURBATION_FIELDS and not 0.0 <= v < np.inf:
+            if self.sweep_field in PERTURBATIONS and not 0.0 <= v < np.inf:
                 raise ConfigError(f"{self.sweep_field} must be finite and "
                                   f"non-negative, got {v:g}")
             apply_sweep(self.base, self.sweep_field, v)
@@ -114,10 +111,14 @@ def perturb_prm(rlz: ChannelRealization, sigma_e2: float,
                    sigma_si=noisy(rlz.sigma_si))
 
 
+# Imperfect-CSI sweep fields (not config fields) and their perturbations.
+PERTURBATIONS = {"theta_m": perturb_angles, "sigma_e2": perturb_prm}
+
+
 def apply_sweep(cfg: ScenarioConfig, field_name: str | None,
                 value) -> ScenarioConfig:
     """Config for one sweep point; perturbation fields leave it unchanged."""
-    if field_name is None or field_name in PERTURBATION_FIELDS:
+    if field_name is None or field_name in PERTURBATIONS:
         return cfg
     if field_name != "N" and field_name not in {f.name for f in fields(cfg)}:
         # Every trial draws from the spec's seed, which is not swept.
@@ -150,24 +151,27 @@ def apply_sweep(cfg: ScenarioConfig, field_name: str | None,
 
 
 def run_trial(spec: ExperimentSpec, sweep_value, trial: int) -> list[TrialResult]:
-    """All algorithms on one (sweep point, trial): identical channels/layouts."""
+    """All algorithms on one (sweep point, trial), on identical channels.
+
+    fpas starts from `fpas_layout`, every other algorithm from the trial's
+    random layout, drawn once on first need; a failed draw fails each of
+    them.  A failed row keeps its algorithm's start, or None.
+    """
     cfg = apply_sweep(spec.base, spec.sweep_field, sweep_value)
     rlz = sample_realization(cfg, trial_rng(spec.seed, trial, _STREAM_CHANNEL))
     solver_rlz, eval_rlz = rlz, None
-    if spec.sweep_field in PERTURBATION_FIELDS:
-        prng = trial_rng(spec.seed, trial, _STREAM_PERTURB)
-        if spec.sweep_field == "theta_m":
-            solver_rlz = perturb_angles(rlz, sweep_value, prng)
-        else:
-            solver_rlz = perturb_prm(rlz, sweep_value, prng)
+    if spec.sweep_field in PERTURBATIONS:
+        solver_rlz = PERTURBATIONS[spec.sweep_field](
+            rlz, sweep_value, trial_rng(spec.seed, trial, _STREAM_PERTURB))
         eval_rlz = rlz
-    # Drawn on first use from its own stream, so fpas alone draws none; a
-    # failed draw is kept and fails each algorithm that needs the layout.
-    drawn = layout = None
+    drawn = None    # the trial's random layout, or the error of its draw
     out = []
     for algo in spec.algorithms:
+        layout = None
         try:
-            if algo != "fpas":
+            if algo == "fpas":
+                layout = fpas_layout(cfg)
+            else:
                 if drawn is None:
                     try:
                         drawn = initialize_layout(cfg, trial_rng(
@@ -184,7 +188,7 @@ def run_trial(spec: ExperimentSpec, sweep_value, trial: int) -> list[TrialResult
                 duplex_factor=spec.duplex_factor)
         except Exception as exc:  # recorded, excluded from aggregates
             res = TrialResult(
-                rate=float("nan"), dl_rates=np.full(cfg.K_D, np.nan),
+                dl_rates=np.full(cfg.K_D, np.nan),
                 ul_rates=np.full(cfg.K_U, np.nan), outer_iterations=0,
                 bsum_sweeps=0, wall_time=0.0, layout=layout, trace=[],
                 eval_trace=[], converged=False,
@@ -197,21 +201,18 @@ def run_trial(spec: ExperimentSpec, sweep_value, trial: int) -> list[TrialResult
     return out
 
 
-def _run_point(args):
-    spec, sweep_value, trial = args
-    return run_trial(spec, sweep_value, trial)
-
-
 def run_experiment(spec: ExperimentSpec) -> list[TrialResult]:
     """Execute all (sweep point, trial) cells; deterministic result order."""
-    tasks = [(spec, v, t) for v in spec.points() for t in range(spec.trials)]
+    tasks = [(v, t) for v in spec.points() for t in range(spec.trials)]
     if spec.threads > 1:
         # Here, so a one-process run never imports multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
+        points, trials = zip(*tasks)
         with ProcessPoolExecutor(max_workers=spec.threads) as pool:
-            chunks = list(pool.map(_run_point, tasks, chunksize=1))
+            chunks = list(pool.map(run_trial, [spec] * len(tasks), points,
+                                   trials, chunksize=1))
     else:
-        chunks = [_run_point(t) for t in tasks]
+        chunks = [run_trial(spec, v, t) for v, t in tasks]
     results = [r for chunk in chunks for r in chunk]
     order = {a: i for i, a in enumerate(spec.algorithms)}
     point_order = {repr(v): i for i, v in enumerate(spec.points())}

@@ -16,10 +16,10 @@ is a monitor name and a step that updates the state and its record in
 place and returns a count: a placement side's sweeps, which add to
 `bsum_sweeps`, the grid's moves, or 0.  The loop scores the surrogate
 after each step and the monitor checks that it did not fall.  Only the
-grid sets the two flags: its moves raise the *true* rate, so they are
-scored after an auxiliary refresh (`refresh`; the stale surrogate is at
-most the rate before a jump, which is at most the rate after it), and its
-first step that moves nothing leaves the table unscored (`retire`).
+grid sets the flag (`true_rate`): its moves raise the *true* rate, so a
+nonzero count is scored after an auxiliary refresh (the stale surrogate
+is at most the rate before a jump, which is at most the rate after it),
+and its first step that moves nothing drops it from the table unscored.
 
 The solve keeps one state (`fp.SolverState`), from which every block
 reads: the variables, the channels of the current layout (`state.ch`),
@@ -55,7 +55,7 @@ EPSILON = 1e-3  # relative rate change that ends the outer loop
 
 @dataclass
 class TrialResult:
-    rate: float                 # final weighted sum-rate (true channels)
+    """One solve's report; a failed trial's row has empty traces."""
     dl_rates: np.ndarray
     ul_rates: np.ndarray
     outer_iterations: int
@@ -71,6 +71,11 @@ class TrialResult:
     sweep_value: float = float("nan")
     trial: int = -1
     failure: str | None = None
+
+    @property
+    def rate(self) -> float:
+        """Final weighted sum-rate on the true channels; nan when failed."""
+        return self.eval_trace[-1] if self.eval_trace else float("nan")
 
 
 def _sample_side(n: int, half_width: float, d_min: float,
@@ -165,8 +170,7 @@ class _Block(NamedTuple):
     """One entry of a solve's block table; see the module docstring."""
     tag: str                    # the monitor's name for the block
     step: Callable[[fp.SolverState], int]   # sweeps, grid moves or 0
-    refresh: bool = False       # a nonzero count is scored after a refresh
-    retire: bool = False        # the first zero count drops the entry
+    true_rate: bool = False     # moves on the true rate (the grid)
 
 
 def block_table(cfg: ScenarioConfig, rlz: ChannelRealization,
@@ -207,7 +211,7 @@ def block_table(cfg: ScenarioConfig, rlz: ChannelRealization,
                           record.power_changed)]
     if position_method == "bsum":
         blocks.append(_Block("grid placement", placement.RateGrid(rlz, cfg).place,
-                             refresh=True, retire=True))
+                             true_rate=True))
     if optimizer and cfg.K_D > 0:
         blocks.append(placement_side("transmit placement", "t",
                                      placement.transmit_context,
@@ -246,13 +250,13 @@ def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
         # `rate` was scored on, so the surrogate must touch it.
         p3 = fp.surrogate_objective(state, cfg)
         monitor.check_sandwich(p3, rate)
-        for tag, step, refresh, retire in blocks:
+        for tag, step, true_rate in blocks:
             count = step(state)
-            if retire and not count:
-                # The sweep over `blocks` in progress keeps the old list.
-                blocks = [b for b in blocks if b.step is not step]
-                continue
-            if refresh:
+            if true_rate:
+                if not count:
+                    # The sweep over `blocks` in progress keeps the old list.
+                    blocks = [b for b in blocks if b.step is not step]
+                    continue
                 state.aux = fp.auxiliary_pass(state.powers, cfg)
                 after = fp.surrogate_objective(state, cfg)
                 monitor.check_sandwich(
@@ -273,7 +277,6 @@ def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
 
     user_rates = np.log2(1.0 + sinr)
     return TrialResult(
-        rate=eval_trace[-1],
         dl_rates=user_rates[:cfg.K_D], ul_rates=user_rates[cfg.K_D:],
         outer_iterations=iterations, bsum_sweeps=bsum_sweeps,
         wall_time=time.perf_counter() - t_start,

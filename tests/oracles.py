@@ -355,3 +355,21 @@ def central_difference_hessian(func, x: np.ndarray, step: float) -> np.ndarray:
             hess[i, j] = val
             hess[j, i] = val
     return hess
+
+
+# ---------------------------------------------------------------------------
+# bit-level comparison
+
+
+def same_bits(a, b) -> bool:
+    """Equal dtype, shape and bytes: -0.0 and 0.0 differ, and so do a
+    float and a complex array of the same values."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+def same_powers(a, b) -> bool:
+    """Every factor of two received-power records equal, bit for bit."""
+    return vars(a).keys() == vars(b).keys() and all(
+        same_bits(v, getattr(b, k)) for k, v in vars(a).items())

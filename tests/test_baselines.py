@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from prafd import baselines
 from prafd.baselines import (ALGORITHMS, fpas_layout,
                              gradient_descent_positions, run_algorithm,
-                             solve_half_duplex, upa_layout)
+                             upa_layout)
 from prafd.channel import build_channels, sample_realization, trial_rng
 from prafd.config import ConfigError, ScenarioConfig
 from prafd.geometry import layout_side_feasible, min_pairwise_distance
@@ -141,8 +141,8 @@ class TestFixedArrayBaseline:
     def test_positions_are_uniform_arrays(self):
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=4, N_r=4)
         rlz = sample_realization(cfg, trial_rng(0, 0, 0))
-        layout = initialize_layout(cfg, trial_rng(0, 0, 1))
-        res = run_algorithm("fpas", cfg, rlz, trial_rng(0, 0, 3), layout)
+        res = run_algorithm("fpas", cfg, rlz, trial_rng(0, 0, 3),
+                            fpas_layout(cfg))
         half = cfg.wavelength / 2
         assert_allclose(res.layout.t, upa_layout(4, half, cfg.region_half_width))
         assert_allclose(res.layout.r, upa_layout(4, half, cfg.region_half_width))
@@ -154,8 +154,8 @@ class TestFixedArrayBaseline:
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=4, N_r=4)
         cfg = cfg.replace(D_min=0.6 * cfg.wavelength)
         rlz = sample_realization(cfg, trial_rng(0, 0, 0))
-        layout = initialize_layout(cfg, trial_rng(0, 0, 1))
-        res = run_algorithm("fpas", cfg, rlz, trial_rng(0, 0, 3), layout)
+        res = run_algorithm("fpas", cfg, rlz, trial_rng(0, 0, 3),
+                            fpas_layout(cfg))
         upa = upa_layout(4, cfg.D_min, cfg.region_half_width)
         assert_allclose(res.layout.t, upa)
         assert_allclose(res.layout.r, upa)
@@ -167,24 +167,14 @@ class TestFixedArrayBaseline:
         with pytest.raises(ConfigError, match="does not fit"):
             fpas_layout(cfg)
 
-    def test_ignores_initial_layout(self):
-        cfg = ScenarioConfig(K_D=1, K_U=1, N_t=2, N_r=2)
-        rlz = sample_realization(cfg, trial_rng(0, 0, 0))
-        layout = initialize_layout(cfg, trial_rng(0, 5, 1))
-        a = run_algorithm("fpas", cfg, rlz, trial_rng(0, 0, 3),
-                          fpas_layout(cfg))
-        b = run_algorithm("fpas", cfg, rlz, trial_rng(0, 0, 3), layout)
-        assert a.rate == b.rate
-        assert_allclose(a.layout.t, b.layout.t)
-
 
 class TestHalfDuplex:
     def test_no_uplink_service(self):
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2)
         rlz = sample_realization(cfg, trial_rng(0, 0, 0))
         rng = trial_rng(0, 0, 3)
-        res = solve_half_duplex(cfg, rlz, rng, initialize_layout(cfg, rng),
-                                0.5)
+        res = run_algorithm("hd", cfg, rlz, rng, initialize_layout(cfg, rng),
+                            duplex_factor=0.5)
         assert res.ul_rates.size == 0
         assert res.rate > 0.0
 
@@ -192,10 +182,12 @@ class TestHalfDuplex:
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2)
         rlz = sample_realization(cfg, trial_rng(0, 0, 0))
         full_rng, half_rng = trial_rng(0, 0, 3), trial_rng(0, 0, 3)
-        full = solve_half_duplex(cfg, rlz, full_rng,
-                                 initialize_layout(cfg, full_rng), 1.0)
-        half = solve_half_duplex(cfg, rlz, half_rng,
-                                 initialize_layout(cfg, half_rng), 0.5)
+        full = run_algorithm("hd", cfg, rlz, full_rng,
+                             initialize_layout(cfg, full_rng),
+                             duplex_factor=1.0)
+        half = run_algorithm("hd", cfg, rlz, half_rng,
+                             initialize_layout(cfg, half_rng),
+                             duplex_factor=0.5)
         assert_allclose(half.rate, 0.5 * full.rate, rtol=1e-12)
         assert_allclose(np.asarray(half.trace),
                         0.5 * np.asarray(full.trace), rtol=1e-12)
@@ -204,7 +196,8 @@ class TestHalfDuplex:
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2)
         rlz = sample_realization(cfg, trial_rng(0, 0, 0))
         layout = initialize_layout(cfg, trial_rng(0, 0, 1))
-        res = solve_half_duplex(cfg, rlz, trial_rng(0, 0, 3), layout, 0.5)
+        res = run_algorithm("hd", cfg, rlz, trial_rng(0, 0, 3), layout,
+                            duplex_factor=0.5)
         direct = alternating_optimize(cfg.downlink_only(), rlz.downlink_only(),
                                       trial_rng(0, 0, 3), layout, "bsum")
         assert res.trace == [0.5 * v for v in direct.trace]
@@ -217,7 +210,8 @@ class TestHalfDuplex:
         rlz = sample_realization(cfg, trial_rng(0, 0, 0))
         layout = initialize_layout(cfg, trial_rng(0, 0, 1))
         with pytest.raises(ValueError, match="duplex factor"):
-            solve_half_duplex(cfg, rlz, trial_rng(0, 0, 3), layout, factor)
+            run_algorithm("hd", cfg, rlz, trial_rng(0, 0, 3), layout,
+                          duplex_factor=factor)
 
 
 class TestDispatch:
@@ -226,7 +220,8 @@ class TestDispatch:
         rlz = sample_realization(cfg, trial_rng(0, 0, 0))
         layout = initialize_layout(cfg, trial_rng(0, 0, 1))
         for name in ALGORITHMS:
-            res = run_algorithm(name, cfg, rlz, trial_rng(0, 0, 3), layout)
+            start = fpas_layout(cfg) if name == "fpas" else layout
+            res = run_algorithm(name, cfg, rlz, trial_rng(0, 0, 3), start)
             assert np.isfinite(res.rate)
             assert res.rate >= 0.0
 
@@ -269,6 +264,6 @@ class TestDispatch:
             moved = run_algorithm("fp-bsum", cfg, rlz, trial_rng(0, trial, 3),
                                   layout)
             fixed = run_algorithm("fpas", cfg, rlz, trial_rng(0, trial, 3),
-                                  layout)
+                                  fpas_layout(cfg))
             gains.append(moved.rate - fixed.rate)
         assert np.mean(gains) > 0.0

@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from prafd import experiment
+from prafd.baselines import fpas_layout
 from prafd.channel import sample_realization, trial_rng
 from prafd.config import ConfigError, ScenarioConfig
 from prafd.experiment import (AGG_COLUMNS, RAW_COLUMNS, ExperimentSpec,
@@ -284,6 +285,31 @@ class TestRunTrial:
             assert res.failure.startswith("ConfigError")
             assert np.isnan(res.rate) and res.layout is None
         assert fpas.failure is None and fpas.rate > 0.0
+
+    def test_each_row_records_its_own_start(self, monkeypatch):
+        # fpas starts from the fixed arrays, solved or failed, even listed
+        # after an algorithm that starts from the trial's random layout.
+        spec = small_spec(algorithms=("fp-bsum", "fpas"))
+        fixed = fpas_layout(spec.base)
+
+        def same_layout(a, b):
+            return np.array_equal(a.t, b.t) and np.array_equal(a.r, b.r)
+
+        bsum, fpas = run_trial(spec, float("nan"), 0)
+        assert fpas.failure is None and same_layout(fpas.layout, fixed)
+        real = experiment.run_algorithm
+
+        def failing_fpas(algo, *args, **kwargs):
+            if algo == "fpas":
+                raise RuntimeError("feasible region is empty")
+            return real(algo, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "run_algorithm", failing_fpas)
+        bsum, fpas = run_trial(spec, float("nan"), 0)
+        assert bsum.failure is None
+        assert fpas.failure == "RuntimeError: feasible region is empty"
+        assert same_layout(fpas.layout, fixed)
+        assert np.isnan(fpas.rate)
 
     def test_zero_perturbation_matches_plain_run(self):
         spec = small_spec(sweep_field="theta_m", sweep_values=(0.0,))

@@ -7,7 +7,7 @@ from prafd.config import ScenarioConfig
 from prafd.fp import (auxiliary_pass, receive_gram, received_powers,
                       sinrs_of, surrogate_objective, weighted_sum_rate)
 from oracles import (auxiliaries_at, dual_transform_objective,
-                           fresh_surrogate, random_complex)
+                           fresh_surrogate, random_complex, same_powers)
 from prafd.solver import initial_state, initialize_layout
 
 
@@ -236,12 +236,6 @@ class TestAuxiliaries:
         assert_allclose(B, ref, rtol=1e-12)
 
 
-def same_record(a, b) -> bool:
-    """Every factor of two received-power records equal, bit for bit."""
-    return vars(a).keys() == vars(b).keys() and all(
-        np.array_equal(v, getattr(b, k)) for k, v in vars(a).items())
-
-
 class TestReceivedPowersUpdates:
     """An updated record equals a full pass on the new state, exactly."""
 
@@ -256,13 +250,13 @@ class TestReceivedPowersUpdates:
             pw = full_pass(state, cfg)
             state.W_t = random_complex(rng, state.W_t.shape)
             pw.transmit_changed(state)
-            assert same_record(pw, full_pass(state, cfg))
+            assert same_powers(pw, full_pass(state, cfg))
             state.W_r = random_complex(rng, state.W_r.shape)
             pw.receive_changed(state)
-            assert same_record(pw, full_pass(state, cfg))
+            assert same_powers(pw, full_pass(state, cfg))
             state.p = rng.uniform(0.0, cfg.p_U_max, cfg.K_U)
             pw.power_changed(state)
-            assert same_record(pw, full_pass(state, cfg))
+            assert same_powers(pw, full_pass(state, cfg))
             # Placement: one side's antennas move, the channels are rebuilt.
             for side, changed in (("t", pw.transmit_changed),
                                   ("r", pw.receive_changed)):
@@ -270,7 +264,7 @@ class TestReceivedPowersUpdates:
                         getattr(initialize_layout(cfg, rng), side))
                 state.ch = build_channels(layout, rlz, cfg)
                 changed(state)
-                assert same_record(pw, full_pass(state, cfg))
+                assert same_powers(pw, full_pass(state, cfg))
 
     def test_scores_match_a_fresh_pass(self):
         cfg = self.CASES[0]
@@ -299,4 +293,4 @@ def test_beam_only_transmit_update_keeps_the_si_factor():
         state.W_t = random_complex(rng, state.W_t.shape)
         pw.transmit_beams_changed(state)
         assert pw.V is V
-        assert same_record(pw, full_pass(state, cfg))
+        assert same_powers(pw, full_pass(state, cfg))

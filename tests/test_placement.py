@@ -18,7 +18,8 @@ from oracles import (auxiliaries_at, bundle_evaluation, bundle_gradient,
                            central_difference_hessian, fresh_surrogate,
                            random_complex,
                            reference_antenna_bundle,
-                           reference_curvature_bound)
+                           reference_curvature_bound, same_bits,
+                           same_powers)
 from prafd.placement import (ExpSum, RateGrid, antenna_bundle,
                              bsum_optimize_side, curvature_bound, grid_axis,
                              layout_fields, placement_gradient,
@@ -958,12 +959,6 @@ def record_rate(state, cfg):
     return weighted_sum_rate(sinrs_of(state.powers), cfg)
 
 
-def same_record(a, b) -> bool:
-    """Every factor of two received-power records equal, bit for bit."""
-    return vars(a).keys() == vars(b).keys() and all(
-        np.array_equal(v, getattr(b, k)) for k, v in vars(a).items())
-
-
 def enter_at(monkeypatch, rate):
     """Make `RateGrid.place` enter at `rate`: the first weighted sum-rate
     it takes, the score of the state's record, returns `rate`; the
@@ -1048,11 +1043,11 @@ class TestRateGrid:
                 ch, powers = state.ch, state.powers
                 moves = grid.place(state)
                 total_moves += moves
-                assert same_record(state.powers,
+                assert same_powers(state.powers,
                                    full_pass(state, state.ch, cfg))
                 rebuilt = build_channels(state.ch.layout, rlz, cfg)
-                assert all(np.array_equal(getattr(state.ch, k),
-                                          getattr(rebuilt, k))
+                assert all(same_bits(getattr(state.ch, k),
+                                     getattr(rebuilt, k))
                            for k in ("H_D", "H_U", "H_SI", "H_IUI", "u_t",
                                      "s_t", "u_r", "s_r"))
             assert state.ch is ch and state.powers is powers
@@ -1193,7 +1188,7 @@ class TestRateGrid:
         assert moves == 1
         assert np.array_equal(state.ch.layout.t[0], grid.points[target])
         assert record_rate(state, cfg) == goal
-        assert same_record(state.powers, full_pass(state, state.ch, cfg))
+        assert same_powers(state.powers, full_pass(state, state.ch, cfg))
 
     def test_positions_kept_without_gain(self):
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2, L=3, L_SI=3, A=2.0)

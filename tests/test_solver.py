@@ -8,12 +8,13 @@ from numpy.testing import assert_allclose
 from prafd.channel import AntennaLayout, Channels, build_channels, \
     sample_realization, trial_rng
 from prafd import baselines, beamforming, channel, fp, placement, solver
-from prafd.baselines import run_algorithm
+from prafd.baselines import fpas_layout, run_algorithm
 from prafd.config import ConfigError, ScenarioConfig, validate_config
 from prafd.geometry import FeasibleRegionSpec, is_feasible, \
     layout_side_feasible
 from prafd.solver import (_Monitor, alternating_optimize, initial_state,
                           initialize_layout)
+from oracles import same_bits, same_powers
 
 
 def solve_drawn(cfg, rlz, rng, position_method="bsum", eval_rlz=None):
@@ -21,6 +22,12 @@ def solve_drawn(cfg, rlz, rng, position_method="bsum", eval_rlz=None):
     layout = initialize_layout(cfg, rng)
     return alternating_optimize(cfg, rlz, rng, layout, position_method,
                                 eval_rlz)
+
+
+def start_of(algo, cfg, rng):
+    """The layout an experiment starts `algo` from: the fixed arrays for
+    fpas, else a draw from `rng`, which then sets the sweep order."""
+    return fpas_layout(cfg) if algo == "fpas" else initialize_layout(cfg, rng)
 
 
 def solve(cfg, trial=0, seed=0, position_method="bsum"):
@@ -371,18 +378,12 @@ class TestSideTerms:
                             context(real_contexts[1]))
         rlz = sample_realization(cfg, trial_rng(0, 0, 0))
         rng = trial_rng(0, 0, 3)
-        res = run_algorithm(algo, cfg, rlz, rng, initialize_layout(cfg, rng))
+        res = run_algorithm(algo, cfg, rlz, rng, start_of(algo, cfg, rng))
         assert [transmit for transmit, _ in built] == sides
         assert res.outer_iterations > 1
         assert len(used) == len(sides) * res.outer_iterations
         shared = [t for _, t in built]
         assert all(any(t is s for s in shared) for t in used)
-
-
-def same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape \
-        and a.tobytes() == b.tobytes()
 
 
 def same_record(a, b):
@@ -391,12 +392,6 @@ def same_record(a, b):
                for f in dataclasses.fields(Channels) if f.name != "layout") \
         and same_bits(a.layout.t, b.layout.t) \
         and same_bits(a.layout.r, b.layout.r)
-
-
-def same_powers(a, b):
-    """Every factor of two received-power records equal, bit for bit."""
-    return vars(a).keys() == vars(b).keys() and all(
-        same_bits(v, getattr(b, k)) for k, v in vars(a).items())
 
 
 def is_current(state, rlz, cfg, layout=None):
@@ -804,7 +799,7 @@ class TestReportedRates:
                 eval_rlz = true_rlz
             rng = trial_rng(5, trial, 3)
             res = run_algorithm(algo, cfg, rlz, rng,
-                                initialize_layout(cfg, rng), eval_rlz)
+                                start_of(algo, cfg, rng), eval_rlz)
             user_rates = np.concatenate([res.dl_rates, res.ul_rates])
             assert user_rates @ cfg.weights == res.rate
             assert res.rate == res.eval_trace[-1]
