@@ -17,6 +17,7 @@ import numpy as np
 
 from .channel import ChannelRealization
 from .config import ConfigError, ScenarioConfig
+from .fp import LN2
 from .geometry import FeasibleRegionSpec, layout_side_feasible, nearest_feasible_point
 from .placement import (SurrogateContext, antenna_bundle, channel_fields,
                         layout_fields, others_index, placement_gradient,
@@ -73,7 +74,9 @@ def gradient_descent_positions(ctx: SurrogateContext,
     Same interface and monotonicity contract as the per-antenna majorizer
     sweep, from the context's positions; `rng` goes unused, as the steps
     are deterministic.  Stops when a step changes the objective by less
-    than GD_EPSILON relative, or after GD_MAX_STEPS steps.  Step sizes come
+    than GD_EPSILON times the rate's scale, the surrogate it starts from
+    in nats (the objective's own magnitude carries an arbitrary offset),
+    or after GD_MAX_STEPS steps.  Step sizes come
     from Armijo backtracking (sufficient decrease c=1e-4, halving), so the
     objective trace never increases.  The channel fields of each layout are
     built once and serve its objective and its joint gradient, one
@@ -88,6 +91,7 @@ def gradient_descent_positions(ctx: SurrogateContext,
     others = others_index(len(pos))
     fields = channel_fields(ctx)
     f = placement_objective(ctx, fields)
+    tol = GD_EPSILON * LN2 * ctx.surrogate
     trace = [f]
     steps = 0
     cap = max(antenna_bundle(ctx, fields[0], fields[4], n).curvature_cap()
@@ -117,10 +121,9 @@ def gradient_descent_positions(ctx: SurrogateContext,
         alpha0 = 2.0 * alpha  # warm start the next line search
         pos, fields = proj, proj_fields
         trace.append(f_new)
-        rel = abs(f - f_new) / max(abs(f), 1e-12)
-        f = f_new
-        if rel < GD_EPSILON:
+        if abs(f - f_new) < tol:
             break
+        f = f_new
     return pos, trace, steps
 
 

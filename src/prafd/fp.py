@@ -66,6 +66,7 @@ class SolverState:
     ch: Channels              # channels of the current layout
     powers: ReceivedPowers    # the pass of (W_t, W_r, p) on `ch`
     aux: Auxiliaries
+    surrogate: float = math.nan   # bits, the solve's last score, or nan
 
 
 class ReceivedPowers:

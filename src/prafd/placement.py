@@ -205,6 +205,7 @@ class SurrogateContext:
     other: np.ndarray      # the other side's gram
     ch: Channels           # channels of the layout the side starts from
     terms: SideTerms
+    surrogate: float       # bits, the state's; GD's stop scale
     # Derived in __post_init__:
     own: np.ndarray = field(init=False, repr=False)  # (N, N) gram W beam_w W^H
     positions: np.ndarray = field(init=False, repr=False)  # (N, 2) start
@@ -248,7 +249,7 @@ def transmit_context(state: SolverState, terms: SideTerms) -> SurrogateContext:
     return SurrogateContext(lin=x.amp_dl * x.y_dl, chan_w=x.y2_dl,
                             beam_w=np.ones(len(x.y_dl)), W=state.W_t,
                             other=fp.receive_gram(state), ch=state.ch,
-                            terms=terms)
+                            terms=terms, surrogate=state.surrogate)
 
 
 def receive_context(state: SolverState, terms: SideTerms) -> SurrogateContext:
@@ -258,7 +259,8 @@ def receive_context(state: SolverState, terms: SideTerms) -> SurrogateContext:
     return SurrogateContext(lin=x.amp_ul * np.sqrt(state.p) * x.y_ul,
                             chan_w=state.p.astype(float), beam_w=x.y2_ul,
                             W=state.W_r, other=state.W_t @ state.W_t.conj().T,
-                            ch=state.ch, terms=terms)
+                            ch=state.ch, terms=terms,
+                            surrogate=state.surrogate)
 
 
 def _fields(ctx: SurrogateContext, H: np.ndarray, user_e: np.ndarray,
@@ -298,7 +300,7 @@ def placement_objective(ctx: SurrogateContext, fields: tuple) -> float:
     _, D, X, _, _ = fields
     t1 = -2.0 * float((ctx.lin @ D.diagonal()).real)
     t2 = float(ctx.beam_w @ (np.abs(D) ** 2) @ ctx.chan_w)
-    t3 = float((ctx.own @ X.conj().T @ ctx.other @ X).trace().real)
+    t3 = float(np.vdot(X, ctx.other @ X @ ctx.own).real)
     return t1 + t2 + t3
 
 

@@ -15,7 +15,8 @@ receive placement for each side that serves users.  An entry (`_Block`)
 is a monitor name and a step that updates the state and its record in
 place and returns a count: a placement side's sweeps, which add to
 `bsum_sweeps`, the grid's moves, or 0.  The loop scores the surrogate
-after each step and the monitor checks that it did not fall.  Only the
+after each step into `state.surrogate`, where GD's stop test reads its
+scale, and the monitor checks that it did not fall.  Only the
 grid sets the flag (`true_rate`): its moves raise the *true* rate, so a
 nonzero count is scored after an auxiliary refresh (the stale surrogate
 is at most the rate before a jump, which is at most the rate after it),
@@ -248,8 +249,8 @@ def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
     for iterations in range(1, MAX_OUTER + 1):
         # The auxiliaries were refreshed from the state's record, the pass
         # `rate` was scored on, so the surrogate must touch it.
-        p3 = fp.surrogate_objective(state, cfg)
-        monitor.check_sandwich(p3, rate)
+        state.surrogate = fp.surrogate_objective(state, cfg)
+        monitor.check_sandwich(state.surrogate, rate)
         for tag, step, true_rate in blocks:
             count = step(state)
             if true_rate:
@@ -264,7 +265,7 @@ def alternating_optimize(cfg: ScenarioConfig, rlz: ChannelRealization,
             else:
                 bsum_sweeps += count
                 after = fp.surrogate_objective(state, cfg)
-            p3 = monitor.check_block(p3, after, tag)
+            state.surrogate = monitor.check_block(state.surrogate, after, tag)
         # Refreshed for the next iteration, gamma also scores this one.
         state.aux = fp.auxiliary_pass(state.powers, cfg)
         new_rate, sinr, eval_rate = _scored(state, cfg, eval_rlz)

@@ -281,6 +281,18 @@ class TestPairedComparisons:
             f"scale")
 
 
+class TestGradientDescentAtDefaults:
+    def test_rate_not_below_the_offset_stop(self):
+        # 4.5096 is this set's fp-gd mean when GD sides stopped on the
+        # placement objective's own magnitude, an arbitrary offset; the
+        # rate-scale stop must not end them lower.
+        spec = ExperimentSpec(base=ScenarioConfig(), algorithms=("fp-gd",),
+                              trials=16, seed=0)
+        mean = suite_rates(run_experiment(spec), "fp-gd").mean()
+        warnings.warn(f"fp-gd mean at defaults: {mean:.4f}")
+        assert mean >= 4.5096
+
+
 @pytest.fixture(scope="module")
 def region_sweep():
     spec = ExperimentSpec(base=ScenarioConfig(**DESK),

@@ -10,6 +10,7 @@ from prafd.baselines import (ALGORITHMS, fpas_layout,
                              upa_layout)
 from prafd.channel import build_channels, sample_realization, trial_rng
 from prafd.config import ConfigError, ScenarioConfig
+from prafd.fp import LN2, surrogate_objective
 from prafd.geometry import layout_side_feasible, min_pairwise_distance
 from prafd.placement import (layout_fields, others_index,
                              placement_objective, side_terms,
@@ -48,6 +49,7 @@ class TestGradientDescent:
         rlz = sample_realization(cfg, rng)
         layout = initialize_layout(cfg, rng)
         state = initial_state(build_channels(layout, rlz, cfg), cfg)
+        state.surrogate = surrogate_objective(state, cfg)  # as the solve does
         return cfg, layout, transmit_context(state,
                                              side_terms(rlz, cfg, True))
 
@@ -62,6 +64,43 @@ class TestGradientDescent:
             assert_allclose(placement_objective(ctx, layout_fields(ctx, out)),
                             trace[-1],
                             rtol=1e-12)
+
+    def test_stop_ignores_the_objective_offset(self, monkeypatch):
+        # The placement objective leaves out the surrogate's position-free
+        # part, so adding a constant to it must change nothing but the
+        # trace, which shifts by exactly that constant.
+        offset = 1e4
+        for trial in range(5):
+            _, _, ctx = self.make_ctx(trial)
+            runs = {}
+            for c in (0.0, offset):
+                monkeypatch.setattr(
+                    baselines, "placement_objective",
+                    lambda *a, c=c: placement_objective(*a) + c)
+                runs[c] = gradient_descent_positions(
+                    ctx, np.random.default_rng(0))
+            (pos, trace, steps), (pos_c, trace_c, steps_c) = runs.values()
+            assert np.array_equal(pos, pos_c) and steps == steps_c
+            assert trace_c == [v + offset for v in trace]
+
+    def test_stops_at_the_first_small_step(self):
+        # Every accepted step but the last moves the objective by at least
+        # GD_EPSILON times the rate's scale, the surrogate in nats; the
+        # last moves it by less, unless the run hit the step cap or ended
+        # on a step that no halving made acceptable.
+        ended_by_test = 0
+        for trial in range(10):
+            _, _, ctx = self.make_ctx(trial)
+            _, trace, steps = gradient_descent_positions(
+                ctx, np.random.default_rng(0))
+            tol = baselines.GD_EPSILON * LN2 * ctx.surrogate
+            drops = -np.diff(trace)
+            assert np.all(drops[:-1] >= tol)
+            if len(drops) and drops[-1] < tol:
+                ended_by_test += 1
+            else:
+                assert steps in (baselines.GD_MAX_STEPS, len(drops) + 1)
+        assert ended_by_test > 0
 
     def test_improves_objective(self, monkeypatch):
         cfg, layout, ctx = self.make_ctx(3)
