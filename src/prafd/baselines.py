@@ -52,40 +52,44 @@ def upa_layout(n: int, spacing: float, half_width: float) -> np.ndarray:
     return pts
 
 
-def _project_side(cand: np.ndarray, others: list, half_width: float,
-                  d_min: float) -> np.ndarray:
-    """Restore feasibility after a joint move in one pass.
+def _project_side(cand: np.ndarray, pos: np.ndarray, others: list,
+                  half_width: float, d_min: float) -> np.ndarray:
+    """Restore feasibility after a joint move from `pos` in one pass.
 
-    Each antenna is projected against the final positions of the ones
-    before it, so every pair ends at least d_min apart.  `others` is the
-    side's `others_index`.
+    Each antenna's candidate is projected against the final positions of
+    the ones before it and the current positions of the ones after it,
+    where its own position is feasible: a small step moves it little, and
+    every pair ends at least d_min apart.  `others` is the side's
+    `others_index`.
     """
-    proj = cand.copy()
+    proj = pos.copy()
     for n in range(len(proj)):
         region = FeasibleRegionSpec(half_width, proj[others[n]], d_min)
         proj[n] = nearest_feasible_point(cand[n], region)
     return proj
 
 
-def gradient_descent_positions(ctx: SurrogateContext,
-                               rng: np.random.Generator):
+def gradient_descent_positions(ctx: SurrogateContext):
     """Projected gradient descent on one side's placement objective.
 
-    Same interface and monotonicity contract as the per-antenna majorizer
-    sweep, from the context's positions; `rng` goes unused, as the steps
-    are deterministic.  Stops when a step changes the objective by less
-    than GD_EPSILON times the rate's scale, the surrogate it starts from
-    in nats (the objective's own magnitude carries an arbitrary offset),
-    or after GD_MAX_STEPS steps.  Step sizes come
-    from Armijo backtracking (sufficient decrease c=1e-4, halving), so the
-    objective trace never increases.  The channel fields of each layout are
-    built once and serve its objective and its joint gradient, one
-    `placement_gradient` call per step; those of the start are read off
-    the context's channel record (`channel_fields`).  The per-antenna
-    bundles are built once, before the first step: their largest curvature
-    cap sets the first trial step 1 / cap, and a zero cap means the
-    objective does not depend on the positions.
+    Same returns and monotonicity contract as the per-antenna majorizer
+    sweep, from the context's positions.  Stops when a step changes the
+    objective by less than GD_EPSILON times the rate's scale, the
+    surrogate it starts from in nats (the objective's own magnitude
+    carries an arbitrary offset), or after GD_MAX_STEPS steps; a context
+    whose state no solve has scored has no such scale and raises
+    ValueError.  Step sizes come from Armijo backtracking (sufficient
+    decrease c=1e-4, halving), so the objective trace never increases.
+    The channel fields of each layout are built once and serve its
+    objective and its joint gradient, one `placement_gradient` call per
+    step; those of the start are read off the context's channel record
+    (`channel_fields`).  The per-antenna bundles are built once, before
+    the first step: their largest curvature cap sets the first trial step
+    1 / cap, and a zero cap means the objective does not depend on the
+    positions.
     """
+    if not math.isfinite(ctx.surrogate):
+        raise ValueError(f"GD needs a scored state; surrogate {ctx.surrogate}")
     half_width, d_min = ctx.terms.half_width, ctx.terms.d_min
     pos = np.array(ctx.positions, dtype=float, copy=True)
     others = others_index(len(pos))
@@ -106,17 +110,15 @@ def gradient_descent_positions(ctx: SurrogateContext,
             break
         steps += 1
         alpha = alpha0
-        accepted = False
         for _ in range(GD_MAX_HALVINGS):
-            proj = _project_side(pos - alpha * grad, others, half_width,
-                                 d_min)
+            proj = _project_side(pos - alpha * grad, pos, others,
+                                 half_width, d_min)
             proj_fields = layout_fields(ctx, proj)
             f_new = placement_objective(ctx, proj_fields)
             if f_new <= f - ARMIJO_C * alpha * gnorm2:
-                accepted = True
                 break
             alpha *= 0.5
-        if not accepted:
+        else:
             break  # constrained stationary point at this resolution
         alpha0 = 2.0 * alpha  # warm start the next line search
         pos, fields = proj, proj_fields

@@ -119,7 +119,7 @@ def main(argv=None) -> int:
                     help="sweep one config field or perturbation level")
     pe.add_argument("--out", default="results", help="output path prefix")
     pe.add_argument("--threads", type=int, default=1,
-                    help="worker processes for sweep points")
+                    help="worker processes over (sweep point, trial) cells")
     pe.set_defaults(func=_cmd_experiment)
 
     args = parser.parse_args(argv)

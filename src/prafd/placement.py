@@ -140,7 +140,7 @@ class SideTerms:
     user and SI paths'.
     """
 
-    transmit: bool             # which side of a `Channels` record is this one
+    side: str                  # "t" or "r", as `AntennaLayout` names the sides
     kappa: float
     half_width: float
     d_min: float
@@ -157,11 +157,11 @@ class SideTerms:
 
 
 def side_terms(rlz: ChannelRealization, cfg: ScenarioConfig,
-               transmit: bool) -> SideTerms:
-    """`SideTerms` of the transmit side (users are downlink) or the receive
-    side (users are uplink)."""
+               side: str) -> SideTerms:
+    """`SideTerms` of the transmit side "t" (users are downlink) or the
+    receive side "r" (users are uplink)."""
     k = cfg.kappa
-    if transmit:
+    if side == "t":
         user_dirs, prm, si_dirs = rlz.dl_dirs, rlz.prm_dl, rlz.si_t_dirs
         sigma = rlz.sigma_si
     else:
@@ -173,7 +173,7 @@ def side_terms(rlz: ChannelRealization, cfg: ScenarioConfig,
     dirs = np.vstack([(-k * user_dirs).reshape(-1, 2), k * si_dirs,
                       ddiff.reshape(-1, 2), sdiff.reshape(-1, 2)])
     n_user, n_lin = prm.size, prm.size + len(si_dirs)
-    return SideTerms(transmit=transmit, kappa=k,
+    return SideTerms(side=side, kappa=k,
                      half_width=cfg.region_half_width, d_min=cfg.D_min,
                      user_dirs=user_dirs, user_prm=prm, si_dirs=si_dirs,
                      sigma_si=sigma, dirs=dirs, norm2=(dirs ** 2).sum(axis=1),
@@ -221,8 +221,8 @@ class SurrogateContext:
 
     def __post_init__(self):
         t = self.terms
-        self.positions = self.ch.layout.t if t.transmit else self.ch.layout.r
-        other_si = self.ch.s_r if t.transmit else self.ch.s_t
+        self.positions = getattr(self.ch.layout, t.side)
+        other_si = self.ch.s_r if t.side == "t" else self.ch.s_t
         self.si_mix = other_si.conj() @ t.sigma_si
         self.own = (self.W * self.beam_w) @ self.W.conj().T
         self.Wc = self.W.conj()
@@ -244,7 +244,7 @@ class SurrogateContext:
 
 def transmit_context(state: SolverState, terms: SideTerms) -> SurrogateContext:
     """Transmit-side context on the state's channels; `terms` are the
-    solve's `side_terms(rlz, cfg, True)`."""
+    solve's `side_terms(rlz, cfg, "t")`."""
     x = state.aux
     return SurrogateContext(lin=x.amp_dl * x.y_dl, chan_w=x.y2_dl,
                             beam_w=np.ones(len(x.y_dl)), W=state.W_t,
@@ -254,7 +254,7 @@ def transmit_context(state: SolverState, terms: SideTerms) -> SurrogateContext:
 
 def receive_context(state: SolverState, terms: SideTerms) -> SurrogateContext:
     """Receive-side context on the state's channels; `terms` are the
-    solve's `side_terms(rlz, cfg, False)`."""
+    solve's `side_terms(rlz, cfg, "r")`."""
     x = state.aux
     return SurrogateContext(lin=x.amp_ul * np.sqrt(state.p) * x.y_ul,
                             chan_w=state.p.astype(float), beam_w=x.y2_ul,
@@ -287,7 +287,7 @@ def channel_fields(ctx: SurrogateContext):
     record's user channel and phasors with no exponential; the same
     products of the same operands, so the two agree bit for bit."""
     ch = ctx.ch
-    if ctx.terms.transmit:
+    if ctx.terms.side == "t":
         return _fields(ctx, ch.H_D, ch.u_t, ch.s_t)
     return _fields(ctx, ch.H_U, ch.u_r, ch.s_r)
 

@@ -180,7 +180,7 @@ def block_table(cfg: ScenarioConfig, rlz: ChannelRealization,
     Built per solve, not at import: the functions are looked up on their
     modules, so wrappers installed there at run time are honoured."""
     from . import baselines     # baselines imports this module
-    optimizers = {"bsum": placement.bsum_optimize_side,
+    optimizers = {"bsum": lambda ctx: placement.bsum_optimize_side(ctx, rng),
                   "gd": baselines.gradient_descent_positions, "none": None}
     if position_method not in optimizers:
         raise ValueError(f"unknown position method {position_method!r}")
@@ -194,9 +194,9 @@ def block_table(cfg: ScenarioConfig, rlz: ChannelRealization,
         return _Block(tag, step)
 
     def placement_side(tag, side, context, changed):
-        terms = placement.side_terms(rlz, cfg, side == "t")  # once per solve
+        terms = placement.side_terms(rlz, cfg, side)  # once per solve
         def step(state):
-            pos, _, sweeps = optimizer(context(state, terms), rng)
+            pos, _, sweeps = optimizer(context(state, terms))
             state.ch = move_side(state.ch, side, pos, rlz, cfg)
             changed(state.powers, state)
             return sweeps

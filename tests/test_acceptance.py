@@ -158,9 +158,9 @@ class TestPlacementDerivatives:
             rlz = sample_realization(cfg, rng)
             layout = initialize_layout(cfg, rng)
             state = initial_state(build_channels(layout, rlz, cfg), cfg)
-            sides = ((transmit_context(state, side_terms(rlz, cfg, True)),
+            sides = ((transmit_context(state, side_terms(rlz, cfg, "t")),
                       layout.t),
-                     (receive_context(state, side_terms(rlz, cfg, False)),
+                     (receive_context(state, side_terms(rlz, cfg, "r")),
                       layout.r))
             for ctx, pos in sides:
                 fields = layout_fields(ctx, pos)

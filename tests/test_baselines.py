@@ -43,22 +43,22 @@ class TestUpaLayout:
 
 
 class TestGradientDescent:
-    def make_ctx(self, trial=0):
+    def make_ctx(self, trial=0, scored=True):
         cfg = ScenarioConfig(K_D=2, K_U=2, N_t=3, N_r=3, L=3, L_SI=3)
         rng = trial_rng(0, trial, 0)
         rlz = sample_realization(cfg, rng)
         layout = initialize_layout(cfg, rng)
         state = initial_state(build_channels(layout, rlz, cfg), cfg)
-        state.surrogate = surrogate_objective(state, cfg)  # as the solve does
+        if scored:  # as the solve does before every side
+            state.surrogate = surrogate_objective(state, cfg)
         return cfg, layout, transmit_context(state,
-                                             side_terms(rlz, cfg, True))
+                                             side_terms(rlz, cfg, "t"))
 
     def test_trace_monotone_and_feasible(self, monkeypatch):
         monkeypatch.setattr(baselines, "GD_EPSILON", 1e-4)
         for trial in range(10):
             cfg, layout, ctx = self.make_ctx(trial)
-            out, trace, _ = gradient_descent_positions(
-                ctx, np.random.default_rng(trial))
+            out, trace, _ = gradient_descent_positions(ctx)
             assert np.all(np.diff(trace) <= 1e-12)
             assert layout_side_feasible(out, ctx.terms.half_width, ctx.terms.d_min)
             assert_allclose(placement_objective(ctx, layout_fields(ctx, out)),
@@ -77,8 +77,7 @@ class TestGradientDescent:
                 monkeypatch.setattr(
                     baselines, "placement_objective",
                     lambda *a, c=c: placement_objective(*a) + c)
-                runs[c] = gradient_descent_positions(
-                    ctx, np.random.default_rng(0))
+                runs[c] = gradient_descent_positions(ctx)
             (pos, trace, steps), (pos_c, trace_c, steps_c) = runs.values()
             assert np.array_equal(pos, pos_c) and steps == steps_c
             assert trace_c == [v + offset for v in trace]
@@ -91,8 +90,7 @@ class TestGradientDescent:
         ended_by_test = 0
         for trial in range(10):
             _, _, ctx = self.make_ctx(trial)
-            _, trace, steps = gradient_descent_positions(
-                ctx, np.random.default_rng(0))
+            _, trace, steps = gradient_descent_positions(ctx)
             tol = baselines.GD_EPSILON * LN2 * ctx.surrogate
             drops = -np.diff(trace)
             assert np.all(drops[:-1] >= tol)
@@ -105,8 +103,7 @@ class TestGradientDescent:
     def test_improves_objective(self, monkeypatch):
         cfg, layout, ctx = self.make_ctx(3)
         monkeypatch.setattr(baselines, "GD_EPSILON", 1e-6)
-        _, trace, _ = gradient_descent_positions(
-            ctx, np.random.default_rng(0))
+        _, trace, _ = gradient_descent_positions(ctx)
         assert trace[-1] < trace[0]
 
     def test_one_projection_pass_restores_feasibility(self):
@@ -125,9 +122,31 @@ class TestGradientDescent:
                                             size=pos.shape)
                     infeasible += not layout_side_feasible(cand, hw, cfg.D_min)
                     proj = baselines._project_side(
-                        cand, others_index(n_ant), hw, cfg.D_min)
+                        cand, pos, others_index(n_ant), hw, cfg.D_min)
                     assert layout_side_feasible(proj, hw, cfg.D_min)
         assert infeasible > 180
+
+    @pytest.mark.parametrize("n_ant", [4, 6, 8, 9])
+    def test_a_small_step_moves_each_antenna_little(self, n_ant):
+        # The fixed arrays sit exactly D_min apart, so a tiny joint step
+        # makes candidates that crowd their neighbours.  Projected against
+        # its neighbours' current positions, where its own position is
+        # feasible, an antenna lands within its step of its candidate, so
+        # it moves at most twice its step.
+        rng = np.random.default_rng(5)
+        cfg = ScenarioConfig(N_t=n_ant)
+        hw, lam = cfg.region_half_width, cfg.wavelength
+        pos = fpas_layout(cfg).t
+        others = others_index(n_ant)
+        for _ in range(200):
+            step = rng.normal(size=pos.shape)
+            step *= 1e-3 * lam / np.linalg.norm(step)
+            proj = baselines._project_side(pos + step, pos, others, hw,
+                                           cfg.D_min)
+            assert layout_side_feasible(proj, hw, cfg.D_min)
+            moved = np.linalg.norm(proj - pos, axis=1)
+            assert np.all(moved <= 2.0 * np.linalg.norm(step, axis=1)
+                          + 1e-12 * lam)
 
     def test_bundles_only_at_the_first_step(self, monkeypatch):
         # The first step's curvature caps are GD's only use of the
@@ -150,8 +169,7 @@ class TestGradientDescent:
         for trial in range(4):
             cfg, layout, ctx = self.make_ctx(trial)
             events.clear()
-            _, _, steps = gradient_descent_positions(
-                ctx, np.random.default_rng(0))
+            _, _, steps = gradient_descent_positions(ctx)
             assert steps >= 2
             n_bundles = events.count("bundle")
             assert n_bundles == cfg.N_t
@@ -162,17 +180,22 @@ class TestGradientDescent:
         _, layout, ctx = self.make_ctx(0)
         ctx = replace(ctx, W=np.zeros_like(ctx.W))
         monkeypatch.setattr(baselines, "GD_EPSILON", 1e-6)
-        out, trace, steps = gradient_descent_positions(
-            ctx, np.random.default_rng(0))
+        out, trace, steps = gradient_descent_positions(ctx)
         assert steps == 0 and len(trace) == 1
         assert np.array_equal(out, layout.t)
+
+    def test_an_unscored_context_is_rejected(self):
+        # No solve scored this state, so its surrogate is nan and would
+        # give a nan stop tolerance.
+        _, _, ctx = self.make_ctx(0, scored=False)
+        with pytest.raises(ValueError, match="scored"):
+            gradient_descent_positions(ctx)
 
     def test_respects_step_cap(self, monkeypatch):
         cfg, layout, ctx = self.make_ctx(3)
         monkeypatch.setattr(baselines, "GD_MAX_STEPS", 3)
         monkeypatch.setattr(baselines, "GD_EPSILON", 0.0)
-        _, trace, steps = gradient_descent_positions(
-            ctx, np.random.default_rng(0))
+        _, trace, steps = gradient_descent_positions(ctx)
         assert steps == 3 and len(trace) == 4
 
 

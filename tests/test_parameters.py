@@ -7,13 +7,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "prafd").glob("*.py"))
 
-# The solver's block tables call each entry with one signature, so these
-# functions take an argument they have no use for.
-UNREAD = {
-    # a placement side, called as (ctx, rng); GD draws nothing
-    ("baselines.py", "gradient_descent_positions", "rng"),
-}
-
 
 def unread_parameters(source: str) -> list:
     """(line, qualified function name, parameter) for every parameter of a
@@ -56,15 +49,5 @@ def test_no_unread_parameters():
     found = [f"{path.relative_to(ROOT)}:{line}: {name}({param})"
              for path in MODULES
              for line, name, param in unread_parameters(
-                 path.read_text(encoding="utf-8"))
-             if (path.name, name, param) not in UNREAD]
+                 path.read_text(encoding="utf-8"))]
     assert not found, f"unread parameters: {found}"
-
-
-def test_every_exception_is_still_unread():
-    # An exception whose parameter is read again, or whose function is
-    # gone, is stale and goes from the list.
-    found = {(path.name, name, param) for path in MODULES
-             for _, name, param in unread_parameters(
-                 path.read_text(encoding="utf-8"))}
-    assert UNREAD <= found

@@ -34,8 +34,8 @@ def sides(state, rlz, cfg):
     """(context, positions) of the transmit side, then the receive side,
     on the state's channels."""
     layout = state.ch.layout
-    return ((transmit_context(state, side_terms(rlz, cfg, True)), layout.t),
-            (receive_context(state, side_terms(rlz, cfg, False)), layout.r))
+    return ((transmit_context(state, side_terms(rlz, cfg, "t")), layout.t),
+            (receive_context(state, side_terms(rlz, cfg, "r")), layout.r))
 
 
 def make_contexts(cfg, trial=0):
@@ -375,7 +375,7 @@ class TestObjective:
         state.W_t = np.zeros_like(state.W_t)
         state.aux = auxiliaries_at(state.aux.gamma,
                                    np.zeros_like(state.aux.y), cfg)
-        ctx = transmit_context(state, side_terms(rlz, cfg, True))
+        ctx = transmit_context(state, side_terms(rlz, cfg, "t"))
         rng = np.random.default_rng(6)
         vals = [objective_at(ctx, rng.uniform(-1, 1, (2, 2)) * 0.01)
                 for _ in range(5)]
@@ -515,7 +515,7 @@ class TestBsumSweep:
         state.p = np.zeros(cfg.K_U)
         state.powers = received_powers(state.W_t, state.W_r, state.p, ch, cfg)
         state.aux = auxiliary_pass(state.powers, cfg)
-        ctx = receive_context(state, side_terms(rlz, cfg, False))
+        ctx = receive_context(state, side_terms(rlz, cfg, "r"))
         out, trace, sweeps = bsum_optimize_side(ctx, np.random.default_rng(0))
         assert_allclose(out, layout.r)
         assert_allclose(trace, [0.0, 0.0], atol=1e-30)

@@ -343,13 +343,13 @@ class TestAlternatingOptimize:
 
 class TestSideTerms:
     @pytest.mark.parametrize("algo, cfg, sides", [
-        ("fp-bsum", ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2), [True, False]),
-        ("fp-gd", ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2), [True, False]),
-        ("fp-bsum", ScenarioConfig(K_D=2, K_U=0, N_t=2, N_r=2), [True]),
-        ("hd", ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2), [True]),
+        ("fp-bsum", ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2), ["t", "r"]),
+        ("fp-gd", ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2), ["t", "r"]),
+        ("fp-bsum", ScenarioConfig(K_D=2, K_U=0, N_t=2, N_r=2), ["t"]),
+        ("hd", ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2), ["t"]),
         ("fpas", ScenarioConfig(K_D=2, K_U=2, N_t=2, N_r=2), []),
-        ("fp-bsum", ScenarioConfig(K_D=0, K_U=2, N_t=2, N_r=2), [False]),
-        ("fp-gd", ScenarioConfig(K_D=0, K_U=2, N_t=2, N_r=2), [False]),
+        ("fp-bsum", ScenarioConfig(K_D=0, K_U=2, N_t=2, N_r=2), ["r"]),
+        ("fp-gd", ScenarioConfig(K_D=0, K_U=2, N_t=2, N_r=2), ["r"]),
     ])
     def test_built_once_per_solve_for_each_side_with_users(
             self, monkeypatch, algo, cfg, sides):
@@ -360,8 +360,8 @@ class TestSideTerms:
         real_terms = placement.side_terms
         real_contexts = placement.transmit_context, placement.receive_context
 
-        def terms(rlz, cfg, transmit):
-            built.append((transmit, real_terms(rlz, cfg, transmit)))
+        def terms(rlz, cfg, side):
+            built.append((side, real_terms(rlz, cfg, side)))
             return built[-1][1]
 
         def context(real):
@@ -379,7 +379,7 @@ class TestSideTerms:
         rlz = sample_realization(cfg, trial_rng(0, 0, 0))
         rng = trial_rng(0, 0, 3)
         res = run_algorithm(algo, cfg, rlz, rng, start_of(algo, cfg, rng))
-        assert [transmit for transmit, _ in built] == sides
+        assert [side for side, _ in built] == sides
         assert res.outer_iterations > 1
         assert len(used) == len(sides) * res.outer_iterations
         shared = [t for _, t in built]
@@ -431,8 +431,8 @@ def after_each_side(monkeypatch, method, seen):
         else (baselines, "gradient_descent_positions")
     real = getattr(module, name)
 
-    def side(ctx, rng):
-        out = real(ctx, rng)
+    def side(ctx, *rng):
+        out = real(ctx, *rng)
         seen(ctx, out)
         return out
 
@@ -465,7 +465,7 @@ def track_layout(monkeypatch, layout, method):
     monkeypatch.setattr(placement, "move_side", move)
     monkeypatch.setattr(placement.RateGrid, "place", place)
     after_each_side(monkeypatch, method, lambda ctx, out: setattr(
-        current, "t" if ctx.terms.transmit else "r", out[0].copy()))
+        current, ctx.terms.side, out[0].copy()))
     return current
 
 
@@ -526,7 +526,7 @@ class TestChannelRecord:
 
         monkeypatch.setattr(channel, "field_response", response)
         after_each_side(monkeypatch, method, lambda ctx, out: events.append(
-            ("side", ctx.terms.transmit, out[0].copy())))
+            ("side", ctx.terms.side, out[0].copy())))
         monkeypatch.setattr(fp, "surrogate_objective", surrogate)
         alternating_optimize(cfg, rlz, rng, layout, method)
         # The start's record: each side's two phasor arrays, once.
@@ -534,10 +534,10 @@ class TestChannelRecord:
         sides = [i for i, e in enumerate(events) if e[0] == "side"]
         assert len(sides) >= 4
         for i in sides:
-            _, transmit, pos = events[i]
+            _, side, pos = events[i]
             end = events.index(("surrogate",), i)
             taken = events[i + 1:end]
-            user, si = (rlz.dl_dirs, rlz.si_t_dirs) if transmit \
+            user, si = (rlz.dl_dirs, rlz.si_t_dirs) if side == "t" \
                 else (rlz.ul_dirs, rlz.si_r_dirs)
             assert [e[0] for e in taken] == ["exp", "exp"]
             assert all(same_bits(e[1], pos) for e in taken)
@@ -555,8 +555,8 @@ class TestChannelRecord:
         layout = initialize_layout(cfg, trial_rng(0, 2, 3))
         state = initial_state(build_channels(layout, rlz, cfg), cfg)
         grid = placement.RateGrid(rlz, cfg)
-        terms = (placement.side_terms(rlz, cfg, True),
-                 placement.side_terms(rlz, cfg, False))
+        terms = (placement.side_terms(rlz, cfg, "t"),
+                 placement.side_terms(rlz, cfg, "r"))
 
         def forbidden(*a, **k):
             raise AssertionError("an exponential was taken")
